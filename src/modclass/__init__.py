@@ -1,8 +1,9 @@
 """Modular classes of finite groupoid representations, exactly.
 
 The pipeline: a finite groupoid acts on per-object chain complexes by
-chain maps, functorially up to homotopy; invertible replacement makes
-the Berezinian of each arrow well defined; the resulting scalar cocycle
+chain maps, functorially up to homotopy; the Berezinian of each arrow's
+homotopy class is read off the harmonic blocks of the per-object
+boundary/harmonic/lift decompositions; the resulting scalar cocycle
 is strictly functorial and its cohomology class (trivial or not, with a
 witness or obstructions) is the modular class.
 """

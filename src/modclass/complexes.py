@@ -4,10 +4,14 @@ A complex here is a finite family of coordinate spaces ``C^i`` for
 degrees in a bounded interval, with differentials ``d^i : C^i ->
 C^{i+1}`` squaring to zero.  On top of that this module provides chain
 maps, chain homotopies, the boundary/harmonic/lift decomposition of
-each degree, invertible replacement of homotopy equivalences, and the
-Berezinian (graded determinant), which is well defined on homotopy
-classes of homotopy equivalences precisely because of the replacement
-construction.
+each degree, and the Berezinian (graded determinant).  The
+decomposition is a strong deformation retract onto the harmonic blocks,
+so the homotopy questions have closed forms in it: a chain map is
+null-homotopic exactly when its harmonic blocks vanish (the contraction
+then gives the homotopy), and the Berezinian of the homotopy class of a
+homotopy equivalence is the alternating product of its harmonic-block
+determinants, corrected by those of the bases.  Invertible replacement
+is still offered as an explicit construction.
 
 Fibers are coordinate spaces, so the graded determinant line always has
 a standard trivializing element (the one determined by the standard
@@ -22,7 +26,7 @@ greedy scan over the canonical kernel basis, and the lift block is the
 set of standard basis vectors sitting at the pivot columns of the
 outgoing differential.  With these choices the differential carries the
 lift block of degree ``i`` to the boundary basis of degree ``i+1`` by
-the identity matrix, which makes the bookkeeping in the replacement
+the identity matrix, which makes the contraction and the replacement
 construction exact rather than merely up to isomorphism.
 """
 
@@ -39,7 +43,6 @@ from .linalg import (
     extend_to_basis,
     kernel_basis,
     rref,
-    solve,
 )
 
 
@@ -336,7 +339,12 @@ class Decomposition:
     outgoing differential, and the lift block L is a complement of that
     kernel which the differential carries isomorphically onto the
     boundary block of the next degree (by the identity matrix, in these
-    bases).
+    bases).  ``basis_det[i]`` is the determinant of ``basis[i]``.
+
+    The splitting is a strong deformation retract onto the harmonic
+    blocks: with the contraction ``h^i`` (:meth:`contraction`) and the
+    harmonic projector ``p^i`` (:meth:`harmonic_projector`), ``d h + h d
+    = 1 - p`` in every degree.
     """
 
     fiber: ComplexFiber
@@ -344,6 +352,7 @@ class Decomposition:
     basis_inv: dict[int, Matrix]
     boundary_dims: dict[int, int]
     harmonic_dims: dict[int, int]
+    basis_det: dict[int, Fraction]
 
     def widths(self, i: int) -> tuple[int, int, int]:
         return (
@@ -358,15 +367,28 @@ class Decomposition:
     def basis_inv_at(self, i: int) -> Matrix:
         return self.basis_inv.get(i, Matrix.identity(self.fiber.dim(i)))
 
-    def blocks(self, i: int) -> tuple[Matrix, Matrix, Matrix]:
-        """The (boundary, harmonic, lift) column groups at degree ``i``."""
+    def edges(self, i: int) -> tuple[int, int, int, int]:
+        """Offsets where the three blocks of degree ``i`` start and end."""
         b, h, l = self.widths(i)
-        m = self.basis[i]
-        return (
-            m.take_columns(range(b)),
-            m.take_columns(range(b, b + h)),
-            m.take_columns(range(b + h, b + h + l)),
-        )
+        return (0, b, b + h, b + h + l)
+
+    def blocks(self, i: int) -> tuple[Matrix, ...]:
+        """The (boundary, harmonic, lift) column groups of ``basis_at(i)``."""
+        e, m = self.edges(i), self.basis_at(i)
+        return tuple(m.take_columns(range(e[k], e[k + 1])) for k in range(3))
+
+    def coordinates(self, i: int) -> tuple[Matrix, ...]:
+        """The (boundary, harmonic, lift) row groups of ``basis_inv_at(i)``."""
+        e, m = self.edges(i), self.basis_inv_at(i)
+        return tuple(m.submatrix(e[k], e[k + 1], 0, m.cols) for k in range(3))
+
+    def contraction(self, i: int) -> Matrix:
+        """``h^i`` from degree ``i`` to ``i-1``: boundary block onto lift block by the identity."""
+        return self.blocks(i - 1)[2] * self.coordinates(i)[0]
+
+    def harmonic_projector(self, i: int) -> Matrix:
+        """Projection of degree ``i`` onto its harmonic block along the other two."""
+        return self.blocks(i)[1] * self.coordinates(i)[1]
 
 
 def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None = None) -> Decomposition:
@@ -377,65 +399,48 @@ def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None 
     valid) decomposition; downstream quantities that are claimed to be
     choice independent can be re-run against such a variant.
     """
-    perms: dict[int, list[int]] = {}
-    if permutations:
-        for i, p in permutations.items():
-            p = list(p)
-            if sorted(p) != list(range(c.dim(i))):
-                raise ValueError(f"not a permutation of degree {i} coordinates")
-            perms[i] = p
+    # Coordinate j of degree i in the working coordinates is perm(i)[j].
+    perms = {i: list(p) for i, p in (permutations or {}).items()}
+    for i, p in perms.items():
+        if sorted(p) != list(range(c.dim(i))):
+            raise ValueError(f"not a permutation of degree {i} coordinates")
 
-    def perm_matrix(i: int) -> Matrix:
-        n = c.dim(i)
-        p = perms.get(i)
-        if p is None:
-            return Matrix.identity(n)
-        # column j of the result is the standard vector at p[j]
-        return Matrix.from_columns(
-            [[Fraction(int(r == p[j])) for r in range(n)] for j in range(n)], rows=n
-        )
+    def perm(i: int) -> list[int]:
+        return perms.get(i) or list(range(c.dim(i)))
+
+    def permuted(i: int) -> Matrix:
+        d = c.differential(i)
+        return Matrix([d.row(r) for r in perm(i + 1)], cols=d.cols).take_columns(perm(i))
 
     # Work in permuted coordinates, then pull the bases back.
-    q = {i: perm_matrix(i) for i in range(c.d_min - 1, c.d_max + 2)}
-    q_inv = {i: q[i].transpose() for i in q}  # permutation matrices are orthogonal
-
-    diffs = {
-        i: q_inv[i + 1] * c.differential(i) * q[i]
-        for i in range(c.d_min - 1, c.d_max + 1)
-        if c.dim(i) or c.dim(i + 1)
-    }
-
-    def diff(i: int) -> Matrix:
-        return diffs.get(i, Matrix.zeros(c.dim(i + 1), c.dim(i)))
-
-    pivot_cols = {i: rref(diff(i))[1] for i in range(c.d_min - 1, c.d_max + 1)}
+    diffs = {i: permuted(i) for i in range(c.d_min - 1, c.d_max + 1)}
+    pivot_cols = {i: rref(d)[1] for i, d in diffs.items()}
 
     basis: dict[int, Matrix] = {}
     basis_inv: dict[int, Matrix] = {}
     boundary_dims: dict[int, int] = {}
     harmonic_dims: dict[int, int] = {}
+    basis_det: dict[int, Fraction] = {}
     for i in c.degrees():
         n = c.dim(i)
-        boundary = diff(i - 1).take_columns(pivot_cols.get(i - 1, []))
-        kernel = kernel_basis(diff(i))
-        kernel_full = extend_to_basis(boundary, kernel)
-        lift_cols = [
-            [Fraction(int(r == j)) for r in range(n)] for j in pivot_cols.get(i, [])
-        ]
-        lift = Matrix.from_columns(lift_cols, rows=n)
-        full = Matrix.hstack(kernel_full, lift) if lift.cols else kernel_full
+        boundary = diffs[i - 1].take_columns(pivot_cols[i - 1])
+        kernel_full = extend_to_basis(boundary, kernel_basis(diffs[i]))
+        lift = Matrix.identity(n).take_columns(pivot_cols[i])
+        full = Matrix.hstack(kernel_full, lift)
         if full.cols != n:
             raise ValueError(f"degree {i} does not split; complex is invalid")
-        full = q[i] * full
+        back = sorted(range(n), key=perm(i).__getitem__)  # row perm(i)[j] is row j
+        full = Matrix([full.row(j) for j in back], cols=n)
         d, inv = det_and_inverse(full)
         if inv is None:
             raise ValueError(f"degree {i} basis is singular; complex is invalid")
         basis[i] = full
         basis_inv[i] = inv
+        basis_det[i] = d
         boundary_dims[i] = boundary.cols
         harmonic_dims[i] = kernel_full.cols - boundary.cols
-    boundary_dims[c.d_max + 1] = len(pivot_cols.get(c.d_max, []))
-    return Decomposition(c, basis, basis_inv, boundary_dims, harmonic_dims)
+    boundary_dims[c.d_max + 1] = len(pivot_cols[c.d_max])
+    return Decomposition(c, basis, basis_inv, boundary_dims, harmonic_dims, basis_det)
 
 
 def cohomology_dims(c: ComplexFiber) -> dict[int, int]:
@@ -462,10 +467,10 @@ class BlockForm:
         return self.diagonal_blocks[i][0]
 
     def harmonic_block(self, i: int) -> Matrix:
+        """The map on degree-``i`` cohomology; empty outside both degree ranges."""
+        if i not in self.diagonal_blocks:
+            return Matrix.zeros(0, 0)
         return self.diagonal_blocks[i][1]
-
-    def lift_block(self, i: int) -> Matrix:
-        return self.diagonal_blocks[i][2]
 
 
 def block_form(
@@ -476,28 +481,24 @@ def block_form(
     """Express a chain map in decomposition coordinates of both ends.
 
     Raises ValueError if the transformed matrices are not block
-    upper-triangular, which happens exactly when ``t`` is not a chain
-    map for the claimed complexes.
+    upper-triangular, which happens whenever ``t`` does not carry
+    boundaries to boundaries and cycles to cycles; being block
+    upper-triangular does not by itself make ``t`` a chain map.
     """
     src_dec = source_dec or decompose(t.source)
+    if target_dec is None and t.target == t.source:
+        target_dec = src_dec
     tgt_dec = target_dec or decompose(t.target)
     matrices: dict[int, Matrix] = {}
     diag: dict[int, tuple[Matrix, Matrix, Matrix]] = {}
     for i in t.degrees():
         m = tgt_dec.basis_inv_at(i) * t.component(i) * src_dec.basis_at(i)
-        sw = src_dec.widths(i)
-        tw = tgt_dec.widths(i)
-        col_edges = (0, sw[0], sw[0] + sw[1], sum(sw))
-        row_edges = (0, tw[0], tw[0] + tw[1], sum(tw))
+        col_edges, row_edges = src_dec.edges(i), tgt_dec.edges(i)
         for bi in range(3):
             for bj in range(bi):
-                block = m.submatrix(
-                    row_edges[bi], row_edges[bi + 1], col_edges[bj], col_edges[bj + 1]
-                )
-                if not block.is_zero():
-                    raise ValueError(
-                        f"not block upper-triangular at degree {i}; not a chain map"
-                    )
+                r0, r1, c0, c1 = *row_edges[bi : bi + 2], *col_edges[bj : bj + 2]
+                if not m.submatrix(r0, r1, c0, c1).is_zero():
+                    raise ValueError(f"not block upper-triangular at degree {i}; not a chain map")
         matrices[i] = m
         diag[i] = tuple(
             m.submatrix(row_edges[k], row_edges[k + 1], col_edges[k], col_edges[k + 1])
@@ -506,67 +507,38 @@ def block_form(
     return BlockForm(src_dec, tgt_dec, matrices, diag)
 
 
+def _contracting_homotopy(
+    t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
+) -> Homotopy:
+    """``H^i = h_T^i t^i + p_T^{i-1} t^{i-1} h_S^i`` from the two contractions.
+
+    For a chain map ``t`` this gives ``d H + H d = t - p_T t p_S``, so it
+    is a null homotopy exactly when every harmonic block of ``t`` is zero.
+    """
+    src, tgt = t.source, t.target
+    comps = {}
+    for i in t.degrees():
+        if tgt.dim(i - 1) and src.dim(i):
+            along_target = target_dec.contraction(i) * t.component(i)
+            projected = target_dec.harmonic_projector(i - 1) * t.component(i - 1)
+            comps[i] = along_target + projected * source_dec.contraction(i)
+    return Homotopy(src, tgt, comps)
+
+
 def null_homotopy(t: ChainMap) -> Homotopy | None:
     """A homotopy ``H`` with ``T^i = d^{i-1} H^i + H^{i+1} d^i``, or None.
 
-    All degrees are assembled into one linear system, solved exactly; a
-    missing return value means that system is inconsistent, so no such
-    homotopy exists at all.
+    Over a field a chain map is null-homotopic exactly when it induces
+    zero on cohomology, that is when every harmonic block of its block
+    form vanishes; the homotopy is then read off the contractions of the
+    two decompositions in closed form.
     """
-    src, tgt = t.source, t.target
-    lo = min(src.d_min, tgt.d_min)
-    hi = max(src.d_max, tgt.d_max)
-
-    # Unknown blocks H^i, with their offsets into the global vector.
-    shapes: dict[int, tuple[int, int]] = {}
-    offsets: dict[int, int] = {}
-    total = 0
-    for i in range(lo, hi + 2):
-        r, c = tgt.dim(i - 1), src.dim(i)
-        if r and c:
-            shapes[i] = (r, c)
-            offsets[i] = total
-            total += r * c
-
-    rows: list[list[Fraction]] = []
-    rhs: list[list[Fraction]] = []
-    for i in range(lo, hi + 1):
-        m, n = tgt.dim(i), src.dim(i)
-        if m == 0 or n == 0:
-            if not t.component(i).is_zero():
-                return None
-            continue
-        d_out = tgt.differential(i - 1)  # tgt.dim(i) x tgt.dim(i-1)
-        d_in = src.differential(i)  # src.dim(i+1) x src.dim(i)
-        comp = t.component(i)
-        for r in range(m):
-            for c in range(n):
-                coeff = [Fraction(0)] * total
-                if i in shapes:
-                    h_rows, h_cols = shapes[i]
-                    for k in range(h_rows):
-                        if d_out[r, k] != 0:
-                            coeff[offsets[i] + k * h_cols + c] += d_out[r, k]
-                if i + 1 in shapes:
-                    h_rows, h_cols = shapes[i + 1]
-                    for k in range(h_cols):
-                        if d_in[k, c] != 0:
-                            coeff[offsets[i + 1] + r * h_cols + k] += d_in[k, c]
-                rows.append(coeff)
-                rhs.append([comp[r, c]])
-
-    if not rows:
-        return Homotopy.zero(src, tgt)
-    x = solve(Matrix(rows, cols=total), Matrix(rhs, cols=1))
-    if x is None:
+    if not verify_chain_map(t).ok:
         return None
-    comps = {}
-    for i, (r, c) in shapes.items():
-        off = offsets[i]
-        comps[i] = Matrix([[x[off + a * c + b, 0] for b in range(c)] for a in range(r)], cols=c)
-    result = Homotopy(src, tgt, comps)
-    assert result.boundary_conjugate() == t, "homotopy solver produced a bad certificate"
-    return result
+    form = block_form(t)
+    if any(not form.harmonic_block(i).is_zero() for i in t.degrees()):
+        return None
+    return _contracting_homotopy(t, form.source_dec, form.target_dec)
 
 
 def are_homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
@@ -591,24 +563,48 @@ class HomotopyEquivalenceCheck:
         return self.ok
 
 
+def _harmonic_det(h: Matrix) -> Fraction | None:
+    """The determinant of an invertible harmonic block, else None."""
+    return (det(h) or None) if h.is_square else None
+
+
 def is_homotopy_equivalence(f: ChainMap) -> HomotopyEquivalenceCheck:
     """Decide homotopy equivalence via invertibility of the harmonic blocks."""
     form = block_form(f)
-    maps: dict[int, Matrix] = {}
-    ok = True
-    for i in f.degrees():
-        h = form.harmonic_block(i)
-        maps[i] = h
-        if not h.is_square or (h.rows and det(h) == 0):
-            ok = False
+    maps = {i: form.harmonic_block(i) for i in f.degrees()}
+    ok = all(_harmonic_det(h) is not None for h in maps.values())
     return HomotopyEquivalenceCheck(ok, maps)
 
 
-def invertible_replacement(
+def _equivalence_form(
     f: ChainMap,
     source_dec: Decomposition | None = None,
     target_dec: Decomposition | None = None,
-) -> tuple[ChainMap, Homotopy]:
+) -> tuple[BlockForm, dict[int, Fraction]]:
+    """Block form of a homotopy equivalence with equal graded dimensions.
+
+    Returns it with the determinant of every harmonic block, or raises
+    what :func:`invertible_replacement` documents.
+    """
+    src, tgt = f.source, f.target
+    for i in f.degrees():
+        if src.dim(i) != tgt.dim(i):
+            raise GradedDimensionMismatch(
+                f"source has dimension {src.dim(i)} and target {tgt.dim(i)} in degree {i}"
+            )
+    form = block_form(f, source_dec, target_dec)
+    dets = {}
+    for i in f.degrees():
+        dets[i] = _harmonic_det(form.harmonic_block(i))
+        if dets[i] is None:
+            raise NotHomotopyEquivalence(f"harmonic block at degree {i} is not invertible")
+    check = verify_chain_map(f)
+    if not check.ok:
+        raise ValueError(f"not a chain map: {check.problems[0]}")
+    return form, dets
+
+
+def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
     """Replace a homotopy equivalence by a homotopic chain isomorphism.
 
     Requires equal dimensions in every degree.  In decomposition
@@ -624,63 +620,32 @@ def invertible_replacement(
 
     Maps that are already invertible still go through the same
     canonicalization, so the output may differ from the input (but is
-    homotopic to it).
+    homotopic to it).  Raises GradedDimensionMismatch,
+    NotHomotopyEquivalence, or ValueError for a map that is not a chain
+    map, in that order of checking.
     """
-    src, tgt = f.source, f.target
-    for i in f.degrees():
-        if src.dim(i) != tgt.dim(i):
-            raise GradedDimensionMismatch(
-                f"source has dimension {src.dim(i)} and target {tgt.dim(i)}"
-                f" in degree {i}"
-            )
-    src_dec = source_dec or decompose(src)
-    tgt_dec = target_dec or decompose(tgt)
-    form = block_form(f, src_dec, tgt_dec)
-    for i in f.degrees():
-        h = form.harmonic_block(i)
-        if not h.is_square or (h.rows and det(h) == 0):
-            raise NotHomotopyEquivalence(
-                f"harmonic block at degree {i} is not invertible"
-            )
-        sb, tb = src_dec.widths(i)[0], tgt_dec.widths(i)[0]
-        if sb != tb:
-            raise GradedDimensionMismatch(
-                f"boundary dimensions differ in degree {i}: {sb} vs {tb}"
-            )
-
-    # Corner corrections phi^i = I - (boundary block of f at degree i).
-    phi = {
-        i: Matrix.identity(form.diagonal_blocks[i][0].rows)
-        - form.diagonal_blocks[i][0]
-        for i in f.degrees()
-    }
-
+    form, _ = _equivalence_form(f)
+    src_dec, tgt_dec = form.source_dec, form.target_dec
     homotopy_comps: dict[int, Matrix] = {}
     for i in f.degrees():
-        b_i = phi[i]
-        if b_i.rows == 0:
-            continue
-        # In decomposition coordinates: rows are the blocks of target
-        # degree i-1, columns the blocks of source degree i; phi sits in
-        # the (lift row, boundary column) corner.
-        tw = tgt_dec.widths(i - 1)
-        sw = src_dec.widths(i)
-        if sum(tw) == 0:
-            continue
-        block = [[Fraction(0)] * sum(sw) for _ in range(sum(tw))]
-        row0 = tw[0] + tw[1]
-        for r in range(b_i.rows):
-            for c in range(b_i.cols):
-                block[row0 + r][c] = b_i[r, c]
-        homotopy_comps[i] = (
-            tgt_dec.basis_at(i - 1) * Matrix(block, cols=sum(sw)) * src_dec.basis_inv_at(i)
-        )
-    homotopy = Homotopy(src, tgt, homotopy_comps)
+        boundary = form.boundary_block(i)
+        if boundary.rows:
+            # corner I - (boundary block), from the boundary coordinates of
+            # source degree i to the lift vectors of target degree i-1
+            phi = Matrix.identity(boundary.rows) - boundary
+            homotopy_comps[i] = tgt_dec.blocks(i - 1)[2] * phi * src_dec.coordinates(i)[0]
+    homotopy = Homotopy(f.source, f.target, homotopy_comps)
     g = f + homotopy.boundary_conjugate()
-
-    assert verify_chain_map(g).ok
-    assert g.is_invertible(), "replacement failed to be invertible"
+    if not g.is_invertible():
+        raise ValueError("replacement failed to be invertible")
     return g, homotopy
+
+
+def _scale_ratio(sigma_source: Fraction | int, sigma_target: Fraction | int) -> Fraction:
+    sigma_source, sigma_target = Fraction(sigma_source), Fraction(sigma_target)
+    if sigma_source == 0 or sigma_target == 0:
+        raise ValueError("trivialization scales must be nonzero")
+    return sigma_source / sigma_target
 
 
 def berezinian(
@@ -696,10 +661,7 @@ def berezinian(
     normalizations of the two graded determinant lines.  The empty
     complex has Berezinian 1.
     """
-    sigma_source = Fraction(sigma_source)
-    sigma_target = Fraction(sigma_target)
-    if sigma_source == 0 or sigma_target == 0:
-        raise ValueError("trivialization scales must be nonzero")
+    ratio = _scale_ratio(sigma_source, sigma_target)
     value = Fraction(1)
     for i in t.degrees():
         if t.source.dim(i) != t.target.dim(i):
@@ -708,7 +670,7 @@ def berezinian(
         if d == 0:
             raise ValueError(f"component at degree {i} is not invertible")
         value = value * d if i % 2 == 0 else value / d
-    return value * sigma_source / sigma_target
+    return value * ratio
 
 
 def berezinian_class(
@@ -720,10 +682,20 @@ def berezinian_class(
 ) -> Fraction:
     """Berezinian of the homotopy class of a homotopy equivalence.
 
-    Computed on an invertible replacement; homotopic replacements give
-    the same value, so this does not depend on any of the noncanonical
-    choices (and agrees with :func:`berezinian` on maps that are
-    already invertible).
+    In decomposition coordinates an invertible replacement of ``t`` has
+    diagonal blocks (identity, harmonic block, identity), so its
+    Berezinian is ``prod_i det(H^i)^(-1)^i * tau(target) / tau(source)``
+    with ``tau(x) = prod_i det(basis_x^i)^(-1)^i``, times the scale
+    ratio.  Homotopic maps share their harmonic blocks, so the value
+    depends only on the homotopy class; it agrees with
+    :func:`berezinian` on maps that are already invertible and raises
+    what :func:`invertible_replacement` raises.
     """
-    g, _ = invertible_replacement(t, source_dec, target_dec)
-    return berezinian(g, sigma_source, sigma_target)
+    form, dets = _equivalence_form(t, source_dec, target_dec)
+    ratio = _scale_ratio(sigma_source, sigma_target)
+    value = Fraction(1)
+    for i in t.degrees():
+        tau = form.target_dec.basis_det.get(i, 1) / form.source_dec.basis_det.get(i, 1)
+        factor = dets[i] * tau
+        value = value * factor if i % 2 == 0 else value / factor
+    return value * ratio

@@ -312,39 +312,31 @@ def det(m: Matrix) -> Fraction:
 
 
 def det_and_inverse(m: Matrix) -> tuple[Fraction, Matrix | None]:
-    """Determinant together with the inverse when it exists."""
+    """Determinant together with the inverse when it exists.
+
+    An invertible ``m`` reduces to the identity, so the transform that
+    ``rref`` records is its inverse.
+    """
     d = det(m)
     if d == 0:
         return d, None
-    inverse = solve(m, Matrix.identity(m.rows))
-    assert inverse is not None and m * inverse == Matrix.identity(m.rows)
-    return d, inverse
+    return d, rref(m)[2]
 
 
 def extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:
     """Extend independent columns to a basis of ``within``'s column span.
 
     Candidate columns are drawn from ``within`` by a greedy scan in
-    column order, so the completion is canonical.  Raises ValueError if
-    ``independent`` is not independent or leaves the span.
+    column order, so the completion is canonical: they are the pivot
+    columns of ``[independent | within]`` past the first ones.  Raises
+    ValueError if ``independent`` is not independent or leaves the span.
     """
     if independent.rows != within.rows:
         raise ValueError("ambient dimensions differ")
-    base_rank = rank(independent)
-    if base_rank != independent.cols:
+    k = independent.cols
+    pivots = rref(Matrix.hstack(independent, within))[1]
+    if pivots[:k] != list(range(k)):
         raise ValueError("columns of `independent` are linearly dependent")
-    target_rank = rank(within)
-    if independent.cols:
-        if rank(Matrix.hstack(within, independent)) != target_rank:
-            raise ValueError("`independent` does not lie in the span of `within`")
-    current = independent
-    current_rank = base_rank
-    for j in range(within.cols):
-        if current_rank == target_rank:
-            break
-        candidate = within.take_columns([j])
-        extended = Matrix.hstack(current, candidate) if current.cols else candidate
-        if rank(extended) > current_rank:
-            current = extended
-            current_rank += 1
-    return current
+    if k and len(pivots) > rank(within):
+        raise ValueError("`independent` does not lie in the span of `within`")
+    return Matrix.hstack(independent, within.take_columns(p - k for p in pivots[k:]))

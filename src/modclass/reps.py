@@ -6,10 +6,12 @@ representation assigns an invertible matrix; its top exterior power is
 a line representation whose characteristic class is the modular class.
 A representation up to weak homotopy assigns a chain map of per-object
 complexes to every arrow, unital, with composition respected only up to
-existence of a chain homotopy; the Berezinian of (an invertible
-replacement of) each chain map is again a strictly functorial line
-representation, and its class is the modular class of the homotopy
-representation.
+existence of a chain homotopy.  Homotopy questions are answered on the
+per-object boundary/harmonic/lift decompositions: functoriality up to
+homotopy is strict functoriality of the harmonic blocks, and the
+Berezinian of the homotopy class of each chain map, read off its
+harmonic blocks, is again a strictly functorial line representation
+whose class is the modular class of the homotopy representation.
 
 A trivialization fixes a nonzero scale per object (of the determinant
 line for vector representations, of the Berezinian line for homotopy
@@ -28,11 +30,12 @@ from .complexes import (
     GradedDimensionMismatch,
     Homotopy,
     ValidationReport,
-    are_homotopic,
+    _contracting_homotopy,
     berezinian_class,
     block_form,
     decompose,
     verify_chain_map,
+    verify_complex,
 )
 from .groupoid import (
     ClassReport,
@@ -236,9 +239,9 @@ def modular_class_vector(
 class RuthReport(ValidationReport):
     """Validation outcome for a representation up to weak homotopy.
 
-    ``certificates`` maps each composable pair to the found chain
-    homotopy witnessing that composing the two actions is homotopic to
-    the action of the composite.
+    ``certificates`` maps each composable pair to a chain homotopy
+    witnessing that composing the two actions is homotopic to the
+    action of the composite.
     """
 
     def __init__(self):
@@ -246,19 +249,23 @@ class RuthReport(ValidationReport):
         self.certificates: dict[tuple[str, str], Homotopy] = {}
 
 
-def verify_ruth(
-    r: RepUpToWeakHomotopy,
-    certificates: Mapping[tuple[str, str], Homotopy] | None = None,
-) -> RuthReport:
-    """Check chain maps, unitality, and homotopy functoriality.
+def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
+    """Check complexes, chain maps, unitality, and homotopy functoriality.
 
-    Reports the first failing law per arrow or pair; certificates for
-    the passing pairs are retained.  Caller-supplied ``certificates``
-    are verified rather than trusted: a correct one is kept, anything
-    else is replaced by solving.
+    Reports the first failing law per object, arrow, or pair.  A pair
+    ``(g, h)`` is homotopy functorial exactly when the harmonic blocks
+    satisfy ``H(g) H(h) = H(gh)`` in every degree; its certificate is
+    then the contracting homotopy of the difference, read off the
+    per-object decompositions.
     """
     report = RuthReport()
     gpd = r.groupoid
+    for x in gpd.objects:
+        check = verify_complex(r.complexes[x])
+        if not check.ok:
+            report.add(f"complex of '{x}' is invalid: {check.problems[0]}")
+    if not report.ok:
+        return report
     for a in gpd.arrow_ids():
         t = r.action.get(a)
         if t is None:
@@ -277,26 +284,29 @@ def verify_ruth(
             report.add(f"unit of object '{x}' does not act by the identity")
     if not report.ok:
         return report
+    decs = {x: decompose(r.complexes[x]) for x in gpd.objects}
+    forms = {
+        a: block_form(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
+        for a in gpd.arrow_ids()
+    }
     for g, h in gpd.composable_pairs():
-        composite = r(g).compose(r(h))
-        difference = composite - r(gpd.compose(g, h))
-        certificate = None
-        if certificates and (g, h) in certificates:
-            supplied = certificates[(g, h)]
-            try:
-                if supplied.boundary_conjugate() == difference:
-                    certificate = supplied
-            except ValueError:
-                pass
-        if certificate is None:
-            certificate = are_homotopic(composite, r(gpd.compose(g, h)))
-        if certificate is None:
+        gh = gpd.compose(g, h)
+        g_form, h_form, gh_form = forms[g], forms[h], forms[gh]
+        # degrees outside a fiber's range have empty harmonic blocks
+        degrees = g_form.diagonal_blocks.keys() | h_form.diagonal_blocks.keys()
+        if any(
+            g_form.harmonic_block(i) * h_form.harmonic_block(i) != gh_form.harmonic_block(i)
+            for i in degrees
+        ):
             report.add(
                 f"no homotopy between the composed actions of ('{g}', '{h}')"
                 f" and the action of their composite"
             )
-        else:
-            report.certificates[(g, h)] = certificate
+            continue
+        difference = r(g).compose(r(h)) - r(gh)
+        report.certificates[(g, h)] = _contracting_homotopy(
+            difference, decs[gpd.src(h)], decs[gpd.tgt(g)]
+        )
     return report
 
 
@@ -305,8 +315,8 @@ def induced_ber_rep(
 ) -> LineRep:
     """The strictly functorial action on Berezinian lines.
 
-    Each arrow acts by the Berezinian of an invertible replacement of
-    its chain map, scaled by the trivialization at its endpoints.
+    Each arrow acts by the Berezinian of the homotopy class of its
+    chain map, scaled by the trivialization at its endpoints.
     Requires equal graded dimensions along every arrow.  The weak
     homotopy laws force the result to be strictly functorial; that is
     re-checked here, and a failure means the input was not a valid
@@ -366,12 +376,7 @@ def cohomology_representation(r: RepUpToWeakHomotopy, degree: int) -> VectorRep:
     dims = {x: decs[x].harmonic_dims.get(degree, 0) for x in gpd.objects}
     action = {}
     for a in gpd.arrow_ids():
-        form = block_form(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
-        h = (
-            form.harmonic_block(degree)
-            if degree in form.diagonal_blocks
-            else Matrix.zeros(dims[gpd.tgt(a)], dims[gpd.src(a)])
-        )
+        h = block_form(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)]).harmonic_block(degree)
         if (h.rows, h.cols) != (dims[gpd.tgt(a)], dims[gpd.src(a)]):
             raise ValueError(
                 f"cohomology dimension jumps along arrow '{a}' in degree {degree}"

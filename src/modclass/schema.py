@@ -46,6 +46,10 @@ class InputDocument:
         return None
 
 
+def _strings(values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
 class _Collector:
     def __init__(self):
         self.problems: list[str] = []
@@ -67,6 +71,14 @@ class _Collector:
             return Fraction(1)
         return value
 
+    def mapping(self, raw, where: str, of_strings: bool = False) -> dict:
+        """``raw`` if it is a JSON object (of strings), else ``{}`` and a problem."""
+        if isinstance(raw, dict) and (not of_strings or _strings(raw.values())):
+            return raw
+        kind = "an object of strings" if of_strings else "an object"
+        self.add(f"{where}: expected {kind}")
+        return {}
+
     def matrix(self, raw, where: str) -> Matrix:
         if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
             self.add(f"{where}: expected a list of rows")
@@ -86,20 +98,24 @@ class _Collector:
 
 
 def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
+    if not isinstance(raw, dict):
+        raise SchemaError(["groupoid: expected an object"])
     objects = raw.get("objects")
     arrows_raw = raw.get("arrows")
-    if not isinstance(objects, list) or not objects:
-        col.add("groupoid: missing or empty 'objects' list")
+    if not isinstance(objects, list) or not objects or not _strings(objects):
+        col.add("groupoid: missing or empty 'objects' list of strings")
         objects = []
     if not isinstance(arrows_raw, list):
         col.add("groupoid: missing 'arrows' list")
         arrows_raw = []
     arrows = []
     for entry in arrows_raw:
-        if not isinstance(entry, dict) or not {"id", "src", "tgt"} <= entry.keys():
-            col.add(f"groupoid: arrow entry {entry!r} needs 'id', 'src', 'tgt'")
+        fields = entry if isinstance(entry, dict) else {}
+        arrow = (fields.get("id"), fields.get("src"), fields.get("tgt"))
+        if not _strings(arrow):
+            col.add(f"groupoid: arrow entry {entry!r} needs string 'id', 'src', 'tgt'")
             continue
-        arrows.append((entry["id"], entry["src"], entry["tgt"]))
+        arrows.append(arrow)
     arrow_ids = {a for a, _, _ in arrows}
     object_set = set(objects)
     for a, s, t in arrows:
@@ -107,8 +123,8 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
             col.add(f"arrow '{a}': unknown source object '{s}'")
         if t not in object_set:
             col.add(f"arrow '{a}': unknown target object '{t}'")
-    identity = raw.get("identity", {})
-    inverse = raw.get("inverse", {})
+    identity = col.mapping(raw.get("identity", {}), "identity table", of_strings=True)
+    inverse = col.mapping(raw.get("inverse", {}), "inverse table", of_strings=True)
     for x, a in identity.items():
         if x not in object_set:
             col.add(f"identity table: unknown object '{x}'")
@@ -119,8 +135,12 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
             if side not in arrow_ids:
                 col.add(f"inverse table: unknown arrow '{side}'")
     composition = {}
-    for entry in raw.get("compose", []):
-        if not (isinstance(entry, list) and len(entry) == 3):
+    compose = raw.get("compose", [])
+    if not isinstance(compose, list):
+        col.add("compose table: expected a list")
+        compose = []
+    for entry in compose:
+        if not (isinstance(entry, list) and len(entry) == 3 and _strings(entry)):
             col.add(f"compose table: entry {entry!r} is not a [g, h, gh] triple")
             continue
         g, h, gh = entry
@@ -133,6 +153,7 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
 
 def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, ComplexFiber]:
     fibers = {}
+    raw = col.mapping(raw, "complex section")
     for obj in raw:
         if obj not in set(gpd.objects):
             col.add(f"complex section: unknown object '{obj}'")
@@ -141,19 +162,26 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
         if spec is None:
             col.add(f"complex section: object '{obj}' has no complex")
             continue
+        spec = col.mapping(spec, f"complex of '{obj}'")
         degrees = spec.get("degrees")
-        if not (isinstance(degrees, list) and len(degrees) == 2):
+        if not (isinstance(degrees, list) and len(degrees) == 2) or not all(
+            isinstance(d, int) for d in degrees
+        ):
             col.add(f"complex of '{obj}': 'degrees' must be [min, max]")
             continue
-        d_min, d_max = int(degrees[0]), int(degrees[1])
+        d_min, d_max = degrees
         dims = {}
-        for key, value in spec.get("dims", {}).items():
+        raw_dims = col.mapping(spec.get("dims", {}), f"complex of '{obj}', dims")
+        for key, value in raw_dims.items():
             try:
                 dims[int(key)] = int(value)
             except (TypeError, ValueError):
                 col.add(f"complex of '{obj}': bad dimension entry {key!r}")
         diffs = {}
-        for key, rows in spec.get("differentials", {}).items():
+        differentials = col.mapping(
+            spec.get("differentials", {}), f"complex of '{obj}', differentials"
+        )
+        for key, rows in differentials.items():
             try:
                 i = int(key)
             except ValueError:
@@ -176,6 +204,7 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
 
 
 def _parse_rep(raw, gpd, fibers, col: _Collector):
+    raw = col.mapping(raw, "rep section")
     missing = [a for a in gpd.arrow_ids() if a not in raw]
     for a in missing:
         col.add(f"rep section: arrow '{a}' has no action")
@@ -277,7 +306,7 @@ def parse_data(data: dict) -> InputDocument:
     sigma = None
     if "sigma" in data:
         scales = {}
-        for obj, raw in data["sigma"].items():
+        for obj, raw in col.mapping(data["sigma"], "sigma section").items():
             if obj not in set(gpd.objects):
                 col.add(f"sigma section: unknown object '{obj}'")
                 continue
@@ -288,7 +317,7 @@ def parse_data(data: dict) -> InputDocument:
     cochain = None
     if "cochain" in data:
         values = {}
-        for a, raw in data["cochain"].items():
+        for a, raw in col.mapping(data["cochain"], "cochain section").items():
             if a not in set(gpd.arrow_ids()):
                 col.add(f"cochain section: unknown arrow '{a}'")
                 continue

@@ -1,0 +1,149 @@
+"""Differential tests: the decomposition's closed forms against slow references.
+
+``null_homotopy`` and ``verify_ruth`` decide homotopies from harmonic
+blocks and build certificates from the contraction; the reference is the
+global linear system in ``oracle.py``.  ``berezinian_class`` reads the
+Berezinian off harmonic-block and basis determinants; the reference is
+the Berezinian of an explicit invertible replacement.
+"""
+
+import random
+
+import pytest
+
+from modclass import (
+    ChainMap,
+    ComplexFiber,
+    NotHomotopyEquivalence,
+    berezinian,
+    berezinian_class,
+    decompose,
+    invertible_replacement,
+    null_homotopy,
+    verify_ruth,
+)
+from oracle import global_null_homotopy
+from randgen import (
+    conjugated_complex,
+    rand_chain_map,
+    rand_complex,
+    rand_homotopy,
+    rand_invertible_endo,
+    rand_matrix,
+    rand_ruth,
+    rand_rational,
+    standard_fixtures,
+)
+
+SEEDS = range(200)
+
+
+def _complex(rng):
+    return rand_complex(rng, d_min=rng.randint(-1, 0), d_max=2, max_dim=3)
+
+
+def _check_against_oracle(t: ChainMap) -> bool:
+    found = null_homotopy(t)
+    assert (found is None) == (global_null_homotopy(t) is None)
+    if found is not None:
+        assert found.boundary_conjugate() == t
+    return found is not None
+
+
+def _permutation(rng, c):
+    return {i: rng.sample(range(c.dim(i)), c.dim(i)) for i in c.degrees()}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_null_homotopy_matches_global_system(seed):
+    rng = random.Random(seed)
+    src, tgt = _complex(rng), _complex(rng)
+    f = rand_chain_map(rng, src, tgt)
+    twisted = f + rand_homotopy(rng, src, tgt).boundary_conjugate()
+    assert _check_against_oracle(twisted - f)
+    _check_against_oracle(rand_chain_map(rng, src, tgt) - f)
+    # not a chain map unless the differentials happen to allow it
+    raw = ChainMap(
+        src, tgt, {i: rand_matrix(rng, tgt.dim(i), src.dim(i)) for i in f.degrees()}
+    )
+    _check_against_oracle(raw)
+
+
+def test_random_pairs_include_both_decisions():
+    rng = random.Random(0)
+    decisions = set()
+    for _ in range(40):
+        c = _complex(rng)
+        decisions.add(
+            _check_against_oracle(rand_chain_map(rng, c, c) - rand_chain_map(rng, c, c))
+        )
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_ruth_decisions_and_certificates(seed):
+    rng = random.Random(seed)
+    z2, z3, pair2, s3_action = standard_fixtures()
+    # the S3 action groupoid has 108 composable pairs; visit it now and then
+    fx = s3_action if seed % 25 == 0 else (z2, z3, pair2)[seed % 3]
+    rep = rand_ruth(rng, fx)
+    gpd = fx.gpd
+    if seed % 2:
+        # swap one non-unit action for a random chain map: some pairs fail
+        units = {gpd.unit(x) for x in gpd.objects}
+        a = rng.choice([b for b in gpd.arrow_ids() if b not in units])
+        rep.action[a] = rand_chain_map(rng, rep(a).source, rep(a).target)
+    report = verify_ruth(rep)
+    failed = set()
+    for g, h in gpd.composable_pairs():
+        difference = rep(g).compose(rep(h)) - rep(gpd.compose(g, h))
+        if global_null_homotopy(difference) is None:
+            failed.add((g, h))
+            assert (g, h) not in report.certificates
+        else:
+            assert report.certificates[(g, h)].boundary_conjugate() == difference
+    assert report.ok == (not failed)
+    assert len(report.problems) == len(failed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_berezinian_class_matches_replacement(seed):
+    rng = random.Random(seed)
+    c = _complex(rng)
+    other, q = conjugated_complex(rng, c)
+    f = q.compose(rand_invertible_endo(rng, c))
+    f = f + rand_homotopy(rng, c, other).boundary_conjugate()
+    sigma = rand_rational(rng, nonzero=True), rand_rational(rng, nonzero=True)
+    value = berezinian(invertible_replacement(f)[0], *sigma)
+    assert berezinian_class(f, *sigma) == value
+    variant = decompose(c, _permutation(rng, c)), decompose(other, _permutation(rng, other))
+    assert berezinian_class(f, *sigma, *variant) == value
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_berezinian_class_raises_like_replacement(seed):
+    rng = random.Random(seed)
+    src, tgt = _complex(rng), _complex(rng)
+    for f in (
+        rand_chain_map(rng, src, src),
+        rand_chain_map(rng, src, tgt),
+        ChainMap(src, src, {i: rand_matrix(rng, src.dim(i), src.dim(i)) for i in src.degrees()}),
+    ):
+        outcomes = []
+        for attempt in (
+            lambda: berezinian(invertible_replacement(f)[0]),
+            lambda: berezinian_class(f),
+        ):
+            try:
+                outcomes.append(("value", attempt()))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_scales_are_checked_after_the_equivalence():
+    c = ComplexFiber(0, 0, {0: 1}, {})
+    with pytest.raises(NotHomotopyEquivalence):
+        berezinian_class(ChainMap.zero(c, c), 0, 1)
+    with pytest.raises(ValueError, match="trivialization scales must be nonzero"):
+        berezinian_class(ChainMap.identity(c), 0, 1)

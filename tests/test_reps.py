@@ -286,20 +286,15 @@ class TestVerifyRuth:
         assert not report.ok
         assert any("no homotopy" in p for p in report.problems)
 
-    def test_supplied_certificates_verified_not_trusted(self):
-        from modclass import Homotopy
-
-        rep = zero_map_rep_on_acyc()
-        fiber = rep.complexes["*"]
-        good = Homotopy(fiber, fiber, {1: Matrix([[-1]])})
-        bad = Homotopy(fiber, fiber, {1: Matrix([[7]])})
-        # (tau, tau): composite - identity = -id, witnessed by the -1 entry
-        report = verify_ruth(rep, certificates={(TAU, TAU): good})
-        assert report.ok
-        assert report.certificates[(TAU, TAU)] == good
-        report = verify_ruth(rep, certificates={(TAU, TAU): bad})
-        assert report.ok
-        assert report.certificates[(TAU, TAU)] != bad
+    def test_invalid_complex_is_reported_not_raised(self):
+        # d^1 d^0 = [[1]] is not zero
+        fiber = ComplexFiber(
+            0, 2, {0: 1, 1: 1, 2: 1}, {0: Matrix([[1]]), 1: Matrix([[1]])}
+        )
+        identity = ChainMap.identity(fiber)
+        rep = RepUpToWeakHomotopy(Z2, {"*": fiber}, {E: identity, TAU: identity})
+        report = verify_ruth(rep)
+        assert report.problems == ["complex of '*' is invalid: d o d is nonzero starting at degree 0"]
 
 
 class TestInducedBerRep:

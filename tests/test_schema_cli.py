@@ -103,6 +103,27 @@ class TestExitCodes:
     def test_missing_file(self):
         assert run_cli("validate", "no_such_file.json").returncode == 2
 
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            lambda d: d.update(groupoid=5),
+            lambda d: d["groupoid"].update(identity=["e"]),
+            lambda d: d["groupoid"]["arrows"][0].update(id=["e"]),
+            lambda d: d["complex"]["*"].update(degrees=["x", 1]),
+            lambda d: d.update(sigma=["a"]),
+        ],
+        ids=["groupoid", "identity", "arrow-id", "degrees", "sigma"],
+    )
+    def test_mistyped_section_is_schema_error(self, breakage, tmp_path):
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        breakage(data)
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("modular-class", str(path))
+        assert result.returncode == 2
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_unknown_arrow_is_usage_error(self):
         result = run_cli("berezinian", "acyclic_two_term.json", "--arrow", "zz")
         assert result.returncode == 2
