@@ -102,10 +102,12 @@ def _class_fields(report: ClassReport) -> dict:
 
 
 def _validate_document(doc: InputDocument) -> tuple[dict, bool]:
-    sections: dict = {}
     gpd_report = validate_groupoid(doc.groupoid)
-    sections["groupoid"] = gpd_report.problems or "ok"
-    ok = gpd_report.ok
+    sections: dict = {"groupoid": gpd_report.problems or "ok"}
+    if not gpd_report.ok:
+        # the complex and rep laws read the unit and composition tables
+        return sections, False
+    ok = True
     rep = doc.rep
     if isinstance(rep, RepUpToWeakHomotopy):
         complex_problems: dict = {}

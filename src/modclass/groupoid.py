@@ -19,6 +19,7 @@ the cocycle is identically 1 on the isotropy group.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -27,10 +28,14 @@ from .complexes import ValidationReport
 
 
 class FiniteGroupoid:
-    """Objects, arrows, and the unit/inverse/composition tables."""
+    """Objects, arrows, and the unit/inverse/composition tables.
+
+    ``_into`` indexes the arrows by target, each list in arrow order, so
+    that the arrows composable after a given one are read off directly.
+    """
 
     __slots__ = ("objects", "arrows", "identity", "inverse", "composition",
-                 "_src", "_tgt", "_arrow_ids")
+                 "_src", "_tgt", "_arrow_ids", "_into")
 
     def __init__(
         self,
@@ -48,6 +53,9 @@ class FiniteGroupoid:
         self._src = {a: s for a, s, t in self.arrows}
         self._tgt = {a: t for a, s, t in self.arrows}
         self._arrow_ids = [a for a, _, _ in self.arrows]
+        self._into: dict[str, list[str]] = {}
+        for a in self._arrow_ids:
+            self._into.setdefault(self._tgt[a], []).append(a)
 
     def arrow_ids(self) -> list[str]:
         return list(self._arrow_ids)
@@ -69,12 +77,8 @@ class FiniteGroupoid:
         return self.composition[(g, h)]
 
     def composable_pairs(self) -> list[tuple[str, str]]:
-        return [
-            (g, h)
-            for g in self._arrow_ids
-            for h in self._arrow_ids
-            if self._src[g] == self._tgt[h]
-        ]
+        """Pairs ``(g, h)`` with ``src(g) == tgt(h)``, by ``g`` then ``h`` in arrow order."""
+        return [(g, h) for g in self._arrow_ids for h in self._into.get(self._src[g], ())]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteGroupoid):
@@ -191,7 +195,8 @@ def validate(gpd: FiniteGroupoid) -> ValidationReport:
     if not report.ok:
         return report
 
-    pairs = set(gpd.composable_pairs())
+    ordered_pairs = gpd.composable_pairs()
+    pairs = set(ordered_pairs)
     table = set(gpd.composition)
     for g, h in table - pairs:
         report.add(f"composition table defines non-composable pair ('{g}', '{h}')")
@@ -223,18 +228,11 @@ def validate(gpd: FiniteGroupoid) -> ValidationReport:
             if gpd.compose(b, a) != gpd.unit(gpd.src(a)):
                 report.add(f"inverse law fails: '{b}' * '{a}' is not a unit")
 
-    for g in ids:
-        for h in ids:
-            if gpd.src(g) != gpd.tgt(h):
-                continue
-            gh = gpd.compose(g, h)
-            for k in ids:
-                if gpd.src(h) != gpd.tgt(k):
-                    continue
-                if gpd.compose(gh, k) != gpd.compose(g, gpd.compose(h, k)):
-                    report.add(
-                        f"associativity fails on ('{g}', '{h}', '{k}')"
-                    )
+    for g, h in ordered_pairs:
+        gh = gpd.compose(g, h)
+        for k in gpd._into[gpd.src(h)]:
+            if gpd.compose(gh, k) != gpd.compose(g, gpd.compose(h, k)):
+                report.add(f"associativity fails on ('{g}', '{h}', '{k}')")
     return report
 
 
@@ -246,12 +244,7 @@ def composable_tuples(gpd: FiniteGroupoid, k: int) -> list:
         return list(gpd.objects)
     tuples: list[tuple[str, ...]] = [(a,) for a in gpd.arrow_ids()]
     for _ in range(k - 1):
-        tuples = [
-            t + (a,)
-            for t in tuples
-            for a in gpd.arrow_ids()
-            if gpd.src(t[-1]) == gpd.tgt(a)
-        ]
+        tuples = [t + (a,) for t in tuples for a in gpd._into.get(gpd.src(t[-1]), ())]
     return tuples
 
 
@@ -305,10 +298,10 @@ def _components(gpd: FiniteGroupoid) -> list[list[str]]:
         if root in seen:
             continue
         comp = []
-        queue = [root]
+        queue = deque([root])
         seen.add(root)
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             comp.append(x)
             for y in sorted(neighbours[x]):
                 if y not in seen:
@@ -331,14 +324,22 @@ def coboundary_solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
     """
     if not is_cocycle_1(gpd, phi):
         raise ValueError("input cochain is not a cocycle")
+    # Arrows between distinct objects, listed at both ends in arrow order;
+    # loops never extend the forest.
+    incident: dict[str, list[tuple[str, str, str]]] = {x: [] for x in gpd.objects}
+    for arrow in gpd.arrows:
+        _, s, t = arrow
+        if s != t:
+            incident[s].append(arrow)
+            incident[t].append(arrow)
     f: dict[str, Fraction] = {}
     for component in _components(gpd):
         root = component[0]
         f[root] = Fraction(1)
-        frontier = [root]
+        frontier = deque([root])
         while frontier:
-            u = frontier.pop(0)
-            for a, s, t in gpd.arrows:
+            u = frontier.popleft()
+            for a, s, t in incident[u]:
                 if t == u and s not in f:
                     f[s] = phi((a,)) * f[u]
                     frontier.append(s)

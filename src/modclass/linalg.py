@@ -8,13 +8,24 @@ on for reproducible basis choices.
 
 Scalars are `fractions.Fraction` throughout; there is no floating point
 and no rank tolerance.
+
+Two invariants keep the exact kernels lean.  Every entry a `Matrix`
+holds is a `Fraction`: the public constructor coerces each entry once,
+and operations whose entries are already `Fraction`s (products, sums,
+negation, scaling, slicing, transposition, `rref`) build their results
+with the private `Matrix._trusted`, which coerces nothing.  Products
+and determinants clear denominators first: `_cleared` writes a row or
+column as integers over the `lcm` of its denominators, so a product
+entry is one integer dot product normalised once, and a determinant is
+a fraction-free Bareiss elimination of integer rows.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import add, mul
 
 Rational = Fraction
 
@@ -68,6 +79,16 @@ class Matrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_rows", data)
 
+    @classmethod
+    def _trusted(cls, rows: tuple, cols: int) -> "Matrix":
+        # Rows already a tuple of equal-length tuples of Fractions, each
+        # ``cols`` wide; nothing is checked or coerced.
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -98,9 +119,9 @@ class Matrix:
         height = parts[0].rows
         if any(p.rows != height for p in parts):
             raise ValueError("row counts differ")
-        return cls(
-            [sum((list(p._rows[i]) for p in parts), []) for i in range(height)],
-            cols=sum(p.cols for p in parts),
+        return cls._trusted(
+            tuple(sum((p._rows[i] for p in parts), ()) for i in range(height)),
+            sum(p.cols for p in parts),
         )
 
     def __getitem__(self, key) -> Fraction:
@@ -115,19 +136,16 @@ class Matrix:
 
     def take_columns(self, indices) -> "Matrix":
         idx = list(indices)
-        return Matrix([[r[j] for j in idx] for r in self._rows], cols=len(idx))
+        return Matrix._trusted(tuple(tuple(r[j] for j in idx) for r in self._rows), len(idx))
 
     def submatrix(self, row_start, row_stop, col_start, col_stop) -> "Matrix":
-        return Matrix(
-            [r[col_start:col_stop] for r in self._rows[row_start:row_stop]],
-            cols=col_stop - col_start,
+        return Matrix._trusted(
+            tuple(r[col_start:col_stop] for r in self._rows[row_start:row_stop]),
+            col_stop - col_start,
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return Matrix._trusted(tuple(zip(*self._rows)) or ((),) * self.cols, self.rows)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(r) for r in self._rows]
@@ -148,13 +166,13 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = [other.column(j) for j in range(other.cols)]
-            return Matrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self._rows
-                ],
-                cols=other.cols,
+            right = [_cleared(other.column(j)) for j in range(other.cols)]
+            return Matrix._trusted(
+                tuple(
+                    tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in right)
+                    for a, da in map(_cleared, self._rows)
+                ),
+                other.cols,
             )
         return self.scale(other)
 
@@ -163,21 +181,21 @@ class Matrix:
 
     def scale(self, scalar) -> "Matrix":
         c = Fraction(scalar)
-        return Matrix([[c * x for x in r] for r in self._rows], cols=self.cols)
+        return Matrix._trusted(tuple(tuple(c * x for x in r) for r in self._rows), self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            cols=self.cols,
+        return Matrix._trusted(
+            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self._rows, other._rows)),
+            self.cols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self._rows], cols=self.cols)
+        return Matrix._trusted(tuple(tuple(-x for x in r) for r in self._rows), self.cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -229,7 +247,11 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], Matrix]:
         pr += 1
         if pr == m.rows:
             break
-    return Matrix(red, cols=m.cols), pivots, Matrix(tr, cols=m.rows)
+    return (
+        Matrix._trusted(tuple(map(tuple, red)), m.cols),
+        pivots,
+        Matrix._trusted(tuple(map(tuple, tr)), m.rows),
+    )
 
 
 def rank(m: Matrix) -> int:
@@ -275,6 +297,12 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     return Matrix(x, cols=b.cols)
 
 
+def _cleared(v) -> tuple[list[int], int]:
+    """Fractions ``v`` as integers over one denominator: ``v[i] == ints[i] / d``."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def _integer_det(rows: list[list[int]]) -> int:
     # Bareiss fraction-free elimination; all intermediate divisions are exact.
     n = len(rows)
@@ -302,13 +330,8 @@ def det(m: Matrix) -> Fraction:
     """Exact determinant (fraction-free after clearing row denominators)."""
     if not m.is_square:
         raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    scale = Fraction(1)
-    int_rows = []
-    for r in m._rows:
-        mult = lcm(*(x.denominator for x in r)) if r else 1
-        scale *= mult
-        int_rows.append([int(x * mult) for x in r])
-    return Fraction(_integer_det(int_rows)) / scale
+    cleared = [_cleared(r) for r in m._rows]
+    return Fraction(_integer_det([ints for ints, _ in cleared]), prod(d for _, d in cleared))
 
 
 def det_and_inverse(m: Matrix) -> tuple[Fraction, Matrix | None]:

@@ -249,14 +249,26 @@ class RuthReport(ValidationReport):
         self.certificates: dict[tuple[str, str], Homotopy] = {}
 
 
+def _dimension_mismatch(a: str, t: ChainMap) -> str | None:
+    # The Berezinian of an arrow needs equal graded dimensions at its ends.
+    for i in t.degrees():
+        if t.source.dim(i) != t.target.dim(i):
+            return (
+                f"arrow '{a}' joins fibers of different dimension"
+                f" in degree {i} ({t.source.dim(i)} vs {t.target.dim(i)})"
+            )
+    return None
+
+
 def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     """Check complexes, chain maps, unitality, and homotopy functoriality.
 
-    Reports the first failing law per object, arrow, or pair.  A pair
-    ``(g, h)`` is homotopy functorial exactly when the harmonic blocks
-    satisfy ``H(g) H(h) = H(gh)`` in every degree; its certificate is
-    then the contracting homotopy of the difference, read off the
-    per-object decompositions.
+    Every arrow must also join fibers of equal graded dimension, which
+    the Berezinian needs.  Reports the first failing law per object,
+    arrow, or pair.  A pair ``(g, h)`` is homotopy functorial exactly
+    when the harmonic blocks satisfy ``H(g) H(h) = H(gh)`` in every
+    degree; its certificate is then the contracting homotopy of the
+    difference, read off the per-object decompositions.
     """
     report = RuthReport()
     gpd = r.groupoid
@@ -275,8 +287,11 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
             report.add(f"action of arrow '{a}' joins the wrong fibers")
             continue
         check = verify_chain_map(t)
+        mismatch = _dimension_mismatch(a, t)
         if not check.ok:
             report.add(f"action of arrow '{a}' is not a chain map: {check.problems[0]}")
+        elif mismatch is not None:
+            report.add(mismatch)
     if not report.ok:
         return report
     for x in gpd.objects:
@@ -329,12 +344,9 @@ def induced_ber_rep(
     for a in gpd.arrow_ids():
         t = r(a)
         s_obj, t_obj = gpd.src(a), gpd.tgt(a)
-        for i in t.degrees():
-            if t.source.dim(i) != t.target.dim(i):
-                raise GradedDimensionMismatch(
-                    f"arrow '{a}' joins fibers of different dimension"
-                    f" in degree {i} ({t.source.dim(i)} vs {t.target.dim(i)})"
-                )
+        mismatch = _dimension_mismatch(a, t)
+        if mismatch is not None:
+            raise GradedDimensionMismatch(mismatch)
         action[a] = berezinian_class(
             t, sigma(s_obj), sigma(t_obj), decs[s_obj], decs[t_obj]
         )

@@ -1,17 +1,23 @@
-"""Slow reference constructions that the closed forms are tested against.
+"""Slow reference constructions that the fast paths are tested against.
 
 ``global_null_homotopy`` decides null-homotopy the general way: every
 entry of every homotopy component is an unknown, all degrees together
 form one linear system ``d^{i-1} H^i + H^{i+1} d^i = T^i``, and it is
 solved exactly.  It needs no decomposition, so it is independent of the
 boundary/harmonic/lift machinery it checks.
+
+``naive_matmul`` and ``leibniz_det`` are the textbook formulas in
+``Fraction`` arithmetic, with no denominator clearing.  The ``scan_*``
+functions are the groupoid scans before arrows were indexed by target:
+every candidate pair or triple is found by testing all arrows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
-from modclass import ChainMap, Homotopy, Matrix, solve
+from modclass import ChainMap, FiniteGroupoid, Homotopy, Matrix, solve
 
 
 def global_null_homotopy(t: ChainMap) -> Homotopy | None:
@@ -70,3 +76,132 @@ def global_null_homotopy(t: ChainMap) -> Homotopy | None:
             [[x[off + a * c + b, 0] for b in range(c)] for a in range(r)], cols=c
         )
     return Homotopy(src, tgt, comps)
+
+
+def naive_matmul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
+    """Entries of ``a * b``, one Fraction multiply and add per term."""
+    return [
+        [sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def leibniz_det(m: Matrix) -> Fraction:
+    """Sum over permutations of signed products of entries."""
+    total = Fraction(0)
+    for perm in permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i in range(m.rows) for j in range(i + 1, m.rows))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i, j]
+        total += term
+    return total
+
+
+def scan_composable_pairs(gpd: FiniteGroupoid) -> list[tuple[str, str]]:
+    ids = gpd.arrow_ids()
+    return [(g, h) for g in ids for h in ids if gpd.src(g) == gpd.tgt(h)]
+
+
+def scan_composable_tuples(gpd: FiniteGroupoid, k: int) -> list:
+    if k == 0:
+        return list(gpd.objects)
+    tuples = [(a,) for a in gpd.arrow_ids()]
+    for _ in range(k - 1):
+        tuples = [
+            t + (a,) for t in tuples for a in gpd.arrow_ids() if gpd.src(t[-1]) == gpd.tgt(a)
+        ]
+    return tuples
+
+
+def scan_coboundary_solve_1(gpd: FiniteGroupoid, phi) -> tuple[dict, list]:
+    """Spanning-forest potential and obstructions, scanning all arrows per node."""
+    f: dict[str, Fraction] = {}
+    for root in gpd.objects:
+        if root in f:
+            continue
+        f[root] = Fraction(1)
+        frontier = [root]
+        while frontier:
+            u = frontier.pop(0)
+            for a, s, t in gpd.arrows:
+                if t == u and s not in f:
+                    f[s] = phi((a,)) * f[u]
+                    frontier.append(s)
+                elif s == u and t not in f:
+                    f[t] = f[u] / phi((a,))
+                    frontier.append(t)
+    obstructions = []
+    for a in gpd.arrow_ids():
+        defect = phi((a,)) * f[gpd.tgt(a)] / f[gpd.src(a)]
+        if defect != 1:
+            obstructions.append((a, defect))
+    return f, obstructions
+
+
+def scan_validate(gpd: FiniteGroupoid) -> list[str]:
+    """Problems of the groupoid laws, found by scanning all arrows per pair."""
+    problems: list[str] = []
+    ids = gpd.arrow_ids()
+    id_set = set(ids)
+    if len(id_set) != len(ids):
+        return ["duplicate arrow identifiers"]
+    obj_set = set(gpd.objects)
+    for a, s, t in gpd.arrows:
+        if s not in obj_set or t not in obj_set:
+            problems.append(f"arrow '{a}' has unknown endpoint")
+    for x in gpd.objects:
+        u = gpd.identity.get(x)
+        if u is None or u not in id_set:
+            problems.append(f"object '{x}' has no unit arrow")
+        elif not (gpd.src(u) == x and gpd.tgt(u) == x):
+            problems.append(f"unit '{u}' of object '{x}' is not an endomorphism of it")
+    for a in ids:
+        if gpd.inverse.get(a) not in id_set:
+            problems.append(f"arrow '{a}' has no inverse")
+    if problems:
+        return problems
+
+    pairs = set(scan_composable_pairs(gpd))
+    table = set(gpd.composition)
+    for g, h in table - pairs:
+        problems.append(f"composition table defines non-composable pair ('{g}', '{h}')")
+    for g, h in pairs - table:
+        problems.append(f"composable pair ('{g}', '{h}') missing from composition table")
+    if problems:
+        return problems
+
+    for g, h in sorted(pairs):
+        gh = gpd.compose(g, h)
+        if gh not in id_set:
+            problems.append(f"composite of ('{g}', '{h}') is an unknown arrow")
+        elif gpd.src(gh) != gpd.src(h) or gpd.tgt(gh) != gpd.tgt(g):
+            problems.append(f"composite '{gh}' of ('{g}', '{h}') has wrong endpoints")
+    if problems:
+        return problems
+
+    for a in ids:
+        if gpd.compose(gpd.unit(gpd.tgt(a)), a) != a:
+            problems.append(f"left unit law fails for arrow '{a}'")
+        if gpd.compose(a, gpd.unit(gpd.src(a))) != a:
+            problems.append(f"right unit law fails for arrow '{a}'")
+        b = gpd.inv(a)
+        if gpd.src(b) != gpd.tgt(a) or gpd.tgt(b) != gpd.src(a):
+            problems.append(f"inverse of '{a}' has wrong endpoints")
+        else:
+            if gpd.compose(a, b) != gpd.unit(gpd.tgt(a)):
+                problems.append(f"inverse law fails: '{a}' * '{b}' is not a unit")
+            if gpd.compose(b, a) != gpd.unit(gpd.src(a)):
+                problems.append(f"inverse law fails: '{b}' * '{a}' is not a unit")
+
+    for g in ids:
+        for h in ids:
+            if gpd.src(g) != gpd.tgt(h):
+                continue
+            gh = gpd.compose(g, h)
+            for k in ids:
+                if gpd.src(h) != gpd.tgt(k):
+                    continue
+                if gpd.compose(gh, k) != gpd.compose(g, gpd.compose(h, k)):
+                    problems.append(f"associativity fails on ('{g}', '{h}', '{k}')")
+    return problems

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from modclass import (
     Cochain,
     FiniteGroupoid,
+    GroupTable,
     class_equal,
     coboundary,
     coboundary_solve_1,
     composable_tuples,
+    connected_groupoid,
     cyclic_groupoid,
     is_cocycle_1,
     pair_groupoid,
@@ -57,6 +59,29 @@ class TestValidate:
         rng = random.Random(2)
         for _ in range(6):
             assert validate(rand_groupoid(rng)).ok
+
+
+def test_validate_lookup_counts(monkeypatch):
+    # The benchmark derives the triples validate checks from its direct
+    # compose calls: 2 per composable pair, 4 per arrow, 3 per triple.
+    n, m = 4, 6
+    gpd = connected_groupoid([f"o{i}" for i in range(n)], GroupTable.symmetric_3())
+    arrows, pairs, triples = n * n * m, n**3 * m**2, n**4 * m**3
+    calls = {"compose": 0, "composable_pairs": 0}
+    compose, composable_pairs = FiniteGroupoid.compose, FiniteGroupoid.composable_pairs
+
+    def counted_compose(self, g, h):
+        calls["compose"] += 1
+        return compose(self, g, h)
+
+    def counted_pairs(self):
+        calls["composable_pairs"] += 1
+        return composable_pairs(self)
+
+    monkeypatch.setattr(FiniteGroupoid, "compose", counted_compose)
+    monkeypatch.setattr(FiniteGroupoid, "composable_pairs", counted_pairs)
+    assert validate(gpd).ok
+    assert calls == {"compose": 2 * pairs + 4 * arrows + 3 * triples, "composable_pairs": 1}
 
 
 class TestComposableTuples:

@@ -124,6 +124,36 @@ class TestExitCodes:
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["validate", "modular-class"])
+    def test_failed_groupoid_skips_the_rep_checks(self, command, tmp_path):
+        data = json.loads((FIXTURES / "pair2.json").read_text())
+        data["groupoid"]["identity"] = {}
+        path = tmp_path / "no_units.json"
+        path.write_text(json.dumps(data))
+        result = run_cli(command, str(path), "--format", "json")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stdout)["sections"] == {
+            "groupoid": ["object 'x' has no unit arrow", "object 'y' has no unit arrow"]
+        }
+
+    @pytest.mark.parametrize("command", ["validate", "modular-class"])
+    def test_unequal_graded_dimensions_are_a_rep_problem(self, command, tmp_path):
+        # y becomes the zero complex, homotopy equivalent to the acyclic x
+        data = json.loads((FIXTURES / "acyclic_two_term.json").read_text())
+        data["complex"]["y"] = {"degrees": [0, 0], "dims": {"0": 0}}
+        for arrow in ("1y", "g", "ginv"):
+            data["rep"][arrow] = {}
+        path = tmp_path / "zero_fiber.json"
+        path.write_text(json.dumps(data))
+        result = run_cli(command, str(path), "--format", "json")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert json.loads(result.stdout)["sections"]["rep"] == [
+            "arrow 'g' joins fibers of different dimension in degree 0 (1 vs 0)",
+            "arrow 'ginv' joins fibers of different dimension in degree 0 (0 vs 1)",
+        ]
+
     def test_unknown_arrow_is_usage_error(self):
         result = run_cli("berezinian", "acyclic_two_term.json", "--arrow", "zz")
         assert result.returncode == 2
