@@ -24,7 +24,6 @@ from .linalg import (
     solve,
 )
 from .complexes import (
-    BlockForm,
     ChainMap,
     ComplexFiber,
     Decomposition,
@@ -35,9 +34,9 @@ from .complexes import (
     are_homotopic,
     berezinian,
     berezinian_class,
-    block_form,
     cohomology_dims,
     decompose,
+    harmonic_blocks,
     invertible_replacement,
     is_homotopy_equivalence,
     null_homotopy,

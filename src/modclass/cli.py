@@ -138,13 +138,19 @@ def _cmd_validate(doc: InputDocument, args, report: ReportDocument) -> int:
     return 0 if ok else 1
 
 
-def _cmd_cohomology(doc: InputDocument, args, report: ReportDocument) -> int:
-    if doc.cochain is None:
-        raise SchemaError(["'cohomology' needs a cochain section"])
+def _groupoid_fails(doc: InputDocument, report: ReportDocument) -> bool:
+    """Report the groupoid's law failures, which the later checks cannot survive."""
     gpd_report = validate_groupoid(doc.groupoid)
     if not gpd_report.ok:
         report.fields["sections"] = {"groupoid": gpd_report.problems}
         report.ok = False
+    return not gpd_report.ok
+
+
+def _cmd_cohomology(doc: InputDocument, args, report: ReportDocument) -> int:
+    if doc.cochain is None:
+        raise SchemaError(["'cohomology' needs a cochain section"])
+    if _groupoid_fails(doc, report):
         return 1
     if not is_cocycle_1(doc.groupoid, doc.cochain):
         report.fields["is_cocycle"] = False
@@ -238,15 +244,20 @@ def _cmd_homotopy_check(doc: InputDocument, args, report: ReportDocument) -> int
         rep = strict_as_homotopy(rep) if isinstance(rep, VectorRep) else None
     if rep is None:
         raise SchemaError(["'homotopy-check' needs matrix or per-degree actions"])
+    if _groupoid_fails(doc, report):
+        return 1
     check = verify_ruth(rep)
     pairs = []
     for g, h in rep.groupoid.composable_pairs():
+        found = (g, h) in check.certificates
+        if found:
+            check.certificate(g, h)  # a pair is found once its homotopy is built
         pairs.append(
             {
                 "g": g,
                 "h": h,
                 "composite": rep.groupoid.compose(g, h),
-                "certificate": "found" if (g, h) in check.certificates else "missing",
+                "certificate": "found" if found else "missing",
             }
         )
     report.fields["pairs"] = pairs

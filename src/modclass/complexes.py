@@ -6,12 +6,12 @@ C^{i+1}`` squaring to zero.  On top of that this module provides chain
 maps, chain homotopies, the boundary/harmonic/lift decomposition of
 each degree, and the Berezinian (graded determinant).  The
 decomposition is a strong deformation retract onto the harmonic blocks,
-so the homotopy questions have closed forms in it: a chain map is
-null-homotopic exactly when its harmonic blocks vanish (the contraction
-then gives the homotopy), and the Berezinian of the homotopy class of a
-homotopy equivalence is the alternating product of its harmonic-block
-determinants, corrected by those of the bases.  Invertible replacement
-is still offered as an explicit construction.
+and :func:`harmonic_blocks` (``pi_T t iota_S`` per degree, the map on
+cohomology) is the one view of a homotopy class: a chain map is
+null-homotopic exactly when they vanish (the contraction then gives the
+homotopy), and the Berezinian of a homotopy equivalence's class is the
+alternating product of their determinants, corrected by those of the
+bases.  Only invertible replacement changes basis in full.
 
 Fibers are coordinate spaces, so the graded determinant line always has
 a standard trivializing element (the one determined by the standard
@@ -449,62 +449,40 @@ def cohomology_dims(c: ComplexFiber) -> dict[int, int]:
     return {i: dec.harmonic_dims[i] for i in c.degrees()}
 
 
-@dataclass(frozen=True)
-class BlockForm:
-    """A chain map written in decomposition coordinates.
+def harmonic_blocks(
+    t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
+) -> dict[int, Matrix]:
+    """The map ``t`` induces on cohomology, degree by degree.
 
-    The full matrix at each degree is block upper-triangular for the
-    (boundary, harmonic, lift) grouping; ``diagonal_blocks[i]`` holds
-    the three diagonal blocks.
+    Entry ``i`` is ``pi_T^i t^i iota_S^i``: the harmonic coordinate rows
+    of the target, times ``t``, times the harmonic columns of the
+    source, of shape ``harmonic_dims`` of the target by that of the
+    source (empty in a degree outside a fiber's range).  For a chain map
+    this is the harmonic diagonal block of ``t`` in decomposition
+    coordinates, and homotopic chain maps have equal harmonic blocks.
     """
-
-    source_dec: Decomposition
-    target_dec: Decomposition
-    matrices: dict[int, Matrix]
-    diagonal_blocks: dict[int, tuple[Matrix, Matrix, Matrix]]
-
-    def boundary_block(self, i: int) -> Matrix:
-        return self.diagonal_blocks[i][0]
-
-    def harmonic_block(self, i: int) -> Matrix:
-        """The map on degree-``i`` cohomology; empty outside both degree ranges."""
-        if i not in self.diagonal_blocks:
-            return Matrix.zeros(0, 0)
-        return self.diagonal_blocks[i][1]
+    return {
+        i: target_dec.coordinates(i)[1] * t.component(i) * source_dec.blocks(i)[1]
+        for i in t.degrees()
+    }
 
 
-def block_form(
+def _end_decompositions(
     t: ChainMap,
     source_dec: Decomposition | None = None,
     target_dec: Decomposition | None = None,
-) -> BlockForm:
-    """Express a chain map in decomposition coordinates of both ends.
+) -> tuple[Decomposition, Decomposition]:
+    """Decompositions of both ends of ``t``, shared for an endomorphism."""
+    source_dec = source_dec or decompose(t.source)
+    if target_dec is None:
+        target_dec = source_dec if t.target == t.source else decompose(t.target)
+    return source_dec, target_dec
 
-    Raises ValueError if the transformed matrices are not block
-    upper-triangular, which happens whenever ``t`` does not carry
-    boundaries to boundaries and cycles to cycles; being block
-    upper-triangular does not by itself make ``t`` a chain map.
-    """
-    src_dec = source_dec or decompose(t.source)
-    if target_dec is None and t.target == t.source:
-        target_dec = src_dec
-    tgt_dec = target_dec or decompose(t.target)
-    matrices: dict[int, Matrix] = {}
-    diag: dict[int, tuple[Matrix, Matrix, Matrix]] = {}
-    for i in t.degrees():
-        m = tgt_dec.basis_inv_at(i) * t.component(i) * src_dec.basis_at(i)
-        col_edges, row_edges = src_dec.edges(i), tgt_dec.edges(i)
-        for bi in range(3):
-            for bj in range(bi):
-                r0, r1, c0, c1 = *row_edges[bi : bi + 2], *col_edges[bj : bj + 2]
-                if not m.submatrix(r0, r1, c0, c1).is_zero():
-                    raise ValueError(f"not block upper-triangular at degree {i}; not a chain map")
-        matrices[i] = m
-        diag[i] = tuple(
-            m.submatrix(row_edges[k], row_edges[k + 1], col_edges[k], col_edges[k + 1])
-            for k in range(3)
-        )
-    return BlockForm(src_dec, tgt_dec, matrices, diag)
+
+def _require_chain_map(t: ChainMap) -> None:
+    check = verify_chain_map(t)
+    if not check.ok:
+        raise ValueError(f"not a chain map: {check.problems[0]}")
 
 
 def _contracting_homotopy(
@@ -529,16 +507,16 @@ def null_homotopy(t: ChainMap) -> Homotopy | None:
     """A homotopy ``H`` with ``T^i = d^{i-1} H^i + H^{i+1} d^i``, or None.
 
     Over a field a chain map is null-homotopic exactly when it induces
-    zero on cohomology, that is when every harmonic block of its block
-    form vanishes; the homotopy is then read off the contractions of the
-    two decompositions in closed form.
+    zero on cohomology, that is when all of its harmonic blocks vanish;
+    the homotopy is then read off the contractions of the two
+    decompositions in closed form.
     """
     if not verify_chain_map(t).ok:
         return None
-    form = block_form(t)
-    if any(not form.harmonic_block(i).is_zero() for i in t.degrees()):
+    source_dec, target_dec = _end_decompositions(t)
+    if any(not h.is_zero() for h in harmonic_blocks(t, source_dec, target_dec).values()):
         return None
-    return _contracting_homotopy(t, form.source_dec, form.target_dec)
+    return _contracting_homotopy(t, source_dec, target_dec)
 
 
 def are_homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
@@ -563,45 +541,40 @@ class HomotopyEquivalenceCheck:
         return self.ok
 
 
-def _harmonic_det(h: Matrix) -> Fraction | None:
-    """The determinant of an invertible harmonic block, else None."""
-    return (det(h) or None) if h.is_square else None
-
-
 def is_homotopy_equivalence(f: ChainMap) -> HomotopyEquivalenceCheck:
-    """Decide homotopy equivalence via invertibility of the harmonic blocks."""
-    form = block_form(f)
-    maps = {i: form.harmonic_block(i) for i in f.degrees()}
-    ok = all(_harmonic_det(h) is not None for h in maps.values())
+    """Decide homotopy equivalence via invertibility of the harmonic blocks.
+
+    Raises ValueError for a map that is not a chain map.
+    """
+    _require_chain_map(f)
+    maps = harmonic_blocks(f, *_end_decompositions(f))
+    ok = all(h.is_square and det(h) != 0 for h in maps.values())
     return HomotopyEquivalenceCheck(ok, maps)
 
 
-def _equivalence_form(
+def _equivalence_decompositions(
     f: ChainMap,
     source_dec: Decomposition | None = None,
     target_dec: Decomposition | None = None,
-) -> tuple[BlockForm, dict[int, Fraction]]:
-    """Block form of a homotopy equivalence with equal graded dimensions.
-
-    Returns it with the determinant of every harmonic block, or raises
-    what :func:`invertible_replacement` documents.
-    """
+) -> tuple[Decomposition, Decomposition]:
+    """Decompositions of both ends, once graded dimensions agree and ``f`` is a chain map."""
     src, tgt = f.source, f.target
     for i in f.degrees():
         if src.dim(i) != tgt.dim(i):
             raise GradedDimensionMismatch(
                 f"source has dimension {src.dim(i)} and target {tgt.dim(i)} in degree {i}"
             )
-    form = block_form(f, source_dec, target_dec)
-    dets = {}
-    for i in f.degrees():
-        dets[i] = _harmonic_det(form.harmonic_block(i))
-        if dets[i] is None:
+    _require_chain_map(f)
+    return _end_decompositions(f, source_dec, target_dec)
+
+
+def _harmonic_dets(blocks: Mapping[int, Matrix]) -> dict[int, Fraction]:
+    """The determinant of every harmonic block, which must be invertible."""
+    dets = {i: det(h) if h.is_square else 0 for i, h in blocks.items()}
+    for i, d in dets.items():
+        if d == 0:
             raise NotHomotopyEquivalence(f"harmonic block at degree {i} is not invertible")
-    check = verify_chain_map(f)
-    if not check.ok:
-        raise ValueError(f"not a chain map: {check.problems[0]}")
-    return form, dets
+    return dets
 
 
 def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
@@ -620,15 +593,21 @@ def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
 
     Maps that are already invertible still go through the same
     canonicalization, so the output may differ from the input (but is
-    homotopic to it).  Raises GradedDimensionMismatch,
-    NotHomotopyEquivalence, or ValueError for a map that is not a chain
-    map, in that order of checking.
+    homotopic to it).  Raises GradedDimensionMismatch, ValueError for a
+    map that is not a chain map, or NotHomotopyEquivalence, in that
+    order of checking.
     """
-    form, _ = _equivalence_form(f)
-    src_dec, tgt_dec = form.source_dec, form.target_dec
-    homotopy_comps: dict[int, Matrix] = {}
+    src_dec, tgt_dec = _equivalence_decompositions(f)
+    boundaries, harmonics = {}, {}
     for i in f.degrees():
-        boundary = form.boundary_block(i)
+        # one change of basis gives both diagonal blocks of degree i
+        m = tgt_dec.basis_inv_at(i) * f.component(i) * src_dec.basis_at(i)
+        (_, rb, rh, _), (_, cb, ch, _) = tgt_dec.edges(i), src_dec.edges(i)
+        boundaries[i] = m.submatrix(0, rb, 0, cb)
+        harmonics[i] = m.submatrix(rb, rh, cb, ch)
+    _harmonic_dets(harmonics)
+    homotopy_comps: dict[int, Matrix] = {}
+    for i, boundary in boundaries.items():
         if boundary.rows:
             # corner I - (boundary block), from the boundary coordinates of
             # source degree i to the lift vectors of target degree i-1
@@ -642,6 +621,8 @@ def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
 
 
 def _scale_ratio(sigma_source: Fraction | int, sigma_target: Fraction | int) -> Fraction:
+    if isinstance(sigma_source, float) or isinstance(sigma_target, float):
+        raise TypeError("trivialization scales must be exact rationals")
     sigma_source, sigma_target = Fraction(sigma_source), Fraction(sigma_target)
     if sigma_source == 0 or sigma_target == 0:
         raise ValueError("trivialization scales must be nonzero")
@@ -691,11 +672,12 @@ def berezinian_class(
     :func:`berezinian` on maps that are already invertible and raises
     what :func:`invertible_replacement` raises.
     """
-    form, dets = _equivalence_form(t, source_dec, target_dec)
+    source_dec, target_dec = _equivalence_decompositions(t, source_dec, target_dec)
+    dets = _harmonic_dets(harmonic_blocks(t, source_dec, target_dec))
     ratio = _scale_ratio(sigma_source, sigma_target)
     value = Fraction(1)
-    for i in t.degrees():
-        tau = form.target_dec.basis_det.get(i, 1) / form.source_dec.basis_det.get(i, 1)
-        factor = dets[i] * tau
+    for i, d in dets.items():
+        tau = target_dec.basis_det.get(i, 1) / source_dec.basis_det.get(i, 1)
+        factor = d * tau
         value = value * factor if i % 2 == 0 else value / factor
     return value * ratio

@@ -141,9 +141,6 @@ class Cochain:
     def __truediv__(self, other: "Cochain") -> "Cochain":
         return self.pointwise(other, lambda a, b: a / b)
 
-    def power(self, exponent: int) -> "Cochain":
-        return Cochain(self.degree, {k: v**exponent for k, v in self.values.items()})
-
     def is_one(self) -> bool:
         return all(v == 1 for v in self.values.values())
 

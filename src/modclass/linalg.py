@@ -10,10 +10,10 @@ Scalars are `fractions.Fraction` throughout; there is no floating point
 and no rank tolerance.
 
 Two invariants keep the exact kernels lean.  Every entry a `Matrix`
-holds is a `Fraction`: the public constructor coerces each entry once,
-and operations whose entries are already `Fraction`s (products, sums,
-negation, scaling, slicing, transposition, `rref`) build their results
-with the private `Matrix._trusted`, which coerces nothing.  Products
+holds is a `Fraction`: the public constructor coerces each entry once
+(a `float` is a TypeError), and operations whose entries are already
+`Fraction`s (products, sums, negation, scaling, slicing, transposition,
+`rref`) build results with the non-coercing `Matrix._trusted`.  Products
 and determinants clear denominators first: `_cleared` writes a row or
 column as integers over the `lcm` of its denominators, so a product
 entry is one integer dot product normalised once, and a determinant is
@@ -53,6 +53,12 @@ def format_rational(value: Fraction | int) -> str:
     return str(Fraction(value))
 
 
+def _exact(x) -> Fraction:
+    if isinstance(x, float):
+        raise TypeError("matrix entries must be exact rationals")
+    return Fraction(x)
+
+
 class Matrix:
     """Immutable dense matrix of rationals.
 
@@ -66,7 +72,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows, cols: int | None = None):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(map(_exact, row)) for row in rows)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -99,17 +105,6 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def from_columns(cls, columns, rows: int | None = None) -> "Matrix":
-        cols = [tuple(c) for c in columns]
-        if cols:
-            height = len(cols[0])
-        elif rows is not None:
-            height = rows
-        else:
-            height = 0
-        return cls([[col[i] for col in cols] for i in range(height)], cols=len(cols))
 
     @classmethod
     def hstack(cls, *parts: "Matrix") -> "Matrix":
@@ -273,8 +268,8 @@ def kernel_basis(m: Matrix) -> Matrix:
         v[j] = Fraction(1)
         for i, pc in enumerate(pivots):
             v[pc] = -reduced[i, j]
-        columns.append(v)
-    return Matrix.from_columns(columns, rows=m.cols)
+        columns.append(tuple(v))
+    return Matrix._trusted(tuple(columns), m.cols).transpose()
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:

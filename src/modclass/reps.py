@@ -8,10 +8,11 @@ A representation up to weak homotopy assigns a chain map of per-object
 complexes to every arrow, unital, with composition respected only up to
 existence of a chain homotopy.  Homotopy questions are answered on the
 per-object boundary/harmonic/lift decompositions: functoriality up to
-homotopy is strict functoriality of the harmonic blocks, and the
-Berezinian of the homotopy class of each chain map, read off its
-harmonic blocks, is again a strictly functorial line representation
-whose class is the modular class of the homotopy representation.
+homotopy is strict functoriality of the harmonic blocks (a pair's
+homotopy is built only on request), and the Berezinian of the homotopy
+class of each chain map, read off its harmonic blocks, is again a
+strictly functorial line representation whose class is the modular
+class of the homotopy representation.
 
 A trivialization fixes a nonzero scale per object (of the determinant
 line for vector representations, of the Berezinian line for homotopy
@@ -27,13 +28,14 @@ from typing import Mapping
 from .complexes import (
     ChainMap,
     ComplexFiber,
+    Decomposition,
     GradedDimensionMismatch,
     Homotopy,
     ValidationReport,
     _contracting_homotopy,
     berezinian_class,
-    block_form,
     decompose,
+    harmonic_blocks,
     verify_chain_map,
     verify_complex,
 )
@@ -88,7 +90,10 @@ class Trivialization:
     __slots__ = ("scales",)
 
     def __init__(self, scales: Mapping[str, Fraction] | None = None):
-        self.scales = {k: Fraction(v) for k, v in (scales or {}).items()}
+        scales = scales or {}
+        if any(isinstance(v, float) for v in scales.values()):
+            raise TypeError("trivialization scales must be exact rationals")
+        self.scales = {k: Fraction(v) for k, v in scales.items()}
         for obj, value in self.scales.items():
             if value == 0:
                 raise ValueError(f"trivialization scale at '{obj}' is zero")
@@ -239,14 +244,30 @@ def modular_class_vector(
 class RuthReport(ValidationReport):
     """Validation outcome for a representation up to weak homotopy.
 
-    ``certificates`` maps each composable pair to a chain homotopy
-    witnessing that composing the two actions is homotopic to the
-    action of the composite.
+    ``certificates`` holds each composable pair ``(g, h)`` whose composed
+    action is certified homotopic to the action of the composite;
+    :meth:`certificate` builds the chain homotopy witnessing it from
+    ``decompositions``, the per-object decompositions the check used.
     """
 
-    def __init__(self):
+    def __init__(self, rep: RepUpToWeakHomotopy):
         super().__init__()
-        self.certificates: dict[tuple[str, str], Homotopy] = {}
+        self.rep = rep
+        self.decompositions: dict[str, Decomposition] = {}
+        self.certificates: set[tuple[str, str]] = set()
+
+    def certificate(self, g: str, h: str) -> Homotopy:
+        """The contracting homotopy ``H`` of ``g o h - gh = d H + H d``.
+
+        Built on each call from the decompositions of the two end
+        objects; raises KeyError for a pair without a certificate.
+        """
+        if (g, h) not in self.certificates:
+            raise KeyError(f"no certificate for ('{g}', '{h}')")
+        r, gpd = self.rep, self.rep.groupoid
+        difference = r(g).compose(r(h)) - r(gpd.compose(g, h))
+        decs = self.decompositions
+        return _contracting_homotopy(difference, decs[gpd.src(h)], decs[gpd.tgt(g)])
 
 
 def _dimension_mismatch(a: str, t: ChainMap) -> str | None:
@@ -267,10 +288,10 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     the Berezinian needs.  Reports the first failing law per object,
     arrow, or pair.  A pair ``(g, h)`` is homotopy functorial exactly
     when the harmonic blocks satisfy ``H(g) H(h) = H(gh)`` in every
-    degree; its certificate is then the contracting homotopy of the
-    difference, read off the per-object decompositions.
+    degree.  The report keeps the per-object decompositions, from which
+    :meth:`RuthReport.certificate` builds a pair's homotopy on request.
     """
-    report = RuthReport()
+    report = RuthReport(r)
     gpd = r.groupoid
     for x in gpd.objects:
         check = verify_complex(r.complexes[x])
@@ -299,29 +320,22 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
             report.add(f"unit of object '{x}' does not act by the identity")
     if not report.ok:
         return report
-    decs = {x: decompose(r.complexes[x]) for x in gpd.objects}
-    forms = {
-        a: block_form(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
+    decs = report.decompositions = {x: decompose(r.complexes[x]) for x in gpd.objects}
+    blocks = {
+        a: harmonic_blocks(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
         for a in gpd.arrow_ids()
     }
     for g, h in gpd.composable_pairs():
-        gh = gpd.compose(g, h)
-        g_form, h_form, gh_form = forms[g], forms[h], forms[gh]
-        # degrees outside a fiber's range have empty harmonic blocks
-        degrees = g_form.diagonal_blocks.keys() | h_form.diagonal_blocks.keys()
-        if any(
-            g_form.harmonic_block(i) * h_form.harmonic_block(i) != gh_form.harmonic_block(i)
-            for i in degrees
-        ):
+        g_blocks, h_blocks, gh_blocks = blocks[g], blocks[h], blocks[gpd.compose(g, h)]
+        # a degree missing from one lies outside two of the fibers: both sides are empty
+        degrees = g_blocks.keys() & h_blocks.keys() & gh_blocks.keys()
+        if all(g_blocks[i] * h_blocks[i] == gh_blocks[i] for i in degrees):
+            report.certificates.add((g, h))
+        else:
             report.add(
                 f"no homotopy between the composed actions of ('{g}', '{h}')"
                 f" and the action of their composite"
             )
-            continue
-        difference = r(g).compose(r(h)) - r(gh)
-        report.certificates[(g, h)] = _contracting_homotopy(
-            difference, decs[gpd.src(h)], decs[gpd.tgt(g)]
-        )
     return report
 
 
@@ -388,7 +402,8 @@ def cohomology_representation(r: RepUpToWeakHomotopy, degree: int) -> VectorRep:
     dims = {x: decs[x].harmonic_dims.get(degree, 0) for x in gpd.objects}
     action = {}
     for a in gpd.arrow_ids():
-        h = block_form(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)]).harmonic_block(degree)
+        blocks = harmonic_blocks(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
+        h = blocks.get(degree, Matrix.zeros(0, 0))
         if (h.rows, h.cols) != (dims[gpd.tgt(a)], dims[gpd.src(a)]):
             raise ValueError(
                 f"cohomology dimension jumps along arrow '{a}' in degree {degree}"

@@ -18,6 +18,7 @@ from modclass import (
     berezinian,
     berezinian_class,
     decompose,
+    harmonic_blocks,
     invertible_replacement,
     null_homotopy,
     verify_ruth,
@@ -52,6 +53,58 @@ def _check_against_oracle(t: ChainMap) -> bool:
 
 def _permutation(rng, c):
     return {i: rng.sample(range(c.dim(i)), c.dim(i)) for i in c.degrees()}
+
+
+def _harmonic_case(seed):
+    """Complexes and decompositions for one seed's harmonic-block case.
+
+    The map is an endomorphism or goes between two complexes whose
+    degree ranges differ, over canonical or permuted decompositions.
+    """
+    rng = random.Random(seed)
+    src = rand_complex(rng, d_min=-1, d_max=2, max_dim=3)
+    tgt = src if seed % 3 == 0 else rand_complex(rng, d_min=-1, d_max=2, max_dim=3)
+    source_dec = decompose(src, _permutation(rng, src) if seed % 2 else None)
+    target_dec = decompose(tgt, _permutation(rng, tgt) if seed % 4 == 1 else None)
+    return rng, src, tgt, source_dec, target_dec
+
+
+def _harmonic_block_oracle(t, source_dec, target_dec, i):
+    m = target_dec.basis_inv_at(i) * t.component(i) * source_dec.basis_at(i)
+    (_, rb, rh, _), (_, cb, ch, _) = target_dec.edges(i), source_dec.edges(i)
+    return m.submatrix(rb, rh, cb, ch)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_harmonic_blocks_match_the_full_change_of_basis(seed):
+    rng, src, tgt, source_dec, target_dec = _harmonic_case(seed)
+    f = rand_chain_map(rng, src, tgt)
+    raw = ChainMap(
+        src, tgt, {i: rand_matrix(rng, tgt.dim(i), src.dim(i)) for i in f.degrees()}
+    )
+    for t in (f, raw):
+        blocks = harmonic_blocks(t, source_dec, target_dec)
+        assert list(blocks) == list(t.degrees())
+        for i in t.degrees():
+            assert blocks[i] == _harmonic_block_oracle(t, source_dec, target_dec, i)
+    # homotopic chain maps induce the same map on cohomology
+    twisted = f + rand_homotopy(rng, src, tgt).boundary_conjugate()
+    assert harmonic_blocks(twisted, source_dec, target_dec) == harmonic_blocks(
+        f, source_dec, target_dec
+    )
+
+
+def test_harmonic_cases_cover_every_kind():
+    kinds = set()
+    for seed in SEEDS:
+        _, src, tgt, source_dec, target_dec = _harmonic_case(seed)
+        kinds.add("endomorphism" if src is tgt else "between complexes")
+        if (source_dec.basis, target_dec.basis) != (decompose(src).basis, decompose(tgt).basis):
+            kinds.add("permuted")
+        hull = range(min(src.d_min, tgt.d_min), max(src.d_max, tgt.d_max) + 1)
+        if any(not (c.d_min <= i <= c.d_max) for c in (src, tgt) for i in hull):
+            kinds.add("outside a fiber's range")
+    assert kinds == {"endomorphism", "between complexes", "permuted", "outside a fiber's range"}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -101,7 +154,7 @@ def test_verify_ruth_decisions_and_certificates(seed):
             failed.add((g, h))
             assert (g, h) not in report.certificates
         else:
-            assert report.certificates[(g, h)].boundary_conjugate() == difference
+            assert report.certificate(g, h).boundary_conjugate() == difference
     assert report.ok == (not failed)
     assert len(report.problems) == len(failed)
 

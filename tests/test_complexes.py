@@ -13,10 +13,10 @@ from modclass import (
     are_homotopic,
     berezinian,
     berezinian_class,
-    block_form,
     cohomology_dims,
     decompose,
     det,
+    harmonic_blocks,
     invertible_replacement,
     is_homotopy_equivalence,
     null_homotopy,
@@ -30,6 +30,7 @@ from randgen import (
     rand_complex,
     rand_homotopy,
     rand_invertible_endo,
+    rand_matrix,
 )
 
 
@@ -343,12 +344,33 @@ def test_negative_degree_ranges_supported():
     assert berezinian(f) == Fraction(1, 2)
 
 
-def test_block_form_is_upper_triangular_for_chain_maps():
+def test_harmonic_blocks_are_square_of_harmonic_size():
     rng = random.Random(19)
     for _ in range(10):
         c = rand_complex(rng)
         t = rand_chain_map(rng, c, c)
-        form = block_form(t)
+        dec = decompose(c)
+        blocks = harmonic_blocks(t, dec, dec)
         for i in c.degrees():
-            b, h, l = form.diagonal_blocks[i]
-            assert b.rows == b.cols and h.rows == h.cols and l.rows == l.cols
+            assert (blocks[i].rows, blocks[i].cols) == (dec.harmonic_dims[i],) * 2
+
+
+def test_berezinian_class_rejects_float_scales():
+    c = ComplexFiber(0, 0, {0: 1}, {})
+    with pytest.raises(TypeError, match="exact rationals"):
+        berezinian_class(ChainMap.identity(c), 0.1, 1)
+
+
+def test_non_chain_maps_are_refused_as_such():
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(40):
+        c = rand_complex(rng, max_dim=3)
+        t = ChainMap(c, c, {i: rand_matrix(rng, c.dim(i), c.dim(i)) for i in c.degrees()})
+        if verify_chain_map(t).ok:
+            continue
+        refused += 1
+        for entry in (berezinian_class, invertible_replacement, is_homotopy_equivalence):
+            with pytest.raises(ValueError, match="^not a chain map: "):
+                entry(t)
+    assert refused >= 10

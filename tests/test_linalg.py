@@ -67,6 +67,11 @@ class TestRationalStrings:
             parse_rational(bad)
 
 
+def test_matrix_rejects_float_entries():
+    with pytest.raises(TypeError, match="exact rationals"):
+        Matrix([[0.1]])
+
+
 class TestRref:
     def test_zero_matrix(self):
         reduced, pivots, transform = rref(Matrix([[0]]))

@@ -137,6 +137,11 @@ class TestCharacteristicFunction:
             assert lhs.values == rhs.values
 
 
+def test_trivialization_rejects_float_scales():
+    with pytest.raises(TypeError, match="exact rationals"):
+        Trivialization({"x": 0.1})
+
+
 class TestTensor:
     def test_unit(self):
         rep = pair2_line_rep(Fraction(7))
@@ -267,7 +272,7 @@ class TestVerifyRuth:
         # with zero differentials homotopies have nowhere to live
         assert all(
             all(m.is_zero() for m in cert.components.values())
-            for cert in report.certificates.values()
+            for cert in (report.certificate(g, h) for g, h in report.certificates)
         )
 
     def test_zero_action_on_acyclic_fiber(self):
@@ -285,6 +290,19 @@ class TestVerifyRuth:
         report = verify_ruth(rep)
         assert not report.ok
         assert any("no homotopy" in p for p in report.problems)
+
+    def test_certificate_of_an_uncertified_pair_raises(self):
+        fiber = ComplexFiber(0, 0, {0: 1}, {})
+        rep = RepUpToWeakHomotopy(
+            Z2,
+            {"*": fiber},
+            {E: ChainMap.identity(fiber), TAU: ChainMap(fiber, fiber, {0: Matrix([[2]])})},
+        )
+        report = verify_ruth(rep)
+        assert (E, TAU) in report.certificates and (TAU, TAU) not in report.certificates
+        assert report.certificate(E, TAU).boundary_conjugate().components[0].is_zero()
+        with pytest.raises(KeyError, match="no certificate"):
+            report.certificate(TAU, TAU)
 
     def test_invalid_complex_is_reported_not_raised(self):
         # d^1 d^0 = [[1]] is not zero

@@ -1,9 +1,11 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
 import modclass
+from modclass import cli, complexes
 from modclass import (
     RepUpToWeakHomotopy,
     SchemaError,
@@ -18,6 +20,15 @@ FIXTURES = pathlib.Path(modclass.__file__).parent / "fixtures"
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 FIXTURE_NAMES = ["z2_sign_odd", "pair2", "s3_action", "acyclic_two_term"]
+# command -> whether it needs --arrow
+COMMANDS = {
+    "validate": False,
+    "cohomology": False,
+    "modular-class": False,
+    "berezinian": True,
+    "replace": True,
+    "homotopy-check": False,
+}
 
 
 def run_cli(*args, cwd=FIXTURES):
@@ -154,6 +165,40 @@ class TestExitCodes:
             "arrow 'ginv' joins fibers of different dimension in degree 0 (0 vs 1)",
         ]
 
+    def test_homotopy_check_reports_a_failed_groupoid(self, tmp_path):
+        data = json.loads((FIXTURES / "pair2.json").read_text())
+        data["groupoid"]["identity"] = {}
+        path = tmp_path / "no_units.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("homotopy-check", str(path), "--format", "json")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["sections"] == {
+            "groupoid": ["object 'x' has no unit arrow", "object 'y' has no unit arrow"]
+        }
+        assert "pairs" not in payload
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            lambda g: g["identity"].pop(g["objects"][0]),
+            lambda g: g["compose"].pop(0),
+        ],
+        ids=["drop-identity", "drop-compose"],
+    )
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_broken_groupoid_table_gives_no_traceback(self, name, breakage, command, tmp_path):
+        data = json.loads((FIXTURES / f"{name}.json").read_text())
+        breakage(data["groupoid"])
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        arrow = ["--arrow", data["groupoid"]["arrows"][-1]["id"]] if COMMANDS[command] else []
+        result = run_cli(command, str(path), *arrow)
+        assert result.returncode in (0, 1, 2)
+        assert "Traceback" not in result.stderr
+
     def test_unknown_arrow_is_usage_error(self):
         result = run_cli("berezinian", "acyclic_two_term.json", "--arrow", "zz")
         assert result.returncode == 2
@@ -241,3 +286,37 @@ class TestCommands:
         result = run_cli("modular-class", "pair2.json", "--format", "json")
         assert "elapsed" not in result.stdout
         assert "elapsed" in result.stderr
+
+
+class TestHomotopyBuilds:
+    """Chain homotopies are built only for the pairs homotopy-check reports."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        original, calls = complexes._contracting_homotopy, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("modclass") and getattr(module, "_contracting_homotopy", None) is original:
+                monkeypatch.setattr(module, "_contracting_homotopy", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["validate", "modular-class"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_decisions_build_none(self, name, command, builds, capsys):
+        assert cli.main([command, str(FIXTURES / f"{name}.json"), "--format", "json"]) == 0
+        assert builds == []
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_homotopy_check_builds_one_per_found_pair(self, name, builds, capsys):
+        code = cli.main(["homotopy-check", str(FIXTURES / f"{name}.json"), "--format", "json"])
+        out = capsys.readouterr().out
+        if name == "s3_action":  # a line representation: no chain maps to check
+            assert (code, out, builds) == (2, "", [])
+            return
+        found = [p for p in json.loads(out)["pairs"] if p["certificate"] == "found"]
+        assert code == 0
+        assert len(builds) == len(found) > 0
