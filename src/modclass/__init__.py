@@ -21,7 +21,6 @@ from .linalg import (
     parse_rational,
     rank,
     rref,
-    solve,
 )
 from .complexes import (
     ChainMap,
@@ -48,6 +47,7 @@ from .groupoid import (
     Cochain,
     FiniteGroupoid,
     GroupTable,
+    NotACocycle,
     action_groupoid,
     class_equal,
     coboundary,

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .complexes import berezinian_class, invertible_replacement
-from .groupoid import ClassReport, coboundary_solve_1, is_cocycle_1, validate as validate_groupoid
+from .groupoid import ClassReport, NotACocycle, coboundary_solve_1, validate as validate_groupoid
 from .linalg import format_rational
 from .reps import (
     LineRep,
@@ -152,12 +152,13 @@ def _cmd_cohomology(doc: InputDocument, args, report: ReportDocument) -> int:
         raise SchemaError(["'cohomology' needs a cochain section"])
     if _groupoid_fails(doc, report):
         return 1
-    if not is_cocycle_1(doc.groupoid, doc.cochain):
+    try:
+        solved = coboundary_solve_1(doc.groupoid, doc.cochain)
+    except NotACocycle:
         report.fields["is_cocycle"] = False
         report.ok = False
         return 1
     report.fields["is_cocycle"] = True
-    solved = coboundary_solve_1(doc.groupoid, doc.cochain)
     report.fields.update(_class_fields(solved))
     return 0
 

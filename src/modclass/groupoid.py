@@ -15,6 +15,15 @@ witness or an obstruction list; triviality is decided by propagating a
 potential along a spanning forest of the object graph and checking the
 leftover arrows, which over a single object reduces to checking that
 the cocycle is identically 1 on the isotropy group.
+
+Functoriality (of a cocycle here, of line, vector and homotopy actions
+in ``reps``) is decided through the isotropy model: a connected
+groupoid is the pair groupoid on its objects twisted by its isotropy
+group, so ``phi(gh) = phi(g) phi(h)`` on every pair follows from one
+check per arrow along a spanning tree and the isotropy group's own
+multiplication table.  When a table has no such model, or the check
+fails, the pair scan decides and words every problem.  ``validate``
+stays exhaustive: it checks the laws on every pair and triple.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import ValidationReport
+from .linalg import Matrix, det
 
 
 class FiniteGroupoid:
@@ -146,10 +156,16 @@ class Cochain:
 
     @classmethod
     def constant(cls, degree: int, keys: Iterable, value=1) -> "Cochain":
+        if isinstance(value, float):
+            raise TypeError("cochain values must be exact rationals")
         v = Fraction(value)
         if v == 0:
             raise ValueError("cochain values must be nonzero")
         return cls(degree, {k: v for k in keys})
+
+
+class NotACocycle(ValueError):
+    """A degree-1 cochain handed to the class solver is not a cocycle."""
 
 
 @dataclass
@@ -274,10 +290,14 @@ def coboundary(gpd: FiniteGroupoid, f: Cochain) -> Cochain:
 
 
 def is_cocycle_1(gpd: FiniteGroupoid, phi: Cochain) -> bool:
-    """True iff phi(g) * phi(h) = phi(g*h) on every composable pair."""
+    """True iff phi(g) * phi(h) = phi(g*h) for all composable g, h.
+
+    Decided through the isotropy model (``_is_functorial``); a table
+    without one, or a cochain it rejects, is scanned pair by pair.
+    """
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    return all(
+    return _is_functorial(gpd, lambda a: phi((a,))) or all(
         phi(g) * phi(h) == phi(gpd.compose(g, h))
         for g, h in gpd.composable_pairs()
     )
@@ -308,6 +328,115 @@ def _components(gpd: FiniteGroupoid) -> list[list[str]]:
     return components
 
 
+def _isotropy_model(gpd: FiniteGroupoid):
+    """Spanning trees and isotropy coordinates, or None when the table has none.
+
+    Each component's first object is its base ``b``; the tree arrow
+    ``t_x: b -> x`` is the first arrow from ``b`` to ``x`` (``t_b`` the
+    unit of ``b``), and ``k(a) = (t_y^-1 a) t_x`` for ``a: x -> y``.  The
+    model is returned as ``(tree, k, isotropy)``, ``isotropy`` listing
+    the loops at each base, only when every ``k(a)`` is a loop at its
+    base and every composable pair ``(g, h)`` has ``gh: src h -> tgt g``
+    with ``k(gh) = k(g) k(h)``: table lookups only, no arithmetic.
+    """
+    try:
+        tree: dict[str, str] = {}
+        base: dict[str, str] = {}
+        for component in _components(gpd):
+            b = component[0]
+            base.update((x, b) for x in component)
+            tree[b] = gpd.unit(b)
+        for a, s, t in gpd.arrows:
+            if s == base[s] and t not in tree:
+                tree[t] = a
+        k = {
+            a: gpd.compose(gpd.compose(gpd.inv(tree[t]), a), tree[s])
+            for a, s, t in gpd.arrows
+        }
+        isotropy: dict[str, list[str]] = {b: [] for b in tree if base[b] == b}
+        for a, s, t in gpd.arrows:
+            b = base[s]
+            if gpd.src(k[a]) != b or gpd.tgt(k[a]) != b:
+                return None
+            if s == t == b:
+                isotropy[b].append(a)
+        src, tgt, compose = gpd._src, gpd._tgt, gpd.composition
+        for g, h in gpd.composable_pairs():
+            gh = compose[g, h]
+            if src[gh] != src[h] or tgt[gh] != tgt[g] or k[gh] != compose[k[g], k[h]]:
+                return None
+    except KeyError:
+        return None
+    return tree, k, isotropy
+
+
+def _mul(u, v):
+    # Per-degree tuples multiply degree by degree.
+    if isinstance(u, tuple):
+        return tuple(_mul(x, y) for x, y in zip(u, v, strict=True))
+    return u * v
+
+
+def _invertible(v) -> bool:
+    if isinstance(v, tuple):
+        return all(map(_invertible, v))
+    if isinstance(v, Matrix):
+        return v.is_square and det(v) != 0
+    return v != 0
+
+
+def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
+    """True only if ``phi(g) phi(h) == phi(gh)`` on every composable pair.
+
+    ``phi`` maps an arrow to a value with ``*`` and ``==``: a Fraction,
+    a ``Matrix``, or a tuple of them multiplied entry by entry (the
+    per-degree harmonic blocks of a homotopy action).  With the model of
+    ``_isotropy_model`` (trees ``t_x``, coordinates ``k``, isotropy
+    groups ``G_b``), the checks are
+
+    (T) every ``phi(t_x)`` is invertible (nonzero, or square with a
+        nonzero determinant, in every entry of a tuple);
+    (A) ``phi(a) phi(t_x) == phi(t_y) phi(k(a))`` for every ``a: x -> y``;
+    (G) ``phi(p) phi(q) == phi(pq)`` for all ``p, q`` in each ``G_b``.
+
+    Proof that they suffice.  By (T) and (A), ``phi(a) = phi(t_y)
+    phi(k(a)) phi(t_x)^-1`` for every arrow.  Take ``h: x -> y`` and
+    ``g: y -> z``.  Then ``phi(g) phi(h) = phi(t_z) phi(k(g)) phi(t_y)^-1
+    phi(t_y) phi(k(h)) phi(t_x)^-1 = phi(t_z) phi(k(g)) phi(k(h))
+    phi(t_x)^-1``.  The model puts ``k(g)`` and ``k(h)`` in ``G_b`` with
+    ``k(g) k(h) = k(gh)``, so by (G) the middle is ``phi(k(gh))``; and
+    ``gh: x -> z``, so (A) for ``gh`` makes the whole ``phi(gh)``.
+
+    Costs one product per arrow, one per distinct ``(y, k(a))`` and
+    ``|G_b|^2`` per base.  False (no model, a failed check, a missing
+    value or mismatched shapes) decides nothing: the caller then scans
+    the pairs.
+    """
+    model = _isotropy_model(gpd)
+    if model is None:
+        return False
+    tree, k, isotropy = model
+    try:
+        at = {x: phi(a) for x, a in tree.items()}
+        if not all(map(_invertible, at.values())):
+            return False
+        moved: dict[tuple[str, str], object] = {}  # phi(t_y) phi(k) by (y, k)
+        for a, s, t in gpd.arrows:
+            key = (t, k[a])
+            if key not in moved:
+                moved[key] = _mul(at[t], phi(k[a]))
+            if _mul(phi(a), at[s]) != moved[key]:
+                return False
+        for loops in isotropy.values():
+            for p in loops:
+                for q in loops:
+                    if _mul(phi(p), phi(q)) != phi(gpd.compose(p, q)):
+                        return False
+    except (KeyError, ValueError):
+        return False
+    return True
+
+
 def coboundary_solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
     """Decide whether a degree-1 cocycle is a coboundary.
 
@@ -320,7 +449,7 @@ def coboundary_solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
     coboundary exactly when there are none.
     """
     if not is_cocycle_1(gpd, phi):
-        raise ValueError("input cochain is not a cocycle")
+        raise NotACocycle("input cochain is not a cocycle")
     # Arrows between distinct objects, listed at both ends in arrow order;
     # loops never extend the forest.
     incident: dict[str, list[tuple[str, str, str]]] = {x: [] for x in gpd.objects}
@@ -357,7 +486,7 @@ def class_equal(gpd: FiniteGroupoid, phi1: Cochain, phi2: Cochain) -> bool:
     """Whether two degree-1 cocycles differ by a coboundary."""
     for phi in (phi1, phi2):
         if not is_cocycle_1(gpd, phi):
-            raise ValueError("input cochain is not a cocycle")
+            raise NotACocycle("input cochain is not a cocycle")
     return coboundary_solve_1(gpd, phi1 / phi2).is_coboundary
 
 

@@ -175,6 +175,8 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, scalar) -> "Matrix":
+        if isinstance(scalar, float):
+            raise TypeError("matrix scalars must be exact rationals")
         c = Fraction(scalar)
         return Matrix._trusted(tuple(tuple(c * x for x in r) for r in self._rows), self.cols)
 
@@ -270,26 +272,6 @@ def kernel_basis(m: Matrix) -> Matrix:
             v[pc] = -reduced[i, j]
         columns.append(tuple(v))
     return Matrix._trusted(tuple(columns), m.cols).transpose()
-
-
-def solve(a: Matrix, b: Matrix) -> Matrix | None:
-    """An exact solution ``x`` of ``a * x = b``, or None.
-
-    ``b`` may have several columns; a solution must work for all of
-    them.  Inconsistency is certified by a pivot landing in the
-    augmented block, equivalently rank([a]) < rank([a|b]).  Free
-    variables are set to zero.
-    """
-    if a.rows != b.rows:
-        raise ValueError(f"rows(a)={a.rows} != rows(b)={b.rows}")
-    reduced, pivots, _ = rref(Matrix.hstack(a, b))
-    if any(p >= a.cols for p in pivots):
-        return None
-    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
-    for i, pc in enumerate(pivots):
-        for k in range(b.cols):
-            x[pc][k] = reduced[i, a.cols + k]
-    return Matrix(x, cols=b.cols)
 
 
 def _cleared(v) -> tuple[list[int], int]:

@@ -6,10 +6,14 @@ form one linear system ``d^{i-1} H^i + H^{i+1} d^i = T^i``, and it is
 solved exactly.  It needs no decomposition, so it is independent of the
 boundary/harmonic/lift machinery it checks.
 
+``solve`` is the exact Gauss-Jordan solver that system is handed to.
+
 ``naive_matmul`` and ``leibniz_det`` are the textbook formulas in
 ``Fraction`` arithmetic, with no denominator clearing.  The ``scan_*``
 functions are the groupoid scans before arrows were indexed by target:
-every candidate pair or triple is found by testing all arrows.
+every candidate pair or triple is found by testing all arrows.  The
+``pair_scan_*`` functions are the functoriality checks before the
+isotropy model: every composable pair is multiplied out.
 """
 
 from __future__ import annotations
@@ -17,7 +21,43 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from modclass import ChainMap, FiniteGroupoid, Homotopy, Matrix, solve
+from modclass import (
+    ChainMap,
+    Cochain,
+    FiniteGroupoid,
+    Homotopy,
+    LineRep,
+    Matrix,
+    RepUpToWeakHomotopy,
+    ValidationReport,
+    VectorRep,
+    decompose,
+    det,
+    harmonic_blocks,
+    rref,
+    verify_chain_map,
+    verify_complex,
+)
+
+
+def solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """An exact solution ``x`` of ``a * x = b``, or None.
+
+    ``b`` may have several columns; a solution must work for all of
+    them.  Inconsistency is certified by a pivot landing in the
+    augmented block, equivalently rank([a]) < rank([a|b]).  Free
+    variables are set to zero.
+    """
+    if a.rows != b.rows:
+        raise ValueError(f"rows(a)={a.rows} != rows(b)={b.rows}")
+    reduced, pivots, _ = rref(Matrix.hstack(a, b))
+    if any(p >= a.cols for p in pivots):
+        return None
+    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for i, pc in enumerate(pivots):
+        for k in range(b.cols):
+            x[pc][k] = reduced[i, a.cols + k]
+    return Matrix(x, cols=b.cols)
 
 
 def global_null_homotopy(t: ChainMap) -> Homotopy | None:
@@ -205,3 +245,115 @@ def scan_validate(gpd: FiniteGroupoid) -> list[str]:
                 if gpd.compose(gh, k) != gpd.compose(g, gpd.compose(h, k)):
                     problems.append(f"associativity fails on ('{g}', '{h}', '{k}')")
     return problems
+
+
+def pair_scan_is_cocycle_1(gpd: FiniteGroupoid, phi: Cochain) -> bool:
+    return all(
+        phi(g) * phi(h) == phi(gpd.compose(g, h))
+        for g, h in gpd.composable_pairs()
+    )
+
+
+def pair_scan_line_rep(r: LineRep) -> list[str]:
+    report = ValidationReport()
+    gpd = r.groupoid
+    for a in gpd.arrow_ids():
+        value = r.action.get(a)
+        if value is None:
+            report.add(f"arrow '{a}' has no action")
+        elif value == 0:
+            report.add(f"action of arrow '{a}' is zero")
+    if not report.ok:
+        return report.problems
+    for x in gpd.objects:
+        if r(gpd.unit(x)) != 1:
+            report.add(f"unit of object '{x}' does not act by 1")
+    for g, h in gpd.composable_pairs():
+        if r(g) * r(h) != r(gpd.compose(g, h)):
+            report.add(f"functoriality fails on ('{g}', '{h}')")
+    return report.problems
+
+
+def pair_scan_vector_rep(r: VectorRep) -> list[str]:
+    report = ValidationReport()
+    gpd = r.groupoid
+    for a in gpd.arrow_ids():
+        m = r.action.get(a)
+        if m is None:
+            report.add(f"arrow '{a}' has no action")
+            continue
+        expected = (r.dims[gpd.tgt(a)], r.dims[gpd.src(a)])
+        if (m.rows, m.cols) != expected:
+            report.add(
+                f"action of arrow '{a}' has shape {m.rows}x{m.cols},"
+                f" expected {expected[0]}x{expected[1]}"
+            )
+        elif m.is_square and det(m) == 0:
+            report.add(f"action of arrow '{a}' is singular")
+    if not report.ok:
+        return report.problems
+    for x in gpd.objects:
+        if not r(gpd.unit(x)).is_identity():
+            report.add(f"unit of object '{x}' does not act by the identity")
+    for g, h in gpd.composable_pairs():
+        if r(g) * r(h) != r(gpd.compose(g, h)):
+            report.add(f"functoriality fails on ('{g}', '{h}')")
+    return report.problems
+
+
+def pair_scan_ruth(r: RepUpToWeakHomotopy) -> tuple[list[str], set]:
+    """Problems and certified pairs, each pair's harmonic blocks multiplied out."""
+    report = ValidationReport()
+    gpd = r.groupoid
+    for x in gpd.objects:
+        check = verify_complex(r.complexes[x])
+        if not check.ok:
+            report.add(f"complex of '{x}' is invalid: {check.problems[0]}")
+    if not report.ok:
+        return report.problems, set()
+    for a in gpd.arrow_ids():
+        t = r.action.get(a)
+        if t is None:
+            report.add(f"arrow '{a}' has no action")
+            continue
+        if t.source != r.complexes[gpd.src(a)] or t.target != r.complexes[gpd.tgt(a)]:
+            report.add(f"action of arrow '{a}' joins the wrong fibers")
+            continue
+        check = verify_chain_map(t)
+        mismatch = next(
+            (
+                f"arrow '{a}' joins fibers of different dimension"
+                f" in degree {i} ({t.source.dim(i)} vs {t.target.dim(i)})"
+                for i in t.degrees()
+                if t.source.dim(i) != t.target.dim(i)
+            ),
+            None,
+        )
+        if not check.ok:
+            report.add(f"action of arrow '{a}' is not a chain map: {check.problems[0]}")
+        elif mismatch is not None:
+            report.add(mismatch)
+    if not report.ok:
+        return report.problems, set()
+    for x in gpd.objects:
+        if r(gpd.unit(x)) != ChainMap.identity(r.complexes[x]):
+            report.add(f"unit of object '{x}' does not act by the identity")
+    if not report.ok:
+        return report.problems, set()
+    decs = {x: decompose(r.complexes[x]) for x in gpd.objects}
+    blocks = {
+        a: harmonic_blocks(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
+        for a in gpd.arrow_ids()
+    }
+    certified = set()
+    for g, h in gpd.composable_pairs():
+        g_blocks, h_blocks, gh_blocks = blocks[g], blocks[h], blocks[gpd.compose(g, h)]
+        degrees = g_blocks.keys() & h_blocks.keys() & gh_blocks.keys()
+        if all(g_blocks[i] * h_blocks[i] == gh_blocks[i] for i in degrees):
+            certified.add((g, h))
+        else:
+            report.add(
+                f"no homotopy between the composed actions of ('{g}', '{h}')"
+                f" and the action of their composite"
+            )
+    return report.problems, certified

@@ -361,6 +361,12 @@ def test_berezinian_class_rejects_float_scales():
         berezinian_class(ChainMap.identity(c), 0.1, 1)
 
 
+def test_chain_map_scale_rejects_floats():
+    c = ComplexFiber(0, 0, {0: 1}, {})
+    with pytest.raises(TypeError, match="exact rationals"):
+        ChainMap.identity(c).scale(0.1)
+
+
 def test_non_chain_maps_are_refused_as_such():
     rng = random.Random(23)
     refused = 0

@@ -3,8 +3,9 @@
 ``Matrix.__mul__`` clears denominators and ``det`` reuses that clearing;
 the references are the textbook Fraction formulas.  The groupoid scans
 read composable arrows off the by-target index; the references test
-every arrow for every pair, as the scans did before.  Outputs must agree
-exactly, order included.
+every arrow for every pair, as the scans did before.  Functoriality is
+decided through the isotropy model; the references multiply out every
+composable pair.  Outputs must agree exactly, order included.
 """
 
 import random
@@ -13,27 +14,41 @@ from fractions import Fraction
 import pytest
 
 from modclass import (
+    ChainMap,
     Cochain,
     FiniteGroupoid,
     GroupTable,
+    LineRep,
     Matrix,
+    RepUpToWeakHomotopy,
+    VectorRep,
     action_groupoid,
     coboundary_solve_1,
     composable_tuples,
     connected_groupoid,
     det,
     disjoint_union,
+    is_cocycle_1,
     validate,
+    verify_line_rep,
+    verify_ruth,
+    verify_vector_rep,
 )
+from modclass import groupoid as groupoid_module, reps as reps_module
+from modclass.groupoid import _is_functorial, _isotropy_model
 from oracle import (
     leibniz_det,
     naive_matmul,
+    pair_scan_is_cocycle_1,
+    pair_scan_line_rep,
+    pair_scan_ruth,
+    pair_scan_vector_rep,
     scan_coboundary_solve_1,
     scan_composable_pairs,
     scan_composable_tuples,
     scan_validate,
 )
-from randgen import rand_groupoid, rand_potential
+from randgen import GroupoidFixture, rand_groupoid, rand_potential, rand_rational, rand_ruth
 
 SEEDS = range(200)
 
@@ -203,3 +218,243 @@ def test_coboundary_solve_1_matches_the_all_arrow_bfs(seed):
         assert list(report.witness.values.items()) == list(potential.items())
     else:
         assert -1 in signs
+
+
+# ---------------------------------------------------------------------------
+# Functoriality through the isotropy model
+
+
+def regular_values(rng: random.Random, gpd: FiniteGroupoid) -> tuple[dict, dict]:
+    """Dimensions and matrices of a regular representation in random frames.
+
+    ``V_x`` has a basis of the arrows ``h: b -> x`` from the first object
+    ``b`` of ``x``'s component, and ``a: x -> y`` sends ``h`` to ``a h``:
+    functorial by associativity, with the isotropy groups acting by
+    their regular representations.  Random diagonal frames rescale it.
+    """
+    order = {x: i for i, x in enumerate(gpd.objects)}
+    base: dict[str, str] = {}
+    for _, s, t in gpd.arrows:
+        if t not in base or order[s] < order[base[t]]:
+            base[t] = s
+    basis = {x: [a for a, s, t in gpd.arrows if t == x and s == base[x]] for x in gpd.objects}
+    frame = {x: [rand_rational(rng, nonzero=True) for _ in basis[x]] for x in gpd.objects}
+    values = {}
+    for a, s, t in gpd.arrows:
+        row_of = {h: i for i, h in enumerate(basis[t])}
+        rows = [[Fraction(0)] * len(basis[s]) for _ in basis[t]]
+        for j, h in enumerate(basis[s]):
+            i = row_of[gpd.compose(a, h)]
+            rows[i][j] = frame[t][i] / frame[s][j]
+        values[a] = Matrix(rows, cols=len(basis[s]))
+    return {x: len(b) for x, b in basis.items()}, values
+
+
+KINDS = ["line", "vector", "cocycle", "ruth"]
+REP_MUTATIONS = [None, "perturbed", "singular tree", "non-square", "swapped"]
+
+
+def functorial_values(rng: random.Random, gpd: FiniteGroupoid, kind: str) -> tuple:
+    """``(values, extra)``: arrow values of a functorial rep, and its dims or complexes."""
+    dims, matrices = regular_values(rng, gpd)
+    if kind == "vector":
+        return matrices, dims
+    scalars = {a: det(m) for a, m in matrices.items()}
+    if kind != "ruth":
+        return scalars, None
+    trivial = {a: Fraction(1) for a in scalars}
+    rep = rand_ruth(rng, GroupoidFixture("regular", gpd, [trivial, scalars]))
+    return dict(rep.action), rep.complexes
+
+
+def mutated_values(rng, gpd, kind, values, extra, mutation):
+    """A copy of ``(values, extra)`` with one change, or None where it does not apply."""
+    values, arrows = dict(values), gpd.arrow_ids()
+    if mutation == "perturbed":
+        a = rng.choice(arrows)
+        values[a] = values[a].scale(2) if kind in ("vector", "ruth") else values[a] * 2
+    elif mutation == "singular tree":
+        if kind == "cocycle":  # a cochain cannot hold 0
+            return None
+        a = rng.choice(list(_isotropy_model(gpd)[0].values()))
+        v = values[a]
+        if kind == "line":
+            values[a] = Fraction(0)
+        elif kind == "vector":
+            values[a] = Matrix([[0] * v.cols] + v.to_lists()[1:], cols=v.cols)
+        else:
+            values[a] = ChainMap.zero(v.source, v.target)
+    elif mutation == "non-square":
+        if kind != "vector":
+            return None
+        x = rng.choice(gpd.objects)
+        extra = {**extra, x: extra[x] + 1}
+        for a in arrows:
+            rows = values[a].to_lists()
+            if gpd.src(a) == x:
+                rows = [r + [0] for r in rows]
+            if gpd.tgt(a) == x:
+                rows.append([0] * (extra[gpd.src(a)]))
+            values[a] = Matrix(rows, cols=extra[gpd.src(a)])
+    elif mutation == "swapped":
+        a = rng.choice(arrows)
+        ends = (gpd.src(a), gpd.tgt(a))
+        twins = [b for b in arrows if (gpd.src(b), gpd.tgt(b)) == ends and values[b] != values[a]]
+        b = rng.choice(twins or arrows)
+        values[a], values[b] = values[b], values[a]
+    return values, extra
+
+
+def caller_and_scan(gpd, kind, values, extra):
+    """The caller's outcome and the pair scan's, exceptions by type."""
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:  # the scans raise on broken tables; so must the callers
+            return type(exc)
+
+    if kind == "line":
+        rep = LineRep(gpd, values)
+        return outcome(lambda: verify_line_rep(rep).problems), outcome(pair_scan_line_rep, rep)
+    if kind == "vector":
+        rep = VectorRep(gpd, extra, values)
+        return outcome(lambda: verify_vector_rep(rep).problems), outcome(pair_scan_vector_rep, rep)
+    if kind == "cocycle":
+        phi = Cochain(1, {(a,): v for a, v in values.items()})
+        return outcome(is_cocycle_1, gpd, phi), outcome(pair_scan_is_cocycle_1, gpd, phi)
+    rep = RepUpToWeakHomotopy(gpd, extra, values)
+
+    def report():
+        r = verify_ruth(rep)
+        return r.problems, r.certificates
+
+    return outcome(report), outcome(pair_scan_ruth, rep)
+
+
+def scan_accepts(kind, scanned) -> bool:
+    """Whether the scan found every composable pair functorial."""
+    if kind == "cocycle":
+        return scanned is True
+    if isinstance(scanned, type):
+        return False
+    problems = scanned[0] if kind == "ruth" else scanned
+    return not any("functoriality fails" in p or "no homotopy" in p for p in problems)
+
+
+def is_unit_value(v) -> bool:
+    return v.is_identity() if isinstance(v, Matrix) else v == 1
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The checker's answers, as the four callers receive them."""
+    seen = []
+
+    def spy(gpd, phi):
+        seen.append(_is_functorial(gpd, phi))
+        return seen[-1]
+
+    monkeypatch.setattr(groupoid_module, "_is_functorial", spy)
+    monkeypatch.setattr(reps_module, "_is_functorial", spy)
+    return seen
+
+
+def functoriality_cases(seed):
+    """``(groupoid, lawful, kind, mutation, values, extra)`` for one seed.
+
+    Every rep kind on the lawful table, as built and with one of the
+    rep mutations; and as built on one of the five table mutations.  The
+    mutations take turns by seed.
+    """
+    rng = random.Random(seed)
+    base = builder_groupoid(rng)
+    for k, kind in enumerate(KINDS):
+        values, extra = functorial_values(rng, base, kind)
+        yield base, True, kind, None, values, extra
+        mutation = REP_MUTATIONS[1 + (seed + k) % 4]
+        changed = mutated_values(rng, base, kind, values, extra, mutation)
+        if changed is not None:
+            yield base, True, kind, mutation, *changed
+        table = MUTATIONS[1 + (seed + k) % 5]
+        gpd = mutated(base, rng, table)
+        yield gpd, not validate(gpd).problems, kind, table, values, extra
+
+
+def direct_verdicts(gpd, kind, values, scanned) -> tuple[bool, bool]:
+    """The checker on the raw values, and whether every pair multiplies out.
+
+    The callers' per-arrow checks may stop before the pairs; this does not.
+    """
+    accepted = _is_functorial(gpd, values.__getitem__)
+    if kind == "vector" and isinstance(scanned, list) and all(
+        "functoriality fails" in p or "unit of" in p for p in scanned
+    ):
+        return accepted, scan_accepts(kind, scanned)  # the scan reached every pair
+    try:
+        pairs_hold = all(
+            values[g] * values[h] == values[gpd.compose(g, h)]
+            for g, h in gpd.composable_pairs()
+        )
+    except (KeyError, ValueError):
+        pairs_hold = False
+    return accepted, pairs_hold
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_functoriality_checker_agrees_with_the_pair_scans(seed, verdicts):
+    for gpd, lawful, kind, mutation, values, extra in functoriality_cases(seed):
+        verdicts.clear()
+        got, scanned = caller_and_scan(gpd, kind, values, extra)
+        assert got == scanned, (kind, mutation)
+        for verdict in verdicts:
+            # never accepts what the scan rejects
+            assert not verdict or scan_accepts(kind, scanned), (kind, mutation)
+        if lawful and verdicts and scan_accepts(kind, scanned):
+            # accepts every functorial input on a lawful table
+            assert verdicts == [True], (kind, mutation)
+        if kind != "ruth":
+            accepted, pairs_hold = direct_verdicts(gpd, kind, values, scanned)
+            assert not accepted or pairs_hold, (kind, mutation)
+            if lawful and pairs_hold and all(is_unit_value(values[gpd.unit(x)]) for x in gpd.objects):
+                assert accepted, (kind, mutation)
+
+
+def test_functoriality_cases_reach_both_verdicts():
+    # the agreement above is only as strong as the failures it sees
+    seen = set()
+    for seed in range(20):
+        for gpd, lawful, kind, mutation, values, extra in functoriality_cases(seed):
+            _, scanned = caller_and_scan(gpd, kind, values, extra)
+            seen.add((kind, mutation, scan_accepts(kind, scanned)))
+            if kind != "ruth":
+                seen.add((kind, mutation) + direct_verdicts(gpd, kind, values, scanned))
+    for kind in KINDS:
+        assert (kind, None, True) in seen, kind
+        assert (kind, "perturbed", False) in seen, kind
+        assert (kind, "swapped", False) in seen, kind
+    assert ("ruth", "singular tree", False) in seen
+    for kind in ("line", "vector"):
+        # a singular tree arrow breaks the pairs, and the checker refuses it
+        assert (kind, "singular tree", False, False) in seen, kind
+    # zero-padding one fiber keeps every pair but not the units: the tree
+    # value there is not square, and the checker refuses it
+    assert ("vector", "non-square", False, True) in seen
+
+
+def test_vector_check_costs_arrows_not_pairs(monkeypatch):
+    group = GroupTable.symmetric_3()
+    gpd = connected_groupoid([f"o{i}" for i in range(5)], group)
+    dims, values = regular_values(random.Random(0), gpd)
+    rep = VectorRep(gpd, dims, values)
+    products = []
+    original = Matrix.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert verify_vector_rep(rep).ok
+    n, g, arrows = len(gpd.objects), len(group.elements), len(gpd.arrows)
+    assert (arrows, len(gpd.composable_pairs())) == (150, 4500)
+    assert 0 < len(products) <= arrows + g * g + n * g

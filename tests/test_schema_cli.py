@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 import sys
@@ -274,6 +275,27 @@ class TestCommands:
         assert result.returncode == 1
         assert "is_cocycle: False" in result.stdout
 
+    @pytest.mark.parametrize("cochain_t", [None, "2"])
+    def test_cohomology_checks_the_cocycle_once(self, cochain_t, monkeypatch, capsys, tmp_path):
+        from modclass import groupoid
+
+        original, calls = groupoid.is_cocycle_1, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(groupoid, "is_cocycle_1", counted)
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        if cochain_t is not None:
+            data["cochain"]["t"] = cochain_t
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["cohomology", str(path), "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert (code, payload["is_cocycle"]) == ((0, True) if cochain_t is None else (1, False))
+        assert len(calls) == 1
+
     def test_validate_reports_sections(self):
         payload = json.loads(
             run_cli("validate", "acyclic_two_term.json", "--format", "json").stdout
@@ -320,3 +342,15 @@ class TestHomotopyBuilds:
         found = [p for p in json.loads(out)["pairs"] if p["certificate"] == "found"]
         assert code == 0
         assert len(builds) == len(found) > 0
+
+
+def test_fixture_generator_reproduces_the_shipped_documents():
+    spec = importlib.util.spec_from_file_location(
+        "gen_fixtures", pathlib.Path(__file__).parents[1] / "tools" / "gen_fixtures.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    docs = gen.documents()
+    assert sorted(docs) == sorted(f"{name}.json" for name in FIXTURE_NAMES)
+    for name, doc in docs.items():
+        assert gen.render(doc).encode("utf-8") == (FIXTURES / name).read_bytes(), name

@@ -122,17 +122,26 @@ def acyclic_two_term_doc() -> InputDocument:
     return InputDocument(gpd, rep, None, None)
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
-    docs = {
+def documents() -> dict[str, InputDocument]:
+    """The shipped documents by file name."""
+    return {
         "z2_sign_odd.json": z2_sign_odd(),
         "pair2.json": pair2_doc(),
         "s3_action.json": s3_action_doc(),
         "acyclic_two_term.json": acyclic_two_term_doc(),
     }
-    for name, doc in docs.items():
+
+
+def render(doc: InputDocument) -> str:
+    """A document as the text of its fixture file."""
+    return json.dumps(serialize(doc), indent=2) + "\n"
+
+
+def main() -> None:
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, doc in documents().items():
         path = OUT / name
-        path.write_text(json.dumps(serialize(doc), indent=2) + "\n", encoding="utf-8")
+        path.write_text(render(doc), encoding="utf-8")
         print("wrote", path)
 
 
