@@ -17,8 +17,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .complexes import berezinian_class, invertible_replacement
-from .groupoid import ClassReport, NotACocycle, coboundary_solve_1, validate as validate_groupoid
+from .complexes import ValidationReport, berezinian_class, invertible_replacement
+from .groupoid import ClassReport, NotACocycle, _solve_1, coboundary_solve_1, validate as validate_groupoid
 from .linalg import format_rational
 from .reps import (
     LineRep,
@@ -27,15 +27,12 @@ from .reps import (
     VectorRep,
     characteristic_function,
     det_representation,
-    modular_class_ruth,
-    modular_class_vector,
     strict_as_homotopy,
     verify_line_rep,
     verify_ruth,
     verify_vector_rep,
 )
 from .schema import InputDocument, SchemaError, parse
-from . import complexes
 
 
 @dataclass
@@ -81,13 +78,9 @@ def _text_lines(key, value, indent: str = "") -> list[str]:
     return [f"{indent}{key}: {value}"]
 
 
-def _cochain_json(report: ClassReport) -> dict:
-    return {key[0]: format_rational(v) for key, v in sorted(report.cocycle.values.items())}
-
-
 def _class_fields(report: ClassReport) -> dict:
     fields = {
-        "cochain": _cochain_json(report),
+        "cochain": {key[0]: format_rational(v) for key, v in sorted(report.cocycle.values.items())},
         "class": "trivial" if report.is_coboundary else "nontrivial",
     }
     if report.witness is not None:
@@ -101,41 +94,33 @@ def _class_fields(report: ClassReport) -> dict:
     return fields
 
 
-def _validate_document(doc: InputDocument) -> tuple[dict, bool]:
-    gpd_report = validate_groupoid(doc.groupoid)
-    sections: dict = {"groupoid": gpd_report.problems or "ok"}
-    if not gpd_report.ok:
-        # the complex and rep laws read the unit and composition tables
-        return sections, False
-    ok = True
-    rep = doc.rep
+def _validate_document(doc: InputDocument, report: ReportDocument) -> ValidationReport:
+    """Write the law checks' sections and status into ``report``.
+
+    Returns the last check made: the rep's once the groupoid passes.
+    """
+    check = validate_groupoid(doc.groupoid)
+    sections = report.fields["sections"] = {"groupoid": check.problems or "ok"}
+    # the complex and rep laws read the unit and composition tables
+    rep = doc.rep if check.ok else None
     if isinstance(rep, RepUpToWeakHomotopy):
-        complex_problems: dict = {}
-        for obj, fiber in sorted(rep.complexes.items()):
-            check = complexes.verify_complex(fiber)
-            complex_problems[obj] = check.problems or "ok"
-            ok = ok and check.ok
-        sections["complex"] = complex_problems
-        if ok:
-            check = verify_ruth(rep)
+        check = verify_ruth(rep)
+        complex_checks = sorted(check.complex_checks.items())
+        sections["complex"] = {x: c.problems or "ok" for x, c in complex_checks}
+        if all(c.ok for _, c in complex_checks):
             sections["rep"] = check.problems or "ok"
-            ok = ok and check.ok
     elif isinstance(rep, VectorRep):
         check = verify_vector_rep(rep)
         sections["rep"] = check.problems or "ok"
-        ok = ok and check.ok
     elif isinstance(rep, LineRep):
         check = verify_line_rep(rep)
         sections["rep"] = check.problems or "ok"
-        ok = ok and check.ok
-    return sections, ok
+    report.ok = check.ok
+    return check
 
 
 def _cmd_validate(doc: InputDocument, args, report: ReportDocument) -> int:
-    sections, ok = _validate_document(doc)
-    report.fields["sections"] = sections
-    report.ok = ok
-    return 0 if ok else 1
+    return 0 if _validate_document(doc, report).ok else 1
 
 
 def _groupoid_fails(doc: InputDocument, report: ReportDocument) -> bool:
@@ -171,27 +156,20 @@ def _require_rep(doc: InputDocument):
 
 def _cmd_modular_class(doc: InputDocument, args, report: ReportDocument) -> int:
     rep = _require_rep(doc)
-    sections, ok = _validate_document(doc)
-    report.fields["sections"] = sections
-    if not ok:
-        report.ok = False
+    check = _validate_document(doc, report)
+    if not check.ok:
         return 1
     report.fields["rep_kind"] = doc.rep_kind
     if isinstance(rep, RepUpToWeakHomotopy):
-        solved = modular_class_ruth(rep, doc.sigma)
-        report.fields["berezinian"] = _cochain_json(solved)
+        # the Berezinian action already folds sigma in
+        line, sigma = check.berezinian_rep(doc.sigma), None
     elif isinstance(rep, VectorRep):
-        solved = modular_class_vector(rep, doc.sigma)
-        report.fields["berezinian"] = {
-            a: format_rational(v)
-            for a, v in sorted(det_representation(rep).action.items())
-        }
+        line, sigma = det_representation(rep), doc.sigma
     else:
-        phi = characteristic_function(rep, doc.sigma)
-        solved = coboundary_solve_1(rep.groupoid, phi)
-        report.fields["berezinian"] = {
-            a: format_rational(v) for a, v in sorted(rep.action.items())
-        }
+        line, sigma = rep, doc.sigma
+    # the checks above proved the action functorial: its cocycle needs no re-check
+    solved = _solve_1(doc.groupoid, characteristic_function(line, sigma))
+    report.fields["berezinian"] = {a: format_rational(v) for a, v in sorted(line.action.items())}
     report.fields.update(_class_fields(solved))
     return 0
 

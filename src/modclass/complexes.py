@@ -673,11 +673,21 @@ def berezinian_class(
     what :func:`invertible_replacement` raises.
     """
     source_dec, target_dec = _equivalence_decompositions(t, source_dec, target_dec)
-    dets = _harmonic_dets(harmonic_blocks(t, source_dec, target_dec))
+    blocks = harmonic_blocks(t, source_dec, target_dec)
+    return _class_berezinian(blocks, source_dec, target_dec, sigma_source, sigma_target)
+
+
+def _class_berezinian(
+    blocks: Mapping[int, Matrix], source_dec: Decomposition, target_dec: Decomposition,
+    sigma_source: Fraction | int, sigma_target: Fraction | int,
+) -> Fraction:
+    """The closed form of :func:`berezinian_class`, from a map's harmonic blocks."""
+    dets = _harmonic_dets(blocks)
     ratio = _scale_ratio(sigma_source, sigma_target)
     value = Fraction(1)
     for i, d in dets.items():
-        tau = target_dec.basis_det.get(i, 1) / source_dec.basis_det.get(i, 1)
+        # exact even in a degree outside both fibers, where neither side has a basis
+        tau = Fraction(target_dec.basis_det.get(i, 1)) / source_dec.basis_det.get(i, 1)
         factor = d * tau
         value = value * factor if i % 2 == 0 else value / factor
     return value * ratio

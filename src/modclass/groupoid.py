@@ -450,6 +450,11 @@ def coboundary_solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
     """
     if not is_cocycle_1(gpd, phi):
         raise NotACocycle("input cochain is not a cocycle")
+    return _solve_1(gpd, phi)
+
+
+def _solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
+    """:func:`coboundary_solve_1` for a phi already known to be a cocycle."""
     # Arrows between distinct objects, listed at both ends in arrow order;
     # loops never extend the forest.
     incident: dict[str, list[tuple[str, str, str]]] = {x: [] for x in gpd.objects}
@@ -487,7 +492,7 @@ def class_equal(gpd: FiniteGroupoid, phi1: Cochain, phi2: Cochain) -> bool:
     for phi in (phi1, phi2):
         if not is_cocycle_1(gpd, phi):
             raise NotACocycle("input cochain is not a cocycle")
-    return coboundary_solve_1(gpd, phi1 / phi2).is_coboundary
+    return _solve_1(gpd, phi1 / phi2).is_coboundary  # a quotient of cocycles is one
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ homotopy is strict functoriality of the harmonic blocks (a pair's
 homotopy is built only on request), and the Berezinian of the homotopy
 class of each chain map, read off its harmonic blocks, is again a
 strictly functorial line representation whose class is the modular
-class of the homotopy representation.
+class of the homotopy representation.  Both are read off the one
+analysis, the report of :func:`verify_ruth`.
 
 A trivialization fixes a nonzero scale per object (of the determinant
 line for vector representations, of the Berezinian line for homotopy
@@ -32,8 +33,8 @@ from .complexes import (
     GradedDimensionMismatch,
     Homotopy,
     ValidationReport,
+    _class_berezinian,
     _contracting_homotopy,
-    berezinian_class,
     decompose,
     harmonic_blocks,
     verify_chain_map,
@@ -44,6 +45,8 @@ from .groupoid import (
     Cochain,
     FiniteGroupoid,
     _is_functorial,
+    _mul,
+    _solve_1,
     coboundary_solve_1,
     class_equal,
 )
@@ -258,16 +261,20 @@ def modular_class_vector(
 class RuthReport(ValidationReport):
     """Validation outcome for a representation up to weak homotopy.
 
-    ``certificates`` holds each composable pair ``(g, h)`` whose composed
-    action is certified homotopic to the action of the composite;
-    :meth:`certificate` builds the chain homotopy witnessing it from
-    ``decompositions``, the per-object decompositions the check used.
+    ``complex_checks`` holds each object's :func:`verify_complex` report;
+    once the complexes, chain maps and units pass, ``decompositions``
+    holds each object's decomposition and ``blocks`` each arrow's
+    harmonic blocks.  ``certificates`` holds each composable pair
+    ``(g, h)`` whose composed action is certified homotopic to the
+    action of the composite; :meth:`certificate` builds the homotopy.
     """
 
     def __init__(self, rep: RepUpToWeakHomotopy):
         super().__init__()
         self.rep = rep
+        self.complex_checks: dict[str, ValidationReport] = {}
         self.decompositions: dict[str, Decomposition] = {}
+        self.blocks: dict[str, dict[int, Matrix]] = {}
         self.certificates: set[tuple[str, str]] = set()
 
     def certificate(self, g: str, h: str) -> Homotopy:
@@ -282,6 +289,44 @@ class RuthReport(ValidationReport):
         difference = r(g).compose(r(h)) - r(gpd.compose(g, h))
         decs = self.decompositions
         return _contracting_homotopy(difference, decs[gpd.src(h)], decs[gpd.tgt(g)])
+
+    def _require_ok(self) -> None:
+        # GradedDimensionMismatch for unequal graded dimensions, else the first problem
+        if self.ok:
+            return
+        mismatches = [m for a, t in self.rep.action.items() if (m := _dimension_mismatch(a, t))]
+        if mismatches:
+            raise GradedDimensionMismatch(mismatches[0])
+        raise ValueError(f"not a representation up to weak homotopy: {self.problems[0]}")
+
+    def berezinian_rep(self, sigma: Trivialization | None = None) -> LineRep:
+        """The action on Berezinian lines, read off the harmonic blocks.
+
+        ``a: x -> y`` acts by ``prod_i det(H^i(a))^(-1)^i`` times
+        ``tau(y) / tau(x) * sigma(x) / sigma(y)`` (see
+        :func:`berezinian_class`).  It needs no check: for ``h: x -> y``,
+        ``g: y -> z`` the report certified ``H^i(g) H^i(h) = H^i(gh)``, so
+        determinants multiply, and the ratios telescope, ``tau(z)/tau(y) *
+        tau(y)/tau(x) = tau(z)/tau(x)``, likewise for sigma.  ``H(1) = I``
+        makes units act by 1 and, as ``H(g) H(g^-1) = I``, every block
+        invertible.
+        """
+        self._require_ok()
+        sigma = sigma or Trivialization.ones()
+        gpd, decs = self.rep.groupoid, self.decompositions
+        action = {}
+        for a, blocks in self.blocks.items():
+            x, y = gpd.src(a), gpd.tgt(a)
+            action[a] = _class_berezinian(blocks, decs[x], decs[y], sigma(x), sigma(y))
+        return LineRep(gpd, action)
+
+    def cohomology_rep(self, degree: int) -> VectorRep:
+        """The action on degree-``degree`` cohomology: each arrow's harmonic block."""
+        self._require_ok()
+        gpd, decs = self.rep.groupoid, self.decompositions
+        dims = {x: decs[x].harmonic_dims.get(degree, 0) for x in gpd.objects}
+        action = {a: b.get(degree, Matrix.zeros(0, 0)) for a, b in self.blocks.items()}
+        return VectorRep(gpd, dims, action)
 
 
 def _dimension_mismatch(a: str, t: ChainMap) -> str | None:
@@ -304,13 +349,11 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     when the harmonic blocks satisfy ``H(g) H(h) = H(gh)`` in every
     degree; that is decided for all pairs at once through the groupoid's
     isotropy model, and pair by pair only when that check does not pass.
-    The report keeps the per-object decompositions, from which
-    :meth:`RuthReport.certificate` builds a pair's homotopy on request.
     """
     report = RuthReport(r)
     gpd = r.groupoid
     for x in gpd.objects:
-        check = verify_complex(r.complexes[x])
+        check = report.complex_checks[x] = verify_complex(r.complexes[x])
         if not check.ok:
             report.add(f"complex of '{x}' is invalid: {check.problems[0]}")
     if not report.ok:
@@ -337,7 +380,7 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     if not report.ok:
         return report
     decs = report.decompositions = {x: decompose(r.complexes[x]) for x in gpd.objects}
-    blocks = {
+    blocks = report.blocks = {
         a: harmonic_blocks(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
         for a in gpd.arrow_ids()
     }
@@ -350,10 +393,7 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
         report.certificates = set(gpd.composable_pairs())
         return report
     for g, h in gpd.composable_pairs():
-        g_blocks, h_blocks, gh_blocks = blocks[g], blocks[h], blocks[gpd.compose(g, h)]
-        # a degree missing from one lies outside two of the fibers: both sides are empty
-        degrees = g_blocks.keys() & h_blocks.keys() & gh_blocks.keys()
-        if all(g_blocks[i] * h_blocks[i] == gh_blocks[i] for i in degrees):
+        if _mul(padded[g], padded[h]) == padded[gpd.compose(g, h)]:
             report.certificates.add((g, h))
         else:
             report.add(
@@ -368,34 +408,14 @@ def induced_ber_rep(
 ) -> LineRep:
     """The strictly functorial action on Berezinian lines.
 
-    Each arrow acts by the Berezinian of the homotopy class of its
-    chain map, scaled by the trivialization at its endpoints.
-    Requires equal graded dimensions along every arrow.  The weak
-    homotopy laws force the result to be strictly functorial; that is
-    re-checked here, and a failure means the input was not a valid
-    representation up to weak homotopy.
+    Each arrow acts by the Berezinian of the homotopy class of its chain
+    map, scaled by the trivialization at its endpoints (see
+    :meth:`RuthReport.berezinian_rep`).  Raises GradedDimensionMismatch
+    when an arrow joins fibers of unequal graded dimension, and
+    ValueError with :func:`verify_ruth`'s first problem on any other
+    invalid input.
     """
-    sigma = sigma or Trivialization.ones()
-    gpd = r.groupoid
-    decs = {x: decompose(r.complexes[x]) for x in gpd.objects}
-    action = {}
-    for a in gpd.arrow_ids():
-        t = r(a)
-        s_obj, t_obj = gpd.src(a), gpd.tgt(a)
-        mismatch = _dimension_mismatch(a, t)
-        if mismatch is not None:
-            raise GradedDimensionMismatch(mismatch)
-        action[a] = berezinian_class(
-            t, sigma(s_obj), sigma(t_obj), decs[s_obj], decs[t_obj]
-        )
-    rep = LineRep(gpd, action)
-    check = verify_line_rep(rep)
-    if not check.ok:
-        raise ValueError(
-            "induced Berezinian action is not functorial, so the input does"
-            f" not satisfy the weak homotopy laws: {check.problems[0]}"
-        )
-    return rep
+    return verify_ruth(r).berezinian_rep(sigma)
 
 
 def modular_class_ruth(
@@ -406,34 +426,21 @@ def modular_class_ruth(
     The report's cocycle holds the per-arrow Berezinian values (the
     trivialization is already folded in).  Trivial exactly when an
     invariant Berezinian element exists; the witness f recovers one by
-    rescaling: sigma/f is invariant.
+    rescaling: sigma/f is invariant.  Raises as :func:`induced_ber_rep`.
     """
+    # a functorial action's cocycle needs no second check
     rep = induced_ber_rep(r, sigma)
-    phi = characteristic_function(rep)
-    return coboundary_solve_1(r.groupoid, phi)
+    return _solve_1(r.groupoid, characteristic_function(rep))
 
 
 def cohomology_representation(r: RepUpToWeakHomotopy, degree: int) -> VectorRep:
     """The strict representation induced on degree-``degree`` cohomology.
 
-    Bases are the harmonic blocks of the per-object decompositions;
-    each arrow acts by the harmonic diagonal block of its chain map.
-    Homotopy functoriality of the input makes this strictly functorial
-    and invertible.
+    Each arrow acts by its harmonic block, in the harmonic bases of the
+    per-object decompositions; homotopy functoriality makes this
+    strictly functorial and invertible.  Raises as :func:`induced_ber_rep`.
     """
-    gpd = r.groupoid
-    decs = {x: decompose(r.complexes[x]) for x in gpd.objects}
-    dims = {x: decs[x].harmonic_dims.get(degree, 0) for x in gpd.objects}
-    action = {}
-    for a in gpd.arrow_ids():
-        blocks = harmonic_blocks(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
-        h = blocks.get(degree, Matrix.zeros(0, 0))
-        if (h.rows, h.cols) != (dims[gpd.tgt(a)], dims[gpd.src(a)]):
-            raise ValueError(
-                f"cohomology dimension jumps along arrow '{a}' in degree {degree}"
-            )
-        action[a] = h
-    return VectorRep(gpd, dims, action)
+    return verify_ruth(r).cohomology_rep(degree)
 
 
 def regular_factorization_check(
@@ -443,17 +450,15 @@ def regular_factorization_check(
 
     The Berezinian cocycle of the whole representation should be
     cohomologous to the alternating product, over degrees, of the
-    determinant cocycles of the induced cohomology representations.
-    Both sides are computed through their own pipeline.
+    determinant cocycles of the induced cohomology representations,
+    both read off one :func:`verify_ruth` report.  Raises as
+    :func:`induced_ber_rep`.
     """
     gpd = r.groupoid
-    total = characteristic_function(induced_ber_rep(r, sigma))
-    degrees = sorted(
-        {i for x in gpd.objects for i in r.complexes[x].degrees()}
-    )
+    report = verify_ruth(r)
+    total = characteristic_function(report.berezinian_rep(sigma))
     product = Cochain.constant(1, [(a,) for a in gpd.arrow_ids()])
-    for i in degrees:
-        rep_i = cohomology_representation(r, i)
-        phi_i = characteristic_function(det_representation(rep_i))
+    for i in sorted({i for blocks in report.blocks.values() for i in blocks}):
+        phi_i = characteristic_function(det_representation(report.cohomology_rep(i)))
         product = product * phi_i if i % 2 == 0 else product / phi_i
     return class_equal(gpd, total, product)

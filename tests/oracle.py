@@ -14,6 +14,12 @@ functions are the groupoid scans before arrows were indexed by target:
 every candidate pair or triple is found by testing all arrows.  The
 ``pair_scan_*`` functions are the functoriality checks before the
 isotropy model: every composable pair is multiplied out.
+
+``per_arrow_ber_rep`` and ``per_degree_cohomology_rep`` are the
+Berezinian and cohomology representations built without a
+``verify_ruth`` report: they decompose every fiber afresh, take each
+arrow's Berezinian with ``berezinian_class`` and re-check the result's
+functoriality, or take each arrow's harmonic blocks again.
 """
 
 from __future__ import annotations
@@ -25,18 +31,22 @@ from modclass import (
     ChainMap,
     Cochain,
     FiniteGroupoid,
+    GradedDimensionMismatch,
     Homotopy,
     LineRep,
     Matrix,
     RepUpToWeakHomotopy,
+    Trivialization,
     ValidationReport,
     VectorRep,
+    berezinian_class,
     decompose,
     det,
     harmonic_blocks,
     rref,
     verify_chain_map,
     verify_complex,
+    verify_line_rep,
 )
 
 
@@ -357,3 +367,48 @@ def pair_scan_ruth(r: RepUpToWeakHomotopy) -> tuple[list[str], set]:
                 f" and the action of their composite"
             )
     return report.problems, certified
+
+
+def per_arrow_ber_rep(r: RepUpToWeakHomotopy, sigma: Trivialization | None = None) -> LineRep:
+    """Each arrow's ``berezinian_class`` on fresh decompositions, re-checked for functoriality."""
+    sigma = sigma or Trivialization.ones()
+    gpd = r.groupoid
+    decs = {x: decompose(r.complexes[x]) for x in gpd.objects}
+    action = {}
+    for a in gpd.arrow_ids():
+        t = r(a)
+        s_obj, t_obj = gpd.src(a), gpd.tgt(a)
+        for i in t.degrees():
+            if t.source.dim(i) != t.target.dim(i):
+                raise GradedDimensionMismatch(
+                    f"arrow '{a}' joins fibers of different dimension"
+                    f" in degree {i} ({t.source.dim(i)} vs {t.target.dim(i)})"
+                )
+        action[a] = berezinian_class(
+            t, sigma(s_obj), sigma(t_obj), decs[s_obj], decs[t_obj]
+        )
+    rep = LineRep(gpd, action)
+    check = verify_line_rep(rep)
+    if not check.ok:
+        raise ValueError(
+            "induced Berezinian action is not functorial, so the input does"
+            f" not satisfy the weak homotopy laws: {check.problems[0]}"
+        )
+    return rep
+
+
+def per_degree_cohomology_rep(r: RepUpToWeakHomotopy, degree: int) -> VectorRep:
+    """Each arrow's harmonic block in one degree, on fresh decompositions."""
+    gpd = r.groupoid
+    decs = {x: decompose(r.complexes[x]) for x in gpd.objects}
+    dims = {x: decs[x].harmonic_dims.get(degree, 0) for x in gpd.objects}
+    action = {}
+    for a in gpd.arrow_ids():
+        blocks = harmonic_blocks(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
+        h = blocks.get(degree, Matrix.zeros(0, 0))
+        if (h.rows, h.cols) != (dims[gpd.tgt(a)], dims[gpd.src(a)]):
+            raise ValueError(
+                f"cohomology dimension jumps along arrow '{a}' in degree {degree}"
+            )
+        action[a] = h
+    return VectorRep(gpd, dims, action)

@@ -4,10 +4,14 @@
 blocks and build certificates from the contraction; the reference is the
 global linear system in ``oracle.py``.  ``berezinian_class`` reads the
 Berezinian off harmonic-block and basis determinants; the reference is
-the Berezinian of an explicit invertible replacement.
+the Berezinian of an explicit invertible replacement.  The Berezinian
+and cohomology representations read off a ``verify_ruth`` report are
+checked against ``berezinian_class`` per arrow and against the
+per-arrow and per-degree constructions in ``oracle.py``.
 """
 
 import random
+import re
 
 import pytest
 
@@ -17,13 +21,16 @@ from modclass import (
     NotHomotopyEquivalence,
     berezinian,
     berezinian_class,
+    cohomology_representation,
     decompose,
     harmonic_blocks,
+    induced_ber_rep,
     invertible_replacement,
     null_homotopy,
+    regular_factorization_check,
     verify_ruth,
 )
-from oracle import global_null_homotopy
+from oracle import global_null_homotopy, per_arrow_ber_rep, per_degree_cohomology_rep
 from randgen import (
     conjugated_complex,
     rand_chain_map,
@@ -33,6 +40,7 @@ from randgen import (
     rand_matrix,
     rand_ruth,
     rand_rational,
+    rand_trivialization,
     standard_fixtures,
 )
 
@@ -133,8 +141,8 @@ def test_random_pairs_include_both_decisions():
     assert decisions == {True, False}
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_verify_ruth_decisions_and_certificates(seed):
+def _ruth_case(seed):
+    """One seed's homotopy representation, and the generator that made it."""
     rng = random.Random(seed)
     z2, z3, pair2, s3_action = standard_fixtures()
     # the S3 action groupoid has 108 composable pairs; visit it now and then
@@ -146,6 +154,13 @@ def test_verify_ruth_decisions_and_certificates(seed):
         units = {gpd.unit(x) for x in gpd.objects}
         a = rng.choice([b for b in gpd.arrow_ids() if b not in units])
         rep.action[a] = rand_chain_map(rng, rep(a).source, rep(a).target)
+    return rng, rep
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_ruth_decisions_and_certificates(seed):
+    rng, rep = _ruth_case(seed)
+    gpd = rep.groupoid
     report = verify_ruth(rep)
     failed = set()
     for g, h in gpd.composable_pairs():
@@ -157,6 +172,56 @@ def test_verify_ruth_decisions_and_certificates(seed):
             assert report.certificate(g, h).boundary_conjugate() == difference
     assert report.ok == (not failed)
     assert len(report.problems) == len(failed)
+
+
+# Seeds whose harmonic blocks fail H(g) H(h) = H(gh) while their
+# Berezinians still multiply: the per-arrow oracle returns a line
+# representation there, the report's reads raise.
+DETERMINANTS_ONLY = {27}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_report_reads_match_the_per_arrow_oracles(seed):
+    rng, rep = _ruth_case(seed)
+    gpd = rep.groupoid
+    sigma = rand_trivialization(rng, gpd)
+    report = verify_ruth(rep)
+    try:
+        expected = per_arrow_ber_rep(rep, sigma)
+    except ValueError:
+        expected = None
+    # Where the oracle raises, the report fails.  The converse can fail:
+    # the oracle re-checks only the determinants of the harmonic blocks.
+    assert (report.ok or expected is None) == (seed not in DETERMINANTS_ONLY)
+    assert expected is not None or not report.ok
+    if not report.ok:
+        for read in (
+            lambda: induced_ber_rep(rep, sigma),
+            lambda: cohomology_representation(rep, 0),
+            lambda: regular_factorization_check(rep, sigma),
+        ):
+            with pytest.raises(ValueError, match=re.escape(report.problems[0])):
+                read()
+        return
+    line = induced_ber_rep(rep, sigma)
+    assert line.action == expected.action == report.berezinian_rep(sigma).action
+    variants = {x: decompose(c, _permutation(rng, c)) for x, c in rep.complexes.items()}
+    for a in gpd.arrow_ids():
+        x, y = gpd.src(a), gpd.tgt(a)
+        assert line(a) == berezinian_class(rep(a), sigma(x), sigma(y))
+        assert line(a) == berezinian_class(rep(a), sigma(x), sigma(y), variants[x], variants[y])
+    fibers = rep.complexes.values()
+    # one degree past either end, where every fiber is zero
+    for i in range(min(c.d_min for c in fibers) - 1, max(c.d_max for c in fibers) + 2):
+        induced, oracle = report.cohomology_rep(i), per_degree_cohomology_rep(rep, i)
+        assert (induced.dims, induced.action) == (oracle.dims, oracle.action)
+    assert cohomology_representation(rep, 0).action == report.cohomology_rep(0).action
+    assert regular_factorization_check(rep, sigma)
+
+
+def test_ruth_cases_cover_both_outcomes():
+    outcomes = {(seed % 2, verify_ruth(_ruth_case(seed)[1]).ok) for seed in SEEDS}
+    assert outcomes == {(0, True), (1, True), (1, False)}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

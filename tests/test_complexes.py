@@ -271,6 +271,12 @@ class TestBerezinian:
 
 
 class TestBerezinianClass:
+    def test_exact_between_zero_complexes_with_disjoint_ranges(self):
+        # degree 1 lies outside both fibers, so neither decomposition has a basis there
+        t = ChainMap.zero(ComplexFiber(0, 0, {0: 0}, {}), ComplexFiber(2, 2, {2: 0}, {}))
+        value = berezinian_class(t)
+        assert (type(value), value) == (Fraction, 1)
+
     def test_homotopic_to_identity_gives_one(self):
         rng = random.Random(14)
         for _ in range(8):

@@ -202,6 +202,29 @@ class TestClassEqual:
         phi = Cochain(1, {(E,): Fraction(1), (TAU,): Fraction(-1)})
         assert class_equal(Z2, phi, phi)
 
+    def test_checks_each_input_once(self, monkeypatch):
+        from modclass import groupoid
+
+        original, calls = groupoid.is_cocycle_1, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(groupoid, "is_cocycle_1", counted)
+        phi = Cochain(1, {(E,): Fraction(1), (TAU,): Fraction(-1)})
+        one = Cochain(1, {(E,): Fraction(1), (TAU,): Fraction(1)})
+        assert not class_equal(Z2, phi, one)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_cocycle_on_either_side_raises(self, side):
+        phi = Cochain(1, {(E,): Fraction(1), (TAU,): Fraction(-1)})
+        bad = Cochain(1, {(E,): Fraction(1), (TAU,): Fraction(2)})
+        pair = (bad, phi) if side == 0 else (phi, bad)
+        with pytest.raises(NotACocycle):
+            class_equal(Z2, *pair)
+
 
 _PIECES = [
     lambda: cyclic_groupoid(1),

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -354,6 +355,37 @@ class TestInducedBerRep:
             induced_ber_rep(rep)
 
 
+    def test_rejects_blocks_whose_determinants_alone_multiply(self):
+        # tau acts by 2 in both degrees: its Berezinian 2/2 = 1 is a line
+        # representation, but tau o tau = 4 is not homotopic to the identity
+        fiber = ComplexFiber(0, 1, {0: 1, 1: 1}, {})
+        doubled = ChainMap(fiber, fiber, {0: Matrix([[2]]), 1: Matrix([[2]])})
+        rep = RepUpToWeakHomotopy(Z2, {"*": fiber}, {E: ChainMap.identity(fiber), TAU: doubled})
+        problem = verify_ruth(rep).problems[0]
+        for read in (induced_ber_rep, modular_class_ruth, regular_factorization_check):
+            with pytest.raises(ValueError, match=re.escape(problem)) as raised:
+                read(rep)
+            assert type(raised.value) is ValueError
+
+    def test_unequal_graded_dims_win_over_other_problems(self):
+        fiber_x = ComplexFiber(0, 0, {0: 1}, {})
+        fiber_y = ComplexFiber(0, 0, {0: 2}, {})
+        rep = RepUpToWeakHomotopy(
+            PAIR2,
+            {"x": fiber_x, "y": fiber_y},
+            {
+                "e:x>x": ChainMap.identity(fiber_y),
+                "e:y>y": ChainMap.identity(fiber_y),
+                "e:x>y": ChainMap.zero(fiber_x, fiber_y),
+                "e:y>x": ChainMap.zero(fiber_y, fiber_x),
+            },
+        )
+        assert verify_ruth(rep).problems[0] == "action of arrow 'e:x>x' joins the wrong fibers"
+        for read in (induced_ber_rep, lambda r: cohomology_representation(r, 0)):
+            with pytest.raises(GradedDimensionMismatch, match="arrow 'e:x>y'"):
+                read(rep)
+
+
 class TestModularClassRuth:
     def test_odd_sign_nontrivial(self):
         report = modular_class_ruth(odd_sign_rep())
@@ -421,6 +453,14 @@ class TestCohomologyRepresentation:
         induced = cohomology_representation(zero_map_rep_on_acyc(), 0)
         assert induced.dims == {"*": 0}
         assert verify_vector_rep(induced).ok
+
+    def test_invalid_rep_raises_the_first_problem(self):
+        fiber = ComplexFiber(0, 0, {0: 1}, {})
+        rep = RepUpToWeakHomotopy(
+            Z2, {"*": fiber}, {E: ChainMap.identity(fiber), TAU: ChainMap.zero(fiber, fiber)}
+        )
+        with pytest.raises(ValueError, match=re.escape(verify_ruth(rep).problems[0])):
+            cohomology_representation(rep, 0)
 
     def test_partial_differential(self):
         fiber = ComplexFiber(0, 1, {0: 2, 1: 1}, {0: Matrix([[1, 0]])})

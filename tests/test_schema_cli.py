@@ -166,6 +166,21 @@ class TestExitCodes:
             "arrow 'ginv' joins fibers of different dimension in degree 0 (0 vs 1)",
         ]
 
+    def test_fibers_with_disjoint_degree_ranges(self, tmp_path, capsys):
+        # zero complexes in degrees 0 and 2: every Berezinian is exactly 1
+        data = json.loads((FIXTURES / "acyclic_two_term.json").read_text())
+        data["complex"] = {
+            "x": {"degrees": [0, 0], "dims": {"0": 0}},
+            "y": {"degrees": [2, 2], "dims": {"2": 0}},
+        }
+        data["rep"] = {arrow: {} for arrow in data["rep"]}
+        path = tmp_path / "disjoint.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["modular-class", str(path), "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert (code, payload["class"]) == (0, "trivial")
+        assert set(payload["berezinian"].values()) == {"1"}
+
     def test_homotopy_check_reports_a_failed_groupoid(self, tmp_path):
         data = json.loads((FIXTURES / "pair2.json").read_text())
         data["groupoid"]["identity"] = {}
@@ -342,6 +357,47 @@ class TestHomotopyBuilds:
         found = [p for p in json.loads(out)["pairs"] if p["certificate"] == "found"]
         assert code == 0
         assert len(builds) == len(found) > 0
+
+
+class TestWorkCounts:
+    """One modular-class request does each piece of analysis once."""
+
+    # (module, function, what the budget is per): at most one call each
+    BUDGET = [
+        ("complexes", "decompose", "object"),
+        ("complexes", "verify_complex", "object"),
+        ("complexes", "harmonic_blocks", "arrow"),
+        ("complexes", "verify_chain_map", "arrow"),
+        ("groupoid", "_isotropy_model", "request"),
+        ("reps", "det_representation", "request"),
+    ]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys((name for _, name, _ in self.BUDGET), 0)
+        for layer, name, _ in self.BUDGET:
+            original = getattr(sys.modules[f"modclass.{layer}"], name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("modclass") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_modular_class_stays_within_budget(self, name, calls, capsys):
+        path = FIXTURES / f"{name}.json"
+        groupoid = json.loads(path.read_text())["groupoid"]
+        sizes = {"object": len(groupoid["objects"]), "arrow": len(groupoid["arrows"]), "request": 1}
+        assert cli.main(["modular-class", str(path), "--format", "json"]) == 0
+        over = {name: calls[name] for _, name, per in self.BUDGET if calls[name] > sizes[per]}
+        assert over == {}
+        # the counters see the work: every fiber of a homotopy document is decomposed
+        homotopy = isinstance(parse(path).rep, RepUpToWeakHomotopy)
+        assert calls["decompose"] == (sizes["object"] if homotopy else 0)
 
 
 def test_fixture_generator_reproduces_the_shipped_documents():
