@@ -38,10 +38,10 @@ from typing import Iterable, Mapping
 
 from .linalg import (
     Matrix,
+    _kernel,
     det,
     det_and_inverse,
     extend_to_basis,
-    kernel_basis,
     rref,
 )
 
@@ -414,7 +414,8 @@ def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None 
 
     # Work in permuted coordinates, then pull the bases back.
     diffs = {i: permuted(i) for i in range(c.d_min - 1, c.d_max + 1)}
-    pivot_cols = {i: rref(d)[1] for i, d in diffs.items()}
+    reduced = {i: rref(d) for i, d in diffs.items()}
+    pivot_cols = {i: pivots for i, (_, pivots) in reduced.items()}
 
     basis: dict[int, Matrix] = {}
     basis_inv: dict[int, Matrix] = {}
@@ -424,7 +425,7 @@ def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None 
     for i in c.degrees():
         n = c.dim(i)
         boundary = diffs[i - 1].take_columns(pivot_cols[i - 1])
-        kernel_full = extend_to_basis(boundary, kernel_basis(diffs[i]))
+        kernel_full = extend_to_basis(boundary, _kernel(*reduced[i]))
         lift = Matrix.identity(n).take_columns(pivot_cols[i])
         full = Matrix.hstack(kernel_full, lift)
         if full.cols != n:

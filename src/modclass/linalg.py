@@ -14,10 +14,10 @@ holds is a `Fraction`: the public constructor coerces each entry once
 (a `float` is a TypeError), and operations whose entries are already
 `Fraction`s (products, sums, negation, scaling, slicing, transposition,
 `rref`) build results with the non-coercing `Matrix._trusted`.  Products
-and determinants clear denominators first: `_cleared` writes a row or
+and eliminations clear denominators first: `_cleared` writes a row or
 column as integers over the `lcm` of its denominators, so a product
-entry is one integer dot product normalised once, and a determinant is
-a fraction-free Bareiss elimination of integer rows.
+entry is one integer dot product normalised once, and every elimination
+here is the one fraction-free `_eliminate` of integer rows.
 """
 
 from __future__ import annotations
@@ -215,44 +215,31 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int], Matrix]:
-    """Reduced row echelon form with the recording transform.
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and its pivot columns, the first nonzero in scan order.
 
-    Returns ``(reduced, pivots, transform)`` with ``transform * m ==
-    reduced`` and ``transform`` invertible.  The pivot in each column is
-    the first nonzero candidate in scan order.
+    >>> rref(Matrix([[1, 2], [2, 4]]))
+    (Matrix([[1, 2], [0, 0]]), [0])
     """
-    red = [list(r) for r in m._rows]
-    tr = [[Fraction(int(i == j)) for j in range(m.rows)] for i in range(m.rows)]
-    pivots: list[int] = []
-    pr = 0
-    for col in range(m.cols):
-        pivot_row = next((i for i in range(pr, m.rows) if red[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        red[pr], red[pivot_row] = red[pivot_row], red[pr]
-        tr[pr], tr[pivot_row] = tr[pivot_row], tr[pr]
-        inv = 1 / red[pr][col]
-        red[pr] = [x * inv for x in red[pr]]
-        tr[pr] = [x * inv for x in tr[pr]]
-        for i in range(m.rows):
-            if i != pr and red[i][col] != 0:
-                f = red[i][col]
-                red[i] = [a - f * b for a, b in zip(red[i], red[pr])]
-                tr[i] = [a - f * b for a, b in zip(tr[i], tr[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == m.rows:
-            break
-    return (
-        Matrix._trusted(tuple(map(tuple, red)), m.cols),
-        pivots,
-        Matrix._trusted(tuple(map(tuple, tr)), m.rows),
-    )
+    reduced, pivots, _ = _eliminate(m._rows, m.cols)
+    return Matrix._trusted(reduced, m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
+
+
+def _kernel(reduced: Matrix, pivots: list[int]) -> Matrix:
+    """:func:`kernel_basis` read off a reduced row echelon form and its pivots."""
+    free = [j for j in range(reduced.cols) if j not in pivots]
+    columns = []
+    for j in free:
+        v = [Fraction(0)] * reduced.cols
+        v[j] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -reduced[i, j]
+        columns.append(tuple(v))
+    return Matrix._trusted(tuple(columns), reduced.cols).transpose()
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -261,17 +248,7 @@ def kernel_basis(m: Matrix) -> Matrix:
     Free coordinates are set to 1 one at a time, in column order, so the
     basis is canonical given the pivoting convention.
     """
-    reduced, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    columns = []
-    for j in free:
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i, j]
-        columns.append(tuple(v))
-    return Matrix._trusted(tuple(columns), m.cols).transpose()
+    return _kernel(*rref(m))
 
 
 def _cleared(v) -> tuple[list[int], int]:
@@ -280,47 +257,62 @@ def _cleared(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def _integer_det(rows: list[list[int]]) -> int:
-    # Bareiss fraction-free elimination; all intermediate divisions are exact.
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
+def _eliminate(rows, width: int, reduce: bool = True) -> tuple[tuple | None, list[int], Fraction]:
+    """Fraction-free elimination of rational ``rows`` in their first ``width`` columns.
+
+    Each row is cleared to integers (`_cleared`).  Each pivot, the first
+    nonzero candidate in scan order, replaces every other row ``x`` it
+    acts on by ``(piv * x - f * y) // prev``: ``y`` is the pivot row, ``f``
+    the entry of ``x`` under the pivot and ``prev`` the last pivot, and
+    the division is exact by Sylvester's identity (Bareiss 1968).  With
+    ``reduce`` it acts on all rows (Gauss-Jordan), so every pivot ends
+    equal to the last one ``p`` and the rows over ``p`` are the reduced
+    row echelon form; without, on the rows below only.  Returns ``(rows
+    over p or None, pivots, sign * p / product of the denominators)``; the
+    last is the determinant when the pivots are ``range(len(rows))``.
+    """
+    cleared = [_cleared(r) for r in rows]
+    a = [ints for ints, _ in cleared]
+    pivots: list[int] = []
+    sign = prev = 1
+    for col in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        k = r if a[r][col] else next((i for i in range(r + 1, len(a)) if a[i][col]), None)
+        if k is None:
+            continue
+        if k != r:
+            a[r], a[k] = a[k], a[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        y, piv = a[r], a[r][col]
+        for i in range(0 if reduce else r + 1, len(a)):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(piv * x - f * z) // prev for x, z in zip(a[i], y)]
+        pivots.append(col)
+        prev = piv
+    reduced = tuple(tuple(Fraction(x, prev) for x in r) for r in a) if reduce else None
+    return reduced, pivots, Fraction(sign * prev, prod(d for _, d in cleared))
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant (fraction-free after clearing row denominators)."""
+    """Exact determinant, by forward fraction-free elimination."""
     if not m.is_square:
         raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    cleared = [_cleared(r) for r in m._rows]
-    return Fraction(_integer_det([ints for ints, _ in cleared]), prod(d for _, d in cleared))
+    _, pivots, d = _eliminate(m._rows, m.cols, reduce=False)
+    return d if len(pivots) == m.rows else Fraction(0)
 
 
 def det_and_inverse(m: Matrix) -> tuple[Fraction, Matrix | None]:
-    """Determinant together with the inverse when it exists.
-
-    An invertible ``m`` reduces to the identity, so the transform that
-    ``rref`` records is its inverse.
-    """
-    d = det(m)
-    if d == 0:
-        return d, None
-    return d, rref(m)[2]
+    """Determinant and, when it exists, the inverse: ``[m | I]`` reduces to ``[I | m^-1]``."""
+    if not m.is_square:
+        raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
+    n = m.rows
+    reduced, pivots, d = _eliminate(Matrix.hstack(m, Matrix.identity(n))._rows, n)
+    if len(pivots) < n:
+        return Fraction(0), None
+    return d, Matrix._trusted(tuple(row[n:] for row in reduced), n)
 
 
 def extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:

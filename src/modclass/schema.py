@@ -165,7 +165,7 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
         spec = col.mapping(spec, f"complex of '{obj}'")
         degrees = spec.get("degrees")
         if not (isinstance(degrees, list) and len(degrees) == 2) or not all(
-            isinstance(d, int) for d in degrees
+            type(d) is int for d in degrees
         ):
             col.add(f"complex of '{obj}': 'degrees' must be [min, max]")
             continue
@@ -173,9 +173,13 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
         dims = {}
         raw_dims = col.mapping(spec.get("dims", {}), f"complex of '{obj}', dims")
         for key, value in raw_dims.items():
+            # type, not isinstance: JSON true is a bool, and a bool is an int
+            if type(value) is not int or value < 0:
+                col.add(f"complex of '{obj}': dimension {key!r} must be a non-negative integer")
+                continue
             try:
-                dims[int(key)] = int(value)
-            except (TypeError, ValueError):
+                dims[int(key)] = value
+            except ValueError:
                 col.add(f"complex of '{obj}': bad dimension entry {key!r}")
         diffs = {}
         differentials = col.mapping(

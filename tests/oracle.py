@@ -6,7 +6,9 @@ form one linear system ``d^{i-1} H^i + H^{i+1} d^i = T^i``, and it is
 solved exactly.  It needs no decomposition, so it is independent of the
 boundary/harmonic/lift machinery it checks.
 
-``solve`` is the exact Gauss-Jordan solver that system is handed to.
+``solve`` is the exact Gauss-Jordan solver that system is handed to,
+and ``rref`` the ``Fraction`` Gauss-Jordan elimination it runs, as
+``linalg`` computed it before its eliminations went fraction free.
 
 ``naive_matmul`` and ``leibniz_det`` are the textbook formulas in
 ``Fraction`` arithmetic, with no denominator clearing.  The ``scan_*``
@@ -43,11 +45,33 @@ from modclass import (
     decompose,
     det,
     harmonic_blocks,
-    rref,
     verify_chain_map,
     verify_complex,
     verify_line_rep,
 )
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and its pivot columns, by ``Fraction`` Gauss-Jordan.
+
+    The pivot in each column is the first nonzero candidate in scan order.
+    """
+    red = m.to_lists()
+    pivots: list[int] = []
+    for col in range(m.cols):
+        pr = len(pivots)
+        pivot_row = next((i for i in range(pr, m.rows) if red[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        red[pr], red[pivot_row] = red[pivot_row], red[pr]
+        inv = 1 / red[pr][col]
+        red[pr] = [x * inv for x in red[pr]]
+        for i in range(m.rows):
+            if i != pr and red[i][col] != 0:
+                f = red[i][col]
+                red[i] = [a - f * b for a, b in zip(red[i], red[pr])]
+        pivots.append(col)
+    return Matrix(red, cols=m.cols), pivots
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -60,7 +84,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if a.rows != b.rows:
         raise ValueError(f"rows(a)={a.rows} != rows(b)={b.rows}")
-    reduced, pivots, _ = rref(Matrix.hstack(a, b))
+    reduced, pivots = rref(Matrix.hstack(a, b))
     if any(p >= a.cols for p in pivots):
         return None
     x = [[Fraction(0)] * b.cols for _ in range(a.cols)]

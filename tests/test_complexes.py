@@ -24,6 +24,7 @@ from modclass import (
     verify_chain_map,
     verify_complex,
 )
+from modclass import complexes as complexes_module, linalg as linalg_module
 from randgen import (
     conjugated_complex,
     rand_chain_map,
@@ -121,6 +122,24 @@ class TestDecompose:
         for i in c.degrees():
             assert det(dec.basis[i]) != 0
             assert dec.widths(i) == decompose(c).widths(i)
+
+    def test_eliminates_each_differential_once(self, monkeypatch):
+        # pivots and kernel come from one rref; nothing else decompose
+        # eliminates equals d0 or d1
+        d0 = Matrix([[1], [2], [3]])
+        d1 = Matrix([[2, -1, 0], [3, 0, -1]])
+        c = ComplexFiber(0, 2, {0: 1, 1: 3, 2: 2}, {0: d0, 1: d1})
+        eliminated = []
+        original = linalg_module.rref
+
+        def counted(m):
+            eliminated.append(m)
+            return original(m)
+
+        monkeypatch.setattr(linalg_module, "rref", counted)
+        monkeypatch.setattr(complexes_module, "rref", counted)
+        decompose(c)
+        assert (eliminated.count(d0), eliminated.count(d1)) == (1, 1)
 
 
 class TestCohomologyDims:

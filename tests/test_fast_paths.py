@@ -1,11 +1,14 @@
 """Differential tests: the lean kernels against the constructions they replace.
 
 ``Matrix.__mul__`` clears denominators and ``det`` reuses that clearing;
-the references are the textbook Fraction formulas.  The groupoid scans
-read composable arrows off the by-target index; the references test
-every arrow for every pair, as the scans did before.  Functoriality is
-decided through the isotropy model; the references multiply out every
-composable pair.  Outputs must agree exactly, order included.
+the references are the textbook Fraction formulas.  ``rref``,
+``kernel_basis``, ``det`` and ``det_and_inverse`` share one fraction-free
+integer elimination; the references are the Fraction Gauss-Jordan and
+the Leibniz formula.  The groupoid scans read composable arrows off the
+by-target index; the references test every arrow for every pair, as the
+scans did before.  Functoriality is decided through the isotropy model;
+the references multiply out every composable pair.  Outputs must agree
+exactly, order included.
 """
 
 import random
@@ -27,8 +30,11 @@ from modclass import (
     composable_tuples,
     connected_groupoid,
     det,
+    det_and_inverse,
     disjoint_union,
     is_cocycle_1,
+    kernel_basis,
+    rref,
     validate,
     verify_line_rep,
     verify_ruth,
@@ -43,6 +49,7 @@ from oracle import (
     pair_scan_line_rep,
     pair_scan_ruth,
     pair_scan_vector_rep,
+    rref as gauss_jordan_rref,
     scan_coboundary_solve_1,
     scan_composable_pairs,
     scan_composable_tuples,
@@ -85,6 +92,44 @@ def test_det_matches_leibniz(seed):
     rng = random.Random(seed)
     m = big_matrix(rng, *[rng.randint(0, 4)] * 2)
     assert det(m) == leibniz_det(m)
+
+
+def elimination_case(seed: int) -> Matrix:
+    """Square or not, full rank or a rank-deficient product, by ``seed % 4``.
+
+    Shapes run from 0 to 5 rows and 0 to 6 columns; ``seed % 4 == 0``
+    gives a singular square matrix with at least one row.
+    """
+    rng = random.Random(seed)
+    square, deficient = seed % 2 == 0, seed % 4 in (0, 3)
+    rows = rng.randint(1 if square and deficient else 0, 5)
+    cols = rows if square else rng.randint(0, 6)
+    if not deficient:
+        return big_matrix(rng, rows, cols)
+    inner = rng.randint(0, max(min(rows, cols) - 1, 0))
+    return big_matrix(rng, rows, inner) * big_matrix(rng, inner, cols)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_elimination_matches_the_fraction_gauss_jordan(seed):
+    m = elimination_case(seed)
+    reduced, pivots = gauss_jordan_rref(m)
+    assert rref(m) == (reduced, pivots)
+    # the canonical kernel: annihilated by m, the identity on free coordinates
+    free = [j for j in range(m.cols) if j not in pivots]
+    k = kernel_basis(m)
+    assert (k.rows, k.cols) == (m.cols, len(free))
+    assert (m * k).is_zero()
+    assert k.transpose().take_columns(free) == Matrix.identity(len(free))
+    if m.is_square:
+        d, inv = det_and_inverse(m)
+        assert det(m) == d == leibniz_det(m)
+        if seed % 4 == 0:
+            assert (d, inv) == (0, None)
+        if d:
+            assert inv * m == Matrix.identity(m.rows)
+        else:
+            assert inv is None
 
 
 @pytest.mark.parametrize("seed", range(50))

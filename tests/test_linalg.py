@@ -15,7 +15,7 @@ from modclass import (
     rank,
     rref,
 )
-from oracle import solve
+from oracle import rref as gauss_jordan_rref, solve
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -89,30 +89,26 @@ def test_matrix_times_float_is_refused():
 
 class TestRref:
     def test_zero_matrix(self):
-        reduced, pivots, transform = rref(Matrix([[0]]))
+        reduced, pivots = rref(Matrix([[0]]))
         assert pivots == []
         assert reduced == Matrix([[0]])
-        assert transform == Matrix.identity(1)
 
     def test_identity(self):
-        reduced, pivots, transform = rref(Matrix.identity(3))
+        reduced, pivots = rref(Matrix.identity(3))
         assert pivots == [0, 1, 2]
-        assert transform == Matrix.identity(3)
+        assert reduced == Matrix.identity(3)
 
     def test_rank_one(self):
         # hand row-reduction: r2 <- r2 - 2 r1 leaves [[1, 2], [0, 0]]
-        reduced, pivots, transform = rref(Matrix([[1, 2], [2, 4]]))
+        reduced, pivots = rref(Matrix([[1, 2], [2, 4]]))
         assert pivots == [0]
         assert reduced == Matrix([[1, 2], [0, 0]])
-        assert transform * Matrix([[1, 2], [2, 4]]) == reduced
 
     @settings(max_examples=60, deadline=None)
     @given(matrices())
-    def test_transform_invertible_and_consistent(self, m):
-        reduced, pivots, transform = rref(m)
-        assert transform * m == reduced
-        d, inv = det_and_inverse(transform)
-        assert d != 0 and inv is not None
+    def test_matches_the_oracle_and_rank(self, m):
+        reduced, pivots = rref(m)
+        assert (reduced, pivots) == gauss_jordan_rref(m)
         assert rank(m) == len(pivots)
 
 

@@ -122,9 +122,27 @@ class TestExitCodes:
             lambda d: d["groupoid"].update(identity=["e"]),
             lambda d: d["groupoid"]["arrows"][0].update(id=["e"]),
             lambda d: d["complex"]["*"].update(degrees=["x", 1]),
+            lambda d: d["complex"]["*"].update(degrees=[True, 1]),
+            lambda d: d["complex"]["*"].update(degrees=[0.0, 1]),
+            lambda d: d["complex"]["*"]["dims"].update({"1": 1.5}),
+            lambda d: d["complex"]["*"]["dims"].update({"1": "1"}),
+            lambda d: d["complex"]["*"]["dims"].update({"1": True}),
+            lambda d: d["complex"]["*"]["dims"].update({"1": -1}),
             lambda d: d.update(sigma=["a"]),
         ],
-        ids=["groupoid", "identity", "arrow-id", "degrees", "sigma"],
+        ids=[
+            "groupoid",
+            "identity",
+            "arrow-id",
+            "degrees",
+            "bool-degree",
+            "float-degree",
+            "float-dim",
+            "string-dim",
+            "bool-dim",
+            "negative-dim",
+            "sigma",
+        ],
     )
     def test_mistyped_section_is_schema_error(self, breakage, tmp_path):
         data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
