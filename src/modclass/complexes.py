@@ -38,10 +38,10 @@ from typing import Iterable, Mapping
 
 from .linalg import (
     Matrix,
+    _extend_to_basis,
     _kernel,
     det,
     det_and_inverse,
-    extend_to_basis,
     rref,
 )
 
@@ -362,10 +362,12 @@ class Decomposition:
         )
 
     def basis_at(self, i: int) -> Matrix:
-        return self.basis.get(i, Matrix.identity(self.fiber.dim(i)))
+        m = self.basis.get(i)
+        return Matrix.identity(self.fiber.dim(i)) if m is None else m
 
     def basis_inv_at(self, i: int) -> Matrix:
-        return self.basis_inv.get(i, Matrix.identity(self.fiber.dim(i)))
+        m = self.basis_inv.get(i)
+        return Matrix.identity(self.fiber.dim(i)) if m is None else m
 
     def edges(self, i: int) -> tuple[int, int, int, int]:
         """Offsets where the three blocks of degree ``i`` start and end."""
@@ -425,7 +427,9 @@ def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None 
     for i in c.degrees():
         n = c.dim(i)
         boundary = diffs[i - 1].take_columns(pivot_cols[i - 1])
-        kernel_full = extend_to_basis(boundary, _kernel(*reduced[i]))
+        # The kernel basis is independent and the lift spans a complement
+        # of the kernel, so boundaries that leave the kernel overfill ``full``.
+        kernel_full = _extend_to_basis(boundary, _kernel(*reduced[i]))
         lift = Matrix.identity(n).take_columns(pivot_cols[i])
         full = Matrix.hstack(kernel_full, lift)
         if full.cols != n:

@@ -100,7 +100,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        one, zero = Fraction(1), Fraction(0)
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return cls._trusted(rows, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -323,12 +325,24 @@ def extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:
     columns of ``[independent | within]`` past the first ones.  Raises
     ValueError if ``independent`` is not independent or leaves the span.
     """
+    basis = _extend_to_basis(independent, within)
+    if independent.cols and basis.cols > rank(within):
+        raise ValueError("`independent` does not lie in the span of `within`")
+    return basis
+
+
+def _extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:
+    """:func:`extend_to_basis` without the span check, in one elimination.
+
+    ``independent`` leaves the span exactly when the result has more
+    columns than ``within`` has rank; a caller that knows the rank (the
+    width, for independent columns) checks that without eliminating
+    ``within`` again.
+    """
     if independent.rows != within.rows:
         raise ValueError("ambient dimensions differ")
     k = independent.cols
     pivots = rref(Matrix.hstack(independent, within))[1]
     if pivots[:k] != list(range(k)):
         raise ValueError("columns of `independent` are linearly dependent")
-    if k and len(pivots) > rank(within):
-        raise ValueError("`independent` does not lie in the span of `within`")
     return Matrix.hstack(independent, within.take_columns(p - k for p in pivots[k:]))

@@ -171,6 +171,7 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
             continue
         d_min, d_max = degrees
         dims = {}
+        seen = len(col.problems)
         raw_dims = col.mapping(spec.get("dims", {}), f"complex of '{obj}', dims")
         for key, value in raw_dims.items():
             # type, not isinstance: JSON true is a bool, and a bool is an int
@@ -181,6 +182,9 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
                 dims[int(key)] = value
             except ValueError:
                 col.add(f"complex of '{obj}': bad dimension entry {key!r}")
+        # shapes checked against dims missing a rejected entry would add
+        # a second, spurious problem
+        dims_rejected = len(col.problems) > seen
         diffs = {}
         differentials = col.mapping(
             spec.get("differentials", {}), f"complex of '{obj}', differentials"
@@ -193,7 +197,7 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
                 continue
             m = col.matrix(rows, f"complex of '{obj}', differential {i}")
             expected = (dims.get(i + 1, 0), dims.get(i, 0))
-            if (m.rows, m.cols) != expected:
+            if not dims_rejected and (m.rows, m.cols) != expected:
                 col.add(
                     f"complex of '{obj}', differential {i}: shape"
                     f" {m.rows}x{m.cols}, expected {expected[0]}x{expected[1]}"

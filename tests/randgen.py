@@ -254,6 +254,23 @@ def rand_groupoid(rng: random.Random, max_arrows: int = 20) -> FiniteGroupoid:
     return disjoint_union(*pieces) if len(pieces) > 1 else pieces[0]
 
 
+def nonassociative_loop() -> FiniteGroupoid:
+    """A one-object table of order 5 that passes every law but associativity.
+
+    Arrow ``"0"`` is the unit and every arrow is its own inverse, which no
+    group of order 5 allows: ``(1 * 2) * 2 = 4`` but ``1 * (2 * 2) = 1``.
+    """
+    rows = ["01234", "10342", "24013", "32401", "43120"]
+    ids = [str(i) for i in range(5)]
+    return FiniteGroupoid(
+        objects=["*"],
+        arrows=[(a, "*", "*") for a in ids],
+        identity={"*": "0"},
+        inverse={a: a for a in ids},
+        composition={(g, h): rows[int(g)][int(h)] for g in ids for h in ids},
+    )
+
+
 def rand_potential(rng: random.Random, gpd: FiniteGroupoid) -> dict[str, Fraction]:
     return {x: rand_rational(rng, nonzero=True) for x in gpd.objects}
 

@@ -141,6 +141,50 @@ class TestDecompose:
         decompose(c)
         assert (eliminated.count(d0), eliminated.count(d1)) == (1, 1)
 
+    def test_extends_each_kernel_basis_in_one_elimination(self, monkeypatch):
+        # the kernel basis has independent columns: its rank needs no
+        # second elimination
+        d0, d1 = Matrix([[1], [2], [3]]), Matrix([[2, -1, 0], [3, 0, -1]])
+        c = ComplexFiber(0, 2, {0: 1, 1: 3, 2: 2}, {0: d0, 1: d1})
+        per_call, inside = [], []
+        eliminate, extend = linalg_module._eliminate, complexes_module._extend_to_basis
+
+        def counted_eliminate(*args, **kwargs):
+            if inside:
+                per_call[-1] += 1
+            return eliminate(*args, **kwargs)
+
+        def counted_extend(*args):
+            per_call.append(0)
+            inside.append(True)
+            try:
+                return extend(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(linalg_module, "_eliminate", counted_eliminate)
+        monkeypatch.setattr(complexes_module, "_extend_to_basis", counted_extend)
+        decompose(c)
+        assert per_call == [1, 1, 1]
+
+    def test_bases_build_no_identity_for_a_degree_they_hold(self, monkeypatch):
+        c = two_one()
+        dec = decompose(c)
+        built, identity = [], Matrix.identity
+
+        def counted(n):
+            built.append(n)
+            return identity(n)
+
+        monkeypatch.setattr(Matrix, "identity", counted)
+        for i in c.degrees():
+            assert dec.basis_at(i) is dec.basis[i]
+            assert dec.basis_inv_at(i) is dec.basis_inv[i]
+        assert built == []
+        # outside its degrees a fiber is zero, and so is its basis
+        assert dec.basis_at(c.d_max + 1) == dec.basis_inv_at(c.d_min - 1) == Matrix.zeros(0, 0)
+        assert built == [0, 0]
+
 
 class TestCohomologyDims:
     def test_acyclic(self):

@@ -6,13 +6,15 @@ the references are the textbook Fraction formulas.  ``rref``,
 integer elimination; the references are the Fraction Gauss-Jordan and
 the Leibniz formula.  The groupoid scans read composable arrows off the
 by-target index; the references test every arrow for every pair, as the
-scans did before.  Functoriality is decided through the isotropy model;
-the references multiply out every composable pair.  Outputs must agree
-exactly, order included.
+scans did before.  Associativity and functoriality are decided through
+the isotropy model; the references compose every composable triple and
+multiply out every composable pair.  Outputs must agree exactly, order
+included.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -55,7 +57,14 @@ from oracle import (
     scan_composable_tuples,
     scan_validate,
 )
-from randgen import GroupoidFixture, rand_groupoid, rand_potential, rand_rational, rand_ruth
+from randgen import (
+    GroupoidFixture,
+    nonassociative_loop,
+    rand_groupoid,
+    rand_potential,
+    rand_rational,
+    rand_ruth,
+)
 
 SEEDS = range(200)
 
@@ -177,20 +186,23 @@ def builder_groupoid(rng: random.Random) -> FiniteGroupoid:
 
 
 def mutated(gpd: FiniteGroupoid, rng: random.Random, kind: str) -> FiniteGroupoid:
-    """A copy of ``gpd`` with one table entry changed."""
+    """A copy of ``gpd`` with one table entry changed, a few composites
+    swapped, or one arrow twinned."""
     arrows = list(gpd.arrows)
     identity = dict(gpd.identity)
+    inverse = dict(gpd.inverse)
     composition = dict(gpd.composition)
     keys = sorted(composition)
     ends = {a: (s, t) for a, s, t in arrows}
-    if kind == "swapped composite":
+    if kind in ("swapped composite", "swapped composites"):
         # prefer two composites with the same endpoints, which reach the
-        # associativity check
-        k1 = rng.choice(keys)
-        same = [k for k in keys if ends[composition[k]] == ends[composition[k1]]
-                and composition[k] != composition[k1]]
-        k2 = rng.choice(same or keys)
-        composition[k1], composition[k2] = composition[k2], composition[k1]
+        # associativity check; several swaps may undo each other's damage
+        for _ in range(1 if kind == "swapped composite" else rng.randint(2, 4)):
+            k1 = rng.choice(keys)
+            same = [k for k in keys if ends[composition[k]] == ends[composition[k1]]
+                    and composition[k] != composition[k1]]
+            k2 = rng.choice(same or keys)
+            composition[k1], composition[k2] = composition[k2], composition[k1]
     elif kind == "dropped pair":
         del composition[rng.choice(keys)]
     elif kind == "extra pair":
@@ -205,22 +217,73 @@ def mutated(gpd: FiniteGroupoid, rng: random.Random, kind: str) -> FiniteGroupoi
         i = rng.randrange(len(arrows))
         a, s, _ = arrows[i]
         arrows[i] = (a, s, rng.choice(gpd.objects))
-    return FiniteGroupoid(gpd.objects, arrows, identity, gpd.inverse, composition)
+    elif kind == "twin arrow":
+        # a twin of ``a`` composes as ``a`` does and is the composite beside
+        # a unit: every law but associativity holds, and the isotropy
+        # coordinates cannot tell the twins apart
+        units = set(identity.values())
+        a = rng.choice([b for b, _, _ in arrows if b not in units] or [arrows[0][0]])
+        twin = a + "'"
+        arrows.append((twin, *ends[a]))
+        inverse[twin] = inverse[a]
+        for (g, h), gh in gpd.composition.items():
+            for pair in product((g, twin) if g == a else (g,), (h, twin) if h == a else (h,)):
+                if twin in pair:
+                    composition[pair] = twin if gh == a and units & {g, h} else gh
+    return FiniteGroupoid(gpd.objects, arrows, identity, inverse, composition)
 
 
-MUTATIONS = [None, "swapped composite", "dropped pair", "extra pair", "bad unit", "moved arrow"]
+MUTATIONS = [
+    None, "swapped composite", "dropped pair", "extra pair", "bad unit", "moved arrow",
+    "swapped composites", "twin arrow",
+]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_groupoid_scans_match_the_all_arrow_scans(seed):
+def law_cases(seed):
+    """``(kind, table)``: a builder table, each of its mutations, and the
+    non-associative loop alone and beside the builder table."""
     rng = random.Random(seed)
     base = builder_groupoid(rng)
     for kind in MUTATIONS:
-        gpd = base if kind is None else mutated(base, rng, kind)
+        yield kind, base if kind is None else mutated(base, rng, kind)
+    yield "loop", nonassociative_loop()
+    yield "loop beside a lawful table", disjoint_union(nonassociative_loop(), base)
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The associativity certificate's verdicts, and the triple scans run."""
+    seen = {"verdicts": [], "scans": 0}
+    is_associative, scan = groupoid_module._is_associative, groupoid_module._scan_associativity
+
+    def verdict(*args):
+        seen["verdicts"].append(is_associative(*args))
+        return seen["verdicts"][-1]
+
+    def counted_scan(*args):
+        seen["scans"] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(groupoid_module, "_is_associative", verdict)
+    monkeypatch.setattr(groupoid_module, "_scan_associativity", counted_scan)
+    return seen
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_groupoid_scans_match_the_all_arrow_scans(seed, certified):
+    for kind, gpd in law_cases(seed):
         assert gpd.composable_pairs() == scan_composable_pairs(gpd), kind
         for k in range(4):
             assert composable_tuples(gpd, k) == scan_composable_tuples(gpd, k), (kind, k)
-        assert validate(gpd).problems == scan_validate(gpd), kind
+        certified.update(verdicts=[], scans=0)
+        expected = scan_validate(gpd)
+        assert validate(gpd).problems == expected, kind
+        if True in certified["verdicts"]:
+            # never accepts what the scan rejects
+            assert not any("associativity fails" in p for p in expected), kind
+        if not expected:
+            # accepts every lawful table without a triple scan
+            assert certified == {"verdicts": [True], "scans": 0}, kind
 
 
 def test_mutations_reach_every_stage_of_validate():
@@ -239,6 +302,25 @@ def test_mutations_reach_every_stage_of_validate():
         "associativity fails",
     ]
     assert all(any(stage in p for p in problems) for stage in stages)
+
+
+def test_law_cases_reach_every_certificate_outcome(certified):
+    # the agreement above is only as strong as the tables it sees
+    outcomes = set()
+    for seed in SEEDS:
+        for kind, gpd in law_cases(seed):
+            certified.update(verdicts=[], scans=0)
+            validate(gpd)
+            if not certified["verdicts"]:
+                continue  # validate stopped before associativity
+            model, ids = _isotropy_model(gpd), gpd.arrow_ids()
+            if model is None:
+                outcomes.add("no model")
+            elif len({(gpd.tgt(a), model[1][a], gpd.src(a)) for a in ids}) < len(ids):
+                outcomes.add("coordinates not injective")
+            else:
+                outcomes.add("certified" if certified["verdicts"] == [True] else "isotropy fails")
+    assert outcomes == {"no model", "coordinates not injective", "isotropy fails", "certified"}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

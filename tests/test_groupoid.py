@@ -19,7 +19,8 @@ from modclass import (
     pair_groupoid,
     validate,
 )
-from randgen import rand_groupoid, rand_potential
+from modclass import groupoid as groupoid_module
+from randgen import nonassociative_loop, rand_groupoid, rand_potential
 
 
 Z2 = cyclic_groupoid(2)
@@ -62,27 +63,54 @@ class TestValidate:
             assert validate(rand_groupoid(rng)).ok
 
 
-def test_validate_lookup_counts(monkeypatch):
-    # The benchmark derives the triples validate checks from its direct
-    # compose calls: 2 per composable pair, 4 per arrow, 3 per triple.
-    n, m = 4, 6
-    gpd = connected_groupoid([f"o{i}" for i in range(n)], GroupTable.symmetric_3())
-    arrows, pairs, triples = n * n * m, n**3 * m**2, n**4 * m**3
-    calls = {"compose": 0, "composable_pairs": 0}
+@pytest.fixture
+def validate_work(monkeypatch):
+    """``compose`` and ``composable_pairs`` calls, and the scans ``validate`` runs."""
+    work = {"compose": 0, "composable_pairs": 0, "scans": []}
     compose, composable_pairs = FiniteGroupoid.compose, FiniteGroupoid.composable_pairs
 
     def counted_compose(self, g, h):
-        calls["compose"] += 1
+        work["compose"] += 1
         return compose(self, g, h)
 
     def counted_pairs(self):
-        calls["composable_pairs"] += 1
+        work["composable_pairs"] += 1
         return composable_pairs(self)
 
     monkeypatch.setattr(FiniteGroupoid, "compose", counted_compose)
     monkeypatch.setattr(FiniteGroupoid, "composable_pairs", counted_pairs)
+    for name in ("_scan_closure", "_scan_associativity"):
+        original = getattr(groupoid_module, name)
+
+        def spy(*args, _original=original, _name=name):
+            work["scans"].append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(groupoid_module, name, spy)
+    return work
+
+
+def test_validate_lookup_counts(validate_work):
+    # A lawful table is certified through its isotropy model: no pair or
+    # triple scan, and the lookups grow with the arrows and the isotropy
+    # group's table, not with the pairs or the triples.
+    n, m = 4, 6
+    gpd = connected_groupoid([f"o{i}" for i in range(n)], GroupTable.symmetric_3())
+    arrows, triples = n * n * m, n**4 * m**3
     assert validate(gpd).ok
-    assert calls == {"compose": 2 * pairs + 4 * arrows + 3 * triples, "composable_pairs": 1}
+    assert validate_work["scans"] == []
+    assert 0 < validate_work["compose"] <= 6 * arrows + 4 * m**3 < triples
+    assert validate_work["composable_pairs"] <= 2
+
+
+def test_validate_scans_the_triples_of_a_nonassociative_loop(validate_work):
+    # the loop has a model and a table of composable pairs, so closure is
+    # certified; its isotropy table fails, so the triples are scanned
+    report = validate(nonassociative_loop())
+    assert validate_work["scans"] == ["_scan_associativity"]
+    assert report.problems
+    assert all(p.startswith("associativity fails on ") for p in report.problems)
+    assert "associativity fails on ('1', '2', '2')" in report.problems
 
 
 class TestComposableTuples:

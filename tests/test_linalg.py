@@ -169,6 +169,14 @@ class TestSolve:
             assert rank(a) == augmented_rank
 
 
+def test_identity_entries_are_fractions():
+    m = Matrix.identity(3)
+    assert (m.rows, m.cols) == (3, 3)
+    assert m == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert all(type(x) is Fraction for row in m.to_lists() for x in row)
+    assert (Matrix.identity(0).rows, Matrix.identity(0).cols) == (0, 0)
+
+
 class TestDet:
     def test_identity(self):
         d, inv = det_and_inverse(Matrix.identity(3))

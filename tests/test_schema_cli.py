@@ -154,6 +154,24 @@ class TestExitCodes:
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        ("dims", "error"),
+        [
+            ({"0": 1.5, "1": 1}, "dimension '0' must be a non-negative integer"),
+            ({"zero": 1, "1": 1}, "bad dimension entry 'zero'"),
+        ],
+        ids=["float-dim", "bad-dim-key"],
+    )
+    def test_rejected_dimension_is_one_error(self, dims, error, tmp_path, capsys):
+        # the differential's shape is not checked against the dims left over
+        data = json.loads((FIXTURES / "acyclic_two_term.json").read_text())
+        data["complex"]["x"]["dims"] = dims
+        path = tmp_path / "bad_dims.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: complex of 'x': {error}"]
+
     @pytest.mark.parametrize("command", ["validate", "modular-class"])
     def test_failed_groupoid_skips_the_rep_checks(self, command, tmp_path):
         data = json.loads((FIXTURES / "pair2.json").read_text())
@@ -378,7 +396,7 @@ class TestHomotopyBuilds:
 
 
 class TestWorkCounts:
-    """One modular-class request does each piece of analysis once."""
+    """One request does each piece of analysis once."""
 
     # (module, function, what the budget is per): at most one call each
     BUDGET = [
@@ -416,6 +434,16 @@ class TestWorkCounts:
         # the counters see the work: every fiber of a homotopy document is decomposed
         homotopy = isinstance(parse(path).rep, RepUpToWeakHomotopy)
         assert calls["decompose"] == (sizes["object"] if homotopy else 0)
+
+    @pytest.mark.parametrize(
+        ("command", "name"),
+        [("validate", name) for name in FIXTURE_NAMES]
+        + [("cohomology", "pair2"), ("cohomology", "z2_sign_odd")],
+    )
+    def test_law_checks_build_the_model_once(self, command, name, calls, capsys):
+        assert cli.main([command, str(FIXTURES / f"{name}.json"), "--format", "json"]) == 0
+        # groupoid validation builds it; the rep and cocycle checks reuse it
+        assert calls["_isotropy_model"] == 1
 
 
 def test_fixture_generator_reproduces_the_shipped_documents():
