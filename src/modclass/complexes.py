@@ -376,21 +376,29 @@ class Decomposition:
 
     def blocks(self, i: int) -> tuple[Matrix, ...]:
         """The (boundary, harmonic, lift) column groups of ``basis_at(i)``."""
-        e, m = self.edges(i), self.basis_at(i)
-        return tuple(m.take_columns(range(e[k], e[k + 1])) for k in range(3))
+        return tuple(self._block(i, k) for k in range(3))
 
     def coordinates(self, i: int) -> tuple[Matrix, ...]:
         """The (boundary, harmonic, lift) row groups of ``basis_inv_at(i)``."""
+        return tuple(self._coordinate(i, k) for k in range(3))
+
+    def _block(self, i: int, k: int) -> Matrix:
+        # column group k (0 boundary, 1 harmonic, 2 lift) of basis_at(i)
+        e = self.edges(i)
+        return self.basis_at(i).take_columns(range(e[k], e[k + 1]))
+
+    def _coordinate(self, i: int, k: int) -> Matrix:
+        # row group k of basis_inv_at(i)
         e, m = self.edges(i), self.basis_inv_at(i)
-        return tuple(m.submatrix(e[k], e[k + 1], 0, m.cols) for k in range(3))
+        return m.submatrix(e[k], e[k + 1], 0, m.cols)
 
     def contraction(self, i: int) -> Matrix:
         """``h^i`` from degree ``i`` to ``i-1``: boundary block onto lift block by the identity."""
-        return self.blocks(i - 1)[2] * self.coordinates(i)[0]
+        return self._block(i - 1, 2) * self._coordinate(i, 0)
 
     def harmonic_projector(self, i: int) -> Matrix:
         """Projection of degree ``i`` onto its harmonic block along the other two."""
-        return self.blocks(i)[1] * self.coordinates(i)[1]
+        return self._block(i, 1) * self._coordinate(i, 1)
 
 
 def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None = None) -> Decomposition:
@@ -412,6 +420,8 @@ def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None 
 
     def permuted(i: int) -> Matrix:
         d = c.differential(i)
+        if i not in perms and i + 1 not in perms:
+            return d
         return Matrix([d.row(r) for r in perm(i + 1)], cols=d.cols).take_columns(perm(i))
 
     # Work in permuted coordinates, then pull the bases back.
@@ -434,8 +444,9 @@ def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None 
         full = Matrix.hstack(kernel_full, lift)
         if full.cols != n:
             raise ValueError(f"degree {i} does not split; complex is invalid")
-        back = sorted(range(n), key=perm(i).__getitem__)  # row perm(i)[j] is row j
-        full = Matrix([full.row(j) for j in back], cols=n)
+        if i in perms:
+            back = sorted(range(n), key=perm(i).__getitem__)  # row perm(i)[j] is row j
+            full = Matrix([full.row(j) for j in back], cols=n)
         d, inv = det_and_inverse(full)
         if inv is None:
             raise ValueError(f"degree {i} basis is singular; complex is invalid")
@@ -467,7 +478,7 @@ def harmonic_blocks(
     coordinates, and homotopic chain maps have equal harmonic blocks.
     """
     return {
-        i: target_dec.coordinates(i)[1] * t.component(i) * source_dec.blocks(i)[1]
+        i: target_dec._coordinate(i, 1) * t.component(i) * source_dec._block(i, 1)
         for i in t.degrees()
     }
 
@@ -491,12 +502,16 @@ def _require_chain_map(t: ChainMap) -> None:
 
 
 def _contracting_homotopy(
-    t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
+    t: ChainMap,
+    source_dec: Decomposition | _Contractions,
+    target_dec: Decomposition | _Contractions,
 ) -> Homotopy:
     """``H^i = h_T^i t^i + p_T^{i-1} t^{i-1} h_S^i`` from the two contractions.
 
     For a chain map ``t`` this gives ``d H + H d = t - p_T t p_S``, so it
     is a null homotopy exactly when every harmonic block of ``t`` is zero.
+    The ends are decompositions, or their `_Contractions` when one
+    caller builds many homotopies between the same fibers.
     """
     src, tgt = t.source, t.target
     comps = {}
@@ -506,6 +521,30 @@ def _contracting_homotopy(
             projected = target_dec.harmonic_projector(i - 1) * t.component(i - 1)
             comps[i] = along_target + projected * source_dec.contraction(i)
     return Homotopy(src, tgt, comps)
+
+
+class _Contractions:
+    """A decomposition's contractions and harmonic projectors, each built on first use.
+
+    Building many homotopies between the same fibers
+    (:func:`_contracting_homotopy`) then multiplies out each degree's
+    ``h^i`` and ``p^i`` once, not once per homotopy.
+    """
+
+    def __init__(self, dec: Decomposition):
+        self.dec = dec
+        self._h: dict[int, Matrix] = {}
+        self._p: dict[int, Matrix] = {}
+
+    def contraction(self, i: int) -> Matrix:
+        if i not in self._h:
+            self._h[i] = self.dec.contraction(i)
+        return self._h[i]
+
+    def harmonic_projector(self, i: int) -> Matrix:
+        if i not in self._p:
+            self._p[i] = self.dec.harmonic_projector(i)
+        return self._p[i]
 
 
 def null_homotopy(t: ChainMap) -> Homotopy | None:
@@ -617,7 +656,7 @@ def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
             # corner I - (boundary block), from the boundary coordinates of
             # source degree i to the lift vectors of target degree i-1
             phi = Matrix.identity(boundary.rows) - boundary
-            homotopy_comps[i] = tgt_dec.blocks(i - 1)[2] * phi * src_dec.coordinates(i)[0]
+            homotopy_comps[i] = tgt_dec._block(i - 1, 2) * phi * src_dec._coordinate(i, 0)
     homotopy = Homotopy(f.source, f.target, homotopy_comps)
     g = f + homotopy.boundary_conjugate()
     if not g.is_invertible():

@@ -9,23 +9,25 @@ on for reproducible basis choices.
 Scalars are `fractions.Fraction` throughout; there is no floating point
 and no rank tolerance.
 
-Two invariants keep the exact kernels lean.  Every entry a `Matrix`
-holds is a `Fraction`: the public constructor coerces each entry once
-(a `float` is a TypeError), and operations whose entries are already
-`Fraction`s (products, sums, negation, scaling, slicing, transposition,
-`rref`) build results with the non-coercing `Matrix._trusted`.  Products
-and eliminations clear denominators first: `_cleared` writes a row or
-column as integers over the `lcm` of its denominators, so a product
-entry is one integer dot product normalised once, and every elimination
-here is the one fraction-free `_eliminate` of integer rows.
+Two invariants keep the exact kernels lean.  A `Matrix` stores each row
+as integers over one positive denominator, in lowest terms: row ``i`` is
+``_num[i] / _den[i]`` with ``gcd(_den[i], *_num[i]) == 1``, so a zero row
+is over 1 and equal matrices store equal tuples.  The public constructor
+coerces each entry once (a `float` is a TypeError) and clears each row
+over the `lcm` of its denominators (`_cleared`); every other operation
+stays in integers and makes `Fraction`s only where entries leave the
+matrix (`__getitem__`, `row`, `column`, `to_lists`, `repr`).  A product
+writes its right operand over one `lcm`, so each entry is an integer dot
+product and each row is normalised with one `gcd`, and every elimination
+here is the one fraction-free `_eliminate` of those integer rows.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm, prod
-from operator import add, mul
+from math import gcd, lcm, prod
+from operator import add, mul, sub
 
 Rational = Fraction
 
@@ -54,9 +56,22 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def _exact(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("matrix entries must be exact rationals")
     return Fraction(x)
+
+
+def _cleared(v) -> tuple[tuple[int, ...], int]:
+    """Fractions ``v`` as integers over one denominator: ``v[i] == ints[i] / d``.
+
+    ``d`` is the ``lcm`` of the denominators, so the result is in lowest
+    terms: a prime dividing ``d`` divides some denominator to its full
+    power there, and that entry's numerator is prime to it.
+    """
+    d = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
 
 
 class Matrix:
@@ -69,10 +84,10 @@ class Matrix:
     Matrix([[1, 2], [3, 4]])
     """
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows, cols: int | None = None):
-        data = tuple(tuple(map(_exact, row)) for row in rows)
+        data = [tuple(map(_exact, row)) for row in rows]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -81,78 +96,108 @@ class Matrix:
                 raise ValueError("cols does not match row width")
         else:
             width = 0 if cols is None else cols
+        cleared = [_cleared(row) for row in data]
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_rows", data)
+        object.__setattr__(self, "_num", tuple(ints for ints, _ in cleared))
+        object.__setattr__(self, "_den", tuple(d for _, d in cleared))
 
     @classmethod
-    def _trusted(cls, rows: tuple, cols: int) -> "Matrix":
-        # Rows already a tuple of equal-length tuples of Fractions, each
-        # ``cols`` wide; nothing is checked or coerced.
+    def _from_ints(cls, num: tuple, den: tuple, cols: int) -> "Matrix":
+        # ``num`` a tuple of ``cols``-wide tuples of ints and ``den`` one
+        # positive int per row, already in lowest terms; nothing is checked.
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "rows", len(num))
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_rows", rows)
+        object.__setattr__(m, "_num", num)
+        object.__setattr__(m, "_den", den)
         return m
+
+    @classmethod
+    def _lowest(cls, num, den, cols: int) -> "Matrix":
+        # Integer rows ``num`` over positive ``den``, each row divided by
+        # its one ``gcd`` with its denominator.
+        out_num, out_den = [], []
+        for row, d in zip(num, den):
+            if d != 1:
+                g = gcd(d, *row)
+                if g != 1:
+                    row, d = [x // g for x in row], d // g
+            out_num.append(tuple(row))
+            out_den.append(d)
+        return cls._from_ints(tuple(out_num), tuple(out_den), cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return cls._trusted(rows, n)
+        zero = (0,) * n
+        rows = tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
+        return cls._from_ints(rows, (1,) * n, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        return cls._from_ints(((0,) * cols,) * rows, (1,) * rows, cols)
 
     @classmethod
     def hstack(cls, *parts: "Matrix") -> "Matrix":
-        parts = tuple(p for p in parts)
         if not parts:
             raise ValueError("nothing to stack")
         height = parts[0].rows
         if any(p.rows != height for p in parts):
             raise ValueError("row counts differ")
-        return cls._trusted(
-            tuple(sum((p._rows[i] for p in parts), ()) for i in range(height)),
-            sum(p.cols for p in parts),
-        )
+        # Each part's row is in lowest terms, so their join over the lcm
+        # of the denominators is too, as for `_cleared`.
+        num, den = [], []
+        for i in range(height):
+            dens = [p._den[i] for p in parts]
+            d = lcm(*dens)
+            num.append(sum(_over([p._num[i] for p in parts], dens, d), ()))
+            den.append(d)
+        return cls._from_ints(tuple(num), tuple(den), sum(p.cols for p in parts))
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        return Fraction(self._num[i][j], self._den[i])
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
+        d = self._den[i]
+        return tuple(Fraction(x, d) for x in self._num[i])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._rows)
+        return tuple(Fraction(r[j], d) for r, d in zip(self._num, self._den))
 
     def take_columns(self, indices) -> "Matrix":
         idx = list(indices)
-        return Matrix._trusted(tuple(tuple(r[j] for j in idx) for r in self._rows), len(idx))
+        return Matrix._lowest(
+            [tuple(r[j] for j in idx) for r in self._num], self._den, len(idx)
+        )
 
     def submatrix(self, row_start, row_stop, col_start, col_stop) -> "Matrix":
-        return Matrix._trusted(
-            tuple(r[col_start:col_stop] for r in self._rows[row_start:row_stop]),
-            col_stop - col_start,
+        num, den = self._num[row_start:row_stop], self._den[row_start:row_stop]
+        if (col_start, col_stop) == (0, self.cols):
+            return Matrix._from_ints(num, den, self.cols)
+        return Matrix._lowest(
+            [r[col_start:col_stop] for r in num], den, col_stop - col_start
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(tuple(zip(*self._rows)) or ((),) * self.cols, self.rows)
+        d = lcm(*self._den)
+        columns = zip(*_over(self._num, self._den, d))
+        return Matrix._lowest(
+            list(columns) or ((),) * self.cols, (d,) * self.cols, self.rows
+        )
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._rows]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._rows for x in r)
+        return not any(map(any, self._num))
 
     def is_identity(self) -> bool:
         return self.is_square and self == Matrix.identity(self.rows)
@@ -163,12 +208,12 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            right = [_cleared(other.column(j)) for j in range(other.cols)]
-            return Matrix._trusted(
-                tuple(
-                    tuple(Fraction(sum(map(mul, a, b)), da * db) for b, db in right)
-                    for a, da in map(_cleared, self._rows)
-                ),
+            # the right operand once over one denominator, read by columns
+            d = lcm(*other._den)
+            right = list(zip(*_over(other._num, other._den, d))) or [()] * other.cols
+            return Matrix._lowest(
+                ([sum(map(mul, a, b)) for b in right] for a in self._num),
+                [e * d for e in self._den],
                 other.cols,
             )
         return self.scale(other)
@@ -180,21 +225,37 @@ class Matrix:
         if isinstance(scalar, float):
             raise TypeError("matrix scalars must be exact rationals")
         c = Fraction(scalar)
-        return Matrix._trusted(tuple(tuple(c * x for x in r) for r in self._rows), self.cols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return Matrix._trusted(
-            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self._rows, other._rows)),
-            self.cols,
+        p, q = c.numerator, c.denominator
+        return Matrix._lowest(
+            ([p * x for x in r] for r in self._num), [q * d for d in self._den], self.cols
         )
 
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        # ``op`` (add or sub) applied row by row over the lcm of the two denominators
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch in {'addition' if op is add else 'subtraction'}")
+        num, den = [], []
+        for a, da, b, db in zip(self._num, self._den, other._num, other._den):
+            if da == db:
+                num.append(list(map(op, a, b)))
+                den.append(da)
+            else:
+                d = lcm(da, db)
+                fa, fb = d // da, d // db
+                num.append([op(x * fa, y * fb) for x, y in zip(a, b)])
+                den.append(d)
+        return Matrix._lowest(num, den, self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, add)
+
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(tuple(tuple(-x for x in r) for r in self._rows), self.cols)
+        return Matrix._from_ints(
+            tuple(tuple(-x for x in r) for r in self._num), self._den, self.cols
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -202,19 +263,25 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self._rows == other._rows
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._rows))
+        return hash((self.rows, self.cols, self._num, self._den))
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            "[" + ", ".join(str(x) for x in r) + "]" for r in self._rows
-        )
         if self.rows == 0 or self.cols == 0:
             return f"Matrix.zeros({self.rows}, {self.cols})"
+        body = ", ".join(
+            "[" + ", ".join(str(x) for x in self.row(i)) + "]" for i in range(self.rows)
+        )
         return f"Matrix([{body}])"
+
+
+def _over(num, den, d: int):
+    """Integer rows ``num[i] / den[i]`` rewritten over the common multiple ``d``."""
+    return (r if e == d else tuple(x * (d // e) for x in r) for r, e in zip(num, den))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -223,25 +290,35 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     >>> rref(Matrix([[1, 2], [2, 4]]))
     (Matrix([[1, 2], [0, 0]]), [0])
     """
-    reduced, pivots, _ = _eliminate(m._rows, m.cols)
-    return Matrix._trusted(reduced, m.cols), pivots
+    reduced, p, pivots, _ = _eliminate(m, m.cols)
+    return Matrix._lowest(reduced, (p,) * m.rows, m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m, m.cols, reduce=False)[2])
 
 
 def _kernel(reduced: Matrix, pivots: list[int]) -> Matrix:
-    """:func:`kernel_basis` read off a reduced row echelon form and its pivots."""
+    """:func:`kernel_basis` read off a reduced row echelon form and its pivots.
+
+    Row ``j`` of the basis is a unit row for a free coordinate ``j``, and
+    minus the free entries of the pivot row when ``j`` is a pivot column.
+    """
     free = [j for j in range(reduced.cols) if j not in pivots]
-    columns = []
-    for j in free:
-        v = [Fraction(0)] * reduced.cols
-        v[j] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i, j]
-        columns.append(tuple(v))
-    return Matrix._trusted(tuple(columns), reduced.cols).transpose()
+    pivot_row = {j: i for i, j in enumerate(pivots)}
+    unit = (0,) * len(free)
+    num, den, k = [], [], 0
+    for j in range(reduced.cols):
+        i = pivot_row.get(j)
+        if i is None:  # the k-th free coordinate
+            num.append(unit[:k] + (1,) + unit[k + 1:])
+            den.append(1)
+            k += 1
+        else:
+            row = reduced._num[i]
+            num.append(tuple(-row[f] for f in free))
+            den.append(reduced._den[i])
+    return Matrix._lowest(num, den, len(free))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -253,28 +330,23 @@ def kernel_basis(m: Matrix) -> Matrix:
     return _kernel(*rref(m))
 
 
-def _cleared(v) -> tuple[list[int], int]:
-    """Fractions ``v`` as integers over one denominator: ``v[i] == ints[i] / d``."""
-    d = lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
+def _eliminate(m: Matrix, width: int, reduce: bool = True) -> tuple[list, int, list[int], Fraction]:
+    """Fraction-free elimination of the integer rows of ``m`` in their first ``width`` columns.
 
-
-def _eliminate(rows, width: int, reduce: bool = True) -> tuple[tuple | None, list[int], Fraction]:
-    """Fraction-free elimination of rational ``rows`` in their first ``width`` columns.
-
-    Each row is cleared to integers (`_cleared`).  Each pivot, the first
-    nonzero candidate in scan order, replaces every other row ``x`` it
-    acts on by ``(piv * x - f * y) // prev``: ``y`` is the pivot row, ``f``
-    the entry of ``x`` under the pivot and ``prev`` the last pivot, and
-    the division is exact by Sylvester's identity (Bareiss 1968).  With
+    Row ``i`` of ``m`` is ``m._num[i] / m._den[i]``; the integer rows are
+    eliminated as they are stored.  Each pivot, the first nonzero
+    candidate in scan order, replaces every other row ``x`` it acts on by
+    ``(piv * x - f * y) // prev``: ``y`` is the pivot row, ``f`` the entry
+    of ``x`` under the pivot and ``prev`` the last pivot, and the
+    division is exact by Sylvester's identity (Bareiss 1968).  With
     ``reduce`` it acts on all rows (Gauss-Jordan), so every pivot ends
     equal to the last one ``p`` and the rows over ``p`` are the reduced
-    row echelon form; without, on the rows below only.  Returns ``(rows
-    over p or None, pivots, sign * p / product of the denominators)``; the
-    last is the determinant when the pivots are ``range(len(rows))``.
+    row echelon form; without, on the rows below only.  Returns ``(rows,
+    |p|, pivots, sign * p / product of the denominators)``, the rows signed
+    to go over ``|p|``; the last is the determinant when the pivots are
+    ``range(m.rows)``.
     """
-    cleared = [_cleared(r) for r in rows]
-    a = [ints for ints, _ in cleared]
+    a = list(m._num)
     pivots: list[int] = []
     sign = prev = 1
     for col in range(width):
@@ -294,27 +366,33 @@ def _eliminate(rows, width: int, reduce: bool = True) -> tuple[tuple | None, lis
                 a[i] = [(piv * x - f * z) // prev for x, z in zip(a[i], y)]
         pivots.append(col)
         prev = piv
-    reduced = tuple(tuple(Fraction(x, prev) for x in r) for r in a) if reduce else None
-    return reduced, pivots, Fraction(sign * prev, prod(d for _, d in cleared))
+    d = Fraction(sign * prev, prod(m._den))
+    if prev < 0:  # the same rows over a positive denominator
+        a, prev = [[-x for x in r] for r in a], -prev
+    return a, prev, pivots, d
 
 
 def det(m: Matrix) -> Fraction:
     """Exact determinant, by forward fraction-free elimination."""
     if not m.is_square:
         raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    _, pivots, d = _eliminate(m._rows, m.cols, reduce=False)
+    _, _, pivots, d = _eliminate(m, m.cols, reduce=False)
     return d if len(pivots) == m.rows else Fraction(0)
 
 
 def det_and_inverse(m: Matrix) -> tuple[Fraction, Matrix | None]:
-    """Determinant and, when it exists, the inverse: ``[m | I]`` reduces to ``[I | m^-1]``."""
+    """Determinant and, when it exists, the inverse: ``[m | I]`` reduces to ``[I | m^-1]``.
+
+    The integer rows of ``[m | I]`` are ``[D m | D]``, ``D`` the row
+    denominators of ``m``, and they reduce to ``p [I | m^-1]``.
+    """
     if not m.is_square:
         raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
     n = m.rows
-    reduced, pivots, d = _eliminate(Matrix.hstack(m, Matrix.identity(n))._rows, n)
+    reduced, p, pivots, d = _eliminate(Matrix.hstack(m, Matrix.identity(n)), n)
     if len(pivots) < n:
         return Fraction(0), None
-    return d, Matrix._trusted(tuple(row[n:] for row in reduced), n)
+    return d, Matrix._lowest((row[n:] for row in reduced), (p,) * n, n)
 
 
 def extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:

@@ -34,6 +34,7 @@ from .complexes import (
     Homotopy,
     ValidationReport,
     _class_berezinian,
+    _Contractions,
     _contracting_homotopy,
     decompose,
     harmonic_blocks,
@@ -276,19 +277,25 @@ class RuthReport(ValidationReport):
         self.decompositions: dict[str, Decomposition] = {}
         self.blocks: dict[str, dict[int, Matrix]] = {}
         self.certificates: set[tuple[str, str]] = set()
+        self._contractions: dict[str, _Contractions] = {}
 
     def certificate(self, g: str, h: str) -> Homotopy:
         """The contracting homotopy ``H`` of ``g o h - gh = d H + H d``.
 
-        Built on each call from the decompositions of the two end
-        objects; raises KeyError for a pair without a certificate.
+        Built on each call from the contractions of the two end objects,
+        which the report multiplies out once per object; raises KeyError
+        for a pair without a certificate.
         """
         if (g, h) not in self.certificates:
             raise KeyError(f"no certificate for ('{g}', '{h}')")
         r, gpd = self.rep, self.rep.groupoid
         difference = r(g).compose(r(h)) - r(gpd.compose(g, h))
-        decs = self.decompositions
-        return _contracting_homotopy(difference, decs[gpd.src(h)], decs[gpd.tgt(g)])
+        ends = []
+        for x in (gpd.src(h), gpd.tgt(g)):
+            if x not in self._contractions:
+                self._contractions[x] = _Contractions(self.decompositions[x])
+            ends.append(self._contractions[x])
+        return _contracting_homotopy(difference, *ends)
 
     def _require_ok(self) -> None:
         # GradedDimensionMismatch for unequal graded dimensions, else the first problem

@@ -154,8 +154,9 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
 def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, ComplexFiber]:
     fibers = {}
     raw = col.mapping(raw, "complex section")
+    known = set(gpd.objects)
     for obj in raw:
-        if obj not in set(gpd.objects):
+        if obj not in known:
             col.add(f"complex section: unknown object '{obj}'")
     for obj in gpd.objects:
         spec = raw.get(obj)
@@ -216,8 +217,9 @@ def _parse_rep(raw, gpd, fibers, col: _Collector):
     missing = [a for a in gpd.arrow_ids() if a not in raw]
     for a in missing:
         col.add(f"rep section: arrow '{a}' has no action")
+    known = set(gpd.arrow_ids())
     for a in raw:
-        if a not in set(gpd.arrow_ids()):
+        if a not in known:
             col.add(f"rep section: unknown arrow '{a}'")
     if col.problems:
         return None
@@ -313,9 +315,9 @@ def parse_data(data: dict) -> InputDocument:
 
     sigma = None
     if "sigma" in data:
-        scales = {}
+        scales, known = {}, set(gpd.objects)
         for obj, raw in col.mapping(data["sigma"], "sigma section").items():
-            if obj not in set(gpd.objects):
+            if obj not in known:
                 col.add(f"sigma section: unknown object '{obj}'")
                 continue
             scales[obj] = col.nonzero_rational(raw, f"sigma at object '{obj}'")
@@ -324,9 +326,9 @@ def parse_data(data: dict) -> InputDocument:
 
     cochain = None
     if "cochain" in data:
-        values = {}
+        values, known = {}, set(gpd.arrow_ids())
         for a, raw in col.mapping(data["cochain"], "cochain section").items():
-            if a not in set(gpd.arrow_ids()):
+            if a not in known:
                 col.add(f"cochain section: unknown arrow '{a}'")
                 continue
             values[(a,)] = col.nonzero_rational(raw, f"cochain at arrow '{a}'")

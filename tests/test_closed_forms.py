@@ -30,6 +30,7 @@ from modclass import (
     regular_factorization_check,
     verify_ruth,
 )
+from modclass.complexes import _contracting_homotopy
 from oracle import global_null_homotopy, per_arrow_ber_rep, per_degree_cohomology_rep
 from randgen import (
     conjugated_complex,
@@ -172,6 +173,22 @@ def test_verify_ruth_decisions_and_certificates(seed):
             assert report.certificate(g, h).boundary_conjugate() == difference
     assert report.ok == (not failed)
     assert len(report.problems) == len(failed)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_certificates_from_shared_contractions_match_fresh_ones(seed):
+    # the report multiplies out each object's contractions once and
+    # shares them between pairs; visit the pairs in reverse to vary who
+    # builds them first
+    _, rep = _ruth_case(seed)
+    gpd = rep.groupoid
+    report = verify_ruth(rep)
+    decs = report.decompositions
+    for g, h in sorted(report.certificates, reverse=True):
+        difference = rep(g).compose(rep(h)) - rep(gpd.compose(g, h))
+        shared = report.certificate(g, h)
+        assert shared.boundary_conjugate() == difference
+        assert shared == _contracting_homotopy(difference, decs[gpd.src(h)], decs[gpd.tgt(g)])
 
 
 # Seeds whose harmonic blocks fail H(g) H(h) = H(gh) while their

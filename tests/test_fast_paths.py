@@ -1,7 +1,9 @@
 """Differential tests: the lean kernels against the constructions they replace.
 
-``Matrix.__mul__`` clears denominators and ``det`` reuses that clearing;
-the references are the textbook Fraction formulas.  ``rref``,
+``Matrix`` stores integer rows over one denominator each, in lowest
+terms, so ``__mul__`` and ``det`` work in integers; the references are
+the textbook Fraction formulas, and every result is checked for that
+canonical form.  ``rref``,
 ``kernel_basis``, ``det`` and ``det_and_inverse`` share one fraction-free
 integer elimination; the references are the Fraction Gauss-Jordan and
 the Leibniz formula.  The groupoid scans read composable arrows off the
@@ -14,6 +16,7 @@ included.
 
 import random
 from fractions import Fraction
+from math import gcd
 from itertools import product
 
 import pytest
@@ -42,7 +45,8 @@ from modclass import (
     verify_ruth,
     verify_vector_rep,
 )
-from modclass import groupoid as groupoid_module, reps as reps_module
+from modclass import groupoid as groupoid_module, linalg as linalg_module, reps as reps_module
+from modclass.linalg import _kernel
 from modclass.groupoid import _is_functorial, _isotropy_model
 from oracle import (
     leibniz_det,
@@ -169,6 +173,118 @@ def test_trusted_results_equal_the_checked_constructor(seed):
     for name, m in got.items():
         assert (m.rows, m.cols, m) == (expected[name].rows, expected[name].cols, expected[name]), name
         assert entries_are_fractions(m), name
+
+
+def is_canonical(m: Matrix) -> bool:
+    """Integer rows, one positive denominator each, in lowest terms."""
+    return (
+        len(m._num) == len(m._den) == m.rows
+        and all(len(r) == m.cols and all(type(x) is int for x in r) for r in m._num)
+        and all(
+            type(d) is int and d > 0 and gcd(d, *r) == 1 and (any(r) or d == 1)
+            for r, d in zip(m._num, m._den)
+        )
+    )
+
+
+def canonical_case(seed: int) -> tuple[Matrix, Matrix, Matrix, Fraction]:
+    """Two ``n x k`` matrices and a ``k x k`` one with big entries and zero rows, and a scalar."""
+    rng = random.Random(seed)
+    n, k = rng.randint(0, 4), rng.randint(0, 4)
+    mats = []
+    for rows in (n, n, k):
+        lists = big_matrix(rng, rows, k).to_lists()
+        for r in lists:
+            if rng.random() < 0.3:
+                r[:] = [Fraction(0)] * k
+        mats.append(Matrix(lists, cols=k))
+    return (*mats, big_rational(rng))
+
+
+def public_results(a: Matrix, b: Matrix, s: Matrix, c: Fraction) -> dict[str, Matrix]:
+    """Every ``Matrix`` the public API makes from ``a``, ``b`` (same shape) and square ``s``."""
+    n, k = a.rows, a.cols
+    reduced, pivots = rref(a)
+    results = {
+        "a": a,
+        "b": b,
+        "product": a * s,
+        "product by identity": a * Matrix.identity(k),
+        "sum": a + b,
+        "difference": a - b,
+        "difference back": (a + b) - b,
+        "negation": -a,
+        "scale": a.scale(c),
+        "scale back": a.scale(c).scale(1 / c) if c else a.scale(2).scale(Fraction(1, 2)),
+        "rmul": c * a,
+        "take_columns": a.take_columns(reversed(range(k))),
+        "submatrix": a.submatrix(min(1, n), n, min(1, k), k),
+        "row slice": a.submatrix(min(1, n), n, 0, k),
+        "transpose": a.transpose(),
+        "transpose twice": a.transpose().transpose(),
+        "hstack": Matrix.hstack(a, b),
+        "rref": reduced,
+        "kernel": _kernel(reduced, pivots),
+        "rebuilt": Matrix(a.to_lists(), cols=k),
+        "identity": Matrix.identity(k),
+        "zeros": Matrix.zeros(n, k),
+    }
+    inverse = det_and_inverse(s)[1]
+    if inverse is not None:
+        results["inverse"] = inverse
+        results["inverse twice"] = det_and_inverse(inverse)[1]
+        results["s"] = s
+    return results
+
+
+# equal matrices reached by different paths
+SAME_VALUE = [
+    ("a", "product by identity"),
+    ("a", "scale back"),
+    ("a", "transpose twice"),
+    ("a", "difference back"),
+    ("a", "rebuilt"),
+    ("s", "inverse twice"),
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_results_are_canonical_and_compare_by_value(seed):
+    results = public_results(*canonical_case(seed))
+    for name, m in results.items():
+        assert is_canonical(m), name
+    for p, q in SAME_VALUE:
+        if q in results:
+            assert results[p] == results[q], q
+            assert hash(results[p]) == hash(results[q]), q
+    for (p, x), (q, y) in product(results.items(), repeat=2):
+        same_value = (x.rows, x.cols, x.to_lists()) == (y.rows, y.cols, y.to_lists())
+        assert (x == y) == same_value, (p, q)
+        if same_value:
+            assert hash(x) == hash(y), (p, q)
+
+
+def test_canonical_cases_invert_and_reach_zero_rows():
+    cases = [canonical_case(seed) for seed in SEEDS]
+    assert sum(det_and_inverse(s)[1] is not None and s.rows > 1 for _, _, s, _ in cases) > 20
+    assert sum(any(not any(a.row(i)) for i in range(a.rows)) for a, _, _, _ in cases) > 50
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_products_and_eliminations_make_no_fraction_rows(seed, monkeypatch):
+    a, b, s, _ = canonical_case(seed)
+    calls = []
+    original = linalg_module._cleared
+
+    def counted(v):
+        calls.append(v)
+        return original(v)
+
+    monkeypatch.setattr(linalg_module, "_cleared", counted)
+    a * s, a.transpose() * b, rref(a), kernel_basis(b), det(s), det_and_inverse(s)
+    assert calls == []
+    Matrix(a.to_lists(), cols=a.cols)
+    assert len(calls) == a.rows
 
 
 def builder_groupoid(rng: random.Random) -> FiniteGroupoid:

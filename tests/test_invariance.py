@@ -8,7 +8,11 @@ obstruction list that certifies a nontrivial one, must survive:
 - a change of basis in each fiber: conjugating each action by the chain
   isomorphisms q_x multiplies the Berezinian cocycle by the coboundary of
   x -> Ber(q_x), which leaves every defect of the spanning-forest potential
-  unchanged.
+  unchanged;
+- the choices a decomposition makes: each arrow's Berezinian, read off
+  decompositions built after relabelling every degree's coordinates, is
+  the same rational, so the cocycle, and with it the class and its
+  obstructions, does not depend on those choices.
 """
 
 import random
@@ -20,6 +24,8 @@ from modclass import (
     FiniteGroupoid,
     RepUpToWeakHomotopy,
     Trivialization,
+    berezinian_class,
+    decompose,
     det_and_inverse,
     modular_class_ruth,
 )
@@ -94,6 +100,36 @@ def test_class_survives_change_of_basis(seed):
     rng, rep, sigma = ruth_case(seed)
     expected = outcome(modular_class_ruth(rep, sigma))
     assert outcome(modular_class_ruth(rebased(rng, rep), sigma)) == expected
+
+
+def permuted_decompositions(rng, rep):
+    """Each fiber decomposed after a random relabelling of every degree's coordinates."""
+    decs = {}
+    for x, c in rep.complexes.items():
+        perms = {i: rng.sample(range(c.dim(i)), c.dim(i)) for i in c.degrees()}
+        decs[x] = decompose(c, perms)
+    return decs
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_berezinian_survives_the_decomposition_choice(seed):
+    rng, rep, sigma = ruth_case(seed)
+    gpd, decs = rep.groupoid, permuted_decompositions(rng, rep)
+    for a in gpd.arrow_ids():
+        x, y = gpd.src(a), gpd.tgt(a)
+        scales = (sigma(x), sigma(y))
+        assert berezinian_class(rep(a), *scales, decs[x], decs[y]) == berezinian_class(
+            rep(a), *scales
+        ), a
+
+
+def test_permuted_decompositions_make_other_choices():
+    changed = 0
+    for seed in SEEDS:
+        rng, rep, _ = ruth_case(seed)
+        for x, dec in permuted_decompositions(rng, rep).items():
+            changed += dec.basis != decompose(rep.complexes[x]).basis
+    assert changed > len(SEEDS) // 4
 
 
 def test_cases_cover_both_outcomes():

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import pathlib
+import random
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import modclass
 from modclass import cli, complexes
 from modclass import (
+    InputDocument,
     RepUpToWeakHomotopy,
     SchemaError,
     VectorRep,
@@ -15,7 +17,7 @@ from modclass import (
     parse_data,
     serialize,
 )
-from randgen import run_modclass_cli
+from randgen import RuthSpec, rand_ruth, run_modclass_cli, standard_fixtures
 
 FIXTURES = pathlib.Path(modclass.__file__).parent / "fixtures"
 DATA = pathlib.Path(__file__).parent / "data"
@@ -171,6 +173,30 @@ class TestExitCodes:
         assert cli.main(["validate", str(path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: complex of 'x': {error}"]
+
+    @pytest.mark.parametrize(
+        ("name", "section", "entry", "error"),
+        [
+            ("pair2", "rep", ("zz", [["1"]]), "rep section: unknown arrow 'zz'"),
+            ("pair2", "cochain", ("zz", "1"), "cochain section: unknown arrow 'zz'"),
+            ("pair2", "sigma", ("w", "1"), "sigma section: unknown object 'w'"),
+            (
+                "acyclic_two_term",
+                "complex",
+                ("w", {"degrees": [0, 0], "dims": {"0": 0}}),
+                "complex section: unknown object 'w'",
+            ),
+        ],
+        ids=["rep", "cochain", "sigma", "complex"],
+    )
+    def test_unknown_id_is_one_error(self, name, section, entry, error, tmp_path, capsys):
+        data = json.loads((FIXTURES / f"{name}.json").read_text())
+        data[section][entry[0]] = entry[1]
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {error}"]
 
     @pytest.mark.parametrize("command", ["validate", "modular-class"])
     def test_failed_groupoid_skips_the_rep_checks(self, command, tmp_path):
@@ -393,6 +419,30 @@ class TestHomotopyBuilds:
         found = [p for p in json.loads(out)["pairs"] if p["certificate"] == "found"]
         assert code == 0
         assert len(builds) == len(found) > 0
+
+
+    def test_homotopy_check_multiplies_each_contraction_once(self, monkeypatch, capsys, tmp_path):
+        # one object with a nonzero differential: every pair's homotopy
+        # needs that object's contraction and harmonic projector
+        z2 = standard_fixtures()[0]
+        spec = RuthSpec({0: 1, 1: 1}, [0])
+        rep = rand_ruth(random.Random(3), z2, spec)
+        path = tmp_path / "one_object.json"
+        path.write_text(json.dumps(serialize(InputDocument(z2.gpd, rep, None, None))))
+        calls = []
+        for name in ("contraction", "harmonic_projector"):
+            original = getattr(complexes.Decomposition, name)
+
+            def counted(dec, i, _original=original, _name=name):
+                calls.append((_name, id(dec), i))
+                return _original(dec, i)
+
+            monkeypatch.setattr(complexes.Decomposition, name, counted)
+        assert cli.main(["homotopy-check", str(path), "--format", "json"]) == 0
+        pairs = json.loads(capsys.readouterr().out)["pairs"]
+        assert [p["certificate"] for p in pairs] == ["found"] * 4
+        assert sorted(calls) == sorted(set(calls))
+        assert {name for name, _, _ in calls} == {"contraction", "harmonic_projector"}
 
 
 class TestWorkCounts:
