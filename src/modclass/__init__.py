@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .linalg import (
     Matrix,
-    Rational,
     det,
     det_and_inverse,
     extend_to_basis,

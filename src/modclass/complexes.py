@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .linalg import (
     Matrix,
@@ -344,7 +344,10 @@ class Decomposition:
     The splitting is a strong deformation retract onto the harmonic
     blocks: with the contraction ``h^i`` (:meth:`contraction`) and the
     harmonic projector ``p^i`` (:meth:`harmonic_projector`), ``d h + h d
-    = 1 - p`` in every degree.
+    = 1 - p`` in every degree.  The decomposition builds each column
+    block, coordinate row group, contraction and projector once, on
+    first use, and keeps it in ``_memo``: every arrow and every
+    homotopy between its fibers reads the same matrices.
     """
 
     fiber: ComplexFiber
@@ -353,6 +356,9 @@ class Decomposition:
     boundary_dims: dict[int, int]
     harmonic_dims: dict[int, int]
     basis_det: dict[int, Fraction]
+    _memo: dict[tuple, Matrix] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def widths(self, i: int) -> tuple[int, int, int]:
         return (
@@ -374,58 +380,47 @@ class Decomposition:
         b, h, l = self.widths(i)
         return (0, b, b + h, b + h + l)
 
-    def blocks(self, i: int) -> tuple[Matrix, ...]:
-        """The (boundary, harmonic, lift) column groups of ``basis_at(i)``."""
-        return tuple(self._block(i, k) for k in range(3))
-
-    def coordinates(self, i: int) -> tuple[Matrix, ...]:
-        """The (boundary, harmonic, lift) row groups of ``basis_inv_at(i)``."""
-        return tuple(self._coordinate(i, k) for k in range(3))
+    def _kept(self, key: tuple, build) -> Matrix:
+        """``build()`` on the first request for ``key``, then the kept result."""
+        m = self._memo.get(key)
+        if m is None:
+            m = self._memo[key] = build()
+        return m
 
     def _block(self, i: int, k: int) -> Matrix:
-        # column group k (0 boundary, 1 harmonic, 2 lift) of basis_at(i)
-        e = self.edges(i)
-        return self.basis_at(i).take_columns(range(e[k], e[k + 1]))
+        """Column group ``k`` (0 boundary, 1 harmonic, 2 lift) of ``basis_at(i)``."""
+        lo, hi = self.edges(i)[k : k + 2]
+        return self._kept(("block", i, k), lambda: self.basis_at(i).take_columns(range(lo, hi)))
 
     def _coordinate(self, i: int, k: int) -> Matrix:
-        # row group k of basis_inv_at(i)
-        e, m = self.edges(i), self.basis_inv_at(i)
-        return m.submatrix(e[k], e[k + 1], 0, m.cols)
+        """Row group ``k`` of ``basis_inv_at(i)``: the coordinates along that block."""
+        lo, hi = self.edges(i)[k : k + 2]
+        n = self.fiber.dim(i)
+        return self._kept(
+            ("coordinate", i, k), lambda: self.basis_inv_at(i).submatrix(lo, hi, 0, n)
+        )
 
     def contraction(self, i: int) -> Matrix:
         """``h^i`` from degree ``i`` to ``i-1``: boundary block onto lift block by the identity."""
-        return self._block(i - 1, 2) * self._coordinate(i, 0)
+        return self._kept(
+            ("contraction", i), lambda: self._block(i - 1, 2) * self._coordinate(i, 0)
+        )
 
     def harmonic_projector(self, i: int) -> Matrix:
         """Projection of degree ``i`` onto its harmonic block along the other two."""
-        return self._block(i, 1) * self._coordinate(i, 1)
+        return self._kept(
+            ("projector", i), lambda: self._block(i, 1) * self._coordinate(i, 1)
+        )
 
 
-def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None = None) -> Decomposition:
+def decompose(c: ComplexFiber) -> Decomposition:
     """Split every degree as boundaries + harmonics + lift of boundaries.
 
-    ``permutations`` optionally relabels the coordinates of each degree
-    before the greedy choices are made, giving a different (equally
-    valid) decomposition; downstream quantities that are claimed to be
-    choice independent can be re-run against such a variant.
+    The choices are the canonical ones of the module docstring.  The
+    quantities claimed not to depend on them are tested against
+    decompositions made in relabelled coordinates.
     """
-    # Coordinate j of degree i in the working coordinates is perm(i)[j].
-    perms = {i: list(p) for i, p in (permutations or {}).items()}
-    for i, p in perms.items():
-        if sorted(p) != list(range(c.dim(i))):
-            raise ValueError(f"not a permutation of degree {i} coordinates")
-
-    def perm(i: int) -> list[int]:
-        return perms.get(i) or list(range(c.dim(i)))
-
-    def permuted(i: int) -> Matrix:
-        d = c.differential(i)
-        if i not in perms and i + 1 not in perms:
-            return d
-        return Matrix([d.row(r) for r in perm(i + 1)], cols=d.cols).take_columns(perm(i))
-
-    # Work in permuted coordinates, then pull the bases back.
-    diffs = {i: permuted(i) for i in range(c.d_min - 1, c.d_max + 1)}
+    diffs = {i: c.differential(i) for i in range(c.d_min - 1, c.d_max + 1)}
     reduced = {i: rref(d) for i, d in diffs.items()}
     pivot_cols = {i: pivots for i, (_, pivots) in reduced.items()}
 
@@ -444,9 +439,6 @@ def decompose(c: ComplexFiber, permutations: Mapping[int, Iterable[int]] | None 
         full = Matrix.hstack(kernel_full, lift)
         if full.cols != n:
             raise ValueError(f"degree {i} does not split; complex is invalid")
-        if i in perms:
-            back = sorted(range(n), key=perm(i).__getitem__)  # row perm(i)[j] is row j
-            full = Matrix([full.row(j) for j in back], cols=n)
         d, inv = det_and_inverse(full)
         if inv is None:
             raise ValueError(f"degree {i} basis is singular; complex is invalid")
@@ -502,16 +494,12 @@ def _require_chain_map(t: ChainMap) -> None:
 
 
 def _contracting_homotopy(
-    t: ChainMap,
-    source_dec: Decomposition | _Contractions,
-    target_dec: Decomposition | _Contractions,
+    t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
 ) -> Homotopy:
     """``H^i = h_T^i t^i + p_T^{i-1} t^{i-1} h_S^i`` from the two contractions.
 
     For a chain map ``t`` this gives ``d H + H d = t - p_T t p_S``, so it
     is a null homotopy exactly when every harmonic block of ``t`` is zero.
-    The ends are decompositions, or their `_Contractions` when one
-    caller builds many homotopies between the same fibers.
     """
     src, tgt = t.source, t.target
     comps = {}
@@ -521,30 +509,6 @@ def _contracting_homotopy(
             projected = target_dec.harmonic_projector(i - 1) * t.component(i - 1)
             comps[i] = along_target + projected * source_dec.contraction(i)
     return Homotopy(src, tgt, comps)
-
-
-class _Contractions:
-    """A decomposition's contractions and harmonic projectors, each built on first use.
-
-    Building many homotopies between the same fibers
-    (:func:`_contracting_homotopy`) then multiplies out each degree's
-    ``h^i`` and ``p^i`` once, not once per homotopy.
-    """
-
-    def __init__(self, dec: Decomposition):
-        self.dec = dec
-        self._h: dict[int, Matrix] = {}
-        self._p: dict[int, Matrix] = {}
-
-    def contraction(self, i: int) -> Matrix:
-        if i not in self._h:
-            self._h[i] = self.dec.contraction(i)
-        return self._h[i]
-
-    def harmonic_projector(self, i: int) -> Matrix:
-        if i not in self._p:
-            self._p[i] = self.dec.harmonic_projector(i)
-        return self._p[i]
 
 
 def null_homotopy(t: ChainMap) -> Homotopy | None:

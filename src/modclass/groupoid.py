@@ -322,10 +322,7 @@ def is_cocycle_1(gpd: FiniteGroupoid, phi: Cochain) -> bool:
     """
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    return _is_functorial(gpd, lambda a: phi((a,))) or all(
-        phi(g) * phi(h) == phi(gpd.compose(g, h))
-        for g, h in gpd.composable_pairs()
-    )
+    return not _failing_pairs(gpd, lambda a: phi((a,)))
 
 
 def _components(gpd: FiniteGroupoid) -> list[list[str]]:
@@ -505,6 +502,22 @@ def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
     except (KeyError, ValueError):
         return False
     return True
+
+
+def _failing_pairs(gpd: FiniteGroupoid, phi) -> list[tuple[str, str]]:
+    """The composable pairs with ``phi(g) phi(h) != phi(gh)``, in pair order.
+
+    ``[]`` at once when :func:`_is_functorial` certifies ``phi``;
+    otherwise every pair is multiplied out, so each failure can be
+    reported.  ``phi`` is as for :func:`_is_functorial`.
+    """
+    if _is_functorial(gpd, phi):
+        return []
+    return [
+        (g, h)
+        for g, h in gpd.composable_pairs()
+        if _mul(phi(g), phi(h)) != phi(gpd.compose(g, h))
+    ]
 
 
 def coboundary_solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:

@@ -29,8 +29,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 

@@ -34,7 +34,6 @@ from .complexes import (
     Homotopy,
     ValidationReport,
     _class_berezinian,
-    _Contractions,
     _contracting_homotopy,
     decompose,
     harmonic_blocks,
@@ -45,8 +44,7 @@ from .groupoid import (
     ClassReport,
     Cochain,
     FiniteGroupoid,
-    _is_functorial,
-    _mul,
+    _failing_pairs,
     _solve_1,
     coboundary_solve_1,
     class_equal,
@@ -145,16 +143,9 @@ def verify_line_rep(r: LineRep) -> ValidationReport:
     for x in gpd.objects:
         if r(gpd.unit(x)) != 1:
             report.add(f"unit of object '{x}' does not act by 1")
-    if not _is_functorial(gpd, r):
-        _scan_pairs(r, report)
+    for g, h in _failing_pairs(gpd, r):
+        report.add(f"functoriality fails on ('{g}', '{h}')")
     return report
-
-
-def _scan_pairs(r: LineRep | VectorRep, report: ValidationReport) -> None:
-    gpd = r.groupoid
-    for g, h in gpd.composable_pairs():
-        if r(g) * r(h) != r(gpd.compose(g, h)):
-            report.add(f"functoriality fails on ('{g}', '{h}')")
 
 
 def verify_vector_rep(r: VectorRep) -> ValidationReport:
@@ -182,8 +173,8 @@ def verify_vector_rep(r: VectorRep) -> ValidationReport:
     for x in gpd.objects:
         if not r(gpd.unit(x)).is_identity():
             report.add(f"unit of object '{x}' does not act by the identity")
-    if not _is_functorial(gpd, r):
-        _scan_pairs(r, report)
+    for g, h in _failing_pairs(gpd, r):
+        report.add(f"functoriality fails on ('{g}', '{h}')")
     return report
 
 
@@ -277,25 +268,20 @@ class RuthReport(ValidationReport):
         self.decompositions: dict[str, Decomposition] = {}
         self.blocks: dict[str, dict[int, Matrix]] = {}
         self.certificates: set[tuple[str, str]] = set()
-        self._contractions: dict[str, _Contractions] = {}
 
     def certificate(self, g: str, h: str) -> Homotopy:
         """The contracting homotopy ``H`` of ``g o h - gh = d H + H d``.
 
-        Built on each call from the contractions of the two end objects,
-        which the report multiplies out once per object; raises KeyError
-        for a pair without a certificate.
+        Built on each call from the decompositions of the two end
+        objects, which build each contraction and projector once however
+        many pairs share them; raises KeyError for a pair without a
+        certificate.
         """
         if (g, h) not in self.certificates:
             raise KeyError(f"no certificate for ('{g}', '{h}')")
-        r, gpd = self.rep, self.rep.groupoid
+        r, gpd, decs = self.rep, self.rep.groupoid, self.decompositions
         difference = r(g).compose(r(h)) - r(gpd.compose(g, h))
-        ends = []
-        for x in (gpd.src(h), gpd.tgt(g)):
-            if x not in self._contractions:
-                self._contractions[x] = _Contractions(self.decompositions[x])
-            ends.append(self._contractions[x])
-        return _contracting_homotopy(difference, *ends)
+        return _contracting_homotopy(difference, decs[gpd.src(h)], decs[gpd.tgt(g)])
 
     def _require_ok(self) -> None:
         # GradedDimensionMismatch for unequal graded dimensions, else the first problem
@@ -396,17 +382,13 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     all_degrees = sorted({i for b in blocks.values() for i in b})
     empty = Matrix.zeros(0, 0)
     padded = {a: tuple(b.get(i, empty) for i in all_degrees) for a, b in blocks.items()}
-    if _is_functorial(gpd, padded.__getitem__):
-        report.certificates = set(gpd.composable_pairs())
-        return report
-    for g, h in gpd.composable_pairs():
-        if _mul(padded[g], padded[h]) == padded[gpd.compose(g, h)]:
-            report.certificates.add((g, h))
-        else:
-            report.add(
-                f"no homotopy between the composed actions of ('{g}', '{h}')"
-                f" and the action of their composite"
-            )
+    failing = _failing_pairs(gpd, padded.__getitem__)
+    for g, h in failing:
+        report.add(
+            f"no homotopy between the composed actions of ('{g}', '{h}')"
+            f" and the action of their composite"
+        )
+    report.certificates = set(gpd.composable_pairs()).difference(failing)
     return report
 
 

@@ -11,6 +11,7 @@ shipped at ``modclass/fixtures/schema.json``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,7 +135,7 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
         for side in (a, b):
             if side not in arrow_ids:
                 col.add(f"inverse table: unknown arrow '{side}'")
-    composition = {}
+    composition, malformed = {}, 0
     compose = raw.get("compose", [])
     if not isinstance(compose, list):
         col.add("compose table: expected a list")
@@ -142,12 +143,21 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
     for entry in compose:
         if not (isinstance(entry, list) and len(entry) == 3 and _strings(entry)):
             col.add(f"compose table: entry {entry!r} is not a [g, h, gh] triple")
+            malformed += 1
             continue
         g, h, gh = entry
         for side in (g, h, gh):
             if side not in arrow_ids:
                 col.add(f"compose table: unknown arrow '{side}'")
         composition[(g, h)] = gh
+    if len(composition) < len(compose) - malformed:
+        # a pair is listed more than once: name each such pair, in table order
+        listed = Counter(
+            (e[0], e[1]) for e in compose if isinstance(e, list) and len(e) == 3 and _strings(e)
+        )
+        for (g, h), count in listed.items():
+            if count > 1:
+                col.add(f"compose table: pair ('{g}', '{h}') is listed more than once")
     return FiniteGroupoid(objects, arrows, identity, inverse, composition)
 
 
@@ -180,9 +190,17 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
                 col.add(f"complex of '{obj}': dimension {key!r} must be a non-negative integer")
                 continue
             try:
-                dims[int(key)] = value
+                i = int(key)
             except ValueError:
                 col.add(f"complex of '{obj}': bad dimension entry {key!r}")
+                continue
+            # an empty range is reported once, below
+            if d_min <= d_max and not d_min <= i <= d_max:
+                col.add(
+                    f"complex of '{obj}': dimension {key!r} is outside degrees [{d_min}, {d_max}]"
+                )
+                continue
+            dims[i] = value
         # shapes checked against dims missing a rejected entry would add
         # a second, spurious problem
         dims_rejected = len(col.problems) > seen

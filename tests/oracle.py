@@ -17,6 +17,10 @@ every candidate pair or triple is found by testing all arrows.  The
 ``pair_scan_*`` functions are the functoriality checks before the
 isotropy model: every composable pair is multiplied out.
 
+``permuted_decomposition`` is a decomposition that makes other
+choices than ``decompose``: the canonical one of a complex whose
+coordinates were relabelled, pulled back to the original coordinates.
+
 ``per_arrow_ber_rep`` and ``per_degree_cohomology_rep`` are the
 Berezinian and cohomology representations built without a
 ``verify_ruth`` report: they decompose every fiber afresh, take each
@@ -28,10 +32,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Mapping, Sequence
 
 from modclass import (
     ChainMap,
     Cochain,
+    ComplexFiber,
+    Decomposition,
     FiniteGroupoid,
     GradedDimensionMismatch,
     Homotopy,
@@ -44,6 +51,7 @@ from modclass import (
     berezinian_class,
     decompose,
     det,
+    det_and_inverse,
     harmonic_blocks,
     verify_chain_map,
     verify_complex,
@@ -436,3 +444,34 @@ def per_degree_cohomology_rep(r: RepUpToWeakHomotopy, degree: int) -> VectorRep:
             )
         action[a] = h
     return VectorRep(gpd, dims, action)
+
+
+def permuted_decomposition(c: ComplexFiber, perms: Mapping[int, Sequence[int]]) -> Decomposition:
+    """A valid decomposition of ``c`` that makes other greedy choices.
+
+    ``perms[i]`` relabels degree ``i``: ``P_i`` has a 1 at ``(perms[i][j], j)``
+    (the identity where ``perms`` has no entry).  The relabelled complex
+    ``P_{i+1}^T d^i P_i`` is decomposed canonically, and each basis is
+    pulled back as ``P_i B'_i``.
+    """
+
+    def relabelling(i: int) -> Matrix:
+        n = c.dim(i)
+        perm = list(perms.get(i, range(n)))
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"not a permutation of degree {i} coordinates")
+        return Matrix([[int(perm[j] == r) for j in range(n)] for r in range(n)], cols=n)
+
+    p = {i: relabelling(i) for i in range(c.d_min, c.d_max + 2)}
+    relabelled = ComplexFiber(
+        c.d_min,
+        c.d_max,
+        c.dims,
+        {i: p[i + 1].transpose() * c.differential(i) * p[i] for i in c.degrees()},
+    )
+    dec = decompose(relabelled)
+    basis = {i: p[i] * dec.basis_at(i) for i in c.degrees()}
+    basis_det, basis_inv = {}, {}
+    for i, b in basis.items():
+        basis_det[i], basis_inv[i] = det_and_inverse(b)
+    return Decomposition(c, basis, basis_inv, dec.boundary_dims, dec.harmonic_dims, basis_det)

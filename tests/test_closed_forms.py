@@ -31,7 +31,12 @@ from modclass import (
     verify_ruth,
 )
 from modclass.complexes import _contracting_homotopy
-from oracle import global_null_homotopy, per_arrow_ber_rep, per_degree_cohomology_rep
+from oracle import (
+    global_null_homotopy,
+    per_arrow_ber_rep,
+    per_degree_cohomology_rep,
+    permuted_decomposition,
+)
 from randgen import (
     conjugated_complex,
     rand_chain_map,
@@ -73,8 +78,10 @@ def _harmonic_case(seed):
     rng = random.Random(seed)
     src = rand_complex(rng, d_min=-1, d_max=2, max_dim=3)
     tgt = src if seed % 3 == 0 else rand_complex(rng, d_min=-1, d_max=2, max_dim=3)
-    source_dec = decompose(src, _permutation(rng, src) if seed % 2 else None)
-    target_dec = decompose(tgt, _permutation(rng, tgt) if seed % 4 == 1 else None)
+    source_dec = permuted_decomposition(src, _permutation(rng, src)) if seed % 2 else decompose(src)
+    target_dec = (
+        permuted_decomposition(tgt, _permutation(rng, tgt)) if seed % 4 == 1 else decompose(tgt)
+    )
     return rng, src, tgt, source_dec, target_dec
 
 
@@ -177,18 +184,19 @@ def test_verify_ruth_decisions_and_certificates(seed):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_certificates_from_shared_contractions_match_fresh_ones(seed):
-    # the report multiplies out each object's contractions once and
-    # shares them between pairs; visit the pairs in reverse to vary who
-    # builds them first
+    # the report's decompositions build each contraction once and share
+    # it between pairs; visit the pairs in reverse to vary who builds
+    # them first, and hold each certificate to one built on decompositions
+    # made afresh for that pair alone
     _, rep = _ruth_case(seed)
-    gpd = rep.groupoid
+    gpd, fibers = rep.groupoid, rep.complexes
     report = verify_ruth(rep)
-    decs = report.decompositions
     for g, h in sorted(report.certificates, reverse=True):
         difference = rep(g).compose(rep(h)) - rep(gpd.compose(g, h))
         shared = report.certificate(g, h)
         assert shared.boundary_conjugate() == difference
-        assert shared == _contracting_homotopy(difference, decs[gpd.src(h)], decs[gpd.tgt(g)])
+        fresh = decompose(fibers[gpd.src(h)]), decompose(fibers[gpd.tgt(g)])
+        assert shared == _contracting_homotopy(difference, *fresh)
 
 
 # Seeds whose harmonic blocks fail H(g) H(h) = H(gh) while their
@@ -222,7 +230,7 @@ def test_report_reads_match_the_per_arrow_oracles(seed):
         return
     line = induced_ber_rep(rep, sigma)
     assert line.action == expected.action == report.berezinian_rep(sigma).action
-    variants = {x: decompose(c, _permutation(rng, c)) for x, c in rep.complexes.items()}
+    variants = {x: permuted_decomposition(c, _permutation(rng, c)) for x, c in rep.complexes.items()}
     for a in gpd.arrow_ids():
         x, y = gpd.src(a), gpd.tgt(a)
         assert line(a) == berezinian_class(rep(a), sigma(x), sigma(y))
@@ -251,7 +259,10 @@ def test_berezinian_class_matches_replacement(seed):
     sigma = rand_rational(rng, nonzero=True), rand_rational(rng, nonzero=True)
     value = berezinian(invertible_replacement(f)[0], *sigma)
     assert berezinian_class(f, *sigma) == value
-    variant = decompose(c, _permutation(rng, c)), decompose(other, _permutation(rng, other))
+    variant = (
+        permuted_decomposition(c, _permutation(rng, c)),
+        permuted_decomposition(other, _permutation(rng, other)),
+    )
     assert berezinian_class(f, *sigma, *variant) == value
 
 

@@ -45,7 +45,7 @@ from modclass import (
     verify_ruth,
     verify_vector_rep,
 )
-from modclass import groupoid as groupoid_module, linalg as linalg_module, reps as reps_module
+from modclass import groupoid as groupoid_module, linalg as linalg_module
 from modclass.linalg import _kernel
 from modclass.groupoid import _is_functorial, _isotropy_model
 from oracle import (
@@ -598,7 +598,6 @@ def verdicts(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(groupoid_module, "_is_functorial", spy)
-    monkeypatch.setattr(reps_module, "_is_functorial", spy)
     return seen
 
 

@@ -5,6 +5,9 @@ obstruction list that certifies a nontrivial one, must survive:
 
 - renaming every object and arrow, with their order kept: the spanning
   forest visits the same arrows, so arrows map to arrows and defects stay;
+- rescaling the chosen sections by a degree-0 cochain f: the cocycle
+  is divided by exactly the coboundary of f, so the class and its
+  obstructions stay;
 - a change of basis in each fiber: conjugating each action by the chain
   isomorphisms q_x multiplies the Berezinian cocycle by the coboundary of
   x -> Ber(q_x), which leaves every defect of the spanning-forest potential
@@ -21,15 +24,24 @@ import pytest
 
 from modclass import (
     ChainMap,
+    Cochain,
     FiniteGroupoid,
     RepUpToWeakHomotopy,
     Trivialization,
     berezinian_class,
+    coboundary,
     decompose,
     det_and_inverse,
     modular_class_ruth,
 )
-from randgen import conjugated_complex, rand_ruth, rand_trivialization, standard_fixtures
+from oracle import permuted_decomposition
+from randgen import (
+    conjugated_complex,
+    rand_potential,
+    rand_ruth,
+    rand_trivialization,
+    standard_fixtures,
+)
 
 SEEDS = range(200)
 
@@ -96,6 +108,16 @@ def test_class_survives_renaming(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_rescaled_sections_shift_the_cocycle_by_a_coboundary(seed):
+    rng, rep, sigma = ruth_case(seed)
+    gpd = rep.groupoid
+    f = Cochain(0, rand_potential(rng, gpd))
+    before, after = modular_class_ruth(rep, sigma), modular_class_ruth(rep, sigma.rescale(f))
+    assert after.cocycle == before.cocycle / coboundary(gpd, f)
+    assert outcome(after) == outcome(before)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_class_survives_change_of_basis(seed):
     rng, rep, sigma = ruth_case(seed)
     expected = outcome(modular_class_ruth(rep, sigma))
@@ -107,7 +129,7 @@ def permuted_decompositions(rng, rep):
     decs = {}
     for x, c in rep.complexes.items():
         perms = {i: rng.sample(range(c.dim(i)), c.dim(i)) for i in c.degrees()}
-        decs[x] = decompose(c, perms)
+        decs[x] = permuted_decomposition(c, perms)
     return decs
 
 

@@ -21,7 +21,6 @@ from modclass import (
     coboundary,
     cohomology_representation,
     cyclic_groupoid,
-    decompose,
     det_representation,
     induced_ber_rep,
     is_cocycle_1,
@@ -35,6 +34,7 @@ from modclass import (
     verify_ruth,
     verify_vector_rep,
 )
+from oracle import permuted_decomposition
 from randgen import (
     pair2_fixture,
     rand_line_rep,
@@ -436,7 +436,7 @@ class TestModularClassRuth:
         perm = {
             i: rng.sample(range(fiber.dim(i)), fiber.dim(i)) for i in fiber.degrees()
         }
-        dec = decompose(fiber, perm)
+        dec = permuted_decomposition(fiber, perm)
         for a in fx.gpd.arrow_ids():
             assert berezinian_class(rep(a), 1, 1, dec, dec) == report.cocycle((a,))
 

@@ -131,6 +131,8 @@ class TestExitCodes:
             lambda d: d["complex"]["*"]["dims"].update({"1": True}),
             lambda d: d["complex"]["*"]["dims"].update({"1": -1}),
             lambda d: d.update(sigma=["a"]),
+            lambda d: d["groupoid"]["compose"].append(["t", "t", "t"]),
+            lambda d: d["complex"]["*"]["dims"].update({"5": 2}),
         ],
         ids=[
             "groupoid",
@@ -144,6 +146,8 @@ class TestExitCodes:
             "bool-dim",
             "negative-dim",
             "sigma",
+            "repeated-compose-pair",
+            "dim-outside-degrees",
         ],
     )
     def test_mistyped_section_is_schema_error(self, breakage, tmp_path):
@@ -161,8 +165,10 @@ class TestExitCodes:
         [
             ({"0": 1.5, "1": 1}, "dimension '0' must be a non-negative integer"),
             ({"zero": 1, "1": 1}, "bad dimension entry 'zero'"),
+            ({"0": 1, "1": 1, "5": 2}, "dimension '5' is outside degrees [0, 1]"),
+            ({"-1": 0, "0": 1, "1": 1}, "dimension '-1' is outside degrees [0, 1]"),
         ],
-        ids=["float-dim", "bad-dim-key"],
+        ids=["float-dim", "bad-dim-key", "dim-above-degrees", "dim-below-degrees"],
     )
     def test_rejected_dimension_is_one_error(self, dims, error, tmp_path, capsys):
         # the differential's shape is not checked against the dims left over
@@ -197,6 +203,26 @@ class TestExitCodes:
         assert cli.main(["validate", str(path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {error}"]
+
+    @pytest.mark.parametrize(
+        ("extra", "error"),
+        [
+            ([["t", "t", "t"]] * 2, "pair ('t', 't') is listed more than once"),
+            ([["t", "t", "e"]], "pair ('t', 't') is listed more than once"),
+            ([["t", "t"]], "entry ['t', 't'] is not a [g, h, gh] triple"),
+        ],
+        ids=["disagreeing-twice", "agreeing", "malformed-is-no-repeat"],
+    )
+    def test_repeated_compose_pair_is_one_error(self, extra, error, tmp_path, capsys):
+        # a second entry for ('t', 't') is rejected whether or not it agrees,
+        # and however often it repeats
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        data["groupoid"]["compose"] += extra
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: compose table: {error}"]
 
     @pytest.mark.parametrize("command", ["validate", "modular-class"])
     def test_failed_groupoid_skips_the_rep_checks(self, command, tmp_path):
@@ -292,6 +318,21 @@ class TestGoldenReports:
         assert first.stdout == second.stdout
         golden = (GOLDEN / f"{name}.modular-class.json").read_text()
         assert first.stdout == golden
+
+    @pytest.mark.parametrize("command", ["validate", "cohomology", "modular-class", "homotopy-check"])
+    @pytest.mark.parametrize(
+        "path",
+        [FIXTURES / f"{name}.json" for name in FIXTURE_NAMES] + sorted(DATA.glob("*.json")),
+        ids=lambda path: path.stem,
+    )
+    def test_byte_identical_under_hash_seeds(self, path, command, monkeypatch):
+        # string hashes, and with them set order, change with the seed
+        runs = []
+        for seed in ("1", "12345"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            result = run_cli(command, str(path), "--format", "json")
+            runs.append((result.returncode, result.stdout))
+        assert runs[0] == runs[1]
 
 
 class TestCommands:
@@ -423,26 +464,29 @@ class TestHomotopyBuilds:
 
     def test_homotopy_check_multiplies_each_contraction_once(self, monkeypatch, capsys, tmp_path):
         # one object with a nonzero differential: every pair's homotopy
-        # needs that object's contraction and harmonic projector
+        # needs that object's contraction and harmonic projector, and its
+        # decomposition builds each of them (and each block) only once
         z2 = standard_fixtures()[0]
         spec = RuthSpec({0: 1, 1: 1}, [0])
         rep = rand_ruth(random.Random(3), z2, spec)
         path = tmp_path / "one_object.json"
         path.write_text(json.dumps(serialize(InputDocument(z2.gpd, rep, None, None))))
-        calls = []
-        for name in ("contraction", "harmonic_projector"):
-            original = getattr(complexes.Decomposition, name)
+        builds = []
+        original = complexes.Decomposition._kept
 
-            def counted(dec, i, _original=original, _name=name):
-                calls.append((_name, id(dec), i))
-                return _original(dec, i)
+        def counted(dec, key, build):
+            def recorded():
+                builds.append((id(dec), key))
+                return build()
 
-            monkeypatch.setattr(complexes.Decomposition, name, counted)
+            return original(dec, key, recorded)
+
+        monkeypatch.setattr(complexes.Decomposition, "_kept", counted)
         assert cli.main(["homotopy-check", str(path), "--format", "json"]) == 0
         pairs = json.loads(capsys.readouterr().out)["pairs"]
         assert [p["certificate"] for p in pairs] == ["found"] * 4
-        assert sorted(calls) == sorted(set(calls))
-        assert {name for name, _, _ in calls} == {"contraction", "harmonic_projector"}
+        assert len(builds) == len(set(builds))
+        assert {"contraction", "projector"} <= {key[0] for _, key in builds}
 
 
 class TestWorkCounts:
