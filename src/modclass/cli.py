@@ -229,8 +229,6 @@ def _cmd_homotopy_check(doc: InputDocument, args, report: ReportDocument) -> int
     pairs = []
     for g, h in rep.groupoid.composable_pairs():
         found = (g, h) in check.certificates
-        if found:
-            check.certificate(g, h)  # a pair is found once its homotopy is built
         pairs.append(
             {
                 "g": g,

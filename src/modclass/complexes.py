@@ -346,8 +346,8 @@ class Decomposition:
     harmonic projector ``p^i`` (:meth:`harmonic_projector`), ``d h + h d
     = 1 - p`` in every degree.  The decomposition builds each column
     block, coordinate row group, contraction and projector once, on
-    first use, and keeps it in ``_memo``: every arrow and every
-    homotopy between its fibers reads the same matrices.
+    first use, and keeps it in ``_memo``: every arrow at its fiber, and
+    both ends of an endomorphism, read the same matrices.
     """
 
     fiber: ComplexFiber
@@ -475,15 +475,10 @@ def harmonic_blocks(
     }
 
 
-def _end_decompositions(
-    t: ChainMap,
-    source_dec: Decomposition | None = None,
-    target_dec: Decomposition | None = None,
-) -> tuple[Decomposition, Decomposition]:
+def _end_decompositions(t: ChainMap) -> tuple[Decomposition, Decomposition]:
     """Decompositions of both ends of ``t``, shared for an endomorphism."""
-    source_dec = source_dec or decompose(t.source)
-    if target_dec is None:
-        target_dec = source_dec if t.target == t.source else decompose(t.target)
+    source_dec = decompose(t.source)
+    target_dec = source_dec if t.target == t.source else decompose(t.target)
     return source_dec, target_dec
 
 
@@ -500,6 +495,7 @@ def _contracting_homotopy(
 
     For a chain map ``t`` this gives ``d H + H d = t - p_T t p_S``, so it
     is a null homotopy exactly when every harmonic block of ``t`` is zero.
+    It is the builder behind :func:`null_homotopy` and :func:`are_homotopic`.
     """
     src, tgt = t.source, t.target
     comps = {}
@@ -560,11 +556,7 @@ def is_homotopy_equivalence(f: ChainMap) -> HomotopyEquivalenceCheck:
     return HomotopyEquivalenceCheck(ok, maps)
 
 
-def _equivalence_decompositions(
-    f: ChainMap,
-    source_dec: Decomposition | None = None,
-    target_dec: Decomposition | None = None,
-) -> tuple[Decomposition, Decomposition]:
+def _equivalence_decompositions(f: ChainMap) -> tuple[Decomposition, Decomposition]:
     """Decompositions of both ends, once graded dimensions agree and ``f`` is a chain map."""
     src, tgt = f.source, f.target
     for i in f.degrees():
@@ -573,7 +565,7 @@ def _equivalence_decompositions(
                 f"source has dimension {src.dim(i)} and target {tgt.dim(i)} in degree {i}"
             )
     _require_chain_map(f)
-    return _end_decompositions(f, source_dec, target_dec)
+    return _end_decompositions(f)
 
 
 def _harmonic_dets(blocks: Mapping[int, Matrix]) -> dict[int, Fraction]:
@@ -666,8 +658,6 @@ def berezinian_class(
     t: ChainMap,
     sigma_source: Fraction | int = 1,
     sigma_target: Fraction | int = 1,
-    source_dec: Decomposition | None = None,
-    target_dec: Decomposition | None = None,
 ) -> Fraction:
     """Berezinian of the homotopy class of a homotopy equivalence.
 
@@ -680,7 +670,7 @@ def berezinian_class(
     :func:`berezinian` on maps that are already invertible and raises
     what :func:`invertible_replacement` raises.
     """
-    source_dec, target_dec = _equivalence_decompositions(t, source_dec, target_dec)
+    source_dec, target_dec = _equivalence_decompositions(t)
     blocks = harmonic_blocks(t, source_dec, target_dec)
     return _class_berezinian(blocks, source_dec, target_dec, sigma_source, sigma_target)
 

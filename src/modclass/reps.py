@@ -8,12 +8,12 @@ A representation up to weak homotopy assigns a chain map of per-object
 complexes to every arrow, unital, with composition respected only up to
 existence of a chain homotopy.  Homotopy questions are answered on the
 per-object boundary/harmonic/lift decompositions: functoriality up to
-homotopy is strict functoriality of the harmonic blocks (a pair's
-homotopy is built only on request), and the Berezinian of the homotopy
-class of each chain map, read off its harmonic blocks, is again a
-strictly functorial line representation whose class is the modular
-class of the homotopy representation.  Both are read off the one
-analysis, the report of :func:`verify_ruth`.
+homotopy is strict functoriality of the harmonic blocks (decided here;
+:func:`~modclass.complexes.are_homotopic` builds a pair's homotopy), and
+the Berezinian of the homotopy class of each chain map, read off its
+harmonic blocks, is again a strictly functorial line representation
+whose class is the modular class of the homotopy representation.  Both
+are read off the one analysis, the report of :func:`verify_ruth`.
 
 A trivialization fixes a nonzero scale per object (of the determinant
 line for vector representations, of the Berezinian line for homotopy
@@ -31,10 +31,8 @@ from .complexes import (
     ComplexFiber,
     Decomposition,
     GradedDimensionMismatch,
-    Homotopy,
     ValidationReport,
     _class_berezinian,
-    _contracting_homotopy,
     decompose,
     harmonic_blocks,
     verify_chain_map,
@@ -258,7 +256,8 @@ class RuthReport(ValidationReport):
     holds each object's decomposition and ``blocks`` each arrow's
     harmonic blocks.  ``certificates`` holds each composable pair
     ``(g, h)`` whose composed action is certified homotopic to the
-    action of the composite; :meth:`certificate` builds the homotopy.
+    action of the composite.  The certificate is the decision alone;
+    ``are_homotopic(r(g).compose(r(h)), r(gh))`` builds the homotopy.
     """
 
     def __init__(self, rep: RepUpToWeakHomotopy):
@@ -268,20 +267,6 @@ class RuthReport(ValidationReport):
         self.decompositions: dict[str, Decomposition] = {}
         self.blocks: dict[str, dict[int, Matrix]] = {}
         self.certificates: set[tuple[str, str]] = set()
-
-    def certificate(self, g: str, h: str) -> Homotopy:
-        """The contracting homotopy ``H`` of ``g o h - gh = d H + H d``.
-
-        Built on each call from the decompositions of the two end
-        objects, which build each contraction and projector once however
-        many pairs share them; raises KeyError for a pair without a
-        certificate.
-        """
-        if (g, h) not in self.certificates:
-            raise KeyError(f"no certificate for ('{g}', '{h}')")
-        r, gpd, decs = self.rep, self.rep.groupoid, self.decompositions
-        difference = r(g).compose(r(h)) - r(gpd.compose(g, h))
-        return _contracting_homotopy(difference, decs[gpd.src(h)], decs[gpd.tgt(g)])
 
     def _require_ok(self) -> None:
         # GradedDimensionMismatch for unequal graded dimensions, else the first problem

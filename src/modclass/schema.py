@@ -93,6 +93,39 @@ class _Collector:
             cols=widths.pop() if widths else 0,
         )
 
+    def per_degree(
+        self, raw: dict, where: str, label: str, bad_key: str, degrees: range | None, shape
+    ) -> dict[int, Matrix]:
+        """Matrices keyed by degree: ``raw[str(i)]`` of shape ``shape(i)``, for ``i`` in ``degrees``.
+
+        ``label`` names an entry and ``bad_key`` a key that is no integer;
+        a ``shape(i)`` of None, or no ``degrees``, skips that check.  Each
+        rejected key adds one problem.
+        """
+        matrices = {}
+        for key, rows in raw.items():
+            try:
+                i = int(key)
+            except ValueError:
+                self.add(f"{where}: {bad_key} {key!r}")
+                continue
+            m = self.matrix(rows, f"{where}, {label} {i}")
+            expected = shape(i)
+            if expected is not None and (m.rows, m.cols) != expected:
+                self.add(
+                    f"{where}, {label} {i}: shape {m.rows}x{m.cols},"
+                    f" expected {expected[0]}x{expected[1]}"
+                )
+                continue
+            if degrees is not None and i not in degrees:
+                self.add(
+                    f"{where}: {label} {key!r} is outside degrees"
+                    f" [{degrees.start}, {degrees.stop - 1}]"
+                )
+                continue
+            matrices[i] = m
+        return matrices
+
     def finish(self) -> None:
         if self.problems:
             raise SchemaError(self.problems)
@@ -204,25 +237,17 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
         # shapes checked against dims missing a rejected entry would add
         # a second, spurious problem
         dims_rejected = len(col.problems) > seen
-        diffs = {}
         differentials = col.mapping(
             spec.get("differentials", {}), f"complex of '{obj}', differentials"
         )
-        for key, rows in differentials.items():
-            try:
-                i = int(key)
-            except ValueError:
-                col.add(f"complex of '{obj}': bad differential degree {key!r}")
-                continue
-            m = col.matrix(rows, f"complex of '{obj}', differential {i}")
-            expected = (dims.get(i + 1, 0), dims.get(i, 0))
-            if not dims_rejected and (m.rows, m.cols) != expected:
-                col.add(
-                    f"complex of '{obj}', differential {i}: shape"
-                    f" {m.rows}x{m.cols}, expected {expected[0]}x{expected[1]}"
-                )
-                continue
-            diffs[i] = m
+        diffs = col.per_degree(
+            differentials,
+            f"complex of '{obj}'",
+            "differential",
+            "bad differential degree",
+            range(d_min, d_max + 1) if d_min <= d_max else None,
+            lambda i: None if dims_rejected else (dims.get(i + 1, 0), dims.get(i, 0)),
+        )
         if d_min > d_max:
             col.add(f"complex of '{obj}': empty degree range")
             continue
@@ -262,22 +287,14 @@ def _parse_rep(raw, gpd, fibers, col: _Collector):
             src, tgt = fibers.get(gpd.src(a)), fibers.get(gpd.tgt(a))
             if src is None or tgt is None:
                 return None
-            comps = {}
-            for key, rows in raw[a].items():
-                try:
-                    i = int(key)
-                except ValueError:
-                    col.add(f"rep of arrow '{a}': bad degree {key!r}")
-                    continue
-                m = col.matrix(rows, f"rep of arrow '{a}', degree {i}")
-                expected = (tgt.dim(i), src.dim(i))
-                if (m.rows, m.cols) != expected:
-                    col.add(
-                        f"rep of arrow '{a}', degree {i}: shape {m.rows}x{m.cols},"
-                        f" expected {expected[0]}x{expected[1]}"
-                    )
-                    continue
-                comps[i] = m
+            comps = col.per_degree(
+                raw[a],
+                f"rep of arrow '{a}'",
+                "degree",
+                "bad degree",
+                range(min(src.d_min, tgt.d_min), max(src.d_max, tgt.d_max) + 1),
+                lambda i: (tgt.dim(i), src.dim(i)),
+            )
             action[a] = ChainMap(src, tgt, comps)
         return RepUpToWeakHomotopy(gpd, fibers, action)
 

@@ -24,8 +24,9 @@ coordinates were relabelled, pulled back to the original coordinates.
 ``per_arrow_ber_rep`` and ``per_degree_cohomology_rep`` are the
 Berezinian and cohomology representations built without a
 ``verify_ruth`` report: they decompose every fiber afresh, take each
-arrow's Berezinian with ``berezinian_class`` and re-check the result's
-functoriality, or take each arrow's harmonic blocks again.
+arrow's Berezinian from its harmonic blocks by the closed form of
+``berezinian_class`` and re-check the result's functoriality, or take
+each arrow's harmonic blocks again.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from modclass import (
     Trivialization,
     ValidationReport,
     VectorRep,
-    berezinian_class,
     decompose,
     det,
     det_and_inverse,
@@ -57,6 +57,7 @@ from modclass import (
     verify_complex,
     verify_line_rep,
 )
+from modclass.complexes import _class_berezinian
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -402,7 +403,7 @@ def pair_scan_ruth(r: RepUpToWeakHomotopy) -> tuple[list[str], set]:
 
 
 def per_arrow_ber_rep(r: RepUpToWeakHomotopy, sigma: Trivialization | None = None) -> LineRep:
-    """Each arrow's ``berezinian_class`` on fresh decompositions, re-checked for functoriality."""
+    """Each arrow's Berezinian class on fresh decompositions, re-checked for functoriality."""
     sigma = sigma or Trivialization.ones()
     gpd = r.groupoid
     decs = {x: decompose(r.complexes[x]) for x in gpd.objects}
@@ -416,8 +417,9 @@ def per_arrow_ber_rep(r: RepUpToWeakHomotopy, sigma: Trivialization | None = Non
                     f"arrow '{a}' joins fibers of different dimension"
                     f" in degree {i} ({t.source.dim(i)} vs {t.target.dim(i)})"
                 )
-        action[a] = berezinian_class(
-            t, sigma(s_obj), sigma(t_obj), decs[s_obj], decs[t_obj]
+        ends = decs[s_obj], decs[t_obj]
+        action[a] = _class_berezinian(
+            harmonic_blocks(t, *ends), *ends, sigma(s_obj), sigma(t_obj)
         )
     rep = LineRep(gpd, action)
     check = verify_line_rep(rep)

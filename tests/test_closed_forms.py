@@ -1,13 +1,14 @@
 """Differential tests: the decomposition's closed forms against slow references.
 
 ``null_homotopy`` and ``verify_ruth`` decide homotopies from harmonic
-blocks and build certificates from the contraction; the reference is the
-global linear system in ``oracle.py``.  ``berezinian_class`` reads the
-Berezinian off harmonic-block and basis determinants; the reference is
-the Berezinian of an explicit invertible replacement.  The Berezinian
-and cohomology representations read off a ``verify_ruth`` report are
-checked against ``berezinian_class`` per arrow and against the
-per-arrow and per-degree constructions in ``oracle.py``.
+blocks, and ``null_homotopy`` builds them from the contraction; the
+reference is the global linear system in ``oracle.py``.
+``berezinian_class`` reads the Berezinian off harmonic-block and basis
+determinants; the reference is the Berezinian of an explicit invertible
+replacement.  The Berezinian and cohomology representations read off a
+``verify_ruth`` report are checked against ``berezinian_class`` per
+arrow and against the per-arrow and per-degree constructions in
+``oracle.py``.
 """
 
 import random
@@ -19,6 +20,7 @@ from modclass import (
     ChainMap,
     ComplexFiber,
     NotHomotopyEquivalence,
+    are_homotopic,
     berezinian,
     berezinian_class,
     cohomology_representation,
@@ -30,7 +32,7 @@ from modclass import (
     regular_factorization_check,
     verify_ruth,
 )
-from modclass.complexes import _contracting_homotopy
+from modclass.complexes import _class_berezinian, _contracting_homotopy
 from oracle import (
     global_null_homotopy,
     per_arrow_ber_rep,
@@ -177,7 +179,9 @@ def test_verify_ruth_decisions_and_certificates(seed):
             failed.add((g, h))
             assert (g, h) not in report.certificates
         else:
-            assert report.certificate(g, h).boundary_conjugate() == difference
+            assert (g, h) in report.certificates
+            homotopy = are_homotopic(rep(g).compose(rep(h)), rep(gpd.compose(g, h)))
+            assert homotopy.boundary_conjugate() == difference
     assert report.ok == (not failed)
     assert len(report.problems) == len(failed)
 
@@ -186,17 +190,17 @@ def test_verify_ruth_decisions_and_certificates(seed):
 def test_certificates_from_shared_contractions_match_fresh_ones(seed):
     # the report's decompositions build each contraction once and share
     # it between pairs; visit the pairs in reverse to vary who builds
-    # them first, and hold each certificate to one built on decompositions
-    # made afresh for that pair alone
+    # them first, and hold each homotopy built on them to the one
+    # are_homotopic builds on decompositions made afresh for that pair
     _, rep = _ruth_case(seed)
-    gpd, fibers = rep.groupoid, rep.complexes
-    report = verify_ruth(rep)
-    for g, h in sorted(report.certificates, reverse=True):
-        difference = rep(g).compose(rep(h)) - rep(gpd.compose(g, h))
-        shared = report.certificate(g, h)
-        assert shared.boundary_conjugate() == difference
-        fresh = decompose(fibers[gpd.src(h)]), decompose(fibers[gpd.tgt(g)])
-        assert shared == _contracting_homotopy(difference, *fresh)
+    gpd, report = rep.groupoid, verify_ruth(rep)
+    for g, h in sorted(gpd.composable_pairs(), reverse=True):
+        composed, composite = rep(g).compose(rep(h)), rep(gpd.compose(g, h))
+        fresh = are_homotopic(composed, composite)
+        assert ((g, h) in report.certificates) == (fresh is not None)
+        if fresh is not None:
+            ends = report.decompositions[gpd.src(h)], report.decompositions[gpd.tgt(g)]
+            assert _contracting_homotopy(composed - composite, *ends) == fresh
 
 
 # Seeds whose harmonic blocks fail H(g) H(h) = H(gh) while their
@@ -234,7 +238,9 @@ def test_report_reads_match_the_per_arrow_oracles(seed):
     for a in gpd.arrow_ids():
         x, y = gpd.src(a), gpd.tgt(a)
         assert line(a) == berezinian_class(rep(a), sigma(x), sigma(y))
-        assert line(a) == berezinian_class(rep(a), sigma(x), sigma(y), variants[x], variants[y])
+        variant = variants[x], variants[y]
+        blocks = harmonic_blocks(rep(a), *variant)
+        assert line(a) == _class_berezinian(blocks, *variant, sigma(x), sigma(y))
     fibers = rep.complexes.values()
     # one degree past either end, where every fiber is zero
     for i in range(min(c.d_min for c in fibers) - 1, max(c.d_max for c in fibers) + 2):
@@ -263,7 +269,7 @@ def test_berezinian_class_matches_replacement(seed):
         permuted_decomposition(c, _permutation(rng, c)),
         permuted_decomposition(other, _permutation(rng, other)),
     )
-    assert berezinian_class(f, *sigma, *variant) == value
+    assert _class_berezinian(harmonic_blocks(f, *variant), *variant, *sigma) == value
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -13,11 +13,12 @@ from modclass import (
     RepUpToWeakHomotopy,
     SchemaError,
     VectorRep,
+    are_homotopic,
     parse,
     parse_data,
     serialize,
 )
-from randgen import RuthSpec, rand_ruth, run_modclass_cli, standard_fixtures
+from randgen import RuthSpec, rand_chain_map, rand_ruth, run_modclass_cli, standard_fixtures
 
 FIXTURES = pathlib.Path(modclass.__file__).parent / "fixtures"
 DATA = pathlib.Path(__file__).parent / "data"
@@ -179,6 +180,43 @@ class TestExitCodes:
         assert cli.main(["validate", str(path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: complex of 'x': {error}"]
+
+    @pytest.mark.parametrize(
+        ("breakage", "error"),
+        [
+            (
+                lambda d: d["complex"]["*"]["differentials"].update({"5": []}),
+                "complex of '*': differential '5' is outside degrees [1, 1]",
+            ),
+            (
+                lambda d: d["complex"]["*"]["differentials"].update({"0": [[]]}),
+                "complex of '*': differential '0' is outside degrees [1, 1]",
+            ),
+            (
+                lambda d: d["rep"]["t"].update({"7": []}),
+                "rep of arrow 't': degree '7' is outside degrees [1, 1]",
+            ),
+            (
+                lambda d: d["rep"]["e"].update({"-3": []}),
+                "rep of arrow 'e': degree '-3' is outside degrees [1, 1]",
+            ),
+            (
+                lambda d: d["rep"]["t"].update({"7": [["1"]]}),
+                "rep of arrow 't', degree 7: shape 1x1, expected 0x0",
+            ),
+        ],
+        ids=["differential-above", "differential-below", "rep-above", "rep-below", "shape-first"],
+    )
+    def test_degree_key_outside_the_range_is_one_error(self, breakage, error, tmp_path, capsys):
+        # an empty matrix there has the expected 0x0 shape, yet the
+        # document declares it and nothing would read it
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        breakage(data)
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {error}"]
 
     @pytest.mark.parametrize(
         ("name", "section", "entry", "error"),
@@ -376,6 +414,33 @@ class TestCommands:
         assert len(payload["pairs"]) == 4
         assert all(p["certificate"] == "found" for p in payload["pairs"])
 
+    def test_homotopy_check_finds_exactly_the_homotopic_pairs(self, tmp_path, capsys):
+        # odd seeds swap one non-unit action for a random chain map, so
+        # that some pairs are not homotopy functorial
+        outcomes = set()
+        for seed in range(24):
+            rng = random.Random(seed)
+            fx = standard_fixtures()[seed % 3]
+            gpd, rep = fx.gpd, rand_ruth(rng, fx)
+            if seed % 2:
+                units = {gpd.unit(x) for x in gpd.objects}
+                a = rng.choice([b for b in gpd.arrow_ids() if b not in units])
+                rep.action[a] = rand_chain_map(rng, rep(a).source, rep(a).target)
+            path = tmp_path / f"ruth_{seed}.json"
+            path.write_text(json.dumps(serialize(InputDocument(gpd, rep, None, None))))
+            code = cli.main(["homotopy-check", str(path), "--format", "json"])
+            pairs = json.loads(capsys.readouterr().out)["pairs"]
+            found = {(p["g"], p["h"]) for p in pairs if p["certificate"] == "found"}
+            homotopic = {
+                (g, h)
+                for g, h in gpd.composable_pairs()
+                if are_homotopic(rep(g).compose(rep(h)), rep(gpd.compose(g, h))) is not None
+            }
+            assert found == homotopic, seed
+            assert code == (0 if len(found) == len(pairs) else 1), seed
+            outcomes.add(code)
+        assert outcomes == {0, 1}
+
     def test_cohomology_solves_supplied_cochain(self):
         payload = json.loads(
             run_cli("cohomology", "pair2.json", "--format", "json").stdout
@@ -429,7 +494,7 @@ class TestCommands:
 
 
 class TestHomotopyBuilds:
-    """Chain homotopies are built only for the pairs homotopy-check reports."""
+    """Deciding homotopies builds none: every command reads the report's decisions."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -444,28 +509,18 @@ class TestHomotopyBuilds:
                 monkeypatch.setattr(module, "_contracting_homotopy", counted)
         return calls
 
-    @pytest.mark.parametrize("command", ["validate", "modular-class"])
+    @pytest.mark.parametrize("command", ["validate", "modular-class", "homotopy-check"])
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_decisions_build_none(self, name, command, builds, capsys):
-        assert cli.main([command, str(FIXTURES / f"{name}.json"), "--format", "json"]) == 0
-        assert builds == []
-
-    @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_homotopy_check_builds_one_per_found_pair(self, name, builds, capsys):
-        code = cli.main(["homotopy-check", str(FIXTURES / f"{name}.json"), "--format", "json"])
-        out = capsys.readouterr().out
-        if name == "s3_action":  # a line representation: no chain maps to check
-            assert (code, out, builds) == (2, "", [])
-            return
-        found = [p for p in json.loads(out)["pairs"] if p["certificate"] == "found"]
-        assert code == 0
-        assert len(builds) == len(found) > 0
-
+        code = cli.main([command, str(FIXTURES / f"{name}.json"), "--format", "json"])
+        # s3_action is a line representation: homotopy-check has no chain maps to check
+        expected = 2 if (command, name) == ("homotopy-check", "s3_action") else 0
+        assert (code, builds) == (expected, [])
 
     def test_homotopy_check_multiplies_each_contraction_once(self, monkeypatch, capsys, tmp_path):
-        # one object with a nonzero differential: every pair's homotopy
-        # needs that object's contraction and harmonic projector, and its
-        # decomposition builds each of them (and each block) only once
+        # one object with a nonzero differential: every pair is found
+        # from the harmonic blocks, which its decomposition builds once
+        # each, and no pair needs a contraction or a harmonic projector
         z2 = standard_fixtures()[0]
         spec = RuthSpec({0: 1, 1: 1}, [0])
         rep = rand_ruth(random.Random(3), z2, spec)
@@ -485,8 +540,8 @@ class TestHomotopyBuilds:
         assert cli.main(["homotopy-check", str(path), "--format", "json"]) == 0
         pairs = json.loads(capsys.readouterr().out)["pairs"]
         assert [p["certificate"] for p in pairs] == ["found"] * 4
-        assert len(builds) == len(set(builds))
-        assert {"contraction", "projector"} <= {key[0] for _, key in builds}
+        assert len(builds) == len(set(builds)) > 0
+        assert {key[0] for _, key in builds}.isdisjoint({"contraction", "projector"})
 
 
 class TestWorkCounts:
@@ -528,6 +583,17 @@ class TestWorkCounts:
         # the counters see the work: every fiber of a homotopy document is decomposed
         homotopy = isinstance(parse(path).rep, RepUpToWeakHomotopy)
         assert calls["decompose"] == (sizes["object"] if homotopy else 0)
+
+    @pytest.mark.parametrize("name", ["z2_sign_odd", "pair2", "acyclic_two_term"])
+    def test_homotopy_check_stays_within_budget(self, name, calls, capsys):
+        path = FIXTURES / f"{name}.json"
+        groupoid = json.loads(path.read_text())["groupoid"]
+        sizes = {"object": len(groupoid["objects"]), "arrow": len(groupoid["arrows"]), "request": 1}
+        assert cli.main(["homotopy-check", str(path), "--format", "json"]) == 0
+        over = {name: calls[name] for _, name, per in self.BUDGET if calls[name] > sizes[per]}
+        assert over == {}
+        # a vector document is checked as a homotopy one: every fiber is decomposed
+        assert calls["decompose"] == sizes["object"]
 
     @pytest.mark.parametrize(
         ("command", "name"),
