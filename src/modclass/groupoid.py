@@ -192,13 +192,14 @@ class ClassReport:
 def validate(gpd: FiniteGroupoid) -> ValidationReport:
     """Check the groupoid laws, reporting each violation.
 
-    The identifiers, endpoints, units, inverses, the composition table's
-    domain and the unit and inverse laws are checked arrow by arrow.
-    Closure and associativity are certified through the isotropy model
-    (:func:`_is_associative`); a table without a model is scanned pair by
-    pair for closure, and one the certificate does not pass is scanned
-    triple by triple for associativity.  The scans alone word the
-    closure and associativity problems.
+    The identifiers, endpoints, units, inverses and the unit and inverse
+    laws are checked arrow by arrow.  The isotropy model proves the
+    composition table's domain and closure in one pass over the table,
+    and :func:`_is_associative` certifies associativity through it.  A
+    table without a model has its domain checked by :func:`_check_domain`
+    and is scanned pair by pair for closure; one the certificate does not
+    pass is scanned triple by triple for associativity.  Only these
+    checks and scans word the domain, closure and associativity problems.
     """
     report = ValidationReport()
     ids = gpd.arrow_ids()
@@ -222,19 +223,12 @@ def validate(gpd: FiniteGroupoid) -> ValidationReport:
     if not report.ok:
         return report
 
-    ordered_pairs = gpd.composable_pairs()
-    pairs = set(ordered_pairs)
-    table = set(gpd.composition)
-    for g, h in table - pairs:
-        report.add(f"composition table defines non-composable pair ('{g}', '{h}')")
-    for g, h in pairs - table:
-        report.add(f"composable pair ('{g}', '{h}') missing from composition table")
-    if not report.ok:
-        return report
-
-    model = _model_of(gpd)  # a model proves closure
+    model = _model_of(gpd)  # a model proves the table's domain and closure
     if model is None:
-        _scan_closure(gpd, pairs, id_set, report)
+        _check_domain(gpd, report)
+        if not report.ok:
+            return report
+        _scan_closure(gpd, id_set, report)
         if not report.ok:
             return report
 
@@ -253,12 +247,39 @@ def validate(gpd: FiniteGroupoid) -> ValidationReport:
                 report.add(f"inverse law fails: '{b}' * '{a}' is not a unit")
 
     if not _is_associative(gpd, model):
-        _scan_associativity(gpd, ordered_pairs, report)
+        _scan_associativity(gpd, report)
     return report
 
 
-def _scan_closure(gpd: FiniteGroupoid, pairs: set, id_set: set, report: ValidationReport) -> None:
-    for g, h in sorted(pairs):
+def _check_domain(gpd: FiniteGroupoid, report: ValidationReport) -> None:
+    """Word each key of the table that is no composable pair, in table
+    order, then each composable pair it misses, in pair order.
+
+    The composable keys are distinct, so when they are as many as the
+    composable pairs none is missing, and the pairs are never listed.
+    """
+    table, src, tgt = gpd.composition, gpd._src, gpd._tgt
+    composable = len(table)
+    for g, h in table:
+        s = src.get(g)
+        if s is None or s != tgt.get(h):
+            report.add(f"composition table defines non-composable pair ('{g}', '{h}')")
+            composable -= 1
+    if composable != _pair_count(gpd):
+        for g, h in gpd.composable_pairs():
+            if (g, h) not in table:
+                report.add(f"composable pair ('{g}', '{h}') missing from composition table")
+
+
+def _pair_count(gpd: FiniteGroupoid) -> int:
+    """``len(gpd.composable_pairs())``, without listing them."""
+    into, src = gpd._into, gpd._src
+    return sum(len(into.get(src[g], ())) for g in gpd._arrow_ids)
+
+
+def _scan_closure(gpd: FiniteGroupoid, id_set: set, report: ValidationReport) -> None:
+    # the table's keys, once its domain is known to be the composable pairs
+    for g, h in sorted(gpd.composition):
         gh = gpd.compose(g, h)
         if gh not in id_set:
             report.add(f"composite of ('{g}', '{h}') is an unknown arrow")
@@ -266,8 +287,8 @@ def _scan_closure(gpd: FiniteGroupoid, pairs: set, id_set: set, report: Validati
             report.add(f"composite '{gh}' of ('{g}', '{h}') has wrong endpoints")
 
 
-def _scan_associativity(gpd: FiniteGroupoid, ordered_pairs: list, report: ValidationReport) -> None:
-    for g, h in ordered_pairs:
+def _scan_associativity(gpd: FiniteGroupoid, report: ValidationReport) -> None:
+    for g, h in gpd.composable_pairs():
         gh = gpd.compose(g, h)
         for k in gpd._into[gpd.src(h)]:
             if gpd.compose(gh, k) != gpd.compose(g, gpd.compose(h, k)):
@@ -358,8 +379,11 @@ def _isotropy_model(gpd: FiniteGroupoid):
     unit of ``b``), and ``k(a) = (t_y^-1 a) t_x`` for ``a: x -> y``.  The
     model is returned as ``(tree, k, isotropy)``, ``isotropy`` listing
     the loops at each base, only when every ``k(a)`` is a loop at its
-    base and every composable pair ``(g, h)`` has ``gh: src h -> tgt g``
-    with ``k(gh) = k(g) k(h)``: table lookups only, no arithmetic.
+    base and the table is defined exactly on the composable pairs, each
+    ``(g, h)`` with ``gh: src h -> tgt g`` and ``k(gh) = k(g) k(h)``:
+    table lookups only, no arithmetic.  As many entries as composable
+    pairs, each one composable, is that domain, so the pairs are never
+    listed.
     """
     try:
         tree: dict[str, str] = {}
@@ -383,9 +407,15 @@ def _isotropy_model(gpd: FiniteGroupoid):
             if s == t == b:
                 isotropy[b].append(a)
         src, tgt, compose = gpd._src, gpd._tgt, gpd.composition
-        for g, h in gpd.composable_pairs():
-            gh = compose[g, h]
-            if src[gh] != src[h] or tgt[gh] != tgt[g] or k[gh] != compose[k[g], k[h]]:
+        if len(compose) != _pair_count(gpd):
+            return None
+        for (g, h), gh in compose.items():
+            if (
+                src[g] != tgt[h]
+                or src[gh] != src[h]
+                or tgt[gh] != tgt[g]
+                or k[gh] != compose[k[g], k[h]]
+            ):
                 return None
     except KeyError:
         return None

@@ -14,12 +14,14 @@ as integers over one positive denominator, in lowest terms: row ``i`` is
 ``_num[i] / _den[i]`` with ``gcd(_den[i], *_num[i]) == 1``, so a zero row
 is over 1 and equal matrices store equal tuples.  The public constructor
 coerces each entry once (a `float` is a TypeError) and clears each row
-over the `lcm` of its denominators (`_cleared`); every other operation
-stays in integers and makes `Fraction`s only where entries leave the
-matrix (`__getitem__`, `row`, `column`, `to_lists`, `repr`).  A product
-writes its right operand over one `lcm`, so each entry is an integer dot
-product and each row is normalised with one `gcd`, and every elimination
-here is the one fraction-free `_eliminate` of those integer rows.
+over the `lcm` of its denominators (`_cleared`); the string reader
+`Matrix._parse` takes "p/q" strings straight to those integer rows.
+Every other operation stays in integers and makes `Fraction`s only
+where entries leave the matrix (`__getitem__`, `row`, `column`,
+`to_lists`, `repr`).  A product writes its right operand over one
+`lcm`, so each entry is an integer dot product and each row is
+normalised with one `gcd`, and every elimination here is the one
+fraction-free `_eliminate` of those integer rows.
 """
 
 from __future__ import annotations
@@ -32,20 +34,29 @@ from operator import add, mul, sub
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
+def _rational_parts(text) -> tuple[int, int]:
+    """``(p, q)``, ``q > 0``, for the "p" or "p/q" string ``text``; ValueError if it is none.
+
+    ``p / q`` need not be in lowest terms: ``"4/6"`` gives ``(4, 6)``.
+    """
+    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+        raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
+    num, _, den = text.strip().partition("/")
+    if not den:
+        return int(num), 1
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"malformed rational {text!r}: zero denominator")
+    return int(num), q
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational from its "p" or "p/q" decimal string form.
 
     >>> parse_rational("-3/6")
     Fraction(-1, 2)
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
-    num, _, den = text.strip().partition("/")
-    if den:
-        if int(den) == 0:
-            raise ValueError(f"malformed rational {text!r}: zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    return Fraction(*_rational_parts(text))
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -110,6 +121,31 @@ class Matrix:
         object.__setattr__(m, "_num", num)
         object.__setattr__(m, "_den", den)
         return m
+
+    @classmethod
+    def _parse(cls, rows, cols: int) -> tuple["Matrix", list[str]]:
+        """The matrix of "p" or "p/q" strings ``rows``, each ``cols`` wide, and
+        the message of each bad entry, in entry order; a bad entry reads as 1.
+
+        Each row goes straight to integers over the ``lcm`` of its
+        denominators, so the result equals ``Matrix`` of the entries read
+        one by one with :func:`parse_rational`: both are in lowest terms.
+        """
+        num, den, problems = [], [], []
+        for row in rows:
+            ps, qs = [], []
+            for x in row:
+                try:
+                    p, q = _rational_parts(x)
+                except ValueError as exc:
+                    problems.append(str(exc))
+                    p, q = 1, 1
+                ps.append(p)
+                qs.append(q)
+            d = lcm(*qs)
+            num.append(ps if d == 1 else [p * (d // q) for p, q in zip(ps, qs)])
+            den.append(d)
+        return cls._lowest(num, den, cols), problems
 
     @classmethod
     def _lowest(cls, num, den, cols: int) -> "Matrix":

@@ -88,10 +88,10 @@ class _Collector:
         if len(widths) > 1:
             self.add(f"{where}: ragged rows")
             return Matrix.zeros(0, 0)
-        return Matrix(
-            [[self.rational(x, where) for x in row] for row in raw],
-            cols=widths.pop() if widths else 0,
-        )
+        m, problems = Matrix._parse(raw, widths.pop() if widths else 0)
+        for message in problems:
+            self.add(f"{where}: {message}")
+        return m
 
     def per_degree(
         self, raw: dict, where: str, label: str, bad_key: str, degrees: range | None, shape
@@ -150,7 +150,10 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
             col.add(f"groupoid: arrow entry {entry!r} needs string 'id', 'src', 'tgt'")
             continue
         arrows.append(arrow)
-    arrow_ids = {a for a, _, _ in arrows}
+    # each id to the arrow's own string: the compose table is stored with
+    # these, so every later lookup of its entries meets identical strings
+    arrow_ids = {a: a for a, _, _ in arrows}
+    canonical = arrow_ids.get
     object_set = set(objects)
     for a, s, t in arrows:
         if s not in object_set:
@@ -174,6 +177,14 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
         col.add("compose table: expected a list")
         compose = []
     for entry in compose:
+        # a triple of known ids takes one test; any other entry is worded below
+        if type(entry) is list and len(entry) == 3:
+            g, h, gh = entry
+            if type(g) is str and type(h) is str and type(gh) is str:
+                g, h, gh = canonical(g), canonical(h), canonical(gh)
+                if g is not None and h is not None and gh is not None:
+                    composition[g, h] = gh
+                    continue
         if not (isinstance(entry, list) and len(entry) == 3 and _strings(entry)):
             col.add(f"compose table: entry {entry!r} is not a [g, h, gh] triple")
             malformed += 1

@@ -245,12 +245,16 @@ def scan_validate(gpd: FiniteGroupoid) -> list[str]:
     if problems:
         return problems
 
-    pairs = set(scan_composable_pairs(gpd))
-    table = set(gpd.composition)
-    for g, h in table - pairs:
-        problems.append(f"composition table defines non-composable pair ('{g}', '{h}')")
-    for g, h in pairs - table:
-        problems.append(f"composable pair ('{g}', '{h}') missing from composition table")
+    ordered_pairs = scan_composable_pairs(gpd)
+    pairs = set(ordered_pairs)
+    table = gpd.composition
+    # table order, then pair order: neither depends on string hashes
+    for g, h in table:
+        if (g, h) not in pairs:
+            problems.append(f"composition table defines non-composable pair ('{g}', '{h}')")
+    for g, h in ordered_pairs:
+        if (g, h) not in table:
+            problems.append(f"composable pair ('{g}', '{h}') missing from composition table")
     if problems:
         return problems
 

@@ -321,9 +321,12 @@ def mutated(gpd: FiniteGroupoid, rng: random.Random, kind: str) -> FiniteGroupoi
             composition[k1], composition[k2] = composition[k2], composition[k1]
     elif kind == "dropped pair":
         del composition[rng.choice(keys)]
-    elif kind == "extra pair":
+    elif kind in ("extra pair", "swapped key"):
         apart = [(g, h) for g, (sg, _) in ends.items() for h, (_, th) in ends.items() if sg != th]
         extra = rng.choice(apart or [(arrows[0][0], "zz")])
+        if kind == "swapped key":
+            # one pair missing and one key extra: as many keys as pairs
+            del composition[rng.choice(keys)]
         composition[extra] = extra[0]
     elif kind == "bad unit":
         x = rng.choice(gpd.objects)
@@ -351,7 +354,7 @@ def mutated(gpd: FiniteGroupoid, rng: random.Random, kind: str) -> FiniteGroupoi
 
 MUTATIONS = [
     None, "swapped composite", "dropped pair", "extra pair", "bad unit", "moved arrow",
-    "swapped composites", "twin arrow",
+    "swapped composites", "twin arrow", "swapped key",
 ]
 
 
@@ -400,6 +403,23 @@ def test_groupoid_scans_match_the_all_arrow_scans(seed, certified):
         if not expected:
             # accepts every lawful table without a triple scan
             assert certified == {"verdicts": [True], "scans": 0}, kind
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_swapped_key_is_worded_and_leaves_no_model(seed):
+    # the table has as many keys as composable pairs, so the count alone
+    # would pass it: each key's own test has to catch the swap
+    rng = random.Random(seed)
+    base = builder_groupoid(rng)
+    gpd = mutated(base, rng, "swapped key")
+    (dropped,) = set(base.composition) - set(gpd.composition)
+    (extra,) = set(gpd.composition) - set(base.composition)
+    assert len(gpd.composition) == len(gpd.composable_pairs())
+    assert validate(gpd).problems == [
+        f"composition table defines non-composable pair ('{extra[0]}', '{extra[1]}')",
+        f"composable pair ('{dropped[0]}', '{dropped[1]}') missing from composition table",
+    ]
+    assert _isotropy_model(gpd) is None
 
 
 def test_mutations_reach_every_stage_of_validate():

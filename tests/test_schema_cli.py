@@ -110,6 +110,21 @@ class TestExitCodes:
         assert result.returncode == 1
         assert "associativity fails on ('t', 't', 't')" in result.stdout
 
+    def test_table_domain_problems_in_table_then_pair_order(self):
+        # non-composable keys in table order, then missing pairs in pair
+        # order: neither depends on the hash seed
+        result = run_cli("validate", "table_domain.json", "--format", "json", cwd=DATA)
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["sections"]["groupoid"] == [
+            "composition table defines non-composable pair ('g', 'g')",
+            "composition table defines non-composable pair ('ginv', 'ginv')",
+            "composition table defines non-composable pair ('1x', 'g')",
+            "composition table defines non-composable pair ('1y', 'ginv')",
+            "composable pair ('1x', '1x') missing from composition table",
+            "composable pair ('1y', '1y') missing from composition table",
+            "composable pair ('g', '1x') missing from composition table",
+        ]
+
     def test_malformed_input(self):
         result = run_cli("validate", "malformed.json", cwd=DATA)
         assert result.returncode == 2
@@ -603,6 +618,41 @@ class TestWorkCounts:
     def test_law_checks_build_the_model_once(self, command, name, calls, capsys):
         assert cli.main([command, str(FIXTURES / f"{name}.json"), "--format", "json"]) == 0
         # groupoid validation builds it; the rep and cocycle checks reuse it
+        assert calls["_isotropy_model"] == 1
+
+    @pytest.mark.parametrize(
+        ("command", "name", "action_as_cochain"),
+        [
+            ("validate", "pair2", False),
+            ("validate", "s3_action", False),
+            ("validate", "s3_action", True),
+            ("cohomology", "pair2", False),
+            ("cohomology", "s3_action", True),
+            ("modular-class", "pair2", False),
+            ("modular-class", "s3_action", False),
+            ("modular-class", "s3_action", True),
+        ],
+    )
+    def test_lawful_tables_list_no_pairs(
+        self, command, name, action_as_cochain, calls, monkeypatch, tmp_path, capsys
+    ):
+        # vector (pair2), line (s3_action) and cochain documents: the model
+        # decides the table's domain, and nothing lists the pairs
+        data = json.loads((FIXTURES / f"{name}.json").read_text())
+        if action_as_cochain:
+            data["cochain"] = data["rep"]  # a line action is a cocycle
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        listed = []
+        composable_pairs = modclass.FiniteGroupoid.composable_pairs
+
+        def counted(gpd):
+            listed.append(gpd)
+            return composable_pairs(gpd)
+
+        monkeypatch.setattr(modclass.FiniteGroupoid, "composable_pairs", counted)
+        assert cli.main([command, str(path), "--format", "json"]) == 0
+        assert listed == []
         assert calls["_isotropy_model"] == 1
 
 

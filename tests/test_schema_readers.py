@@ -1,0 +1,159 @@
+"""Property tests of the document readers.
+
+The schema reads each matrix's "p/q" strings straight to integer rows;
+the reference reads each entry with ``parse_rational`` and builds the
+matrix from the `Fraction`s.  The fuzz test mutates the shipped fixtures
+with small JSON values: every document must be read, or refused with a
+``SchemaError``, and every command must then answer with exit code 0 or
+1, or refuse it the same way.
+"""
+
+import argparse
+import copy
+import json
+import pathlib
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import modclass
+from modclass import Matrix, SchemaError, cli, parse_data
+from modclass.linalg import parse_rational
+from modclass.schema import _Collector
+
+FIXTURES = pathlib.Path(modclass.__file__).parent / "fixtures"
+FIXTURE_NAMES = ["z2_sign_odd", "pair2", "s3_action", "acyclic_two_term"]
+
+
+def rational_text(parts) -> str:
+    sign, zeros, p, q, left, right = parts
+    body = f"{sign}{'0' * zeros}{p}" + ("" if q is None else f"/{'0' * zeros}{q}")
+    return f"{left}{body}{right}"
+
+
+VALID = st.one_of(
+    st.tuples(
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 2),
+        st.integers(0, 2**60),
+        st.none() | st.integers(1, 2**60),
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", " ", "\n"]),
+    ).map(rational_text),
+    st.sampled_from(["-0/5", "4/6", "３", "0", "1", "-1"]),  # "３" is a full-width 3
+)
+BAD = st.sampled_from(["1/0", "1_0", "1.5", "", "1/-2", 1, 1.5, True, None, []])
+
+
+def reference(entry):
+    """``parse_rational``'s value, or 1 and its message."""
+    try:
+        return parse_rational(entry), None
+    except ValueError as exc:
+        return Fraction(1), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda width: st.lists(st.lists(VALID | BAD, min_size=width, max_size=width), max_size=4)
+    )
+)
+def test_string_rows_read_as_parse_rational_reads_each_entry(rows):
+    col = _Collector()
+    m = col.matrix(rows, "here")
+    read = [[reference(x) for x in row] for row in rows]
+    values = [[value for value, _ in row] for row in read]
+    expected = Matrix(values, cols=len(rows[0]) if rows else 0)
+    assert m == expected and (m.rows, m.cols) == (expected.rows, expected.cols)
+    assert m.to_lists() == expected.to_lists()
+    assert col.problems == [f"here: {msg}" for row in read for _, msg in row if msg is not None]
+
+
+ATOMS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.just(1.5),
+    st.sampled_from(["", "0", "1", "-1", "1/2", "1/0", "x", "y", "*", "e", "t", "g", "1x", "ginv"]),
+    st.text(max_size=3),
+)
+KEYS = st.sampled_from(["0", "1", "-1", "x", "*", "g", "e", "t"]) | st.text(max_size=2)
+SMALL_JSON = st.recursive(
+    ATOMS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+COMMANDS = ("validate", "cohomology", "modular-class", "berezinian", "replace", "homotopy-check")
+
+
+def places(node):
+    """Every ``(container, key)`` in a decoded document, the root's children first."""
+    found = []
+    stack = [node]
+    while stack:
+        parent = stack.pop()
+        if isinstance(parent, dict):
+            keys = list(parent)
+        else:
+            keys = range(len(parent)) if isinstance(parent, list) else []
+        for key in keys:
+            found.append((parent, key))
+            stack.append(parent[key])
+    return found
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A fixture with one to three of its values changed, dropped or repeated.
+
+    Most changes keep a value's kind, so that many documents still read
+    and reach the commands: a string becomes a sibling string, a small
+    rational or another string of the document, an integer a small
+    integer, and a list entry a copy of a sibling.
+    """
+    doc = json.loads((FIXTURES / f"{draw(st.sampled_from(FIXTURE_NAMES))}.json").read_text())
+    words = sorted({key for parent, key in places(doc) if isinstance(key, str)}
+                   | {parent[key] for parent, key in places(doc) if isinstance(parent[key], str)})
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["same kind"] * 3 + ["copy", "delete", "any"]))
+        targets = places(doc)
+        if action == "same kind":
+            targets = [(parent, key) for parent, key in targets if type(parent[key]) in (str, int)]
+        if not targets:
+            break
+        parent, key = draw(st.sampled_from(targets))
+        if action == "same kind" and isinstance(parent[key], str):
+            siblings = [v for v in (parent.values() if isinstance(parent, dict) else parent)
+                        if isinstance(v, str)]
+            parent[key] = draw(st.sampled_from(siblings + ["0", "1", "-1", "2", "1/2"])
+                               | st.sampled_from(words) | st.text(max_size=3))
+        elif action == "same kind":
+            parent[key] = draw(st.integers(-3, 3))
+        elif action == "copy" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(draw(st.sampled_from(parent))))
+        elif action == "delete":
+            del parent[key]
+        else:
+            parent[key] = draw(SMALL_JSON)
+    return doc
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_fixture())
+def test_mutated_documents_are_read_or_refused(data):
+    try:
+        doc = parse_data(data)
+    except SchemaError:
+        return
+    arrows = doc.groupoid.arrow_ids()
+    for command in COMMANDS:
+        args = argparse.Namespace(
+            command=command, input="doc.json", fmt="json", arrow=arrows[0] if arrows else "g"
+        )
+        try:
+            report, code = cli.run(command, doc, args)
+        except SchemaError:
+            continue
+        assert code in (0, 1), command
+        report.to_json(), report.to_text()
