@@ -177,23 +177,23 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
         col.add("compose table: expected a list")
         compose = []
     for entry in compose:
-        # a triple of known ids takes one test; any other entry is worded below
-        if type(entry) is list and len(entry) == 3:
-            g, h, gh = entry
-            if type(g) is str and type(h) is str and type(gh) is str:
-                g, h, gh = canonical(g), canonical(h), canonical(gh)
-                if g is not None and h is not None and gh is not None:
-                    composition[g, h] = gh
-                    continue
-        if not (isinstance(entry, list) and len(entry) == 3 and _strings(entry)):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], str)
+            and isinstance(entry[2], str)
+        ):
             col.add(f"compose table: entry {entry!r} is not a [g, h, gh] triple")
             malformed += 1
             continue
         g, h, gh = entry
-        for side in (g, h, gh):
-            if side not in arrow_ids:
-                col.add(f"compose table: unknown arrow '{side}'")
-        composition[(g, h)] = gh
+        cg, ch, cgh = canonical(g), canonical(h), canonical(gh)
+        if cg is None or ch is None or cgh is None:
+            for side in (g, h, gh):
+                if side not in arrow_ids:
+                    col.add(f"compose table: unknown arrow '{side}'")
+        composition[cg or g, ch or h] = cgh or gh
     if len(composition) < len(compose) - malformed:
         # a pair is listed more than once: name each such pair, in table order
         listed = Counter(
