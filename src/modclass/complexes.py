@@ -28,6 +28,13 @@ outgoing differential.  With these choices the differential carries the
 lift block of degree ``i`` to the boundary basis of degree ``i+1`` by
 the identity matrix, which makes the contraction and the replacement
 construction exact rather than merely up to isomorphism.
+
+Each degree is split by one elimination beyond the rref of its outgoing
+differential (:func:`modclass.linalg._split_degree`): the kernel basis
+is the identity on the free coordinates, so the harmonic choice, the
+basis inverse and its determinant (the factor ``tau`` of the
+Berezinian) are read off that rref and one small elimination of the
+boundary block's free rows, with no general inverse.
 """
 
 from __future__ import annotations
@@ -36,14 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import (
-    Matrix,
-    _extend_to_basis,
-    _kernel,
-    det,
-    det_and_inverse,
-    rref,
-)
+from .linalg import Matrix, _split_degree, det, rref
 
 
 class GradedDimensionMismatch(ValueError):
@@ -430,23 +430,15 @@ def decompose(c: ComplexFiber) -> Decomposition:
     harmonic_dims: dict[int, int] = {}
     basis_det: dict[int, Fraction] = {}
     for i in c.degrees():
-        n = c.dim(i)
+        if diffs[i - 1].rows != c.dim(i) or diffs[i].cols != c.dim(i):
+            raise ValueError("ambient dimensions differ")
         boundary = diffs[i - 1].take_columns(pivot_cols[i - 1])
-        # The kernel basis is independent and the lift spans a complement
-        # of the kernel, so boundaries that leave the kernel overfill ``full``.
-        kernel_full = _extend_to_basis(boundary, _kernel(*reduced[i]))
-        lift = Matrix.identity(n).take_columns(pivot_cols[i])
-        full = Matrix.hstack(kernel_full, lift)
-        if full.cols != n:
+        split = _split_degree(boundary, *reduced[i])
+        if split is None:
             raise ValueError(f"degree {i} does not split; complex is invalid")
-        d, inv = det_and_inverse(full)
-        if inv is None:
-            raise ValueError(f"degree {i} basis is singular; complex is invalid")
-        basis[i] = full
-        basis_inv[i] = inv
-        basis_det[i] = d
+        basis[i], basis_inv[i], basis_det[i] = split
         boundary_dims[i] = boundary.cols
-        harmonic_dims[i] = kernel_full.cols - boundary.cols
+        harmonic_dims[i] = basis[i].cols - boundary.cols - len(pivot_cols[i])
     boundary_dims[c.d_max + 1] = len(pivot_cols[c.d_max])
     return Decomposition(c, basis, basis_inv, boundary_dims, harmonic_dims, basis_det)
 

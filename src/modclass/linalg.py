@@ -22,6 +22,12 @@ where entries leave the matrix (`__getitem__`, `row`, `column`,
 `lcm`, so each entry is an integer dot product and each row is
 normalised with one `gcd`, and every elimination here is the one
 fraction-free `_eliminate` of those integer rows.
+
+`_split_degree` splits one degree of a complex for
+`modclass.complexes.decompose`: from the rref of the outgoing
+differential and the boundary columns it reads the basis ``[B | H |
+L]``, its inverse and its determinant, by one elimination of the
+boundary's free rows.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ def _rational_parts(text) -> tuple[int, int]:
 
     ``p / q`` need not be in lowest terms: ``"4/6"`` gives ``(4, 6)``.
     """
+    # plain decimal digits (Unicode Nd, what ``\d`` matches) after at most one "-"
+    if isinstance(text, str) and (text[1:] if text[:1] == "-" else text).isdecimal():
+        return int(text), 1
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
     num, _, den = text.strip().partition("/")
@@ -106,20 +115,20 @@ class Matrix:
         else:
             width = 0 if cols is None else cols
         cleared = [_cleared(row) for row in data]
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_num", tuple(ints for ints, _ in cleared))
-        object.__setattr__(self, "_den", tuple(d for _, d in cleared))
+        _set_rows(self, len(data))
+        _set_cols(self, width)
+        _set_num(self, tuple(ints for ints, _ in cleared))
+        _set_den(self, tuple(d for _, d in cleared))
 
     @classmethod
     def _from_ints(cls, num: tuple, den: tuple, cols: int) -> "Matrix":
         # ``num`` a tuple of ``cols``-wide tuples of ints and ``den`` one
         # positive int per row, already in lowest terms; nothing is checked.
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(num))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_num", num)
-        object.__setattr__(m, "_den", den)
+        _set_rows(m, len(num))
+        _set_cols(m, cols)
+        _set_num(m, num)
+        _set_den(m, den)
         return m
 
     @classmethod
@@ -148,18 +157,15 @@ class Matrix:
         return cls._lowest(num, den, cols), problems
 
     @classmethod
-    def _lowest(cls, num, den, cols: int) -> "Matrix":
+    def _lowest(cls, num: list, den: list, cols: int) -> "Matrix":
         # Integer rows ``num`` over positive ``den``, each row divided by
-        # its one ``gcd`` with its denominator.
-        out_num, out_den = [], []
-        for row, d in zip(num, den):
+        # its one ``gcd`` with its denominator; both lists are reduced in place.
+        for i, d in enumerate(den):
             if d != 1:
-                g = gcd(d, *row)
+                g = gcd(d, *num[i])
                 if g != 1:
-                    row, d = [x // g for x in row], d // g
-            out_num.append(tuple(row))
-            out_den.append(d)
-        return cls._from_ints(tuple(out_num), tuple(out_den), cols)
+                    num[i], den[i] = [x // g for x in num[i]], d // g
+        return cls._from_ints(tuple(map(tuple, num)), tuple(den), cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -187,7 +193,10 @@ class Matrix:
         for i in range(height):
             dens = [p._den[i] for p in parts]
             d = lcm(*dens)
-            num.append(sum(_over([p._num[i] for p in parts], dens, d), ()))
+            row = []
+            for p, e in zip(parts, dens):
+                row.extend(p._num[i] if e == d else [x * (d // e) for x in p._num[i]])
+            num.append(tuple(row))
             den.append(d)
         return cls._from_ints(tuple(num), tuple(den), sum(p.cols for p in parts))
 
@@ -204,23 +213,21 @@ class Matrix:
 
     def take_columns(self, indices) -> "Matrix":
         idx = list(indices)
-        return Matrix._lowest(
-            [tuple(r[j] for j in idx) for r in self._num], self._den, len(idx)
-        )
+        return Matrix._lowest([[r[j] for j in idx] for r in self._num], list(self._den), len(idx))
 
     def submatrix(self, row_start, row_stop, col_start, col_stop) -> "Matrix":
         num, den = self._num[row_start:row_stop], self._den[row_start:row_stop]
         if (col_start, col_stop) == (0, self.cols):
             return Matrix._from_ints(num, den, self.cols)
         return Matrix._lowest(
-            [r[col_start:col_stop] for r in num], den, col_stop - col_start
+            [r[col_start:col_stop] for r in num], list(den), col_stop - col_start
         )
 
     def transpose(self) -> "Matrix":
         d = lcm(*self._den)
         columns = zip(*_over(self._num, self._den, d))
         return Matrix._lowest(
-            list(columns) or ((),) * self.cols, (d,) * self.cols, self.rows
+            list(columns) or [()] * self.cols, [d] * self.cols, self.rows
         )
 
     def to_lists(self) -> list[list[Fraction]]:
@@ -242,14 +249,18 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
+            if not (self.rows and self.cols and other.cols):
+                return Matrix.zeros(self.rows, other.cols)
             # the right operand once over one denominator, read by columns
             d = lcm(*other._den)
-            right = list(zip(*_over(other._num, other._den, d))) or [()] * other.cols
-            return Matrix._lowest(
-                ([sum(map(mul, a, b)) for b in right] for a in self._num),
-                [e * d for e in self._den],
-                other.cols,
-            )
+            if d == 1:
+                right = list(zip(*other._num))
+                den = list(self._den)
+            else:
+                right = list(zip(*_over(other._num, other._den, d)))
+                den = [e * d for e in self._den]
+            num = [[sum(map(mul, a, b)) for b in right] for a in self._num]
+            return Matrix._lowest(num, den, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -261,7 +272,7 @@ class Matrix:
         c = Fraction(scalar)
         p, q = c.numerator, c.denominator
         return Matrix._lowest(
-            ([p * x for x in r] for r in self._num), [q * d for d in self._den], self.cols
+            [[p * x for x in r] for r in self._num], [q * d for d in self._den], self.cols
         )
 
     def _combine(self, other: "Matrix", op) -> "Matrix":
@@ -313,6 +324,11 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
+_set_rows, _set_cols, _set_num, _set_den = (
+    Matrix.__dict__[name].__set__ for name in Matrix.__slots__
+)
+
+
 def _over(num, den, d: int):
     """Integer rows ``num[i] / den[i]`` rewritten over the common multiple ``d``."""
     return (r if e == d else tuple(x * (d // e) for x in r) for r, e in zip(num, den))
@@ -325,19 +341,22 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     (Matrix([[1, 2], [0, 0]]), [0])
     """
     reduced, p, pivots, _ = _eliminate(m, m.cols)
-    return Matrix._lowest(reduced, (p,) * m.rows, m.cols), pivots
+    return Matrix._lowest(reduced, [p] * m.rows, m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
     return len(_eliminate(m, m.cols, reduce=False)[2])
 
 
-def _kernel(reduced: Matrix, pivots: list[int]) -> Matrix:
-    """:func:`kernel_basis` read off a reduced row echelon form and its pivots.
+def kernel_basis(m: Matrix) -> Matrix:
+    """Columns form a basis of the null space of ``m``.
 
-    Row ``j`` of the basis is a unit row for a free coordinate ``j``, and
-    minus the free entries of the pivot row when ``j`` is a pivot column.
+    Free coordinates are set to 1 one at a time, in column order, so the
+    basis is canonical given the pivoting convention: row ``j`` is a unit
+    row for a free coordinate ``j``, and minus the free entries of the
+    pivot row when ``j`` is a pivot column.
     """
+    reduced, pivots = rref(m)
     free = [j for j in range(reduced.cols) if j not in pivots]
     pivot_row = {j: i for i, j in enumerate(pivots)}
     unit = (0,) * len(free)
@@ -353,15 +372,6 @@ def _kernel(reduced: Matrix, pivots: list[int]) -> Matrix:
             num.append(tuple(-row[f] for f in free))
             den.append(reduced._den[i])
     return Matrix._lowest(num, den, len(free))
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a basis of the null space of ``m``.
-
-    Free coordinates are set to 1 one at a time, in column order, so the
-    basis is canonical given the pivoting convention.
-    """
-    return _kernel(*rref(m))
 
 
 def _eliminate(m: Matrix, width: int, reduce: bool = True) -> tuple[list, int, list[int], Fraction]:
@@ -426,7 +436,7 @@ def det_and_inverse(m: Matrix) -> tuple[Fraction, Matrix | None]:
     reduced, p, pivots, d = _eliminate(Matrix.hstack(m, Matrix.identity(n)), n)
     if len(pivots) < n:
         return Fraction(0), None
-    return d, Matrix._lowest((row[n:] for row in reduced), (p,) * n, n)
+    return d, Matrix._lowest([row[n:] for row in reduced], [p] * n, n)
 
 
 def extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:
@@ -437,24 +447,75 @@ def extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:
     columns of ``[independent | within]`` past the first ones.  Raises
     ValueError if ``independent`` is not independent or leaves the span.
     """
-    basis = _extend_to_basis(independent, within)
-    if independent.cols and basis.cols > rank(within):
-        raise ValueError("`independent` does not lie in the span of `within`")
-    return basis
-
-
-def _extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:
-    """:func:`extend_to_basis` without the span check, in one elimination.
-
-    ``independent`` leaves the span exactly when the result has more
-    columns than ``within`` has rank; a caller that knows the rank (the
-    width, for independent columns) checks that without eliminating
-    ``within`` again.
-    """
     if independent.rows != within.rows:
         raise ValueError("ambient dimensions differ")
     k = independent.cols
     pivots = rref(Matrix.hstack(independent, within))[1]
     if pivots[:k] != list(range(k)):
         raise ValueError("columns of `independent` are linearly dependent")
+    if k and len(pivots) > rank(within):
+        raise ValueError("`independent` does not lie in the span of `within`")
     return Matrix.hstack(independent, within.take_columns(p - k for p in pivots[k:]))
+
+
+def _split_degree(
+    boundary: Matrix, reduced: Matrix, pivots: list[int]
+) -> tuple[Matrix, Matrix, Fraction] | None:
+    """A degree's basis ``[B | H | L]``, its inverse and determinant, by one elimination.
+
+    ``reduced`` and ``pivots`` are the rref of the outgoing differential,
+    whose kernel has the canonical basis ``K`` of :func:`kernel_basis`;
+    ``boundary`` is ``B``, independent columns as tall as ``reduced`` is
+    wide.  None when ``B`` leaves that kernel, that is when the top rows
+    of ``reduced`` do not annihilate it.  ``K`` is the identity on the
+    free rows ``F``, so ``[B | K] = K [B_F | I]`` and one elimination of
+    ``[B_F | I]`` does all the work.  Its pivots past ``B`` pick the
+    columns ``S`` of ``K`` that make ``H``, as the greedy scan of
+    :func:`extend_to_basis` picks them.  It reduces to ``[* | C^-1]`` for
+    ``C = [B_F | E_S]``, the free rows of ``[B | H]``, and its last pivot
+    gives ``det C``.  ``L`` is the unit columns at the pivots, so the
+    inverse is ``C^-1`` on the free columns over the top rows of
+    ``reduced``, and putting the rows in the order ``F`` then ``pivots``
+    makes the basis block lower-triangular: its determinant is ``det C``,
+    signed by that reordering.
+    """
+    n, b, height = reduced.cols, boundary.cols, len(pivots)
+    top, top_den = reduced._num[:height], reduced._den[:height]
+    bnum, bden = boundary._num, boundary._den
+    columns = list(zip(*_over(bnum, bden, lcm(*bden))))
+    if any(sum(map(mul, r, c)) for r in top for c in columns):
+        return None
+    pivot_row = dict(zip(pivots, range(height)))
+    free = [j for j in range(n) if j not in pivot_row]
+    f = len(free)
+    unit = (0,) * f
+    c_num = tuple(bnum[j] + unit[:k] + (bden[j],) + unit[k + 1:] for k, j in enumerate(free))
+    c_den = tuple(bden[j] for j in free)
+    eliminated, p, chosen, det_c = _eliminate(Matrix._from_ints(c_num, c_den, b + f), b + f)
+    harmonic = [free[q - b] for q in chosen[b:]]
+    inv_num = []
+    for row in eliminated:
+        r = [0] * n
+        for k, j in enumerate(free):
+            r[j] = row[b + k]
+        inv_num.append(r)
+    inverse = Matrix._lowest(inv_num + list(top), [p] * f + list(top_den), n)
+    zeros = (0,) * height
+    basis_num, basis_den = [], []
+    for j in range(n):
+        r, e = pivot_row.get(j), bden[j]
+        if r is None:  # a free row: B, then a unit entry where H is K's column j
+            basis_num.append(bnum[j] + tuple(e if h == j else 0 for h in harmonic) + zeros)
+            basis_den.append(e)
+        else:  # a pivot row: B, then minus reduced's row at H, then a unit entry at L
+            row, g = top[r], top_den[r]
+            m = lcm(e, g)
+            u, v = m // e, m // g
+            basis_num.append(
+                tuple(x * u for x in bnum[j]) + tuple(-row[h] * v for h in harmonic)
+                + zeros[:r] + (m,) + zeros[r + 1:]
+            )
+            basis_den.append(m)
+    basis = Matrix._lowest(basis_num, basis_den, n)
+    swaps = sum(j - k for k, j in enumerate(free))  # pairs of a pivot before a free column
+    return basis, inverse, -det_c if swaps % 2 else det_c

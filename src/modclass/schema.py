@@ -100,14 +100,17 @@ class _Collector:
 
         ``label`` names an entry and ``bad_key`` a key that is no integer;
         a ``shape(i)`` of None, or no ``degrees``, skips that check.  Each
-        rejected key adds one problem.
+        rejected key adds one problem; so does a key naming a degree an
+        earlier key named (``"1"`` and ``"01"``).
         """
-        matrices = {}
+        matrices, named = {}, {}
         for key, rows in raw.items():
             try:
                 i = int(key)
             except ValueError:
                 self.add(f"{where}: {bad_key} {key!r}")
+                continue
+            if not self.first_key(named, i, key, f"{where}: {label}"):
                 continue
             m = self.matrix(rows, f"{where}, {label} {i}")
             expected = shape(i)
@@ -125,6 +128,14 @@ class _Collector:
                 continue
             matrices[i] = m
         return matrices
+
+    def first_key(self, named: dict, i: int, key: str, what: str) -> bool:
+        """Record ``key`` as naming degree ``i``; False and a problem if another key did."""
+        first = named.setdefault(i, key)
+        if first != key:
+            self.add(f"{what} {key!r} names degree {i}, as {first!r} does")
+            return False
+        return True
 
     def finish(self) -> None:
         if self.problems:
@@ -225,7 +236,7 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
             col.add(f"complex of '{obj}': 'degrees' must be [min, max]")
             continue
         d_min, d_max = degrees
-        dims = {}
+        dims, named = {}, {}
         seen = len(col.problems)
         raw_dims = col.mapping(spec.get("dims", {}), f"complex of '{obj}', dims")
         for key, value in raw_dims.items():
@@ -237,6 +248,8 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
                 i = int(key)
             except ValueError:
                 col.add(f"complex of '{obj}': bad dimension entry {key!r}")
+                continue
+            if not col.first_key(named, i, key, f"complex of '{obj}': dimension"):
                 continue
             # an empty range is reported once, below
             if d_min <= d_max and not d_min <= i <= d_max:

@@ -17,6 +17,15 @@ every candidate pair or triple is found by testing all arrows.  The
 ``pair_scan_*`` functions are the functoriality checks before the
 isotropy model: every composable pair is multiplied out.
 
+``decompose_by_inverse`` is ``decompose`` as it was before each degree
+was split in closed form: the harmonic block is chosen by eliminating
+``[boundary | kernel basis]``, and the basis is inverted, and its
+determinant taken, by eliminating ``[basis | I]``.
+
+``regex_rational_parts`` reads a "p" or "p/q" string by the regular
+expression alone, as ``linalg`` did before plain integers took a
+shortcut.
+
 ``permuted_decomposition`` is a decomposition that makes other
 choices than ``decompose``: the canonical one of a complex whose
 coordinates were relabelled, pulled back to the original coordinates.
@@ -53,11 +62,13 @@ from modclass import (
     det,
     det_and_inverse,
     harmonic_blocks,
+    kernel_basis,
     verify_chain_map,
     verify_complex,
     verify_line_rep,
 )
 from modclass.complexes import _class_berezinian
+from modclass.linalg import _RATIONAL_RE
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -159,6 +170,19 @@ def global_null_homotopy(t: ChainMap) -> Homotopy | None:
             [[x[off + a * c + b, 0] for b in range(c)] for a in range(r)], cols=c
         )
     return Homotopy(src, tgt, comps)
+
+
+def regex_rational_parts(text) -> tuple[int, int]:
+    """``(p, q)`` for the "p" or "p/q" string ``text``, read by ``_RATIONAL_RE``; else ValueError."""
+    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+        raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
+    num, _, den = text.strip().partition("/")
+    if not den:
+        return int(num), 1
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"malformed rational {text!r}: zero denominator")
+    return int(num), q
 
 
 def naive_matmul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
@@ -481,3 +505,39 @@ def permuted_decomposition(c: ComplexFiber, perms: Mapping[int, Sequence[int]]) 
     for i, b in basis.items():
         basis_det[i], basis_inv[i] = det_and_inverse(b)
     return Decomposition(c, basis, basis_inv, dec.boundary_dims, dec.harmonic_dims, basis_det)
+
+
+def decompose_by_inverse(c: ComplexFiber) -> Decomposition:
+    """``decompose`` by a general elimination per degree for each of its steps.
+
+    The harmonic columns are the pivot columns of ``[B | K]`` past ``B``
+    (``K`` the canonical kernel basis, ``B`` the pivot columns of the
+    incoming differential); the lift is the unit columns at the pivots of
+    the outgoing one; and ``[B | H | L]`` is inverted through ``[basis | I]``.
+    Pivots come from this module's ``Fraction`` ``rref``.
+    """
+    diffs = {i: c.differential(i) for i in range(c.d_min - 1, c.d_max + 1)}
+    pivot_cols = {i: rref(d)[1] for i, d in diffs.items()}
+    basis, basis_inv, boundary_dims, harmonic_dims, basis_det = {}, {}, {}, {}, {}
+    for i in c.degrees():
+        n = c.dim(i)
+        boundary = diffs[i - 1].take_columns(pivot_cols[i - 1])
+        kernel = kernel_basis(diffs[i])
+        if boundary.rows != kernel.rows:
+            raise ValueError("ambient dimensions differ")
+        b = boundary.cols
+        chosen = rref(Matrix.hstack(boundary, kernel))[1]
+        if chosen[:b] != list(range(b)):
+            raise ValueError("columns of `independent` are linearly dependent")
+        kernel_full = Matrix.hstack(boundary, kernel.take_columns(q - b for q in chosen[b:]))
+        full = Matrix.hstack(kernel_full, Matrix.identity(n).take_columns(pivot_cols[i]))
+        if full.cols != n:
+            raise ValueError(f"degree {i} does not split; complex is invalid")
+        d, inv = det_and_inverse(full)
+        if inv is None:
+            raise ValueError(f"degree {i} basis is singular; complex is invalid")
+        basis[i], basis_inv[i], basis_det[i] = full, inv, d
+        boundary_dims[i] = b
+        harmonic_dims[i] = kernel_full.cols - b
+    boundary_dims[c.d_max + 1] = len(pivot_cols[c.d_max])
+    return Decomposition(c, basis, basis_inv, boundary_dims, harmonic_dims, basis_det)

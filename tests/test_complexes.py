@@ -145,31 +145,33 @@ class TestDecompose:
         decompose(c)
         assert (eliminated.count(d0), eliminated.count(d1)) == (1, 1)
 
-    def test_extends_each_kernel_basis_in_one_elimination(self, monkeypatch):
-        # the kernel basis has independent columns: its rank needs no
-        # second elimination
+    def test_splits_each_degree_in_one_elimination_beyond_its_rref(self, monkeypatch):
+        # the harmonic choice, the basis inverse and its determinant all
+        # come from one elimination per degree, on top of one rref per
+        # differential (degrees -1..2 here)
         d0, d1 = Matrix([[1], [2], [3]]), Matrix([[2, -1, 0], [3, 0, -1]])
         c = ComplexFiber(0, 2, {0: 1, 1: 3, 2: 2}, {0: d0, 1: d1})
-        per_call, inside = [], []
-        eliminate, extend = linalg_module._eliminate, complexes_module._extend_to_basis
+        per_call = [0]  # eliminations before the first split, then in each
+        eliminate, split = linalg_module._eliminate, complexes_module._split_degree
 
         def counted_eliminate(*args, **kwargs):
-            if inside:
-                per_call[-1] += 1
+            per_call[-1] += 1
             return eliminate(*args, **kwargs)
 
-        def counted_extend(*args):
+        def counted_split(*args):
             per_call.append(0)
-            inside.append(True)
-            try:
-                return extend(*args)
-            finally:
-                inside.pop()
+            return split(*args)
 
         monkeypatch.setattr(linalg_module, "_eliminate", counted_eliminate)
-        monkeypatch.setattr(complexes_module, "_extend_to_basis", counted_extend)
+        monkeypatch.setattr(complexes_module, "_split_degree", counted_split)
         decompose(c)
-        assert per_call == [1, 1, 1]
+        assert per_call == [4, 1, 1, 1]
+
+    def test_refuses_a_differential_whose_width_is_not_the_dimension(self):
+        # the split sizes each basis by the differentials; they must agree with dims
+        c = ComplexFiber(0, 0, {0: 2}, {-1: Matrix.zeros(3, 0), 0: Matrix.zeros(0, 3)})
+        with pytest.raises(ValueError, match="ambient dimensions differ"):
+            decompose(c)
 
     def test_bases_build_no_identity_for_a_degree_they_hold(self, monkeypatch):
         c = two_one()

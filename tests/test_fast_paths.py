@@ -6,7 +6,10 @@ the textbook Fraction formulas, and every result is checked for that
 canonical form.  ``rref``,
 ``kernel_basis``, ``det`` and ``det_and_inverse`` share one fraction-free
 integer elimination; the references are the Fraction Gauss-Jordan and
-the Leibniz formula.  The groupoid scans read composable arrows off the
+the Leibniz formula.  ``decompose`` splits each degree in closed form,
+reading the basis inverse and determinant off the differential's rref;
+the reference chooses the harmonics and inverts the basis by general
+eliminations.  The groupoid scans read composable arrows off the
 by-target index; the references test every arrow for every pair, as the
 scans did before.  Associativity and functoriality are decided through
 the isotropy model; the references compose every composable triple and
@@ -24,6 +27,7 @@ import pytest
 from modclass import (
     ChainMap,
     Cochain,
+    ComplexFiber,
     FiniteGroupoid,
     GroupTable,
     LineRep,
@@ -34,6 +38,7 @@ from modclass import (
     coboundary_solve_1,
     composable_tuples,
     connected_groupoid,
+    decompose,
     det,
     det_and_inverse,
     disjoint_union,
@@ -46,9 +51,9 @@ from modclass import (
     verify_vector_rep,
 )
 from modclass import groupoid as groupoid_module, linalg as linalg_module
-from modclass.linalg import _kernel
 from modclass.groupoid import _is_functorial, _isotropy_model
 from oracle import (
+    decompose_by_inverse,
     leibniz_det,
     naive_matmul,
     pair_scan_is_cocycle_1,
@@ -64,7 +69,9 @@ from oracle import (
 from randgen import (
     GroupoidFixture,
     nonassociative_loop,
+    rand_complex,
     rand_groupoid,
+    rand_matrix,
     rand_potential,
     rand_rational,
     rand_ruth,
@@ -175,6 +182,94 @@ def test_trusted_results_equal_the_checked_constructor(seed):
         assert entries_are_fractions(m), name
 
 
+EMPTY_SHAPES = [shape for shape in product(range(3), repeat=3) if 0 in shape]
+
+
+@pytest.mark.parametrize("n, k, m", EMPTY_SHAPES)
+def test_a_product_with_an_empty_dimension_is_the_zero_matrix(n, k, m):
+    rng = random.Random(9 * n + 3 * k + m)
+    result = big_matrix(rng, n, k) * big_matrix(rng, k, m)
+    zeros = Matrix.zeros(n, m)
+    assert (result.rows, result.cols) == (n, m)
+    assert result == zeros and hash(result) == hash(zeros)
+    assert is_canonical(result)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_trusted_products_hash_as_the_checked_constructor(seed):
+    # an integer right operand skips the denominator product, a rational one does not
+    rng = random.Random(seed)
+    n, k, m = (rng.randint(1, 4) for _ in range(3))
+    a = big_matrix(rng, n, k)
+    integer = Matrix([[rng.randint(-5, 5) for _ in range(m)] for _ in range(k)], cols=m)
+    for b in (integer, big_matrix(rng, k, m)):
+        got, expected = a * b, Matrix(naive_matmul(a, b), cols=m)
+        assert (got.rows, got.cols) == (expected.rows, expected.cols)
+        assert got == expected and hash(got) == hash(expected)
+        assert is_canonical(got)
+    rows = a.to_lists()
+    for got, expected in [
+        (Matrix.identity(k), Matrix([[int(i == j) for j in range(k)] for i in range(k)])),
+        (Matrix.zeros(n, k), Matrix([[0] * k for _ in range(n)])),
+        (a.take_columns([k - 1, 0]), Matrix([[r[-1], r[0]] for r in rows])),
+        (Matrix.hstack(a, a.scale(3)), Matrix([r + [3 * x for x in r] for r in rows])),
+    ]:
+        assert got == expected and hash(got) == hash(expected)
+
+
+def test_matrix_stays_immutable():
+    for m in (Matrix([[1, 2]]), Matrix([[1]]) * Matrix([[Fraction(1, 2), 3]]), Matrix.zeros(2, 0)):
+        before = (m.rows, m.cols, m.to_lists())
+        for name in ("rows", "cols", "_num", "_den", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 0)
+        assert (m.rows, m.cols, m.to_lists()) == before
+
+
+SPLIT_FIELDS = ("basis", "basis_inv", "basis_det", "boundary_dims", "harmonic_dims")
+
+
+def split_outcome(construction, c: ComplexFiber):
+    """The fields of ``construction(c)``, or the text of the ValueError it raised."""
+    try:
+        dec = construction(c)
+    except ValueError as exc:
+        return str(exc)
+    return {name: getattr(dec, name) for name in SPLIT_FIELDS}
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_closed_form_split_matches_the_general_inverse(seed):
+    # rational entries, empty degrees, and every third complex with some
+    # differentials dropped to zero
+    rng = random.Random(seed)
+    c = rand_complex(rng, -1, 4, 6)
+    if seed % 3 == 0:
+        kept = {i: d for i, d in c.differentials.items() if rng.random() < 0.5}
+        c = ComplexFiber(c.d_min, c.d_max, c.dims, kept)
+    assert split_outcome(decompose, c) == split_outcome(decompose_by_inverse, c)
+
+
+def test_closed_form_split_refuses_what_the_general_inverse_refuses():
+    refused = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        lo = rng.randint(-1, 2)
+        hi = rng.randint(lo, 3)
+        dims = {i: rng.randint(0, 4) for i in range(lo, hi + 1)}
+        diffs = {
+            i: rand_matrix(rng, dims.get(i + 1, 0), dims[i])
+            for i in range(lo, hi + 1)
+            if rng.random() < 0.8
+        }
+        c = ComplexFiber(lo, hi, dims, diffs)
+        outcome = split_outcome(decompose, c)
+        assert outcome == split_outcome(decompose_by_inverse, c), seed
+        refused += isinstance(outcome, str)
+    # both outcomes are well represented
+    assert 20 < refused < 280
+
+
 def is_canonical(m: Matrix) -> bool:
     """Integer rows, one positive denominator each, in lowest terms."""
     return (
@@ -204,7 +299,6 @@ def canonical_case(seed: int) -> tuple[Matrix, Matrix, Matrix, Fraction]:
 def public_results(a: Matrix, b: Matrix, s: Matrix, c: Fraction) -> dict[str, Matrix]:
     """Every ``Matrix`` the public API makes from ``a``, ``b`` (same shape) and square ``s``."""
     n, k = a.rows, a.cols
-    reduced, pivots = rref(a)
     results = {
         "a": a,
         "b": b,
@@ -223,8 +317,8 @@ def public_results(a: Matrix, b: Matrix, s: Matrix, c: Fraction) -> dict[str, Ma
         "transpose": a.transpose(),
         "transpose twice": a.transpose().transpose(),
         "hstack": Matrix.hstack(a, b),
-        "rref": reduced,
-        "kernel": _kernel(reduced, pivots),
+        "rref": rref(a)[0],
+        "kernel": kernel_basis(a),
         "rebuilt": Matrix(a.to_lists(), cols=k),
         "identity": Matrix.identity(k),
         "zeros": Matrix.zeros(n, k),

@@ -12,16 +12,20 @@ import argparse
 import copy
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import modclass
 from modclass import Matrix, SchemaError, cli, parse_data
-from modclass.linalg import parse_rational
+from modclass.linalg import _RATIONAL_RE, _rational_parts, parse_rational
 from modclass.schema import _Collector
+from oracle import regex_rational_parts
 
 FIXTURES = pathlib.Path(modclass.__file__).parent / "fixtures"
+DATA = pathlib.Path(__file__).parent / "data"
 FIXTURE_NAMES = ["z2_sign_odd", "pair2", "s3_action", "acyclic_two_term"]
 
 
@@ -68,6 +72,72 @@ def test_string_rows_read_as_parse_rational_reads_each_entry(rows):
     assert m == expected and (m.rows, m.cols) == (expected.rows, expected.cols)
     assert m.to_lists() == expected.to_lists()
     assert col.problems == [f"here: {msg}" for row in read for _, msg in row if msg is not None]
+
+
+def test_decimal_strings_are_what_the_pattern_reads_as_digits():
+    # the plain-integer shortcut takes ``str.isdecimal`` for ``\d``
+    for c in map(chr, range(sys.maxunicode + 1)):
+        decimal = c.isdecimal()
+        assert decimal == bool(_RATIONAL_RE.match(c)), hex(ord(c))
+        if decimal:
+            int(c)
+
+
+def read(parts, text):
+    """``parts(text)``, or the message of its ValueError."""
+    try:
+        return parts(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    VALID
+    | BAD
+    | st.integers(-(2**60), 2**60).map(str)
+    | st.tuples(st.sampled_from(["", "-", "+", " ", "--"]), st.text("0123456789３²_ ", max_size=4))
+    .map("".join)
+)
+@example("-0")
+@example("+5")
+@example(" 5 ")
+@example("1_0")
+@example("３")
+@example("²")
+@example("-")
+@example("")
+@example(str(2**60))
+@example(str(-(2**60)))
+def test_rational_parts_read_as_the_pattern_reads(text):
+    assert read(_rational_parts, text) == read(regex_rational_parts, text)
+
+
+def test_a_degree_named_twice_is_refused():
+    # "1" and "01" both name degree 1: the second key is refused, not kept over the first
+    data = json.loads((DATA / "duplicate_degree.json").read_text())
+    with pytest.raises(SchemaError) as refused:
+        parse_data(data)
+    assert refused.value.problems == ["rep of arrow 't': degree '01' names degree 1, as '1' does"]
+
+
+@pytest.mark.parametrize(
+    "section, entries, problem",
+    [
+        ("dims", {"0": 1, "+0": 1, "1": 1}, "complex of 'x': dimension '+0' names degree 0, as '0' does"),
+        (
+            "differentials",
+            {"0": [["1"]], " 0": [["2"]]},
+            "complex of 'x': differential ' 0' names degree 0, as '0' does",
+        ),
+    ],
+)
+def test_a_complex_names_each_degree_once(section, entries, problem):
+    data = json.loads((FIXTURES / "acyclic_two_term.json").read_text())
+    data["complex"]["x"][section] = entries
+    with pytest.raises(SchemaError) as refused:
+        parse_data(data)
+    assert refused.value.problems == [problem]
 
 
 ATOMS = st.one_of(
