@@ -26,7 +26,6 @@ from .reps import (
     Trivialization,
     VectorRep,
     characteristic_function,
-    det_representation,
     strict_as_homotopy,
     verify_line_rep,
     verify_ruth,
@@ -164,7 +163,8 @@ def _cmd_modular_class(doc: InputDocument, args, report: ReportDocument) -> int:
         # the Berezinian action already folds sigma in
         line, sigma = check.berezinian_rep(doc.sigma), None
     elif isinstance(rep, VectorRep):
-        line, sigma = det_representation(rep), doc.sigma
+        # the law checks took every determinant, and passed
+        line, sigma = LineRep(rep.groupoid, check.dets), doc.sigma
     else:
         line, sigma = rep, doc.sigma
     # the checks above proved the action functorial: its cocycle needs no re-check

@@ -113,6 +113,8 @@ class ComplexFiber:
         return sum(self.dims.values())
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ComplexFiber):
             return NotImplemented
         return (
@@ -345,9 +347,10 @@ class Decomposition:
     blocks: with the contraction ``h^i`` (:meth:`contraction`) and the
     harmonic projector ``p^i`` (:meth:`harmonic_projector`), ``d h + h d
     = 1 - p`` in every degree.  The decomposition builds each column
-    block, coordinate row group, contraction and projector once, on
-    first use, and keeps it in ``_memo``: every arrow at its fiber, and
-    both ends of an endomorphism, read the same matrices.
+    block, coordinate row group, contraction and projector, and the
+    factor :meth:`tau`, once, on first use, and keeps it in ``_memo``:
+    every arrow at its fiber, and both ends of an endomorphism, read the
+    same values.
     """
 
     fiber: ComplexFiber
@@ -356,7 +359,7 @@ class Decomposition:
     boundary_dims: dict[int, int]
     harmonic_dims: dict[int, int]
     basis_det: dict[int, Fraction]
-    _memo: dict[tuple, Matrix] = field(
+    _memo: dict[tuple, Matrix | Fraction] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -380,7 +383,7 @@ class Decomposition:
         b, h, l = self.widths(i)
         return (0, b, b + h, b + h + l)
 
-    def _kept(self, key: tuple, build) -> Matrix:
+    def _kept(self, key: tuple, build):
         """``build()`` on the first request for ``key``, then the kept result."""
         m = self._memo.get(key)
         if m is None:
@@ -411,6 +414,10 @@ class Decomposition:
         return self._kept(
             ("projector", i), lambda: self._block(i, 1) * self._coordinate(i, 1)
         )
+
+    def tau(self) -> Fraction:
+        """``prod_i det(basis^i)^(-1)^i``, the Berezinian of the bases."""
+        return self._kept(("tau",), lambda: Fraction(*_alternating(self.basis_det)))
 
 
 def decompose(c: ComplexFiber) -> Decomposition:
@@ -671,13 +678,28 @@ def _class_berezinian(
     blocks: Mapping[int, Matrix], source_dec: Decomposition, target_dec: Decomposition,
     sigma_source: Fraction | int, sigma_target: Fraction | int,
 ) -> Fraction:
-    """The closed form of :func:`berezinian_class`, from a map's harmonic blocks."""
-    dets = _harmonic_dets(blocks)
+    """The closed form of :func:`berezinian_class`, from a map's harmonic blocks.
+
+    ``prod_i det(H^i)^(-1)^i * tau(target) / tau(source)`` times the scale
+    ratio, for ``blocks`` in every degree of both fibers (as
+    :func:`harmonic_blocks` gives them): the determinants' integer parts
+    are multiplied out, and one ``Fraction`` is made at the end.
+    """
+    num, den = _alternating(_harmonic_dets(blocks))
     ratio = _scale_ratio(sigma_source, sigma_target)
-    value = Fraction(1)
-    for i, d in dets.items():
-        # exact even in a degree outside both fibers, where neither side has a basis
-        tau = Fraction(target_dec.basis_det.get(i, 1)) / source_dec.basis_det.get(i, 1)
-        factor = d * tau
-        value = value * factor if i % 2 == 0 else value / factor
-    return value * ratio
+    tau_s, tau_t = source_dec.tau(), target_dec.tau()
+    return Fraction(
+        num * ratio.numerator * tau_t.numerator * tau_s.denominator,
+        den * ratio.denominator * tau_t.denominator * tau_s.numerator,
+    )
+
+
+def _alternating(values: Mapping[int, Fraction]) -> tuple[int, int]:
+    """Integers ``(p, q)`` with ``p / q = prod_i values[i]^(-1)^i``, ``q`` nonzero."""
+    num = den = 1
+    for i, v in values.items():
+        if i % 2:
+            num, den = num * v.denominator, den * v.numerator
+        else:
+            num, den = num * v.numerator, den * v.denominator
+    return num, den

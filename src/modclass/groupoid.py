@@ -482,52 +482,99 @@ def _invertible(v) -> bool:
     return v != 0
 
 
+def _is_unit(v) -> bool:
+    # The identity: 1, an identity matrix, or entry by entry for a tuple.
+    if isinstance(v, tuple):
+        return all(map(_is_unit, v))
+    if isinstance(v, Matrix):
+        return v.is_identity()
+    return v == 1
+
+
+def _shape(v):
+    # A Matrix's (rows, cols), entry by entry for a tuple; None for a scalar.
+    if isinstance(v, tuple):
+        return tuple(map(_shape, v))
+    return (v.rows, v.cols) if isinstance(v, Matrix) else None
+
+
 def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
     """True only if ``phi(g) phi(h) == phi(gh)`` on every composable pair.
 
     ``phi`` maps an arrow to a value with ``*`` and ``==``: a Fraction,
     a ``Matrix``, or a tuple of them multiplied entry by entry (the
     per-degree harmonic blocks of a homotopy action).  With the model of
-    ``_isotropy_model`` (trees ``t_x``, coordinates ``k``, isotropy
-    groups ``G_b``), the checks are
+    ``_isotropy_model`` (trees ``t_x``, with ``t_b = e_b`` the unit at
+    each base ``b``, coordinates ``k`` and isotropy groups ``G_b``), the
+    checks are
 
-    (T) every ``phi(t_x)`` is invertible (nonzero, or square with a
-        nonzero determinant, in every entry of a tuple);
-    (A) ``phi(a) phi(t_x) == phi(t_y) phi(k(a))`` for every ``a: x -> y``;
-    (G) ``phi(p) phi(q) == phi(pq)`` for all ``p, q`` in each ``G_b``.
+    (U) every ``phi(e_b)`` is the identity (1, or an identity matrix, in
+        every entry of a tuple), and every loop in ``G_b`` takes a value
+        of its shape;
+    (T) every ``phi(t_x)`` off a base is invertible (nonzero, or square
+        with a nonzero determinant, in every entry of a tuple);
+    (A) ``phi(a) phi(t_x) == phi(t_y) phi(k(a))`` for every ``a: x -> y``,
+        with no product by ``phi(t_b)``;
+    (G) ``phi(p) phi(q) == phi(pq)`` for all ``p, q`` in each ``G_b``,
+        read as ``pq == q`` when ``p = e_b`` and ``pq == p`` when ``q =
+        e_b``, by table lookup.
 
-    Proof that they suffice.  By (T) and (A), ``phi(a) = phi(t_y)
-    phi(k(a)) phi(t_x)^-1`` for every arrow.  Take ``h: x -> y`` and
-    ``g: y -> z``.  Then ``phi(g) phi(h) = phi(t_z) phi(k(g)) phi(t_y)^-1
-    phi(t_y) phi(k(h)) phi(t_x)^-1 = phi(t_z) phi(k(g)) phi(k(h))
-    phi(t_x)^-1``.  The model puts ``k(g)`` and ``k(h)`` in ``G_b`` with
-    ``k(g) k(h) = k(gh)``, so by (G) the middle is ``phi(k(gh))``; and
-    ``gh: x -> z``, so (A) for ``gh`` makes the whole ``phi(gh)``.
+    Proof that they suffice.  By (U) ``phi(t_b) = phi(e_b)`` is an
+    identity ``I`` and every loop's value has its shape, so ``I`` leaves
+    each product with a loop's value unchanged: the lookups of (G) stand
+    for its products by ``I``.  The model puts each ``k(a)`` in ``G_b``,
+    so (A) for ``t_x: b -> x`` makes the invertible ``phi(t_x)`` of
+    ``I``'s size, and (A) for every other arrow gives its value that size
+    too; so the products by ``I`` that (A) skips change nothing, and (T)
+    holds at the bases.  By (T) and (A), ``phi(a) = phi(t_y) phi(k(a))
+    phi(t_x)^-1`` for every arrow.
+    Take ``h: x -> y`` and ``g: y -> z``.  Then ``phi(g) phi(h) = phi(t_z)
+    phi(k(g)) phi(t_y)^-1 phi(t_y) phi(k(h)) phi(t_x)^-1 = phi(t_z)
+    phi(k(g)) phi(k(h)) phi(t_x)^-1``.  The model puts ``k(g)`` and
+    ``k(h)`` in ``G_b`` with ``k(g) k(h) = k(gh)``, so by (G) the middle
+    is ``phi(k(gh))``; and ``gh: x -> z``, so (A) for ``gh`` makes the
+    whole ``phi(gh)``.
 
-    Costs one product per arrow, one per distinct ``(y, k(a))`` and
-    ``|G_b|^2`` per base.  False (no model, a failed check, a missing
-    value or mismatched shapes) decides nothing: the caller then scans
-    the pairs.
+    Costs one product per arrow and per distinct ``(y, k(a))`` off the
+    bases, and ``(|G_b| - 1)^2`` per base: over one object, the products
+    of the non-unit loops alone.  False (no model, a failed check, a
+    missing value or mismatched shapes) decides nothing: the caller then
+    scans the pairs.
     """
     model = _model_of(gpd)
     if model is None:
         return False
     tree, k, isotropy = model
+    compose = gpd.composition
     try:
-        at = {x: phi(a) for x, a in tree.items()}
-        if not all(map(_invertible, at.values())):
-            return False
+        at = {}  # phi(t_x) off the bases
+        for x, a in tree.items():
+            value = phi(a)
+            if x in isotropy:
+                shape = _shape(value)
+                if not _is_unit(value) or any(_shape(phi(p)) != shape for p in isotropy[x]):
+                    return False
+            elif not _invertible(value):
+                return False
+            else:
+                at[x] = value
         moved: dict[tuple[str, str], object] = {}  # phi(t_y) phi(k) by (y, k)
         for a, s, t in gpd.arrows:
             key = (t, k[a])
             if key not in moved:
-                moved[key] = _mul(at[t], phi(k[a]))
-            if _mul(phi(a), at[s]) != moved[key]:
+                value = phi(k[a])
+                moved[key] = _mul(at[t], value) if t in at else value
+            value = phi(a)
+            if (_mul(value, at[s]) if s in at else value) != moved[key]:
                 return False
-        for loops in isotropy.values():
+        for b, loops in isotropy.items():
+            e = tree[b]
             for p in loops:
                 for q in loops:
-                    if _mul(phi(p), phi(q)) != phi(gpd.compose(p, q)):
+                    if p == e or q == e:
+                        if compose[p, q] != (q if p == e else p):
+                            return False
+                    elif _mul(phi(p), phi(q)) != phi(compose[p, q]):
                         return False
     except (KeyError, ValueError):
         return False

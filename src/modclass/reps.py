@@ -146,12 +146,26 @@ def verify_line_rep(r: LineRep) -> ValidationReport:
     return report
 
 
-def verify_vector_rep(r: VectorRep) -> ValidationReport:
+class VectorReport(ValidationReport):
+    """Validation outcome for a vector representation.
+
+    ``dets`` holds the determinant of each square action, in arrow
+    order, taken once for the singularity check.  Once the report
+    passes (over a lawful groupoid) every action is square, invertible
+    and in ``dets``: they are the action of :func:`det_representation`.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.dets: dict[str, Fraction] = {}
+
+
+def verify_vector_rep(r: VectorRep) -> VectorReport:
     """Shapes, invertibility, unitality, and functoriality.
 
     Functoriality is decided as in :func:`verify_line_rep`.
     """
-    report = ValidationReport()
+    report = VectorReport()
     gpd = r.groupoid
     for a in gpd.arrow_ids():
         m = r.action.get(a)
@@ -164,8 +178,10 @@ def verify_vector_rep(r: VectorRep) -> ValidationReport:
                 f"action of arrow '{a}' has shape {m.rows}x{m.cols},"
                 f" expected {expected[0]}x{expected[1]}"
             )
-        elif m.is_square and det(m) == 0:
-            report.add(f"action of arrow '{a}' is singular")
+        elif m.is_square:
+            d = report.dets[a] = det(m)
+            if d == 0:
+                report.add(f"action of arrow '{a}' is singular")
     if not report.ok:
         return report
     for x in gpd.objects:
@@ -258,6 +274,9 @@ class RuthReport(ValidationReport):
     ``(g, h)`` whose composed action is certified homotopic to the
     action of the composite.  The certificate is the decision alone;
     ``are_homotopic(r(g).compose(r(h)), r(gh))`` builds the homotopy.
+    ``identities`` holds each unit arrow whose action is the identity
+    chain map of its fiber: it is a chain map with identity harmonic
+    blocks and Berezinian 1, so none of that is computed for it.
     """
 
     def __init__(self, rep: RepUpToWeakHomotopy):
@@ -267,6 +286,7 @@ class RuthReport(ValidationReport):
         self.decompositions: dict[str, Decomposition] = {}
         self.blocks: dict[str, dict[int, Matrix]] = {}
         self.certificates: set[tuple[str, str]] = set()
+        self.identities: set[str] = set()
 
     def _require_ok(self) -> None:
         # GradedDimensionMismatch for unequal graded dimensions, else the first problem
@@ -294,6 +314,9 @@ class RuthReport(ValidationReport):
         gpd, decs = self.rep.groupoid, self.decompositions
         action = {}
         for a, blocks in self.blocks.items():
+            if a in self.identities:
+                action[a] = Fraction(1)
+                continue
             x, y = gpd.src(a), gpd.tgt(a)
             action[a] = _class_berezinian(blocks, decs[x], decs[y], sigma(x), sigma(y))
         return LineRep(gpd, action)
@@ -341,8 +364,12 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
         if t is None:
             report.add(f"arrow '{a}' has no action")
             continue
-        if t.source != r.complexes[gpd.src(a)] or t.target != r.complexes[gpd.tgt(a)]:
+        x = gpd.src(a)
+        if t.source != r.complexes[x] or t.target != r.complexes[gpd.tgt(a)]:
             report.add(f"action of arrow '{a}' joins the wrong fibers")
+            continue
+        if gpd.identity.get(x) == a and gpd.tgt(a) == x and t == ChainMap.identity(t.source):
+            report.identities.add(a)  # a chain map, joining equal fibers
             continue
         check = verify_chain_map(t)
         mismatch = _dimension_mismatch(a, t)
@@ -353,15 +380,22 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     if not report.ok:
         return report
     for x in gpd.objects:
-        if r(gpd.unit(x)) != ChainMap.identity(r.complexes[x]):
+        u = gpd.unit(x)
+        # the arrow loop found the identity units; any other is compared here
+        found = u in report.identities and gpd.src(u) == x
+        if not found and r(u) != ChainMap.identity(r.complexes[x]):
             report.add(f"unit of object '{x}' does not act by the identity")
     if not report.ok:
         return report
     decs = report.decompositions = {x: decompose(r.complexes[x]) for x in gpd.objects}
-    blocks = report.blocks = {
-        a: harmonic_blocks(r(a), decs[gpd.src(a)], decs[gpd.tgt(a)])
-        for a in gpd.arrow_ids()
-    }
+    blocks = report.blocks = {}
+    for a in gpd.arrow_ids():
+        source_dec, target_dec = decs[gpd.src(a)], decs[gpd.tgt(a)]
+        if a in report.identities:
+            dims = source_dec.harmonic_dims
+            blocks[a] = {i: Matrix.identity(dims[i]) for i in source_dec.fiber.degrees()}
+        else:
+            blocks[a] = harmonic_blocks(r(a), source_dec, target_dec)
     # Outside an arrow's degrees both of its fibers are zero, so its
     # harmonic block there is 0x0: pad every arrow to all degrees.
     all_degrees = sorted({i for b in blocks.values() for i in b})

@@ -11,6 +11,7 @@ shipped at ``modclass/fixtures/schema.json``.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,15 @@ class InputDocument:
         if isinstance(self.rep, LineRep):
             return "line"
         return None
+
+
+# a degree key: ASCII digits after at most one sign, as fixtures/schema.json has it
+_DEGREE_KEY = re.compile(r"[+-]?[0-9]+")
+
+
+def _degree(key) -> int | None:
+    """The degree a key names, or None when it is no plain integer string."""
+    return int(key) if isinstance(key, str) and _DEGREE_KEY.fullmatch(key) else None
 
 
 def _strings(values) -> bool:
@@ -98,16 +108,16 @@ class _Collector:
     ) -> dict[int, Matrix]:
         """Matrices keyed by degree: ``raw[str(i)]`` of shape ``shape(i)``, for ``i`` in ``degrees``.
 
-        ``label`` names an entry and ``bad_key`` a key that is no integer;
+        ``label`` names an entry and ``bad_key`` a key that is no plain
+        integer (:func:`_degree`);
         a ``shape(i)`` of None, or no ``degrees``, skips that check.  Each
         rejected key adds one problem; so does a key naming a degree an
         earlier key named (``"1"`` and ``"01"``).
         """
         matrices, named = {}, {}
         for key, rows in raw.items():
-            try:
-                i = int(key)
-            except ValueError:
+            i = _degree(key)
+            if i is None:
                 self.add(f"{where}: {bad_key} {key!r}")
                 continue
             if not self.first_key(named, i, key, f"{where}: {label}"):
@@ -244,9 +254,8 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
             if type(value) is not int or value < 0:
                 col.add(f"complex of '{obj}': dimension {key!r} must be a non-negative integer")
                 continue
-            try:
-                i = int(key)
-            except ValueError:
+            i = _degree(key)
+            if i is None:
                 col.add(f"complex of '{obj}': bad dimension entry {key!r}")
                 continue
             if not col.first_key(named, i, key, f"complex of '{obj}': dimension"):

@@ -30,12 +30,17 @@ shortcut.
 choices than ``decompose``: the canonical one of a complex whose
 coordinates were relabelled, pulled back to the original coordinates.
 
+``class_berezinian_by_degree`` is the closed form of
+``berezinian_class`` as ``complexes`` computed it before each fiber's
+``tau`` was kept: a ``Fraction`` product, degree by degree, of each
+harmonic determinant and the quotient of the two basis determinants.
+
 ``per_arrow_ber_rep`` and ``per_degree_cohomology_rep`` are the
 Berezinian and cohomology representations built without a
 ``verify_ruth`` report: they decompose every fiber afresh, take each
-arrow's Berezinian from its harmonic blocks by the closed form of
-``berezinian_class`` and re-check the result's functoriality, or take
-each arrow's harmonic blocks again.
+arrow's Berezinian from its harmonic blocks by
+``class_berezinian_by_degree`` and re-check the result's functoriality,
+or take each arrow's harmonic blocks again.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from modclass import (
     Homotopy,
     LineRep,
     Matrix,
+    NotHomotopyEquivalence,
     RepUpToWeakHomotopy,
     Trivialization,
     ValidationReport,
@@ -67,7 +73,6 @@ from modclass import (
     verify_complex,
     verify_line_rep,
 )
-from modclass.complexes import _class_berezinian
 from modclass.linalg import _RATIONAL_RE
 
 
@@ -430,6 +435,33 @@ def pair_scan_ruth(r: RepUpToWeakHomotopy) -> tuple[list[str], set]:
     return report.problems, certified
 
 
+def class_berezinian_by_degree(
+    blocks: Mapping[int, Matrix], source_dec: Decomposition, target_dec: Decomposition,
+    sigma_source, sigma_target,
+) -> Fraction:
+    """``prod_i (det(H^i) basis_det_y^i / basis_det_x^i)^(-1)^i * sigma_x / sigma_y``.
+
+    ``blocks`` has every degree of both fibers.  Raises
+    NotHomotopyEquivalence for the first block that is not invertible,
+    then TypeError for a float scale and ValueError for a zero one.
+    """
+    dets = {i: det(h) if h.is_square else 0 for i, h in blocks.items()}
+    for i, d in dets.items():
+        if d == 0:
+            raise NotHomotopyEquivalence(f"harmonic block at degree {i} is not invertible")
+    if isinstance(sigma_source, float) or isinstance(sigma_target, float):
+        raise TypeError("trivialization scales must be exact rationals")
+    sigma_source, sigma_target = Fraction(sigma_source), Fraction(sigma_target)
+    if sigma_source == 0 or sigma_target == 0:
+        raise ValueError("trivialization scales must be nonzero")
+    value = Fraction(1)
+    for i, d in dets.items():
+        tau = Fraction(target_dec.basis_det.get(i, 1)) / source_dec.basis_det.get(i, 1)
+        factor = d * tau
+        value = value * factor if i % 2 == 0 else value / factor
+    return value * sigma_source / sigma_target
+
+
 def per_arrow_ber_rep(r: RepUpToWeakHomotopy, sigma: Trivialization | None = None) -> LineRep:
     """Each arrow's Berezinian class on fresh decompositions, re-checked for functoriality."""
     sigma = sigma or Trivialization.ones()
@@ -446,7 +478,7 @@ def per_arrow_ber_rep(r: RepUpToWeakHomotopy, sigma: Trivialization | None = Non
                     f" in degree {i} ({t.source.dim(i)} vs {t.target.dim(i)})"
                 )
         ends = decs[s_obj], decs[t_obj]
-        action[a] = _class_berezinian(
+        action[a] = class_berezinian_by_degree(
             harmonic_blocks(t, *ends), *ends, sigma(s_obj), sigma(t_obj)
         )
     rep = LineRep(gpd, action)

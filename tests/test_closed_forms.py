@@ -5,10 +5,11 @@ blocks, and ``null_homotopy`` builds them from the contraction; the
 reference is the global linear system in ``oracle.py``.
 ``berezinian_class`` reads the Berezinian off harmonic-block and basis
 determinants; the reference is the Berezinian of an explicit invertible
-replacement.  The Berezinian and cohomology representations read off a
-``verify_ruth`` report are checked against ``berezinian_class`` per
-arrow and against the per-arrow and per-degree constructions in
-``oracle.py``.
+replacement, and its closed form is held to the per-degree ``Fraction``
+product it replaced.  The Berezinian and cohomology representations
+read off a ``verify_ruth`` report are checked against
+``berezinian_class`` per arrow and against the per-arrow and per-degree
+constructions in ``oracle.py``.
 """
 
 import random
@@ -19,6 +20,7 @@ import pytest
 from modclass import (
     ChainMap,
     ComplexFiber,
+    Matrix,
     NotHomotopyEquivalence,
     are_homotopic,
     berezinian,
@@ -34,6 +36,7 @@ from modclass import (
 )
 from modclass.complexes import _class_berezinian, _contracting_homotopy
 from oracle import (
+    class_berezinian_by_degree,
     global_null_homotopy,
     per_arrow_ber_rep,
     per_degree_cohomology_rep,
@@ -299,3 +302,61 @@ def test_scales_are_checked_after_the_equivalence():
         berezinian_class(ChainMap.zero(c, c), 0, 1)
     with pytest.raises(ValueError, match="trivialization scales must be nonzero"):
         berezinian_class(ChainMap.identity(c), 0, 1)
+
+
+def _scale(rng):
+    """Mostly a nonzero rational; now and then zero, or a float."""
+    roll = rng.random()
+    return 0 if roll < 0.1 else 0.5 if roll < 0.2 else rand_rational(rng, nonzero=True)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (TypeError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def _class_berezinian_case(seed):
+    """Blocks in every degree of two random fibers, their decompositions, and two scales.
+
+    A block is square and random (singular now and then: rand_rational
+    draws zeros), its first row zeroed, or one column short.
+    """
+    rng = random.Random(seed)
+    src, tgt = _complex(rng), _complex(rng)
+    blocks = {}
+    for i in range(min(src.d_min, tgt.d_min), max(src.d_max, tgt.d_max) + 1):
+        n, kind = rng.randint(0, 3), rng.random()
+        m = rand_matrix(rng, n, n - 1 if kind < 0.1 and n else n)
+        if 0.1 <= kind < 0.2 and n:
+            m = Matrix([[0] * n] + m.to_lists()[1:], cols=n)
+        blocks[i] = m
+    return blocks, decompose(src), decompose(tgt), _scale(rng), _scale(rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_class_berezinian_matches_the_per_degree_product(seed):
+    case = _class_berezinian_case(seed)
+    assert _outcome(_class_berezinian, *case) == _outcome(class_berezinian_by_degree, *case)
+
+
+def test_class_berezinian_cases_reach_every_outcome():
+    outcomes = {_outcome(_class_berezinian, *_class_berezinian_case(seed))[0] for seed in SEEDS}
+    assert outcomes == {"value", NotHomotopyEquivalence, TypeError, ValueError}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_berezinian_rep_matches_the_per_degree_product(seed):
+    rng, rep = _ruth_case(seed)
+    gpd = rep.groupoid
+    sigma = rand_trivialization(rng, gpd)
+    report = verify_ruth(rep)
+    if not report.ok:
+        return
+    line, decs = report.berezinian_rep(sigma), report.decompositions
+    for a in gpd.arrow_ids():
+        x, y = gpd.src(a), gpd.tgt(a)
+        # the arrow's blocks afresh, units included
+        blocks = harmonic_blocks(rep(a), decs[x], decs[y])
+        assert line(a) == class_berezinian_by_degree(blocks, decs[x], decs[y], sigma(x), sigma(y))

@@ -13,8 +13,10 @@ eliminations.  The groupoid scans read composable arrows off the
 by-target index; the references test every arrow for every pair, as the
 scans did before.  Associativity and functoriality are decided through
 the isotropy model; the references compose every composable triple and
-multiply out every composable pair.  Outputs must agree exactly, order
-included.
+multiply out every composable pair.  ``verify_ruth`` skips the work on a
+unit that acts by the identity; a unit twisted by a homotopy, so not
+the identity, must take the reference's path.  Outputs must agree
+exactly, order included.
 """
 
 import random
@@ -71,6 +73,7 @@ from randgen import (
     nonassociative_loop,
     rand_complex,
     rand_groupoid,
+    rand_homotopy,
     rand_matrix,
     rand_potential,
     rand_rational,
@@ -662,6 +665,20 @@ def mutated_values(rng, gpd, kind, values, extra, mutation):
     return values, extra
 
 
+def twisted_unit(rng, gpd, values, fibers):
+    """A copy of the ruth ``values`` with one unit acting by ``id + dH + Hd``.
+
+    That chain map is homotopic to the identity, and is not it; None
+    when every random homotopy gives ``dH + Hd = 0``.
+    """
+    for x in rng.sample(gpd.objects, len(gpd.objects)):
+        fiber = fibers[x]
+        twist = rand_homotopy(rng, fiber, fiber).boundary_conjugate()
+        if any(not twist.component(i).is_zero() for i in twist.degrees()):
+            return {**values, gpd.unit(x): ChainMap.identity(fiber) + twist}
+    return None
+
+
 def caller_and_scan(gpd, kind, values, extra):
     """The caller's outcome and the pair scan's, exceptions by type."""
     def outcome(fn, *args):
@@ -720,12 +737,16 @@ def functoriality_cases(seed):
 
     Every rep kind on the lawful table, as built and with one of the
     rep mutations; and as built on one of the five table mutations.  The
-    mutations take turns by seed.
+    mutations take turns by seed.  Last, the ruth values with a twisted
+    unit, drawn from a generator of its own so that the cases before
+    stay as they were.
     """
     rng = random.Random(seed)
     base = builder_groupoid(rng)
     for k, kind in enumerate(KINDS):
         values, extra = functorial_values(rng, base, kind)
+        if kind == "ruth":
+            ruth = values, extra
         yield base, True, kind, None, values, extra
         mutation = REP_MUTATIONS[1 + (seed + k) % 4]
         changed = mutated_values(rng, base, kind, values, extra, mutation)
@@ -734,6 +755,10 @@ def functoriality_cases(seed):
         table = MUTATIONS[1 + (seed + k) % 5]
         gpd = mutated(base, rng, table)
         yield gpd, not validate(gpd).problems, kind, table, values, extra
+    values, fibers = ruth
+    twisted = twisted_unit(random.Random(f"twisted unit {seed}"), base, values, fibers)
+    if twisted is not None:
+        yield base, True, "ruth", "twisted unit", twisted, fibers
 
 
 def direct_verdicts(gpd, kind, values, scanned) -> tuple[bool, bool]:
@@ -777,11 +802,13 @@ def test_functoriality_checker_agrees_with_the_pair_scans(seed, verdicts):
 
 def test_functoriality_cases_reach_both_verdicts():
     # the agreement above is only as strong as the failures it sees
-    seen = set()
+    seen, twisted = set(), []
     for seed in range(20):
         for gpd, lawful, kind, mutation, values, extra in functoriality_cases(seed):
             _, scanned = caller_and_scan(gpd, kind, values, extra)
             seen.add((kind, mutation, scan_accepts(kind, scanned)))
+            if mutation == "twisted unit":
+                twisted.append(scanned[0])
             if kind != "ruth":
                 seen.add((kind, mutation) + direct_verdicts(gpd, kind, values, scanned))
     for kind in KINDS:
@@ -789,6 +816,10 @@ def test_functoriality_cases_reach_both_verdicts():
         assert (kind, "perturbed", False) in seen, kind
         assert (kind, "swapped", False) in seen, kind
     assert ("ruth", "singular tree", False) in seen
+    # a unit homotopic to the identity, and not it, fails the unit law
+    assert twisted and all(
+        any("does not act by the identity" in p for p in problems) for problems in twisted
+    )
     for kind in ("line", "vector"):
         # a singular tree arrow breaks the pairs, and the checker refuses it
         assert (kind, "singular tree", False, False) in seen, kind

@@ -8,6 +8,7 @@ from modclass import (
     Cochain,
     FiniteGroupoid,
     GroupTable,
+    Matrix,
     NotACocycle,
     class_equal,
     coboundary,
@@ -175,6 +176,43 @@ class TestIsCocycle:
 
     def test_non_involutive_scalar(self):
         assert not is_cocycle_1(Z2, Cochain(1, {(E,): Fraction(1), (TAU,): Fraction(2)}))
+
+
+class TestUnitCheck:
+    """(U) asks that ``phi(e_b)`` be the identity and every loop's value have its shape."""
+
+    IDEMPOTENT = Matrix([[1, 0], [0, 0]])
+
+    def test_a_loop_of_another_shape_is_not_certified(self):
+        # broken_z2 has an isotropy model, and beside a 1x1 unit its
+        # idempotent loop passes (A) and (G); the pair (e, t) cannot
+        # even be multiplied
+        values = {"e": Matrix.identity(1), "t": self.IDEMPOTENT}
+        assert not groupoid_module._is_functorial(broken_z2(), values.__getitem__)
+        with pytest.raises(ValueError, match="cannot multiply"):
+            groupoid_module._failing_pairs(broken_z2(), values.__getitem__)
+
+    def test_pairs_beside_the_unit_are_looked_up(self):
+        # Z/2 with its identity table pointing at t: the model still
+        # exists, with t as the tree arrow, and e is an idempotent loop
+        # beside it; t * e = t, not e, so the pair (t, e) fails
+        gpd = FiniteGroupoid(
+            objects=["*"],
+            arrows=[("e", "*", "*"), ("t", "*", "*")],
+            identity={"*": "t"},
+            inverse={"e": "e", "t": "t"},
+            composition={("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"},
+        )
+        values = {"e": self.IDEMPOTENT, "t": Matrix.identity(2)}
+        assert groupoid_module._isotropy_model(gpd) is not None
+        assert not groupoid_module._is_functorial(gpd, values.__getitem__)
+        assert ("t", "e") in groupoid_module._failing_pairs(gpd, values.__getitem__)
+
+    def test_a_loop_of_the_unit_shape_is_certified(self):
+        values = {"e": Matrix.identity(2), "t": self.IDEMPOTENT}
+        assert groupoid_module._is_functorial(broken_z2(), values.__getitem__)
+        gpd = broken_z2()
+        assert all(values[g] * values[h] == values[gpd.compose(g, h)] for g, h in gpd.composable_pairs())
 
 
 class TestCoboundarySolve:

@@ -8,6 +8,7 @@ from modclass import (
     ChainMap,
     ComplexFiber,
     Cochain,
+    FiniteGroupoid,
     GradedDimensionMismatch,
     LineRep,
     Matrix,
@@ -35,10 +36,12 @@ from modclass import (
     verify_ruth,
     verify_vector_rep,
 )
+from modclass import groupoid as groupoid_module, reps as reps_module
 from modclass.complexes import _class_berezinian
-from oracle import permuted_decomposition
+from oracle import pair_scan_ruth, permuted_decomposition
 from randgen import (
     pair2_fixture,
+    rand_homotopy,
     rand_line_rep,
     rand_potential,
     rand_ruth,
@@ -501,3 +504,76 @@ class TestRegularFactorization:
                 assert regular_factorization_check(
                     rep, rand_trivialization(rng, fx.gpd)
                 )
+
+
+class TestIdentityWork:
+    """A unit acting by the identity costs no chain-map check, no
+    harmonic blocks, no Berezinian and no product in the functoriality
+    check; any other unit takes the full path."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        seen = {"verify_chain_map": [], "harmonic_blocks": [], "tuple products": 0}
+        for name in ("verify_chain_map", "harmonic_blocks"):
+            original = getattr(reps_module, name)
+
+            def spy(t, *args, _original=original, _name=name):
+                seen[_name].append(t)
+                return _original(t, *args)
+
+            monkeypatch.setattr(reps_module, name, spy)
+        mul = groupoid_module._mul
+
+        def counted(u, v):
+            # the entries of a tuple are multiplied by nested calls
+            seen["tuple products"] += isinstance(u, tuple)
+            return mul(u, v)
+
+        monkeypatch.setattr(groupoid_module, "_mul", counted)
+        return seen
+
+    def test_an_identity_unit_is_free(self, spied):
+        rep = rand_ruth(random.Random(7), z2_fixture())
+        report = verify_ruth(rep)
+        assert report.ok and report.identities == {E}
+        assert spied["verify_chain_map"] == spied["harmonic_blocks"] == [rep(TAU)]
+        # (A) multiplies nothing over one object; (G) multiplies (tau, tau) alone
+        assert spied["tuple products"] == 1
+        dec = report.decompositions["*"]
+        assert report.blocks[E] == harmonic_blocks(rep(E), dec, dec)
+        sigma = Trivialization({"*": Fraction(3)})
+        assert report.berezinian_rep(sigma)(E) == _class_berezinian(
+            report.blocks[E], dec, dec, 3, 3
+        ) == 1
+
+    def test_a_twisted_unit_takes_the_full_path(self, spied):
+        rng = random.Random(7)
+        rep = rand_ruth(rng, z2_fixture())
+        fiber = rep.complexes["*"]
+        twist = rand_homotopy(rng, fiber, fiber).boundary_conjugate()
+        assert any(not twist.component(i).is_zero() for i in twist.degrees())
+        rep.action[E] = ChainMap.identity(fiber) + twist
+        report = verify_ruth(rep)
+        assert report.problems == ["unit of object '*' does not act by the identity"]
+        assert report.identities == set()
+        assert spied["verify_chain_map"] == [rep(E), rep(TAU)]
+
+    def test_a_unit_shared_by_two_objects_is_compared_at_each(self):
+        # an identity table giving y the unit of x: that unit acts by the
+        # identity of x's fiber, which is not y's, so y fails the unit law
+        fx, fy = (ComplexFiber(0, 1, {0: 1, 1: 1}, {0: Matrix([[k]])}) for k in (1, 2))
+        action = {
+            "e:x>x": ChainMap.identity(fx),
+            "e:y>y": ChainMap.identity(fy),
+            "e:x>y": ChainMap(fx, fy, {0: Matrix([[1]]), 1: Matrix([[2]])}),
+            "e:y>x": ChainMap(fy, fx, {0: Matrix([[1]]), 1: Matrix([[Fraction(1, 2)]])}),
+        }
+        gpd = FiniteGroupoid(
+            PAIR2.objects, PAIR2.arrows, {"x": "e:x>x", "y": "e:x>x"}, PAIR2.inverse, PAIR2.composition
+        )
+        rep = RepUpToWeakHomotopy(gpd, {"x": fx, "y": fy}, action)
+        report = verify_ruth(rep)
+        assert report.identities == {"e:x>x"}
+        assert report.problems == pair_scan_ruth(rep)[0] == [
+            "unit of object 'y' does not act by the identity"
+        ]

@@ -656,6 +656,25 @@ class TestWorkCounts:
         assert calls["_isotropy_model"] == 1
 
 
+    def test_a_vector_document_takes_each_determinant_once(self, monkeypatch, capsys):
+        # verify_vector_rep's singularity check takes them, and the
+        # modular class reads them off its report
+        taken = []
+        original = modclass.linalg.det
+
+        def counted(m):
+            taken.append(m)
+            return original(m)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("modclass") and getattr(module, "det", None) is original:
+                monkeypatch.setattr(module, "det", counted)
+        assert cli.main(["modular-class", str(FIXTURES / "pair2.json"), "--format", "json"]) == 0
+        groupoid = json.loads((FIXTURES / "pair2.json").read_text())["groupoid"]
+        # one per arrow, and one per tree arrow off the base in the functoriality check
+        assert len(taken) == len(groupoid["arrows"]) + len(groupoid["objects"]) - 1
+
+
 def test_fixture_generator_reproduces_the_shipped_documents():
     spec = importlib.util.spec_from_file_location(
         "gen_fixtures", pathlib.Path(__file__).parents[1] / "tools" / "gen_fixtures.py"

@@ -127,8 +127,8 @@ def test_a_degree_named_twice_is_refused():
         ("dims", {"0": 1, "+0": 1, "1": 1}, "complex of 'x': dimension '+0' names degree 0, as '0' does"),
         (
             "differentials",
-            {"0": [["1"]], " 0": [["2"]]},
-            "complex of 'x': differential ' 0' names degree 0, as '0' does",
+            {"0": [["1"]], "00": [["2"]]},
+            "complex of 'x': differential '00' names degree 0, as '0' does",
         ),
     ],
 )
@@ -138,6 +138,77 @@ def test_a_complex_names_each_degree_once(section, entries, problem):
     with pytest.raises(SchemaError) as refused:
         parse_data(data)
     assert refused.value.problems == [problem]
+
+
+# Degree keys: ASCII digits after at most one sign.  Python's ``$`` also
+# matches before a final newline, so jsonschema reads the pattern
+# differently on "1\n"; no key here ends in one.
+ACCEPTED_KEYS = ["1", "+1", "01", "+01", "001"]
+REFUSED_KEYS = ["1_0", " 10 ", " 1", "1 ", "３", "²", "1.0", "1e0", "0x1", "", "+", "-", "+-1", "one"]
+
+
+def keyed(key: str, section: str) -> dict:
+    """``z2_sign_odd`` with degree 1 named ``key`` in ``section``, and
+    as ``"1"`` elsewhere: ``dims``, ``differentials`` (a zero one into an
+    added degree 2) or the per-degree ``rep`` maps."""
+    data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+    fiber = data["complex"]["*"]
+    if section == "dims":
+        fiber["dims"] = {key: 1}
+    elif section == "differentials":
+        fiber.update(degrees=[1, 2], dims={"1": 1, "2": 1}, differentials={key: [["0"]]})
+    else:
+        data["rep"] = {a: {key: m["1"]} for a, m in data["rep"].items()}
+    return data
+
+
+def schema_accepts(data: dict) -> bool:
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((FIXTURES / "schema.json").read_text())
+    return jsonschema.Draft202012Validator(schema).is_valid(data)
+
+
+@pytest.mark.parametrize("section", ["dims", "differentials", "rep"])
+@pytest.mark.parametrize("key", ACCEPTED_KEYS + REFUSED_KEYS)
+def test_degree_keys_read_as_the_published_schema_reads(key, section):
+    data = keyed(key, section)
+    accepted = key in ACCEPTED_KEYS
+    assert schema_accepts(data) == accepted
+    if accepted:
+        parse_data(data)
+        return
+    with pytest.raises(SchemaError) as refused:
+        parse_data(data)
+    bad = {
+        "dims": f"complex of '*': bad dimension entry {key!r}",
+        "differentials": f"complex of '*': bad differential degree {key!r}",
+        "rep": f"rep of arrow 'e': bad degree {key!r}",
+    }[section]
+    assert refused.value.problems[0] == bad
+
+
+def test_a_degree_key_ending_in_a_newline_is_refused():
+    with pytest.raises(SchemaError) as refused:
+        parse_data(keyed("1\n", "dims"))
+    assert refused.value.problems == ["complex of '*': bad dimension entry '1\\n'"]
+
+
+@pytest.mark.parametrize("key, degree", [("1_0", 10), (" 10 ", 10), ("３", 3)])
+def test_an_int_spelling_is_no_degree_key(key, degree, tmp_path, capsys):
+    # each key names a degree int() reads, and the document is whole with
+    # that degree: refused with exit 2, not run
+    data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+    data["complex"]["*"].update(degrees=[degree, degree], dims={key: 1})
+    data["rep"] = {a: {key: m["1"]} for a, m in data["rep"].items()}
+    path = tmp_path / "keyed.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["modular-class", str(path)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    # the rep section is read only over whole complexes
+    assert errors == [f"error: complex of '*': bad dimension entry {key!r}"]
+    data = json.loads(json.dumps(data).replace(json.dumps(key), f'"{degree}"'))
+    path.write_text(json.dumps(data))
+    assert cli.main(["modular-class", str(path)]) == 0
 
 
 ATOMS = st.one_of(
