@@ -10,17 +10,7 @@ witness or obstructions) is the modular class.
 
 from fractions import Fraction
 
-from .linalg import (
-    Matrix,
-    det,
-    det_and_inverse,
-    extend_to_basis,
-    format_rational,
-    kernel_basis,
-    parse_rational,
-    rank,
-    rref,
-)
+from .linalg import Matrix, det, format_rational, parse_rational, rref
 from .complexes import (
     ChainMap,
     ComplexFiber,

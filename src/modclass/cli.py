@@ -210,10 +210,7 @@ def _cmd_replace(doc: InputDocument, args, report: ReportDocument) -> int:
         report.ok = False
         return 1
     report.fields["arrow"] = args.arrow
-    report.fields["components"] = {
-        str(i): [[format_rational(x) for x in row] for row in g.component(i).to_lists()]
-        for i in g.source.degrees()
-    }
+    report.fields["components"] = {str(i): g.component(i).to_strings() for i in g.source.degrees()}
     return 0
 
 

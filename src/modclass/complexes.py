@@ -6,12 +6,22 @@ C^{i+1}`` squaring to zero.  On top of that this module provides chain
 maps, chain homotopies, the boundary/harmonic/lift decomposition of
 each degree, and the Berezinian (graded determinant).  The
 decomposition is a strong deformation retract onto the harmonic blocks,
-and :func:`harmonic_blocks` (``pi_T t iota_S`` per degree, the map on
-cohomology) is the one view of a homotopy class: a chain map is
+and the harmonic blocks (``pi_T t iota_S`` per degree, the map on
+cohomology) are the one view of a homotopy class: a chain map is
 null-homotopic exactly when they vanish (the contraction then gives the
 homotopy), and the Berezinian of a homotopy equivalence's class is the
 alternating product of their determinants, corrected by those of the
-bases.  Only invertible replacement changes basis in full.
+bases.
+
+In the decomposition bases each differential is a fixed partial
+identity: it carries the lift block of degree ``i`` onto the boundary
+block of degree ``i+1`` by the identity and kills the other two.  So
+every homotopy decision reads one change of basis per arrow and degree,
+``M^i = basis_inv_T^i t^i basis_S^i`` (``_in_bases``): the chain-map
+verdict, the harmonic blocks ``M^i[H_T, H_S]`` and the replacement's
+boundary blocks.  :func:`verify_chain_map`, :func:`harmonic_blocks` and
+:func:`verify_complex` multiply the maps out directly, as references and
+to word the problems of fibers that are no complexes.
 
 Fibers are coordinate spaces, so the graded determinant line always has
 a standard trivializing element (the one determined by the standard
@@ -212,6 +222,13 @@ class ChainMap:
         if self.source != other.source or self.target != other.target:
             raise ValueError("chain maps do not share source and target")
 
+    def is_identity(self) -> bool:
+        """Whether this is ``ChainMap.identity(self.source)``; no identity is built."""
+        return self.target == self.source and all(
+            (m := self.component(i)).rows == self.source.dim(i) and m.is_identity()
+            for i in self.degrees()
+        )
+
     def is_invertible(self) -> bool:
         return all(
             self.source.dim(i) == self.target.dim(i)
@@ -312,16 +329,19 @@ def verify_complex(c: ComplexFiber) -> ValidationReport:
     return report
 
 
+def _shape_problems(t: ChainMap) -> list[str]:
+    """Each component whose shape is not ``target.dim(i) x source.dim(i)``, worded."""
+    return [
+        f"component at degree {i} has shape {comp.rows}x{comp.cols},"
+        f" expected {t.target.dim(i)}x{t.source.dim(i)}"
+        for i in t.degrees()
+        if ((comp := t.component(i)).rows, comp.cols) != (t.target.dim(i), t.source.dim(i))
+    ]
+
+
 def verify_chain_map(t: ChainMap) -> ValidationReport:
-    """Check shapes and ``d o T = T o d`` in every degree."""
-    report = ValidationReport()
-    for i in t.degrees():
-        comp = t.component(i)
-        if (comp.rows, comp.cols) != (t.target.dim(i), t.source.dim(i)):
-            report.add(
-                f"component at degree {i} has shape {comp.rows}x{comp.cols},"
-                f" expected {t.target.dim(i)}x{t.source.dim(i)}"
-            )
+    """Check shapes and ``d o T = T o d`` in every degree (as :func:`_in_bases` does)."""
+    report = ValidationReport(_shape_problems(t))
     if report.ok:
         for i in t.degrees():
             lhs = t.target.differential(i) * t.component(i)
@@ -425,9 +445,14 @@ def decompose(c: ComplexFiber) -> Decomposition:
 
     The choices are the canonical ones of the module docstring.  The
     quantities claimed not to depend on them are tested against
-    decompositions made in relabelled coordinates.
+    decompositions made in relabelled coordinates.  Raises ValueError
+    exactly when ``c`` is no complex: a differential's shape disagrees
+    with ``dims`` (from degree ``d_min - 1`` on), or ``d^i d^{i-1} != 0``
+    in some degree ``i`` of its range.
     """
     diffs = {i: c.differential(i) for i in range(c.d_min - 1, c.d_max + 1)}
+    if any((d.rows, d.cols) != (c.dim(i + 1), c.dim(i)) for i, d in diffs.items()):
+        raise ValueError("ambient dimensions differ")
     reduced = {i: rref(d) for i, d in diffs.items()}
     pivot_cols = {i: pivots for i, (_, pivots) in reduced.items()}
 
@@ -437,8 +462,6 @@ def decompose(c: ComplexFiber) -> Decomposition:
     harmonic_dims: dict[int, int] = {}
     basis_det: dict[int, Fraction] = {}
     for i in c.degrees():
-        if diffs[i - 1].rows != c.dim(i) or diffs[i].cols != c.dim(i):
-            raise ValueError("ambient dimensions differ")
         boundary = diffs[i - 1].take_columns(pivot_cols[i - 1])
         split = _split_degree(boundary, *reduced[i])
         if split is None:
@@ -474,17 +497,73 @@ def harmonic_blocks(
     }
 
 
-def _end_decompositions(t: ChainMap) -> tuple[Decomposition, Decomposition]:
-    """Decompositions of both ends of ``t``, shared for an endomorphism."""
-    source_dec = decompose(t.source)
-    target_dec = source_dec if t.target == t.source else decompose(t.target)
-    return source_dec, target_dec
+def _in_bases(
+    t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
+) -> tuple[str | None, dict[int, Matrix]]:
+    """The first problem :func:`verify_chain_map` finds (None for a chain map),
+    and ``M^i = basis_inv_T^i t^i basis_S^i`` per degree, grouped ``[B | H | L]``.
+
+    As ``d`` is a partial identity in these bases, ``d t^i = t^{i+1} d``
+    exactly when ``M^i[L_T, B_S | H_S] = 0``, ``M^i[L_T, L_S] =
+    M^{i+1}[B_T, B_S]`` and ``M^{i+1}[H_T | L_T, B_S] = 0``.
+    """
+    shapes = _shape_problems(t)
+    if shapes:
+        return shapes[0], {}
+    ms = {
+        i: target_dec.basis_inv_at(i) * t.component(i) * source_dec.basis_at(i)
+        for i in t.degrees()
+    }
+    empty = Matrix.zeros(0, 0)
+    for i, m in ms.items():
+        after = ms.get(i + 1, empty)
+        _, _, rh, rn = target_dec.edges(i)
+        _, _, ch, cn = source_dec.edges(i)
+        rb, cb = target_dec.edges(i + 1)[1], source_dec.edges(i + 1)[1]
+        if not (
+            m.block_equals(rh, rn, 0, ch)
+            and m.block_equals(rh, rn, ch, cn, after)
+            and after.block_equals(rb, after.rows, 0, cb)
+        ):
+            return f"does not commute with the differential at degree {i}", ms
+    return None, ms
 
 
-def _require_chain_map(t: ChainMap) -> None:
-    check = verify_chain_map(t)
-    if not check.ok:
-        raise ValueError(f"not a chain map: {check.problems[0]}")
+def _harmonic_part(
+    ms: Mapping[int, Matrix], source_dec: Decomposition, target_dec: Decomposition
+) -> dict[int, Matrix]:
+    """The harmonic blocks ``M^i[H_T, H_S]`` of a map in decomposition bases."""
+    blocks = {}
+    for i, m in ms.items():
+        (_, rb, rh, _), (_, cb, ch, _) = target_dec.edges(i), source_dec.edges(i)
+        blocks[i] = m.submatrix(rb, rh, cb, ch)
+    return blocks
+
+
+def _coordinates(t: ChainMap) -> tuple[str | None, tuple[Decomposition, ...], dict]:
+    """:func:`_in_bases` on the decompositions of both ends (shared for an
+    endomorphism), with them in the middle.  When an end is no complex,
+    "not a chain map" wins: :func:`verify_chain_map`'s problem comes back
+    with no decompositions, and for a chain map the refusal is raised.
+    """
+    try:
+        source_dec = decompose(t.source)
+        ends = source_dec, source_dec if t.target == t.source else decompose(t.target)
+    except ValueError:
+        check = verify_chain_map(t)
+        if check.ok:
+            raise
+        return check.problems[0], (), {}
+    problem, ms = _in_bases(t, *ends)
+    return problem, ends, ms
+
+
+def _require_chain_map(t: ChainMap) -> tuple[tuple[Decomposition, ...], dict[int, Matrix]]:
+    """:func:`_coordinates`, raising ValueError for a map that is no chain map."""
+    problem, ends, ms = _coordinates(t)
+    if problem is not None:
+        raise ValueError(f"not a chain map: {problem}")
+    return ends, ms
 
 
 def _contracting_homotopy(
@@ -514,12 +593,10 @@ def null_homotopy(t: ChainMap) -> Homotopy | None:
     the homotopy is then read off the contractions of the two
     decompositions in closed form.
     """
-    if not verify_chain_map(t).ok:
+    problem, ends, ms = _coordinates(t)
+    if problem is not None or any(not h.is_zero() for h in _harmonic_part(ms, *ends).values()):
         return None
-    source_dec, target_dec = _end_decompositions(t)
-    if any(not h.is_zero() for h in harmonic_blocks(t, source_dec, target_dec).values()):
-        return None
-    return _contracting_homotopy(t, source_dec, target_dec)
+    return _contracting_homotopy(t, *ends)
 
 
 def are_homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
@@ -549,22 +626,21 @@ def is_homotopy_equivalence(f: ChainMap) -> HomotopyEquivalenceCheck:
 
     Raises ValueError for a map that is not a chain map.
     """
-    _require_chain_map(f)
-    maps = harmonic_blocks(f, *_end_decompositions(f))
+    ends, ms = _require_chain_map(f)
+    maps = _harmonic_part(ms, *ends)
     ok = all(h.is_square and det(h) != 0 for h in maps.values())
     return HomotopyEquivalenceCheck(ok, maps)
 
 
-def _equivalence_decompositions(f: ChainMap) -> tuple[Decomposition, Decomposition]:
-    """Decompositions of both ends, once graded dimensions agree and ``f`` is a chain map."""
+def _equivalence_coordinates(f: ChainMap) -> tuple[tuple[Decomposition, ...], dict[int, Matrix]]:
+    """:func:`_require_chain_map`, once graded dimensions agree."""
     src, tgt = f.source, f.target
     for i in f.degrees():
         if src.dim(i) != tgt.dim(i):
             raise GradedDimensionMismatch(
                 f"source has dimension {src.dim(i)} and target {tgt.dim(i)} in degree {i}"
             )
-    _require_chain_map(f)
-    return _end_decompositions(f)
+    return _require_chain_map(f)
 
 
 def _harmonic_dets(blocks: Mapping[int, Matrix]) -> dict[int, Fraction]:
@@ -596,18 +672,13 @@ def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
     map that is not a chain map, or NotHomotopyEquivalence, in that
     order of checking.
     """
-    src_dec, tgt_dec = _equivalence_decompositions(f)
-    boundaries, harmonics = {}, {}
-    for i in f.degrees():
-        # one change of basis gives both diagonal blocks of degree i
-        m = tgt_dec.basis_inv_at(i) * f.component(i) * src_dec.basis_at(i)
-        (_, rb, rh, _), (_, cb, ch, _) = tgt_dec.edges(i), src_dec.edges(i)
-        boundaries[i] = m.submatrix(0, rb, 0, cb)
-        harmonics[i] = m.submatrix(rb, rh, cb, ch)
-    _harmonic_dets(harmonics)
+    (src_dec, tgt_dec), ms = _equivalence_coordinates(f)
+    _harmonic_dets(_harmonic_part(ms, src_dec, tgt_dec))
     homotopy_comps: dict[int, Matrix] = {}
-    for i, boundary in boundaries.items():
-        if boundary.rows:
+    for i, m in ms.items():
+        rb, cb = tgt_dec.edges(i)[1], src_dec.edges(i)[1]
+        if rb:
+            boundary = m.submatrix(0, rb, 0, cb)
             # corner I - (boundary block), from the boundary coordinates of
             # source degree i to the lift vectors of target degree i-1
             phi = Matrix.identity(boundary.rows) - boundary
@@ -669,9 +740,8 @@ def berezinian_class(
     :func:`berezinian` on maps that are already invertible and raises
     what :func:`invertible_replacement` raises.
     """
-    source_dec, target_dec = _equivalence_decompositions(t)
-    blocks = harmonic_blocks(t, source_dec, target_dec)
-    return _class_berezinian(blocks, source_dec, target_dec, sigma_source, sigma_target)
+    ends, ms = _equivalence_coordinates(t)
+    return _class_berezinian(_harmonic_part(ms, *ends), *ends, sigma_source, sigma_target)
 
 
 def _class_berezinian(

@@ -18,10 +18,13 @@ over the `lcm` of its denominators (`_cleared`); the string reader
 `Matrix._parse` takes "p/q" strings straight to those integer rows.
 Every other operation stays in integers and makes `Fraction`s only
 where entries leave the matrix (`__getitem__`, `row`, `column`,
-`to_lists`, `repr`).  A product writes its right operand over one
-`lcm`, so each entry is an integer dot product and each row is
-normalised with one `gcd`, and every elimination here is the one
-fraction-free `_eliminate` of those integer rows.
+`to_lists`, `repr`); `to_strings` writes the rows straight back to
+"p/q" strings, and `block_equals` compares blocks as stored.  A product
+writes its right operand over one `lcm`, so each entry is an integer
+dot product and each row is normalised with one `gcd`, and every
+elimination here is the one fraction-free `_eliminate` of those
+integer rows.  A rational string is ASCII digits after at most one
+sign, with at most one "/": the published pattern.
 
 `_split_degree` splits one degree of a complex for
 `modclass.complexes.decompose`: from the rref of the outgoing
@@ -37,7 +40,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul, sub
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# the published ``rational`` pattern: ASCII digits only, nothing around them
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _rational_parts(text) -> tuple[int, int]:
@@ -45,12 +49,14 @@ def _rational_parts(text) -> tuple[int, int]:
 
     ``p / q`` need not be in lowest terms: ``"4/6"`` gives ``(4, 6)``.
     """
-    # plain decimal digits (Unicode Nd, what ``\d`` matches) after at most one "-"
-    if isinstance(text, str) and (text[1:] if text[:1] == "-" else text).isdecimal():
-        return int(text), 1
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    if isinstance(text, str):
+        # plain ASCII digits after at most one "-"
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isascii() and digits.isdigit():
+            return int(text), 1
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
-    num, _, den = text.strip().partition("/")
+    num, _, den = text.partition("/")
     if not den:
         return int(num), 1
     q = int(den)
@@ -233,6 +239,20 @@ class Matrix:
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def to_strings(self) -> list[list[str]]:
+        """The entries as "p" or "p/q" strings, as :func:`format_rational` writes them."""
+        out = []
+        for r, d in zip(self._num, self._den):
+            if d == 1:
+                out.append([str(x) for x in r])
+                continue
+            row = []
+            for x in r:
+                g = gcd(x, d)
+                row.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+            out.append(row)
+        return out
+
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -241,7 +261,27 @@ class Matrix:
         return not any(map(any, self._num))
 
     def is_identity(self) -> bool:
-        return self.is_square and self == Matrix.identity(self.rows)
+        n = self.cols
+        return self.rows == n and all(
+            d == 1 and r[i] == 1 and r.count(0) == n - 1
+            for i, (r, d) in enumerate(zip(self._num, self._den))
+        )
+
+    def block_equals(
+        self, r0: int, r1: int, c0: int, c1: int,
+        other: "Matrix | None" = None, s0: int = 0, t0: int = 0,
+    ) -> bool:
+        """Whether the block ``self[r0:r1, c0:c1]`` is zero or, given ``other``,
+        equals ``other``'s block of its shape at ``(s0, t0)``; none is built."""
+        rows = self._num[r0:r1]
+        if other is None:
+            return not any(any(r[c0:c1]) for r in rows)
+        t1 = t0 + c1 - c0
+        for a, d, b, e in zip(rows, self._den[r0:r1], other._num[s0:], other._den[s0:]):
+            a, b = a[c0:c1], b[t0:t1]
+            if a != b if d == e else any(x * e != y * d for x, y in zip(a, b)):
+                return False
+        return True
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -340,38 +380,10 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     >>> rref(Matrix([[1, 2], [2, 4]]))
     (Matrix([[1, 2], [0, 0]]), [0])
     """
+    if m.is_zero():
+        return m, []
     reduced, p, pivots, _ = _eliminate(m, m.cols)
     return Matrix._lowest(reduced, [p] * m.rows, m.cols), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(_eliminate(m, m.cols, reduce=False)[2])
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a basis of the null space of ``m``.
-
-    Free coordinates are set to 1 one at a time, in column order, so the
-    basis is canonical given the pivoting convention: row ``j`` is a unit
-    row for a free coordinate ``j``, and minus the free entries of the
-    pivot row when ``j`` is a pivot column.
-    """
-    reduced, pivots = rref(m)
-    free = [j for j in range(reduced.cols) if j not in pivots]
-    pivot_row = {j: i for i, j in enumerate(pivots)}
-    unit = (0,) * len(free)
-    num, den, k = [], [], 0
-    for j in range(reduced.cols):
-        i = pivot_row.get(j)
-        if i is None:  # the k-th free coordinate
-            num.append(unit[:k] + (1,) + unit[k + 1:])
-            den.append(1)
-            k += 1
-        else:
-            row = reduced._num[i]
-            num.append(tuple(-row[f] for f in free))
-            den.append(reduced._den[i])
-    return Matrix._lowest(num, den, len(free))
 
 
 def _eliminate(m: Matrix, width: int, reduce: bool = True) -> tuple[list, int, list[int], Fraction]:
@@ -424,56 +436,25 @@ def det(m: Matrix) -> Fraction:
     return d if len(pivots) == m.rows else Fraction(0)
 
 
-def det_and_inverse(m: Matrix) -> tuple[Fraction, Matrix | None]:
-    """Determinant and, when it exists, the inverse: ``[m | I]`` reduces to ``[I | m^-1]``.
-
-    The integer rows of ``[m | I]`` are ``[D m | D]``, ``D`` the row
-    denominators of ``m``, and they reduce to ``p [I | m^-1]``.
-    """
-    if not m.is_square:
-        raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
-    reduced, p, pivots, d = _eliminate(Matrix.hstack(m, Matrix.identity(n)), n)
-    if len(pivots) < n:
-        return Fraction(0), None
-    return d, Matrix._lowest([row[n:] for row in reduced], [p] * n, n)
-
-
-def extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:
-    """Extend independent columns to a basis of ``within``'s column span.
-
-    Candidate columns are drawn from ``within`` by a greedy scan in
-    column order, so the completion is canonical: they are the pivot
-    columns of ``[independent | within]`` past the first ones.  Raises
-    ValueError if ``independent`` is not independent or leaves the span.
-    """
-    if independent.rows != within.rows:
-        raise ValueError("ambient dimensions differ")
-    k = independent.cols
-    pivots = rref(Matrix.hstack(independent, within))[1]
-    if pivots[:k] != list(range(k)):
-        raise ValueError("columns of `independent` are linearly dependent")
-    if k and len(pivots) > rank(within):
-        raise ValueError("`independent` does not lie in the span of `within`")
-    return Matrix.hstack(independent, within.take_columns(p - k for p in pivots[k:]))
-
-
 def _split_degree(
     boundary: Matrix, reduced: Matrix, pivots: list[int]
 ) -> tuple[Matrix, Matrix, Fraction] | None:
     """A degree's basis ``[B | H | L]``, its inverse and determinant, by one elimination.
 
     ``reduced`` and ``pivots`` are the rref of the outgoing differential,
-    whose kernel has the canonical basis ``K`` of :func:`kernel_basis`;
+    whose kernel has the canonical basis ``K``: row ``j`` of ``K`` is a
+    unit row on the free coordinates when ``j`` is free, and minus the
+    free entries of ``reduced``'s row at ``j`` when ``j`` is a pivot.
     ``boundary`` is ``B``, independent columns as tall as ``reduced`` is
     wide.  None when ``B`` leaves that kernel, that is when the top rows
     of ``reduced`` do not annihilate it.  ``K`` is the identity on the
     free rows ``F``, so ``[B | K] = K [B_F | I]`` and one elimination of
     ``[B_F | I]`` does all the work.  Its pivots past ``B`` pick the
-    columns ``S`` of ``K`` that make ``H``, as the greedy scan of
-    :func:`extend_to_basis` picks them.  It reduces to ``[* | C^-1]`` for
-    ``C = [B_F | E_S]``, the free rows of ``[B | H]``, and its last pivot
-    gives ``det C``.  ``L`` is the unit columns at the pivots, so the
+    columns ``S`` of ``K`` that make ``H``, the greedy left-to-right
+    completion of ``B`` to a basis of the kernel.  It reduces to ``[* |
+    C^-1]`` for ``C = [B_F | E_S]``, the free rows of ``[B | H]``, and its
+    last pivot gives ``det C``; with ``B`` empty, ``C = I`` and nothing
+    is eliminated.  ``L`` is the unit columns at the pivots, so the
     inverse is ``C^-1`` on the free columns over the top rows of
     ``reduced``, and putting the rows in the order ``F`` then ``pivots``
     makes the basis block lower-triangular: its determinant is ``det C``,
@@ -490,9 +471,12 @@ def _split_degree(
     f = len(free)
     unit = (0,) * f
     c_num = tuple(bnum[j] + unit[:k] + (bden[j],) + unit[k + 1:] for k, j in enumerate(free))
-    c_den = tuple(bden[j] for j in free)
-    eliminated, p, chosen, det_c = _eliminate(Matrix._from_ints(c_num, c_den, b + f), b + f)
-    harmonic = [free[q - b] for q in chosen[b:]]
+    if b:
+        c_den = tuple(bden[j] for j in free)
+        eliminated, p, chosen, det_c = _eliminate(Matrix._from_ints(c_num, c_den, b + f), b + f)
+        harmonic = [free[q - b] for q in chosen[b:]]
+    else:  # C = I: every kernel column is harmonic
+        eliminated, p, harmonic, det_c = c_num, 1, free, Fraction(1)
     inv_num = []
     for row in eliminated:
         r = [0] * n

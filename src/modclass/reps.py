@@ -33,9 +33,9 @@ from .complexes import (
     GradedDimensionMismatch,
     ValidationReport,
     _class_berezinian,
+    _harmonic_part,
+    _in_bases,
     decompose,
-    harmonic_blocks,
-    verify_chain_map,
     verify_complex,
 )
 from .groupoid import (
@@ -267,7 +267,8 @@ def modular_class_vector(
 class RuthReport(ValidationReport):
     """Validation outcome for a representation up to weak homotopy.
 
-    ``complex_checks`` holds each object's :func:`verify_complex` report;
+    ``complex_checks`` holds each object's complex check: an empty report
+    when ``decompose`` splits its fiber, else :func:`verify_complex`'s;
     once the complexes, chain maps and units pass, ``decompositions``
     holds each object's decomposition and ``blocks`` each arrow's
     harmonic blocks.  ``certificates`` holds each composable pair
@@ -346,56 +347,62 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
 
     Every arrow must also join fibers of equal graded dimension, which
     the Berezinian needs.  Reports the first failing law per object,
-    arrow, or pair.  A pair ``(g, h)`` is homotopy functorial exactly
+    arrow, or pair.  ``decompose`` refuses exactly the fibers that are no
+    complex, and :func:`verify_complex` runs only to word a refusal; one
+    change of basis per arrow and degree gives its chain-map verdict and
+    harmonic blocks.  A pair ``(g, h)`` is homotopy functorial exactly
     when the harmonic blocks satisfy ``H(g) H(h) = H(gh)`` in every
     degree; that is decided for all pairs at once through the groupoid's
     isotropy model, and pair by pair only when that check does not pass.
     """
     report = RuthReport(r)
     gpd = r.groupoid
+    decs = {}
     for x in gpd.objects:
-        check = report.complex_checks[x] = verify_complex(r.complexes[x])
-        if not check.ok:
+        report.complex_checks[x] = ValidationReport()
+        try:
+            decs[x] = decompose(r.complexes[x])
+        except ValueError as exc:
+            check = report.complex_checks[x] = verify_complex(r.complexes[x])
+            if check.ok:  # a differential outside the degree range
+                check.add(str(exc))
             report.add(f"complex of '{x}' is invalid: {check.problems[0]}")
     if not report.ok:
         return report
+    blocks = {}
     for a in gpd.arrow_ids():
         t = r.action.get(a)
         if t is None:
             report.add(f"arrow '{a}' has no action")
             continue
-        x = gpd.src(a)
-        if t.source != r.complexes[x] or t.target != r.complexes[gpd.tgt(a)]:
+        x, y = gpd.src(a), gpd.tgt(a)
+        if t.source != r.complexes[x] or t.target != r.complexes[y]:
             report.add(f"action of arrow '{a}' joins the wrong fibers")
             continue
-        if gpd.identity.get(x) == a and gpd.tgt(a) == x and t == ChainMap.identity(t.source):
+        if gpd.identity.get(x) == a and y == x and t.is_identity():
             report.identities.add(a)  # a chain map, joining equal fibers
+            dims = decs[x].harmonic_dims
+            blocks[a] = {i: Matrix.identity(dims[i]) for i in t.degrees()}
             continue
-        check = verify_chain_map(t)
+        problem, ms = _in_bases(t, decs[x], decs[y])
         mismatch = _dimension_mismatch(a, t)
-        if not check.ok:
-            report.add(f"action of arrow '{a}' is not a chain map: {check.problems[0]}")
+        if problem is not None:
+            report.add(f"action of arrow '{a}' is not a chain map: {problem}")
         elif mismatch is not None:
             report.add(mismatch)
+        else:
+            blocks[a] = _harmonic_part(ms, decs[x], decs[y])
     if not report.ok:
         return report
     for x in gpd.objects:
         u = gpd.unit(x)
         # the arrow loop found the identity units; any other is compared here
         found = u in report.identities and gpd.src(u) == x
-        if not found and r(u) != ChainMap.identity(r.complexes[x]):
+        if not found and not (r(u).source == r.complexes[x] and r(u).is_identity()):
             report.add(f"unit of object '{x}' does not act by the identity")
     if not report.ok:
         return report
-    decs = report.decompositions = {x: decompose(r.complexes[x]) for x in gpd.objects}
-    blocks = report.blocks = {}
-    for a in gpd.arrow_ids():
-        source_dec, target_dec = decs[gpd.src(a)], decs[gpd.tgt(a)]
-        if a in report.identities:
-            dims = source_dec.harmonic_dims
-            blocks[a] = {i: Matrix.identity(dims[i]) for i in source_dec.fiber.degrees()}
-        else:
-            blocks[a] = harmonic_blocks(r(a), source_dec, target_dec)
+    report.decompositions, report.blocks = decs, blocks
     # Outside an arrow's degrees both of its fibers are zero, so its
     # harmonic block there is 0x0: pad every arrow to all degrees.
     all_degrees = sorted({i for b in blocks.values() for i in b})

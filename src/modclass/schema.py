@@ -441,7 +441,7 @@ def serialize(doc: InputDocument) -> dict:
                 "degrees": [fiber.d_min, fiber.d_max],
                 "dims": {str(i): fiber.dim(i) for i in fiber.degrees()},
                 "differentials": {
-                    str(i): _matrix_json(fiber.differential(i))
+                    str(i): fiber.differential(i).to_strings()
                     for i in fiber.degrees()
                     if not fiber.differential(i).is_zero()
                 },
@@ -450,13 +450,13 @@ def serialize(doc: InputDocument) -> dict:
         }
         data["rep"] = {
             a: {
-                str(i): _matrix_json(rep(a).component(i))
+                str(i): rep(a).component(i).to_strings()
                 for i in rep(a).source.degrees()
             }
             for a in gpd.arrow_ids()
         }
     elif isinstance(rep, VectorRep):
-        data["rep"] = {a: _matrix_json(rep(a)) for a in gpd.arrow_ids()}
+        data["rep"] = {a: rep(a).to_strings() for a in gpd.arrow_ids()}
     elif isinstance(rep, LineRep):
         data["rep"] = {a: format_rational(rep(a)) for a in gpd.arrow_ids()}
     if doc.sigma is not None:
@@ -468,7 +468,3 @@ def serialize(doc: InputDocument) -> dict:
             key[0]: format_rational(v) for key, v in sorted(doc.cochain.values.items())
         }
     return data
-
-
-def _matrix_json(m: Matrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.to_lists()]

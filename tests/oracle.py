@@ -26,6 +26,11 @@ determinant taken, by eliminating ``[basis | I]``.
 expression alone, as ``linalg`` did before plain integers took a
 shortcut.
 
+``rank``, ``kernel_basis``, ``det_and_inverse`` and ``extend_to_basis``
+are the general constructions ``linalg`` offered before each degree was
+split in closed form, rebuilt here on the public ``rref``: no command
+needs them, and the tests and the random generators still do.
+
 ``permuted_decomposition`` is a decomposition that makes other
 choices than ``decompose``: the canonical one of a complex whose
 coordinates were relabelled, pulled back to the original coordinates.
@@ -66,14 +71,12 @@ from modclass import (
     VectorRep,
     decompose,
     det,
-    det_and_inverse,
     harmonic_blocks,
-    kernel_basis,
     verify_chain_map,
     verify_complex,
     verify_line_rep,
 )
-from modclass.linalg import _RATIONAL_RE
+from modclass.linalg import _RATIONAL_RE, rref as linalg_rref
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -179,15 +182,68 @@ def global_null_homotopy(t: ChainMap) -> Homotopy | None:
 
 def regex_rational_parts(text) -> tuple[int, int]:
     """``(p, q)`` for the "p" or "p/q" string ``text``, read by ``_RATIONAL_RE``; else ValueError."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
-    num, _, den = text.strip().partition("/")
+    num, _, den = text.partition("/")
     if not den:
         return int(num), 1
     q = int(den)
     if q == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")
     return int(num), q
+
+
+def rank(m: Matrix) -> int:
+    return len(linalg_rref(m)[1])
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """Columns form a basis of the null space of ``m``.
+
+    Free coordinates are set to 1 one at a time, in column order, so the
+    basis is canonical given the pivoting convention: row ``j`` is a unit
+    row for a free coordinate ``j``, and minus the free entries of the
+    pivot row when ``j`` is a pivot column.
+    """
+    reduced, pivots = linalg_rref(m)
+    free = [j for j in range(m.cols) if j not in pivots]
+    pivot_row = {j: i for i, j in enumerate(pivots)}
+    rows = [
+        [int(j == k) for k in free] if j not in pivot_row
+        else [-reduced[pivot_row[j], k] for k in free]
+        for j in range(m.cols)
+    ]
+    return Matrix(rows, cols=len(free))
+
+
+def det_and_inverse(m: Matrix) -> tuple[Fraction, Matrix | None]:
+    """Determinant and, when it exists, the inverse: ``[m | I]`` reduces to ``[I | m^-1]``."""
+    if not m.is_square:
+        raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
+    n = m.rows
+    reduced, pivots = linalg_rref(Matrix.hstack(m, Matrix.identity(n)))
+    if pivots[:n] != list(range(n)):
+        return Fraction(0), None
+    return det(m), reduced.submatrix(0, n, n, 2 * n)
+
+
+def extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:
+    """Extend independent columns to a basis of ``within``'s column span.
+
+    Candidate columns are drawn from ``within`` by a greedy scan in
+    column order, so the completion is canonical: they are the pivot
+    columns of ``[independent | within]`` past the first ones.  Raises
+    ValueError if ``independent`` is not independent or leaves the span.
+    """
+    if independent.rows != within.rows:
+        raise ValueError("ambient dimensions differ")
+    k = independent.cols
+    pivots = linalg_rref(Matrix.hstack(independent, within))[1]
+    if pivots[:k] != list(range(k)):
+        raise ValueError("columns of `independent` are linearly dependent")
+    if k and len(pivots) > rank(within):
+        raise ValueError("`independent` does not lie in the span of `within`")
+    return Matrix.hstack(independent, within.take_columns(p - k for p in pivots[k:]))
 
 
 def naive_matmul(a: Matrix, b: Matrix) -> list[list[Fraction]]:

@@ -34,12 +34,11 @@ from modclass import (
     action_groupoid,
     connected_groupoid,
     cyclic_groupoid,
-    det_and_inverse,
     disjoint_union,
-    kernel_basis,
     pair_groupoid,
     GroupTable,
 )
+from oracle import det_and_inverse, kernel_basis
 
 
 def rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:

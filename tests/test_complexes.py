@@ -20,12 +20,11 @@ from modclass import (
     invertible_replacement,
     is_homotopy_equivalence,
     null_homotopy,
-    rank,
     verify_chain_map,
     verify_complex,
 )
 from modclass import complexes as complexes_module, linalg as linalg_module
-from oracle import permuted_decomposition
+from oracle import permuted_decomposition, rank
 from randgen import (
     conjugated_complex,
     rand_chain_map,
@@ -147,8 +146,9 @@ class TestDecompose:
 
     def test_splits_each_degree_in_one_elimination_beyond_its_rref(self, monkeypatch):
         # the harmonic choice, the basis inverse and its determinant all
-        # come from one elimination per degree, on top of one rref per
-        # differential (degrees -1..2 here)
+        # come from at most one elimination per degree, on top of one rref
+        # per nonzero differential: d^-1 and d^2 are zero and need none,
+        # and degree 0, with no boundary, splits with no elimination
         d0, d1 = Matrix([[1], [2], [3]]), Matrix([[2, -1, 0], [3, 0, -1]])
         c = ComplexFiber(0, 2, {0: 1, 1: 3, 2: 2}, {0: d0, 1: d1})
         per_call = [0]  # eliminations before the first split, then in each
@@ -165,7 +165,7 @@ class TestDecompose:
         monkeypatch.setattr(linalg_module, "_eliminate", counted_eliminate)
         monkeypatch.setattr(complexes_module, "_split_degree", counted_split)
         decompose(c)
-        assert per_call == [4, 1, 1, 1]
+        assert per_call == [2, 0, 1, 1]
 
     def test_refuses_a_differential_whose_width_is_not_the_dimension(self):
         # the split sizes each basis by the differentials; they must agree with dims

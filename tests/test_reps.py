@@ -507,21 +507,21 @@ class TestRegularFactorization:
 
 
 class TestIdentityWork:
-    """A unit acting by the identity costs no chain-map check, no
-    harmonic blocks, no Berezinian and no product in the functoriality
-    check; any other unit takes the full path."""
+    """A unit acting by the identity costs no change of basis (so no
+    chain-map check and no harmonic blocks), no Berezinian and no
+    product in the functoriality check; any other unit takes the full
+    path."""
 
     @pytest.fixture
     def spied(self, monkeypatch):
-        seen = {"verify_chain_map": [], "harmonic_blocks": [], "tuple products": 0}
-        for name in ("verify_chain_map", "harmonic_blocks"):
-            original = getattr(reps_module, name)
+        seen = {"_in_bases": [], "tuple products": 0}
+        original = reps_module._in_bases
 
-            def spy(t, *args, _original=original, _name=name):
-                seen[_name].append(t)
-                return _original(t, *args)
+        def spy(t, *args):
+            seen["_in_bases"].append(t)
+            return original(t, *args)
 
-            monkeypatch.setattr(reps_module, name, spy)
+        monkeypatch.setattr(reps_module, "_in_bases", spy)
         mul = groupoid_module._mul
 
         def counted(u, v):
@@ -536,7 +536,7 @@ class TestIdentityWork:
         rep = rand_ruth(random.Random(7), z2_fixture())
         report = verify_ruth(rep)
         assert report.ok and report.identities == {E}
-        assert spied["verify_chain_map"] == spied["harmonic_blocks"] == [rep(TAU)]
+        assert spied["_in_bases"] == [rep(TAU)]
         # (A) multiplies nothing over one object; (G) multiplies (tau, tau) alone
         assert spied["tuple products"] == 1
         dec = report.decompositions["*"]
@@ -556,7 +556,37 @@ class TestIdentityWork:
         report = verify_ruth(rep)
         assert report.problems == ["unit of object '*' does not act by the identity"]
         assert report.identities == set()
-        assert spied["verify_chain_map"] == [rep(E), rep(TAU)]
+        assert spied["_in_bases"] == [rep(E), rep(TAU)]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_two_products_per_arrow_and_degree(self, index, monkeypatch):
+        # one change of basis per non-identity arrow and degree, and no
+        # product for d o d: decompose alone decides that the fibers are
+        # complexes, so verify_complex does not run on them
+        fx = standard_fixtures()[index]
+        rep = rand_ruth(random.Random(11), fx)
+        products, scanning, worded = [0], [False], []
+        mul, failing, complex_check = Matrix.__mul__, reps_module._failing_pairs, reps_module.verify_complex
+
+        def counted(a, b):
+            products[0] += not scanning[0]
+            return mul(a, b)
+
+        def scanned(*args):
+            # the functoriality check multiplies harmonic blocks: not counted here
+            scanning[0] = True
+            try:
+                return failing(*args)
+            finally:
+                scanning[0] = False
+
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        monkeypatch.setattr(reps_module, "_failing_pairs", scanned)
+        monkeypatch.setattr(reps_module, "verify_complex", lambda c: worded.append(c) or complex_check(c))
+        report = verify_ruth(rep)
+        assert report.ok and worded == []
+        moved = [a for a in fx.gpd.arrow_ids() if a not in report.identities]
+        assert products[0] == 2 * sum(len(rep(a).degrees()) for a in moved) > 0
 
     def test_a_unit_shared_by_two_objects_is_compared_at_each(self):
         # an identity table giving y the unit of x: that unit acts by the

@@ -534,8 +534,9 @@ class TestHomotopyBuilds:
 
     def test_homotopy_check_multiplies_each_contraction_once(self, monkeypatch, capsys, tmp_path):
         # one object with a nonzero differential: every pair is found
-        # from the harmonic blocks, which its decomposition builds once
-        # each, and no pair needs a contraction or a harmonic projector
+        # from the harmonic blocks, read off each arrow's change of basis,
+        # so no memo entry is built twice and no pair needs a contraction
+        # or a harmonic projector; building a pair's homotopy does
         z2 = standard_fixtures()[0]
         spec = RuthSpec({0: 1, 1: 1}, [0])
         rep = rand_ruth(random.Random(3), z2, spec)
@@ -555,8 +556,12 @@ class TestHomotopyBuilds:
         assert cli.main(["homotopy-check", str(path), "--format", "json"]) == 0
         pairs = json.loads(capsys.readouterr().out)["pairs"]
         assert [p["certificate"] for p in pairs] == ["found"] * 4
-        assert len(builds) == len(set(builds)) > 0
+        assert len(builds) == len(set(builds))
         assert {key[0] for _, key in builds}.isdisjoint({"contraction", "projector"})
+        # the spy sees the memo: the homotopy of a found pair is built from contractions
+        g = h = next(a for a in z2.gpd.arrow_ids() if a != z2.gpd.unit("*"))
+        assert are_homotopic(rep(g).compose(rep(h)), rep(z2.gpd.compose(g, h))) is not None
+        assert "contraction" in {key[0] for _, key in builds}
 
 
 class TestWorkCounts:
