@@ -57,14 +57,15 @@ from .reps import (
     abs_plus_function,
     characteristic_function,
     cohomology_representation,
+    decide_modular_class,
     det_representation,
     induced_ber_rep,
-    modular_class_ruth,
-    modular_class_vector,
+    modular_class,
     regular_factorization_check,
     strict_as_homotopy,
     tensor,
     verify_line_rep,
+    verify_rep,
     verify_ruth,
     verify_vector_rep,
 )

@@ -18,18 +18,16 @@ import time
 from dataclasses import dataclass, field
 
 from .complexes import ValidationReport, berezinian_class, invertible_replacement
-from .groupoid import ClassReport, NotACocycle, _solve_1, coboundary_solve_1, validate as validate_groupoid
+from .groupoid import ClassReport, NotACocycle, coboundary_solve_1, validate as validate_groupoid
 from .linalg import format_rational
 from .reps import (
-    LineRep,
     RepUpToWeakHomotopy,
     Trivialization,
     VectorRep,
-    characteristic_function,
+    decide_modular_class,
     strict_as_homotopy,
-    verify_line_rep,
+    verify_rep,
     verify_ruth,
-    verify_vector_rep,
 )
 from .schema import InputDocument, SchemaError, parse
 
@@ -101,19 +99,15 @@ def _validate_document(doc: InputDocument, report: ReportDocument) -> Validation
     check = validate_groupoid(doc.groupoid)
     sections = report.fields["sections"] = {"groupoid": check.problems or "ok"}
     # the complex and rep laws read the unit and composition tables
-    rep = doc.rep if check.ok else None
-    if isinstance(rep, RepUpToWeakHomotopy):
-        check = verify_ruth(rep)
-        complex_checks = sorted(check.complex_checks.items())
-        sections["complex"] = {x: c.problems or "ok" for x, c in complex_checks}
-        if all(c.ok for _, c in complex_checks):
+    if check.ok and doc.rep is not None:
+        check = verify_rep(doc.rep)
+        complexes_ok = True
+        if isinstance(doc.rep, RepUpToWeakHomotopy):
+            complex_checks = sorted(check.complex_checks.items())
+            sections["complex"] = {x: c.problems or "ok" for x, c in complex_checks}
+            complexes_ok = all(c.ok for _, c in complex_checks)
+        if complexes_ok:
             sections["rep"] = check.problems or "ok"
-    elif isinstance(rep, VectorRep):
-        check = verify_vector_rep(rep)
-        sections["rep"] = check.problems or "ok"
-    elif isinstance(rep, LineRep):
-        check = verify_line_rep(rep)
-        sections["rep"] = check.problems or "ok"
     report.ok = check.ok
     return check
 
@@ -159,30 +153,27 @@ def _cmd_modular_class(doc: InputDocument, args, report: ReportDocument) -> int:
     if not check.ok:
         return 1
     report.fields["rep_kind"] = doc.rep_kind
-    if isinstance(rep, RepUpToWeakHomotopy):
-        # the Berezinian action already folds sigma in
-        line, sigma = check.berezinian_rep(doc.sigma), None
-    elif isinstance(rep, VectorRep):
-        # the law checks took every determinant, and passed
-        line, sigma = LineRep(rep.groupoid, check.dets), doc.sigma
-    else:
-        line, sigma = rep, doc.sigma
-    # the checks above proved the action functorial: its cocycle needs no re-check
-    solved = _solve_1(doc.groupoid, characteristic_function(line, sigma))
+    line, solved = decide_modular_class(rep, check, doc.sigma)
     report.fields["berezinian"] = {a: format_rational(v) for a, v in sorted(line.action.items())}
     report.fields.update(_class_fields(solved))
     return 0
 
 
-def _arrow_chain_map(doc: InputDocument, arrow: str):
+def _homotopy_rep(doc: InputDocument, command: str) -> RepUpToWeakHomotopy:
+    """The document's rep up to homotopy: a vector rep sits in degree 0."""
     rep = _require_rep(doc)
-    if arrow not in set(doc.groupoid.arrow_ids()):
-        raise SchemaError([f"unknown arrow '{arrow}'"])
-    if isinstance(rep, RepUpToWeakHomotopy):
-        return rep(arrow)
     if isinstance(rep, VectorRep):
-        return strict_as_homotopy(rep)(arrow)
-    raise SchemaError(["this command needs matrix or per-degree actions"])
+        return strict_as_homotopy(rep)
+    if not isinstance(rep, RepUpToWeakHomotopy):
+        raise SchemaError([f"{command} needs matrix or per-degree actions"])
+    return rep
+
+
+def _arrow_chain_map(doc: InputDocument, arrow: str):
+    _require_rep(doc)
+    if arrow not in doc.groupoid.arrow_ids():
+        raise SchemaError([f"unknown arrow '{arrow}'"])
+    return _homotopy_rep(doc, "this command")(arrow)
 
 
 def _cmd_berezinian(doc: InputDocument, args, report: ReportDocument) -> int:
@@ -215,11 +206,7 @@ def _cmd_replace(doc: InputDocument, args, report: ReportDocument) -> int:
 
 
 def _cmd_homotopy_check(doc: InputDocument, args, report: ReportDocument) -> int:
-    rep = _require_rep(doc)
-    if not isinstance(rep, RepUpToWeakHomotopy):
-        rep = strict_as_homotopy(rep) if isinstance(rep, VectorRep) else None
-    if rep is None:
-        raise SchemaError(["'homotopy-check' needs matrix or per-degree actions"])
+    rep = _homotopy_rep(doc, "'homotopy-check'")
     if _groupoid_fails(doc, report):
         return 1
     check = verify_ruth(rep)
@@ -286,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
         doc = parse(args.input)
     except FileNotFoundError:
         print(f"error: no such file: {args.input}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
         return 2
     except SchemaError as exc:
         for problem in exc.problems:

@@ -44,7 +44,6 @@ from .groupoid import (
     FiniteGroupoid,
     _failing_pairs,
     _solve_1,
-    coboundary_solve_1,
     class_equal,
 )
 from .linalg import Matrix, det
@@ -252,18 +251,6 @@ def strict_as_homotopy(r: VectorRep, degree: int = 0) -> RepUpToWeakHomotopy:
     return RepUpToWeakHomotopy(gpd, fibers, action)
 
 
-def modular_class_vector(
-    r: VectorRep, sigma: Trivialization | None = None
-) -> ClassReport:
-    """Triviality decision for the determinant cocycle of a vector rep.
-
-    Trivial exactly when an invariant determinant element exists; the
-    witness f recovers one by rescaling: sigma/f is invariant.
-    """
-    phi = characteristic_function(det_representation(r), sigma)
-    return coboundary_solve_1(r.groupoid, phi)
-
-
 class RuthReport(ValidationReport):
     """Validation outcome for a representation up to weak homotopy.
 
@@ -418,9 +405,7 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     return report
 
 
-def induced_ber_rep(
-    r: RepUpToWeakHomotopy, sigma: Trivialization | None = None
-) -> LineRep:
+def induced_ber_rep(r: RepUpToWeakHomotopy, sigma: Trivialization | None = None) -> LineRep:
     """The strictly functorial action on Berezinian lines.
 
     Each arrow acts by the Berezinian of the homotopy class of its chain
@@ -433,19 +418,41 @@ def induced_ber_rep(
     return verify_ruth(r).berezinian_rep(sigma)
 
 
-def modular_class_ruth(
-    r: RepUpToWeakHomotopy, sigma: Trivialization | None = None
-) -> ClassReport:
-    """Triviality decision for the Berezinian cocycle of a homotopy rep.
+def verify_rep(r: LineRep | VectorRep | RepUpToWeakHomotopy) -> ValidationReport:
+    """The law check of ``r``'s kind, off which its class is read."""
+    if isinstance(r, RepUpToWeakHomotopy):
+        return verify_ruth(r)
+    return verify_vector_rep(r) if isinstance(r, VectorRep) else verify_line_rep(r)
 
-    The report's cocycle holds the per-arrow Berezinian values (the
-    trivialization is already folded in).  Trivial exactly when an
-    invariant Berezinian element exists; the witness f recovers one by
-    rescaling: sigma/f is invariant.  Raises as :func:`induced_ber_rep`.
+
+def decide_modular_class(
+    r: LineRep | VectorRep | RepUpToWeakHomotopy,
+    check: ValidationReport,
+    sigma: Trivialization | None = None,
+) -> tuple[LineRep, ClassReport]:
+    """The line action of ``r`` and its class, read off ``r``'s law check.
+
+    A homotopy rep acts on Berezinian lines with ``sigma`` folded in, a
+    vector rep on determinant lines by the check's ``dets``, and a line rep
+    is its own line; the check proved the action functorial, so its cocycle
+    needs no second check.  A failed check raises ValueError with its first
+    problem, or for a homotopy rep as :func:`induced_ber_rep` does.
     """
-    # a functorial action's cocycle needs no second check
-    rep = induced_ber_rep(r, sigma)
-    return _solve_1(r.groupoid, characteristic_function(rep))
+    if isinstance(r, RepUpToWeakHomotopy):
+        line, sigma = check.berezinian_rep(sigma), None
+    elif not check.ok:
+        kind = "vector" if isinstance(r, VectorRep) else "line"
+        raise ValueError(f"not a {kind} representation: {check.problems[0]}")
+    else:
+        line = LineRep(r.groupoid, check.dets) if isinstance(r, VectorRep) else r
+    return line, _solve_1(r.groupoid, characteristic_function(line, sigma))
+
+
+def modular_class(
+    r: LineRep | VectorRep | RepUpToWeakHomotopy, sigma: Trivialization | None = None
+) -> ClassReport:
+    """The class of :func:`decide_modular_class`, after ``r``'s own law check."""
+    return decide_modular_class(r, verify_rep(r), sigma)[1]
 
 
 def cohomology_representation(r: RepUpToWeakHomotopy, degree: int) -> VectorRep:

@@ -411,11 +411,11 @@ def parse_data(data: dict) -> InputDocument:
 
 
 def parse(path: str) -> InputDocument:
-    """Read and validate an input file."""
+    """Read and validate an input file; OSError when it cannot be opened."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8
             raise SchemaError([f"not valid JSON: {exc}"]) from exc
     return parse_data(data)
 

@@ -23,8 +23,7 @@ from modclass import (
     induced_ber_rep,
     invertible_replacement,
     is_cocycle_1,
-    modular_class_ruth,
-    modular_class_vector,
+    modular_class,
     null_homotopy,
     parse,
     regular_factorization_check,
@@ -220,7 +219,7 @@ def test_criterion_8_known_classes():
                 tau: ChainMap(fiber, fiber, {1: Matrix([[-1]])}),
             },
         )
-        report = modular_class_ruth(odd_sign)
+        report = modular_class(odd_sign)
         assert not report.is_coboundary
         assert report.cocycle((tau,)) == -1
 
@@ -230,13 +229,13 @@ def test_criterion_8_known_classes():
         reps = [rand_ruth(rng, fx) for _ in range(12)]
         reps.append(_acyclic_zero_rep(fx))
         for rep in reps:
-            result = modular_class_ruth(rep, rand_trivialization(rng, fx.gpd))
+            result = modular_class(rep, rand_trivialization(rng, fx.gpd))
             assert result.is_coboundary
             delta = coboundary(fx.gpd, result.witness)
             assert delta.values == result.cocycle.values
         for _ in range(4):
             strict = rand_vector_rep(rng, fx)
-            result = modular_class_vector(strict, rand_trivialization(rng, fx.gpd))
+            result = modular_class(strict, rand_trivialization(rng, fx.gpd))
             assert result.is_coboundary
 
         # shipped acyclic two-term document: Berezinian function identically 1
@@ -257,10 +256,10 @@ def test_criterion_9_unimodularity_witness():
             twist = {a: f[gpd.src(a)] / f[gpd.tgt(a)] for a in gpd.arrow_ids()}
             rep = scalar_twist(base, twist)
             sigma = rand_trivialization(rng, gpd)
-            report = modular_class_ruth(rep, sigma)
+            report = modular_class(rep, sigma)
             assert report.is_coboundary
             invariant_sigma = sigma.rescale(report.witness)
-            again = modular_class_ruth(rep, invariant_sigma)
+            again = modular_class(rep, invariant_sigma)
             assert again.cocycle.is_one()
 
 

@@ -32,7 +32,7 @@ from modclass import (
     coboundary,
     decompose,
     harmonic_blocks,
-    modular_class_ruth,
+    modular_class,
 )
 from modclass.complexes import _class_berezinian
 from oracle import det_and_inverse, permuted_decomposition
@@ -100,9 +100,9 @@ def rebased(rng, rep):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_class_survives_renaming(seed):
     _, rep, sigma = ruth_case(seed)
-    trivial, obstructions = outcome(modular_class_ruth(rep, sigma))
+    trivial, obstructions = outcome(modular_class(rep, sigma))
     other, scales, arr = renamed(rep, sigma)
-    assert outcome(modular_class_ruth(other, scales)) == (
+    assert outcome(modular_class(other, scales)) == (
         trivial,
         [(arr[a], defect) for a, defect in obstructions],
     )
@@ -113,7 +113,7 @@ def test_rescaled_sections_shift_the_cocycle_by_a_coboundary(seed):
     rng, rep, sigma = ruth_case(seed)
     gpd = rep.groupoid
     f = Cochain(0, rand_potential(rng, gpd))
-    before, after = modular_class_ruth(rep, sigma), modular_class_ruth(rep, sigma.rescale(f))
+    before, after = modular_class(rep, sigma), modular_class(rep, sigma.rescale(f))
     assert after.cocycle == before.cocycle / coboundary(gpd, f)
     assert outcome(after) == outcome(before)
 
@@ -121,8 +121,8 @@ def test_rescaled_sections_shift_the_cocycle_by_a_coboundary(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_class_survives_change_of_basis(seed):
     rng, rep, sigma = ruth_case(seed)
-    expected = outcome(modular_class_ruth(rep, sigma))
-    assert outcome(modular_class_ruth(rebased(rng, rep), sigma)) == expected
+    expected = outcome(modular_class(rep, sigma))
+    assert outcome(modular_class(rebased(rng, rep), sigma)) == expected
 
 
 def permuted_decompositions(rng, rep):
@@ -156,5 +156,5 @@ def test_permuted_decompositions_make_other_choices():
 
 
 def test_cases_cover_both_outcomes():
-    trivial = {outcome(modular_class_ruth(rep, sigma))[0] for _, rep, sigma in map(ruth_case, SEEDS)}
+    trivial = {outcome(modular_class(rep, sigma))[0] for _, rep, sigma in map(ruth_case, SEEDS)}
     assert trivial == {True, False}

@@ -20,14 +20,14 @@ from modclass import (
     characteristic_function,
     class_equal,
     coboundary,
+    coboundary_solve_1,
     cohomology_representation,
     cyclic_groupoid,
     det_representation,
     harmonic_blocks,
     induced_ber_rep,
     is_cocycle_1,
-    modular_class_ruth,
-    modular_class_vector,
+    modular_class,
     pair_groupoid,
     regular_factorization_check,
     strict_as_homotopy,
@@ -178,8 +178,6 @@ class TestTensor:
 
 
 def modular_class_for_line(rep: LineRep):
-    from modclass import coboundary_solve_1
-
     return coboundary_solve_1(rep.groupoid, characteristic_function(rep))
 
 
@@ -227,7 +225,7 @@ class TestModularClassVector:
         swap = VectorRep(
             Z2, {"*": 2}, {E: Matrix.identity(2), TAU: Matrix([[0, 1], [1, 0]])}
         )
-        report = modular_class_vector(swap)
+        report = modular_class(swap)
         assert not report.is_coboundary
         assert report.obstructions == [(TAU, Fraction(-1))]
 
@@ -235,16 +233,44 @@ class TestModularClassVector:
         rng = random.Random(34)
         for _ in range(5):
             rep = rand_vector_rep(rng, pair2_fixture())
-            report = modular_class_vector(rep, rand_trivialization(rng, PAIR2))
+            report = modular_class(rep, rand_trivialization(rng, PAIR2))
             assert report.is_coboundary
 
     def test_trivial_rep(self):
         rep = VectorRep(
             Z2, {"*": 2}, {E: Matrix.identity(2), TAU: Matrix.identity(2)}
         )
-        report = modular_class_vector(rep)
+        report = modular_class(rep)
         assert report.is_coboundary
         assert all(v == 1 for v in report.witness.values.values())
+
+    @pytest.mark.parametrize(
+        ("rep", "kind"),
+        [
+            (VectorRep(Z2, {"*": 1}, {E: Matrix([[1]]), TAU: Matrix([[2]])}), "vector"),
+            (VectorRep(Z2, {"*": 1}, {E: Matrix([[1]]), TAU: Matrix([[0]])}), "vector"),
+            (LineRep(Z2, {E: Fraction(1), TAU: Fraction(2)}), "line"),
+        ],
+        ids=["not-functorial", "singular", "line"],
+    )
+    def test_invalid_rep_raises_the_first_problem(self, rep, kind):
+        # as for a homotopy rep: the law check's first problem, not a
+        # complaint about the cocycle or a determinant taken again
+        check = verify_line_rep(rep) if kind == "line" else verify_vector_rep(rep)
+        with pytest.raises(ValueError) as raised:
+            modular_class(rep)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == f"not a {kind} representation: {check.problems[0]}"
+
+    def test_line_rep_is_its_own_line(self):
+        rng = random.Random(44)
+        for fx in standard_fixtures()[:3]:
+            rep = rand_line_rep(rng, fx)
+            sigma = rand_trivialization(rng, fx.gpd)
+            # the checked solver on the characteristic cocycle gives the same report
+            assert modular_class(rep, sigma) == coboundary_solve_1(
+                fx.gpd, characteristic_function(rep, sigma)
+            )
 
 
 def acyc() -> ComplexFiber:
@@ -367,7 +393,7 @@ class TestInducedBerRep:
         doubled = ChainMap(fiber, fiber, {0: Matrix([[2]]), 1: Matrix([[2]])})
         rep = RepUpToWeakHomotopy(Z2, {"*": fiber}, {E: ChainMap.identity(fiber), TAU: doubled})
         problem = verify_ruth(rep).problems[0]
-        for read in (induced_ber_rep, modular_class_ruth, regular_factorization_check):
+        for read in (induced_ber_rep, modular_class, regular_factorization_check):
             with pytest.raises(ValueError, match=re.escape(problem)) as raised:
                 read(rep)
             assert type(raised.value) is ValueError
@@ -393,7 +419,7 @@ class TestInducedBerRep:
 
 class TestModularClassRuth:
     def test_odd_sign_nontrivial(self):
-        report = modular_class_ruth(odd_sign_rep())
+        report = modular_class(odd_sign_rep())
         assert not report.is_coboundary
         assert report.cocycle((TAU,)) == -1
 
@@ -409,7 +435,7 @@ class TestModularClassRuth:
                 "e:y>x": ChainMap.zero(fiber, fiber),
             },
         )
-        report = modular_class_ruth(rep)
+        report = modular_class(rep)
         assert report.cocycle.is_one()
         assert report.is_coboundary
 
@@ -417,7 +443,7 @@ class TestModularClassRuth:
         rng = random.Random(38)
         for _ in range(4):
             rep = rand_ruth(rng, pair2_fixture())
-            report = modular_class_ruth(rep, rand_trivialization(rng, PAIR2))
+            report = modular_class(rep, rand_trivialization(rng, PAIR2))
             assert report.is_coboundary
 
     def test_matches_vector_pipeline_in_even_degree(self):
@@ -427,8 +453,8 @@ class TestModularClassRuth:
             sigma = rand_trivialization(rng, fx.gpd)
             for degree in (0, 2):
                 as_ruth = strict_as_homotopy(strict, degree)
-                lhs = modular_class_ruth(as_ruth, sigma)
-                rhs = modular_class_vector(strict, sigma)
+                lhs = modular_class(as_ruth, sigma)
+                rhs = modular_class(strict, sigma)
                 assert lhs.cocycle.values == rhs.cocycle.values
                 assert lhs.is_coboundary == rhs.is_coboundary
 
@@ -436,7 +462,7 @@ class TestModularClassRuth:
         rng = random.Random(40)
         fx = z2_fixture()
         rep = rand_ruth(rng, fx)
-        report = modular_class_ruth(rep)
+        report = modular_class(rep)
         fiber = rep.complexes["*"]
         perm = {
             i: rng.sample(range(fiber.dim(i)), fiber.dim(i)) for i in fiber.degrees()

@@ -133,6 +133,26 @@ class TestExitCodes:
     def test_missing_file(self):
         assert run_cli("validate", "no_such_file.json").returncode == 2
 
+    @staticmethod
+    def assert_refused(result, message):
+        # one error line, no traceback
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {message}")
+        assert result.stderr.count("\n") == 1
+
+    def test_directory_is_refused(self, tmp_path):
+        self.assert_refused(run_cli("validate", str(tmp_path)), f"cannot read {tmp_path}: ")
+
+    def test_bytes_that_are_no_utf8_are_refused(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"groupoid": "\u00e9"}'.encode("latin-1"))
+        self.assert_refused(run_cli("validate", str(path)), "not valid JSON: 'utf-8' codec")
+
+    def test_deep_nesting_is_refused(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        self.assert_refused(run_cli("validate", str(path)), "not valid JSON: ")
+
     @pytest.mark.parametrize(
         "breakage",
         [
@@ -575,6 +595,12 @@ class TestWorkCounts:
         ("complexes", "verify_chain_map", "arrow"),
         ("groupoid", "_isotropy_model", "request"),
         ("reps", "det_representation", "request"),
+        # one law check and one class decision: nothing is checked twice
+        ("reps", "verify_rep", "request"),
+        ("reps", "verify_ruth", "request"),
+        ("reps", "verify_vector_rep", "request"),
+        ("reps", "verify_line_rep", "request"),
+        ("reps", "decide_modular_class", "request"),
     ]
 
     @pytest.fixture
