@@ -16,12 +16,13 @@ bases.
 In the decomposition bases each differential is a fixed partial
 identity: it carries the lift block of degree ``i`` onto the boundary
 block of degree ``i+1`` by the identity and kills the other two.  So
-every homotopy decision reads one change of basis per arrow and degree,
-``M^i = basis_inv_T^i t^i basis_S^i`` (``_in_bases``): the chain-map
-verdict, the harmonic blocks ``M^i[H_T, H_S]`` and the replacement's
-boundary blocks.  :func:`verify_chain_map`, :func:`harmonic_blocks` and
-:func:`verify_complex` multiply the maps out directly, as references and
-to word the problems of fibers that are no complexes.
+every homotopy decision and construction reads one change of basis per
+arrow and degree, ``M^i = basis_inv_T^i t^i basis_S^i`` (``_in_bases``):
+the chain-map verdict, the harmonic blocks ``M^i[H_T, H_S]``, the null
+homotopy and the invertible replacement.  :func:`verify_chain_map`,
+:func:`harmonic_blocks` and :func:`verify_complex` multiply the maps out
+directly, as references and to word the problems of fibers that are no
+complexes.
 
 Fibers are coordinate spaces, so the graded determinant line always has
 a standard trivializing element (the one determined by the standard
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .linalg import Matrix, _split_degree, det, rref
@@ -364,13 +366,10 @@ class Decomposition:
     bases).  ``basis_det[i]`` is the determinant of ``basis[i]``.
 
     The splitting is a strong deformation retract onto the harmonic
-    blocks: with the contraction ``h^i`` (:meth:`contraction`) and the
-    harmonic projector ``p^i`` (:meth:`harmonic_projector`), ``d h + h d
-    = 1 - p`` in every degree.  The decomposition builds each column
-    block, coordinate row group, contraction and projector, and the
-    factor :meth:`tau`, once, on first use, and keeps it in ``_memo``:
-    every arrow at its fiber, and both ends of an endomorphism, read the
-    same values.
+    blocks: the contraction ``h^i = L^{i-1} coordB^i`` (boundary block
+    onto lift block by the identity) and the harmonic projector ``p^i =
+    H^i coordH^i`` satisfy ``d h + h d = 1 - p`` in every degree.  The
+    decomposition is plain data; only :attr:`tau` is kept once computed.
     """
 
     fiber: ComplexFiber
@@ -379,9 +378,6 @@ class Decomposition:
     boundary_dims: dict[int, int]
     harmonic_dims: dict[int, int]
     basis_det: dict[int, Fraction]
-    _memo: dict[tuple, Matrix | Fraction] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def widths(self, i: int) -> tuple[int, int, int]:
         return (
@@ -403,41 +399,20 @@ class Decomposition:
         b, h, l = self.widths(i)
         return (0, b, b + h, b + h + l)
 
-    def _kept(self, key: tuple, build):
-        """``build()`` on the first request for ``key``, then the kept result."""
-        m = self._memo.get(key)
-        if m is None:
-            m = self._memo[key] = build()
-        return m
-
     def _block(self, i: int, k: int) -> Matrix:
         """Column group ``k`` (0 boundary, 1 harmonic, 2 lift) of ``basis_at(i)``."""
         lo, hi = self.edges(i)[k : k + 2]
-        return self._kept(("block", i, k), lambda: self.basis_at(i).take_columns(range(lo, hi)))
+        return self.basis_at(i).take_columns(range(lo, hi))
 
     def _coordinate(self, i: int, k: int) -> Matrix:
         """Row group ``k`` of ``basis_inv_at(i)``: the coordinates along that block."""
         lo, hi = self.edges(i)[k : k + 2]
-        n = self.fiber.dim(i)
-        return self._kept(
-            ("coordinate", i, k), lambda: self.basis_inv_at(i).submatrix(lo, hi, 0, n)
-        )
+        return self.basis_inv_at(i).submatrix(lo, hi, 0, self.fiber.dim(i))
 
-    def contraction(self, i: int) -> Matrix:
-        """``h^i`` from degree ``i`` to ``i-1``: boundary block onto lift block by the identity."""
-        return self._kept(
-            ("contraction", i), lambda: self._block(i - 1, 2) * self._coordinate(i, 0)
-        )
-
-    def harmonic_projector(self, i: int) -> Matrix:
-        """Projection of degree ``i`` onto its harmonic block along the other two."""
-        return self._kept(
-            ("projector", i), lambda: self._block(i, 1) * self._coordinate(i, 1)
-        )
-
+    @cached_property
     def tau(self) -> Fraction:
         """``prod_i det(basis^i)^(-1)^i``, the Berezinian of the bases."""
-        return self._kept(("tau",), lambda: Fraction(*_alternating(self.basis_det)))
+        return Fraction(*_alternating(self.basis_det))
 
 
 def decompose(c: ComplexFiber) -> Decomposition:
@@ -567,22 +542,28 @@ def _require_chain_map(t: ChainMap) -> tuple[tuple[Decomposition, ...], dict[int
 
 
 def _contracting_homotopy(
-    t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
+    t: ChainMap, ms: Mapping[int, Matrix], source_dec: Decomposition, target_dec: Decomposition
 ) -> Homotopy:
-    """``H^i = h_T^i t^i + p_T^{i-1} t^{i-1} h_S^i`` from the two contractions.
+    """``H^i = h_T^i t^i + p_T^{i-1} t^{i-1} h_S^i``, read off ``t``'s change of basis.
 
     For a chain map ``t`` this gives ``d H + H d = t - p_T t p_S``, so it
     is a null homotopy exactly when every harmonic block of ``t`` is zero.
-    It is the builder behind :func:`null_homotopy` and :func:`are_homotopic`.
+    In decomposition coordinates ``H^i`` has two nonzero blocks: the
+    target lift rows ``L_T^{i-1}`` are ``M^i[B_T^i, :]``, and the block
+    ``[H_T^{i-1}, B_S^i]`` is ``M^{i-1}[H_T^{i-1}, L_S^{i-1}]``, with
+    ``ms`` the ``M^i`` of :func:`_in_bases`.  Each is mapped back by the
+    target's basis columns and the source's coordinate rows.  It is the
+    builder behind :func:`null_homotopy` and :func:`are_homotopic`.
     """
-    src, tgt = t.source, t.target
     comps = {}
-    for i in t.degrees():
-        if tgt.dim(i - 1) and src.dim(i):
-            along_target = target_dec.contraction(i) * t.component(i)
-            projected = target_dec.harmonic_projector(i - 1) * t.component(i - 1)
-            comps[i] = along_target + projected * source_dec.contraction(i)
-    return Homotopy(src, tgt, comps)
+    for i, m in ms.items():
+        if t.target.dim(i - 1) and t.source.dim(i):
+            rb = target_dec.edges(i)[1]
+            (_, hb, hh, _), (_, _, cl, cn) = target_dec.edges(i - 1), source_dec.edges(i - 1)
+            lift = target_dec._block(i - 1, 2) * m.submatrix(0, rb, 0, m.cols)
+            harmonic = target_dec._block(i - 1, 1) * ms[i - 1].submatrix(hb, hh, cl, cn)
+            comps[i] = lift * source_dec.basis_inv_at(i) + harmonic * source_dec._coordinate(i, 0)
+    return Homotopy(t.source, t.target, comps)
 
 
 def null_homotopy(t: ChainMap) -> Homotopy | None:
@@ -590,13 +571,13 @@ def null_homotopy(t: ChainMap) -> Homotopy | None:
 
     Over a field a chain map is null-homotopic exactly when it induces
     zero on cohomology, that is when all of its harmonic blocks vanish;
-    the homotopy is then read off the contractions of the two
-    decompositions in closed form.
+    the homotopy is then read off the same change of basis in closed
+    form (:func:`_contracting_homotopy`).
     """
     problem, ends, ms = _coordinates(t)
     if problem is not None or any(not h.is_zero() for h in _harmonic_part(ms, *ends).values()):
         return None
-    return _contracting_homotopy(t, *ends)
+    return _contracting_homotopy(t, ms, *ends)
 
 
 def are_homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
@@ -656,15 +637,18 @@ def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
     """Replace a homotopy equivalence by a homotopic chain isomorphism.
 
     Requires equal dimensions in every degree.  In decomposition
-    coordinates a chain map is block upper-triangular with diagonal
-    blocks (boundary, harmonic, lift); adding ``d o H + H o d`` for a
-    homotopy concentrated in the (lift row, boundary column) corner
-    shifts the boundary and lift diagonal blocks without touching the
-    harmonic ones.  Choosing the corner map ``identity - boundary
-    block`` in each degree turns every non-harmonic diagonal block into
-    the identity, hence the output is invertible degreewise.  Returns
-    the replacement ``g`` together with the homotopy ``H`` satisfying
-    ``g = f + d o H + H o d`` exactly.
+    coordinates a chain map ``M^i`` (:func:`_in_bases`) is block
+    upper-triangular with diagonal blocks (boundary, harmonic, lift).
+    As ``d`` carries lift onto boundary by the identity, the homotopy
+    ``H^i = L_T^{i-1} phi^i coordB_S^i`` with ``phi^i = identity -
+    M^i[B_T, B_S]`` adds ``phi^i`` to the boundary diagonal block and
+    ``phi^{i+1}`` to the lift one, and the chain-map law ``M^i[L_T, L_S]
+    = M^{i+1}[B_T, B_S]`` makes both sums the identity.  So ``g = f + d
+    o H + H o d`` is ``g^i = f^i + B_T^i phi^i coordB_S^i + L_T^i
+    phi^{i+1} coordL_S^i``, still block upper-triangular, with diagonal
+    (identity, harmonic block, identity): it is invertible exactly when
+    every harmonic block is, which is checked first.  Returns ``g``
+    together with ``H``.
 
     Maps that are already invertible still go through the same
     canonicalization, so the output may differ from the input (but is
@@ -674,20 +658,26 @@ def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
     """
     (src_dec, tgt_dec), ms = _equivalence_coordinates(f)
     _harmonic_dets(_harmonic_part(ms, src_dec, tgt_dec))
-    homotopy_comps: dict[int, Matrix] = {}
+    phis: dict[int, Matrix] = {}
     for i, m in ms.items():
         rb, cb = tgt_dec.edges(i)[1], src_dec.edges(i)[1]
-        if rb:
-            boundary = m.submatrix(0, rb, 0, cb)
-            # corner I - (boundary block), from the boundary coordinates of
-            # source degree i to the lift vectors of target degree i-1
-            phi = Matrix.identity(boundary.rows) - boundary
-            homotopy_comps[i] = tgt_dec._block(i - 1, 2) * phi * src_dec._coordinate(i, 0)
-    homotopy = Homotopy(f.source, f.target, homotopy_comps)
-    g = f + homotopy.boundary_conjugate()
-    if not g.is_invertible():
-        raise ValueError("replacement failed to be invertible")
-    return g, homotopy
+        phi = Matrix.identity(rb) - m.submatrix(0, rb, 0, cb)
+        if not phi.is_zero():
+            phis[i] = phi
+    homotopy = Homotopy(
+        f.source,
+        f.target,
+        {i: tgt_dec._block(i - 1, 2) * phi * src_dec._coordinate(i, 0) for i, phi in phis.items()},
+    )
+    comps = {}
+    for i in ms:
+        g = f.component(i)
+        if i in phis:
+            g = g + tgt_dec._block(i, 0) * phis[i] * src_dec._coordinate(i, 0)
+        if i + 1 in phis:
+            g = g + tgt_dec._block(i, 2) * phis[i + 1] * src_dec._coordinate(i, 2)
+        comps[i] = g
+    return ChainMap(f.source, f.target, comps), homotopy
 
 
 def _scale_ratio(sigma_source: Fraction | int, sigma_target: Fraction | int) -> Fraction:
@@ -757,7 +747,7 @@ def _class_berezinian(
     """
     num, den = _alternating(_harmonic_dets(blocks))
     ratio = _scale_ratio(sigma_source, sigma_target)
-    tau_s, tau_t = source_dec.tau(), target_dec.tau()
+    tau_s, tau_t = source_dec.tau, target_dec.tau
     return Fraction(
         num * ratio.numerator * tau_t.numerator * tau_s.denominator,
         den * ratio.denominator * tau_t.denominator * tau_s.numerator,

@@ -117,6 +117,9 @@ class Trivialization:
         """Divide by a degree-0 cochain (defined on every scaled object)."""
         if f.degree != 0:
             raise ValueError("expected a degree-0 cochain")
+        missed = next((x for x in self.scales if x not in f.values), None)
+        if missed is not None:
+            raise ValueError(f"cochain is not defined on scaled object '{missed}'")
         return Trivialization({x: self(x) / v for x, v in f.values.items()})
 
 

@@ -40,6 +40,14 @@ coordinates were relabelled, pulled back to the original coordinates.
 ``tau`` was kept: a ``Fraction`` product, degree by degree, of each
 harmonic determinant and the quotient of the two basis determinants.
 
+``contraction_homotopy`` and ``conjugate_replacement`` are
+``null_homotopy``'s and ``invertible_replacement``'s builders as they
+were before both were read off one change of basis: the contraction
+``h_T t + p_T t h_S`` multiplied out in standard coordinates from each
+decomposition's contraction ``h`` and harmonic projector ``p``, and the
+replacement ``f + d H + H d`` through ``Homotopy.boundary_conjugate``,
+with its invertibility checked by a determinant per degree.
+
 ``per_arrow_ber_rep`` and ``per_degree_cohomology_rep`` are the
 Berezinian and cohomology representations built without a
 ``verify_ruth`` report: they decompose every fiber afresh, take each
@@ -629,3 +637,60 @@ def decompose_by_inverse(c: ComplexFiber) -> Decomposition:
         harmonic_dims[i] = kernel_full.cols - b
     boundary_dims[c.d_max + 1] = len(pivot_cols[c.d_max])
     return Decomposition(c, basis, basis_inv, boundary_dims, harmonic_dims, basis_det)
+
+
+def _columns(dec: Decomposition, i: int, k: int) -> Matrix:
+    """Column group ``k`` (0 boundary, 1 harmonic, 2 lift) of ``dec``'s basis in degree ``i``."""
+    lo, hi = dec.edges(i)[k : k + 2]
+    return dec.basis_at(i).take_columns(range(lo, hi))
+
+
+def _rows(dec: Decomposition, i: int, k: int) -> Matrix:
+    """Row group ``k`` of ``dec``'s basis inverse in degree ``i``: the coordinates along it."""
+    lo, hi = dec.edges(i)[k : k + 2]
+    return dec.basis_inv_at(i).submatrix(lo, hi, 0, dec.fiber.dim(i))
+
+
+def contraction(dec: Decomposition, i: int) -> Matrix:
+    """``h^i`` from degree ``i`` to ``i-1``: boundary block onto lift block by the identity."""
+    return _columns(dec, i - 1, 2) * _rows(dec, i, 0)
+
+
+def harmonic_projector(dec: Decomposition, i: int) -> Matrix:
+    """Projection of degree ``i`` onto its harmonic block along the other two."""
+    return _columns(dec, i, 1) * _rows(dec, i, 1)
+
+
+def contraction_homotopy(
+    t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
+) -> Homotopy:
+    """``H^i = h_T^i t^i + p_T^{i-1} t^{i-1} h_S^i``, in standard coordinates."""
+    src, tgt = t.source, t.target
+    comps = {}
+    for i in t.degrees():
+        if tgt.dim(i - 1) and src.dim(i):
+            along_target = contraction(target_dec, i) * t.component(i)
+            projected = harmonic_projector(target_dec, i - 1) * t.component(i - 1)
+            comps[i] = along_target + projected * contraction(source_dec, i)
+    return Homotopy(src, tgt, comps)
+
+
+def conjugate_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
+    """``(f + d H + H d, H)`` with ``H^i = L_T^{i-1} (I - B^i) coordB_S^i``.
+
+    ``B^i = coordB_T^i f^i B_S^i`` is ``f``'s boundary block.  ``f`` must
+    be a homotopy equivalence between complexes of equal graded
+    dimension; a replacement with a singular component raises ValueError.
+    """
+    source_dec, target_dec = decompose(f.source), decompose(f.target)
+    comps = {}
+    for i in f.degrees():
+        boundary = _rows(target_dec, i, 0) * f.component(i) * _columns(source_dec, i, 0)
+        if boundary.rows:
+            phi = Matrix.identity(boundary.rows) - boundary
+            comps[i] = _columns(target_dec, i - 1, 2) * phi * _rows(source_dec, i, 0)
+    homotopy = Homotopy(f.source, f.target, comps)
+    g = f + homotopy.boundary_conjugate()
+    if not g.is_invertible():
+        raise ValueError("replacement failed to be invertible")
+    return g, homotopy

@@ -41,8 +41,23 @@ from modclass import (
     verify_ruth,
 )
 from modclass.complexes import _contracting_homotopy, _harmonic_part, _in_bases
-from oracle import class_berezinian_by_degree, kernel_basis, pair_scan_ruth
-from randgen import pair2_fixture, rand_chain_map, rand_complex, rand_matrix, rand_rational, rand_ruth
+from oracle import (
+    class_berezinian_by_degree,
+    conjugate_replacement,
+    contraction_homotopy,
+    kernel_basis,
+    pair_scan_ruth,
+)
+from randgen import (
+    conjugated_complex,
+    pair2_fixture,
+    rand_chain_map,
+    rand_complex,
+    rand_homotopy,
+    rand_matrix,
+    rand_rational,
+    rand_ruth,
+)
 
 SEEDS = range(300)
 
@@ -180,8 +195,8 @@ def test_equivalence_functions_raise_what_checking_first_raised(seed):
         assert outcome(berezinian_class, f) == expected
         replaced = outcome(invertible_replacement, f)
         if isinstance(expected, Fraction):
-            g, _ = replaced
-            assert berezinian(g) == expected
+            assert replaced == conjugate_replacement(f)
+            assert berezinian(replaced[0]) == expected
         else:
             assert replaced == expected
         if not isinstance(expected, Fraction) and expected[0] is GradedDimensionMismatch:
@@ -204,10 +219,38 @@ def test_equivalence_functions_raise_what_checking_first_raised(seed):
         blocks = harmonic_blocks(f, *ends)
         homotopy = null_homotopy(f)
         if all(h.is_zero() for h in blocks.values()):
-            assert homotopy == _contracting_homotopy(f, *ends)
+            assert homotopy == contraction_homotopy(f, *ends)
         else:
             assert homotopy is None
         assert is_homotopy_equivalence(f).cohomology_maps == blocks
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_builders_equal_their_standard_coordinate_references(seed):
+    # the homotopy and the replacement are read off M; the references
+    # multiply h_T t + p_T t h_S and f + dH + Hd out in standard coordinates
+    rng = random.Random(seed)
+    src, tgt = rand_complex(rng, -1, 3, 4), rand_complex(rng, -1, 3, 4)
+    ends = decompose(src), decompose(tgt)
+    t = rand_chain_map(rng, src, tgt)
+    _, ms = _in_bases(t, *ends)
+    assert _contracting_homotopy(t, ms, *ends) == contraction_homotopy(t, *ends)
+    null = rand_homotopy(rng, src, tgt).boundary_conjugate()
+    assert null_homotopy(null) == contraction_homotopy(null, *ends)
+    c = rand_complex(rng, -1, 3, 4)
+    other, q = conjugated_complex(rng, c)
+    twisted = q + rand_homotopy(rng, c, other).boundary_conjugate()
+    for f in (twisted, rand_chain_map(rng, c, other), rand_chain_map(rng, c, c)):
+        if is_homotopy_equivalence(f):
+            g, homotopy = invertible_replacement(f)
+            assert (g, homotopy) == conjugate_replacement(f)
+            assert g.is_invertible()
+        else:
+            # g is invertible exactly when every harmonic block is
+            with pytest.raises(NotHomotopyEquivalence):
+                invertible_replacement(f)
+            with pytest.raises(ValueError, match="failed to be invertible"):
+                conjugate_replacement(f)
 
 
 def test_the_equivalence_cases_reach_every_outcome():

@@ -34,9 +34,10 @@ from modclass import (
     regular_factorization_check,
     verify_ruth,
 )
-from modclass.complexes import _class_berezinian, _contracting_homotopy
+from modclass.complexes import _class_berezinian
 from oracle import (
     class_berezinian_by_degree,
+    contraction_homotopy,
     global_null_homotopy,
     per_arrow_ber_rep,
     per_degree_cohomology_rep,
@@ -191,10 +192,9 @@ def test_verify_ruth_decisions_and_certificates(seed):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_certificates_from_shared_contractions_match_fresh_ones(seed):
-    # the report's decompositions build each contraction once and share
-    # it between pairs; visit the pairs in reverse to vary who builds
-    # them first, and hold each homotopy built on them to the one
-    # are_homotopic builds on decompositions made afresh for that pair
+    # hold each homotopy are_homotopic builds, on decompositions made
+    # afresh for that pair, to the contraction multiplied out in standard
+    # coordinates on the report's decompositions
     _, rep = _ruth_case(seed)
     gpd, report = rep.groupoid, verify_ruth(rep)
     for g, h in sorted(gpd.composable_pairs(), reverse=True):
@@ -203,7 +203,7 @@ def test_certificates_from_shared_contractions_match_fresh_ones(seed):
         assert ((g, h) in report.certificates) == (fresh is not None)
         if fresh is not None:
             ends = report.decompositions[gpd.src(h)], report.decompositions[gpd.tgt(g)]
-            assert _contracting_homotopy(composed - composite, *ends) == fresh
+            assert contraction_homotopy(composed - composite, *ends) == fresh
 
 
 # Seeds whose harmonic blocks fail H(g) H(h) = H(gh) while their

@@ -116,6 +116,14 @@ class TestDecompose:
                 image = d * lift
                 assert rank(image) == lift.cols == dec.boundary_dims.get(i + 1, 0)
                 assert det(dec.basis[i]) != 0
+                # in the bases d is a partial identity: lift onto the next
+                # boundary block by the identity, zero elsewhere
+                in_bases = dec.basis_inv_at(i + 1) * d * dec.basis_at(i)
+                partial = [
+                    [int(r == q - e[2] and q >= e[2]) for q in range(c.dim(i))]
+                    for r in range(c.dim(i + 1))
+                ]
+                assert in_bases == Matrix(partial, cols=c.dim(i))
 
     def test_permuted_convention_still_splits(self):
         rng = random.Random(6)

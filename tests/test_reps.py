@@ -143,6 +143,17 @@ class TestCharacteristicFunction:
             assert lhs.values == rhs.values
 
 
+def test_rescale_refuses_a_cochain_missing_a_scaled_object():
+    # dropping b would silently reset its scale of 3 to 1
+    sigma = Trivialization({"a": 2, "b": 3, "c": 5})
+    with pytest.raises(ValueError, match="scaled object 'b'"):
+        sigma.rescale(Cochain(0, {"a": 1}))
+    # objects f covers beyond the scaled ones are divided from the default 1
+    assert sigma.rescale(Cochain(0, {"a": 2, "b": 3, "c": 5, "d": 4})) == Trivialization(
+        {"a": 1, "b": 1, "c": 1, "d": Fraction(1, 4)}
+    )
+
+
 def test_trivialization_rejects_float_scales():
     with pytest.raises(TypeError, match="exact rationals"):
         Trivialization({"x": 0.1})

@@ -18,6 +18,7 @@ from modclass import (
     parse_data,
     serialize,
 )
+from oracle import conjugate_replacement
 from randgen import RuthSpec, rand_chain_map, rand_ruth, run_modclass_cli, standard_fixtures
 
 FIXTURES = pathlib.Path(modclass.__file__).parent / "fixtures"
@@ -37,6 +38,25 @@ COMMANDS = {
 
 def run_cli(*args, cwd=FIXTURES):
     return run_modclass_cli(*args, cwd=cwd)
+
+
+def ruth_document(seed: int, tmp_path) -> tuple:
+    """A random homotopy representation over z2, z3 or pair2, serialized.
+
+    Odd seeds swap one non-unit action for a random chain map, so that
+    some pairs are not homotopy functorial.  Returns the groupoid, the
+    representation and the document's path.
+    """
+    rng = random.Random(seed)
+    fx = standard_fixtures()[seed % 3]
+    gpd, rep = fx.gpd, rand_ruth(rng, fx)
+    if seed % 2:
+        units = {gpd.unit(x) for x in gpd.objects}
+        a = rng.choice([b for b in gpd.arrow_ids() if b not in units])
+        rep.action[a] = rand_chain_map(rng, rep(a).source, rep(a).target)
+    path = tmp_path / f"ruth_{seed}.json"
+    path.write_text(json.dumps(serialize(InputDocument(gpd, rep, None, None))))
+    return gpd, rep, path
 
 
 class TestParse:
@@ -450,19 +470,9 @@ class TestCommands:
         assert all(p["certificate"] == "found" for p in payload["pairs"])
 
     def test_homotopy_check_finds_exactly_the_homotopic_pairs(self, tmp_path, capsys):
-        # odd seeds swap one non-unit action for a random chain map, so
-        # that some pairs are not homotopy functorial
         outcomes = set()
         for seed in range(24):
-            rng = random.Random(seed)
-            fx = standard_fixtures()[seed % 3]
-            gpd, rep = fx.gpd, rand_ruth(rng, fx)
-            if seed % 2:
-                units = {gpd.unit(x) for x in gpd.objects}
-                a = rng.choice([b for b in gpd.arrow_ids() if b not in units])
-                rep.action[a] = rand_chain_map(rng, rep(a).source, rep(a).target)
-            path = tmp_path / f"ruth_{seed}.json"
-            path.write_text(json.dumps(serialize(InputDocument(gpd, rep, None, None))))
+            gpd, rep, path = ruth_document(seed, tmp_path)
             code = cli.main(["homotopy-check", str(path), "--format", "json"])
             pairs = json.loads(capsys.readouterr().out)["pairs"]
             found = {(p["g"], p["h"]) for p in pairs if p["certificate"] == "found"}
@@ -475,6 +485,38 @@ class TestCommands:
             assert code == (0 if len(found) == len(pairs) else 1), seed
             outcomes.add(code)
         assert outcomes == {0, 1}
+
+    def test_replace_prints_the_reference_replacement(self, tmp_path, capsys):
+        # every non-unit arrow of random homotopy documents: the components
+        # are those of f + dH + Hd multiplied out in standard coordinates
+        outcomes = set()
+        for seed in range(12):
+            gpd, rep, path = ruth_document(seed, tmp_path)
+            units = {gpd.unit(x) for x in gpd.objects}
+            for a in (b for b in gpd.arrow_ids() if b not in units):
+                try:
+                    g, _ = conjugate_replacement(rep(a))
+                except ValueError:
+                    g = None
+                code = 1 if g is None else 0
+                assert cli.main(["replace", str(path), "--arrow", a, "--format", "json"]) == code
+                payload = json.loads(capsys.readouterr().out)
+                assert cli.main(["replace", str(path), "--arrow", a]) == code
+                text = capsys.readouterr().out
+                outcomes.add(g is None)
+                if g is None:
+                    assert payload["ok"] is False and "error" in payload
+                    continue
+                components = {str(i): g.component(i).to_strings() for i in g.source.degrees()}
+                assert payload == {
+                    "command": "replace", "input": str(path), "ok": True, "arrow": a,
+                    "components": components,
+                }
+                lines = ["command: replace", f"input: {path}", f"arrow: {a}", "components:"]
+                for i, rows in components.items():
+                    lines += [f"  {i}:"] + [f"    - [{' '.join(row)}]" for row in rows]
+                assert text == "\n".join(lines + ["status: ok", ""]), (seed, a)
+        assert outcomes == {False, True}
 
     def test_cohomology_solves_supplied_cochain(self):
         payload = json.loads(
@@ -552,36 +594,32 @@ class TestHomotopyBuilds:
         expected = 2 if (command, name) == ("homotopy-check", "s3_action") else 0
         assert (code, builds) == (expected, [])
 
-    def test_homotopy_check_multiplies_each_contraction_once(self, monkeypatch, capsys, tmp_path):
-        # one object with a nonzero differential: every pair is found
-        # from the harmonic blocks, read off each arrow's change of basis,
-        # so no memo entry is built twice and no pair needs a contraction
-        # or a harmonic projector; building a pair's homotopy does
+    def test_homotopy_check_multiplies_each_contraction_once(self, builds, monkeypatch, capsys, tmp_path):
+        # one object with a nonzero differential: every pair is found from
+        # the harmonic blocks read off each arrow's change of basis, so the
+        # object is decomposed once and no homotopy is built; building a
+        # found pair's homotopy takes one contracting homotopy
         z2 = standard_fixtures()[0]
         spec = RuthSpec({0: 1, 1: 1}, [0])
         rep = rand_ruth(random.Random(3), z2, spec)
         path = tmp_path / "one_object.json"
         path.write_text(json.dumps(serialize(InputDocument(z2.gpd, rep, None, None))))
-        builds = []
-        original = complexes.Decomposition._kept
+        original, decomposed = complexes.decompose, []
 
-        def counted(dec, key, build):
-            def recorded():
-                builds.append((id(dec), key))
-                return build()
+        def counted(c):
+            decomposed.append(c)
+            return original(c)
 
-            return original(dec, key, recorded)
-
-        monkeypatch.setattr(complexes.Decomposition, "_kept", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("modclass") and getattr(module, "decompose", None) is original:
+                monkeypatch.setattr(module, "decompose", counted)
         assert cli.main(["homotopy-check", str(path), "--format", "json"]) == 0
         pairs = json.loads(capsys.readouterr().out)["pairs"]
         assert [p["certificate"] for p in pairs] == ["found"] * 4
-        assert len(builds) == len(set(builds))
-        assert {key[0] for _, key in builds}.isdisjoint({"contraction", "projector"})
-        # the spy sees the memo: the homotopy of a found pair is built from contractions
+        assert (decomposed, builds) == ([rep.complexes["*"]], [])
         g = h = next(a for a in z2.gpd.arrow_ids() if a != z2.gpd.unit("*"))
         assert are_homotopic(rep(g).compose(rep(h)), rep(z2.gpd.compose(g, h))) is not None
-        assert "contraction" in {key[0] for _, key in builds}
+        assert len(builds) == 1
 
 
 class TestWorkCounts:
