@@ -195,7 +195,7 @@ def _cmd_berezinian(doc: InputDocument, args, report: ReportDocument) -> int:
 def _cmd_replace(doc: InputDocument, args, report: ReportDocument) -> int:
     t = _arrow_chain_map(doc, args.arrow)
     try:
-        g, _ = invertible_replacement(t)
+        g = invertible_replacement(t)
     except ValueError as exc:
         report.fields["error"] = str(exc)
         report.ok = False
@@ -286,6 +286,14 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # the fields hold the report's rationals as strings; Python refuses
+        # to write an integer longer than its limit
+        if not str(exc).startswith("Exceeds the limit ("):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has more than {limit} digits", file=sys.stderr)
         return 2
     sys.stdout.write(report.to_json() if args.fmt == "json" else report.to_text())
     print(f"elapsed: {report.elapsed_ms:.1f} ms", file=sys.stderr)

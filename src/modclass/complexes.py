@@ -3,11 +3,12 @@
 A complex here is a finite family of coordinate spaces ``C^i`` for
 degrees in a bounded interval, with differentials ``d^i : C^i ->
 C^{i+1}`` squaring to zero.  On top of that this module provides chain
-maps, chain homotopies, the boundary/harmonic/lift decomposition of
-each degree, and the Berezinian (graded determinant).  The
-decomposition is a strong deformation retract onto the harmonic blocks,
-and the harmonic blocks (``pi_T t iota_S`` per degree, the map on
-cohomology) are the one view of a homotopy class: a chain map is
+maps and chain homotopies (graded maps of degree 0 and -1, sharing one
+class but for their own operations), the boundary/harmonic/lift
+decomposition of each degree, and the Berezinian (graded determinant).
+The decomposition is a strong deformation retract onto the harmonic
+blocks, and the harmonic blocks (``pi_T t iota_S`` per degree, the map
+on cohomology) are the one view of a homotopy class: a chain map is
 null-homotopic exactly when they vanish (the contraction then gives the
 homotopy), and the Berezinian of a homotopy equivalence's class is the
 alternating product of their determinants, corrected by those of the
@@ -145,10 +146,16 @@ class ComplexFiber:
         return f"ComplexFiber(degrees=[{self.d_min},{self.d_max}], dims={self.dims})"
 
 
-class ChainMap:
-    """A degree-preserving map of complexes commuting with differentials."""
+class _GradedMap:
+    """A family of matrices, component ``i`` from source degree ``i`` to
+    target degree ``i + shift``; a missing component is zero.
+
+    Two maps are equal when they have the same type and ends and equal
+    components in every degree of :meth:`degrees`.
+    """
 
     __slots__ = ("source", "target", "components")
+    shift = 0
 
     def __init__(
         self,
@@ -163,8 +170,36 @@ class ChainMap:
     def component(self, i: int) -> Matrix:
         c = self.components.get(i)
         if c is None:
-            return Matrix.zeros(self.target.dim(i), self.source.dim(i))
+            return Matrix.zeros(self.target.dim(i + self.shift), self.source.dim(i))
         return c
+
+    @classmethod
+    def zero(cls, source: ComplexFiber, target: ComplexFiber):
+        return cls(source, target, {})
+
+    def degrees(self) -> range:
+        """Both fibers' degree ranges, widened by ``-shift`` at the top."""
+        lo = min(self.source.d_min, self.target.d_min)
+        hi = max(self.source.d_max, self.target.d_max)
+        return range(lo, hi + 1 - self.shift)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and all(self.component(i) == other.component(i) for i in self.degrees())
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
+
+
+class ChainMap(_GradedMap):
+    """A degree-preserving map of complexes commuting with differentials."""
+
+    __slots__ = ()
 
     @classmethod
     def identity(cls, fiber: ComplexFiber) -> "ChainMap":
@@ -173,15 +208,6 @@ class ChainMap:
             fiber,
             {i: Matrix.identity(fiber.dim(i)) for i in fiber.degrees()},
         )
-
-    @classmethod
-    def zero(cls, source: ComplexFiber, target: ComplexFiber) -> "ChainMap":
-        return cls(source, target, {})
-
-    def degrees(self) -> range:
-        lo = min(self.source.d_min, self.target.d_min)
-        hi = max(self.source.d_max, self.target.d_max)
-        return range(lo, hi + 1)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """``self`` after ``other``."""
@@ -238,77 +264,30 @@ class ChainMap:
             for i in self.degrees()
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChainMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and all(self.component(i) == other.component(i) for i in self.degrees())
-        )
-
     def __hash__(self):
         return hash((self.source, self.target))
 
-    def __repr__(self) -> str:
-        return f"ChainMap({self.source!r} -> {self.target!r})"
 
-
-class Homotopy:
+class Homotopy(_GradedMap):
     """A degree -1 map: component ``i`` goes from source degree ``i`` to
-    target degree ``i-1``."""
+    target degree ``i-1``.  Unhashable."""
 
-    __slots__ = ("source", "target", "components")
-
-    def __init__(
-        self,
-        source: ComplexFiber,
-        target: ComplexFiber,
-        components: Mapping[int, Matrix],
-    ):
-        self.source = source
-        self.target = target
-        self.components = dict(components)
-
-    def component(self, i: int) -> Matrix:
-        c = self.components.get(i)
-        if c is None:
-            return Matrix.zeros(self.target.dim(i - 1), self.source.dim(i))
-        return c
-
-    @classmethod
-    def zero(cls, source: ComplexFiber, target: ComplexFiber) -> "Homotopy":
-        return cls(source, target, {})
+    __slots__ = ()
+    shift = -1
 
     def boundary_conjugate(self) -> ChainMap:
         """The chain map ``d o H + H o d`` induced by this homotopy."""
         src, tgt = self.source, self.target
-        comps = {}
-        lo = min(src.d_min, tgt.d_min)
-        hi = max(src.d_max, tgt.d_max)
-        for i in range(lo, hi + 1):
-            if tgt.dim(i) == 0 or src.dim(i) == 0:
-                continue
-            comps[i] = tgt.differential(i - 1) * self.component(i) + self.component(
-                i + 1
-            ) * src.differential(i)
-        return ChainMap(src, tgt, comps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Homotopy):
-            return NotImplemented
-        degrees = range(
-            min(self.source.d_min, self.target.d_min),
-            max(self.source.d_max, self.target.d_max) + 2,
+        return ChainMap(
+            src,
+            tgt,
+            {
+                i: tgt.differential(i - 1) * self.component(i)
+                + self.component(i + 1) * src.differential(i)
+                for i in self.degrees()[:-1]  # the degrees of a chain map
+                if tgt.dim(i) and src.dim(i)
+            },
         )
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and all(self.component(i) == other.component(i) for i in degrees)
-        )
-
-    def __repr__(self) -> str:
-        return f"Homotopy({self.source!r} -> {self.target!r})"
 
 
 def verify_complex(c: ComplexFiber) -> ValidationReport:
@@ -553,7 +532,8 @@ def _contracting_homotopy(
     ``[H_T^{i-1}, B_S^i]`` is ``M^{i-1}[H_T^{i-1}, L_S^{i-1}]``, with
     ``ms`` the ``M^i`` of :func:`_in_bases`.  Each is mapped back by the
     target's basis columns and the source's coordinate rows.  It is the
-    builder behind :func:`null_homotopy` and :func:`are_homotopic`.
+    one place a :class:`Homotopy` is built, behind :func:`null_homotopy`
+    and :func:`are_homotopic`.
     """
     comps = {}
     for i, m in ms.items():
@@ -633,7 +613,7 @@ def _harmonic_dets(blocks: Mapping[int, Matrix]) -> dict[int, Fraction]:
     return dets
 
 
-def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
+def invertible_replacement(f: ChainMap) -> ChainMap:
     """Replace a homotopy equivalence by a homotopic chain isomorphism.
 
     Requires equal dimensions in every degree.  In decomposition
@@ -647,8 +627,9 @@ def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
     o H + H o d`` is ``g^i = f^i + B_T^i phi^i coordB_S^i + L_T^i
     phi^{i+1} coordL_S^i``, still block upper-triangular, with diagonal
     (identity, harmonic block, identity): it is invertible exactly when
-    every harmonic block is, which is checked first.  Returns ``g``
-    together with ``H``.
+    every harmonic block is, which is checked first.  ``H`` is not built:
+    ``are_homotopic(g, f)`` finds a homotopy, as ``g - f = d H + H d``
+    has zero harmonic blocks.
 
     Maps that are already invertible still go through the same
     canonicalization, so the output may differ from the input (but is
@@ -664,11 +645,6 @@ def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
         phi = Matrix.identity(rb) - m.submatrix(0, rb, 0, cb)
         if not phi.is_zero():
             phis[i] = phi
-    homotopy = Homotopy(
-        f.source,
-        f.target,
-        {i: tgt_dec._block(i - 1, 2) * phi * src_dec._coordinate(i, 0) for i, phi in phis.items()},
-    )
     comps = {}
     for i in ms:
         g = f.component(i)
@@ -677,7 +653,7 @@ def invertible_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
         if i + 1 in phis:
             g = g + tgt_dec._block(i, 2) * phis[i + 1] * src_dec._coordinate(i, 2)
         comps[i] = g
-    return ChainMap(f.source, f.target, comps), homotopy
+    return ChainMap(f.source, f.target, comps)
 
 
 def _scale_ratio(sigma_source: Fraction | int, sigma_target: Fraction | int) -> Fraction:

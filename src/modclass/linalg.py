@@ -268,17 +268,15 @@ class Matrix:
         )
 
     def block_equals(
-        self, r0: int, r1: int, c0: int, c1: int,
-        other: "Matrix | None" = None, s0: int = 0, t0: int = 0,
+        self, r0: int, r1: int, c0: int, c1: int, other: "Matrix | None" = None
     ) -> bool:
         """Whether the block ``self[r0:r1, c0:c1]`` is zero or, given ``other``,
-        equals ``other``'s block of its shape at ``(s0, t0)``; none is built."""
+        equals ``other``'s top-left block of its shape; none is built."""
         rows = self._num[r0:r1]
         if other is None:
             return not any(any(r[c0:c1]) for r in rows)
-        t1 = t0 + c1 - c0
-        for a, d, b, e in zip(rows, self._den[r0:r1], other._num[s0:], other._den[s0:]):
-            a, b = a[c0:c1], b[t0:t1]
+        for a, d, b, e in zip(rows, self._den[r0:r1], other._num, other._den):
+            a, b = a[c0:c1], b[: c1 - c0]
             if a != b if d == e else any(x * e != y * d for x, y in zip(a, b)):
                 return False
         return True

@@ -410,11 +410,21 @@ def parse_data(data: dict) -> InputDocument:
     return InputDocument(gpd, rep, sigma, cochain)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; ValueError if a key is repeated."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def parse(path: str) -> InputDocument:
     """Read and validate an input file; OSError when it cannot be opened."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8
             raise SchemaError([f"not valid JSON: {exc}"]) from exc
     return parse_data(data)

@@ -675,8 +675,8 @@ def contraction_homotopy(
     return Homotopy(src, tgt, comps)
 
 
-def conjugate_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
-    """``(f + d H + H d, H)`` with ``H^i = L_T^{i-1} (I - B^i) coordB_S^i``.
+def conjugate_replacement(f: ChainMap) -> ChainMap:
+    """``f + d H + H d`` with ``H^i = L_T^{i-1} (I - B^i) coordB_S^i``.
 
     ``B^i = coordB_T^i f^i B_S^i`` is ``f``'s boundary block.  ``f`` must
     be a homotopy equivalence between complexes of equal graded
@@ -693,4 +693,4 @@ def conjugate_replacement(f: ChainMap) -> tuple[ChainMap, Homotopy]:
     g = f + homotopy.boundary_conjugate()
     if not g.is_invertible():
         raise ValueError("replacement failed to be invertible")
-    return g, homotopy
+    return g

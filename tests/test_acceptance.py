@@ -16,6 +16,7 @@ from modclass import (
     Matrix,
     RepUpToWeakHomotopy,
     Trivialization,
+    are_homotopic,
     berezinian,
     characteristic_function,
     coboundary,
@@ -24,7 +25,6 @@ from modclass import (
     invertible_replacement,
     is_cocycle_1,
     modular_class,
-    null_homotopy,
     parse,
     regular_factorization_check,
     tensor,
@@ -102,10 +102,12 @@ def test_criterion_2_invertible_replacement():
                 other, q = conjugated_complex(rng, c)
                 target, base = other, q.compose(rand_invertible_endo(rng, c))
             f = base + rand_homotopy(rng, c, target).boundary_conjugate()
-            g, _ = invertible_replacement(f)
+            g = invertible_replacement(f)
             assert g.is_invertible()
             assert verify_chain_map(g).ok
-            assert null_homotopy(g - f) is not None
+            homotopy = are_homotopic(g, f)
+            assert homotopy is not None
+            assert homotopy.boundary_conjugate() == g - f
             cases += 1
         assert cases == 200
 

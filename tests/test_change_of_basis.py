@@ -27,6 +27,7 @@ from modclass import (
     Matrix,
     NotHomotopyEquivalence,
     RepUpToWeakHomotopy,
+    are_homotopic,
     berezinian,
     berezinian_class,
     decompose,
@@ -196,7 +197,8 @@ def test_equivalence_functions_raise_what_checking_first_raised(seed):
         replaced = outcome(invertible_replacement, f)
         if isinstance(expected, Fraction):
             assert replaced == conjugate_replacement(f)
-            assert berezinian(replaced[0]) == expected
+            assert berezinian(replaced) == expected
+            assert are_homotopic(replaced, f).boundary_conjugate() == replaced - f
         else:
             assert replaced == expected
         if not isinstance(expected, Fraction) and expected[0] is GradedDimensionMismatch:
@@ -242,9 +244,12 @@ def test_builders_equal_their_standard_coordinate_references(seed):
     twisted = q + rand_homotopy(rng, c, other).boundary_conjugate()
     for f in (twisted, rand_chain_map(rng, c, other), rand_chain_map(rng, c, c)):
         if is_homotopy_equivalence(f):
-            g, homotopy = invertible_replacement(f)
-            assert (g, homotopy) == conjugate_replacement(f)
+            g = invertible_replacement(f)
+            assert g == conjugate_replacement(f)
             assert g.is_invertible()
+            homotopy = are_homotopic(g, f)
+            assert homotopy is not None
+            assert homotopy.boundary_conjugate() == g - f
         else:
             # g is invertible exactly when every harmonic block is
             with pytest.raises(NotHomotopyEquivalence):
@@ -373,18 +378,17 @@ def test_to_strings_is_format_rational_of_each_entry(seed):
 def test_block_equals_compares_the_blocks(seed):
     rng = random.Random(seed)
     a = big_entries(rng, rng.randint(0, 4), rng.randint(0, 4))
-    # b holds a's entries beside a column of its own, so its rows have
-    # other denominators but the same block at (0, 0)
-    b = Matrix.hstack(a, big_entries(rng, a.rows, 1))
     c = big_entries(rng, a.rows + 1, a.cols + 1)
     r0, c0 = rng.randint(0, a.rows), rng.randint(0, a.cols)
     r1, c1 = rng.randint(r0, a.rows), rng.randint(c0, a.cols)
     block = a.submatrix(r0, r1, c0, c1)
     assert a.block_equals(r0, r1, c0, c1) == block.is_zero()
-    assert a.block_equals(r0, r1, c0, c1, b, r0, c0)
-    s0, t0 = rng.randint(0, c.rows - (r1 - r0)), rng.randint(0, c.cols - (c1 - c0))
-    other = c.submatrix(s0, s0 + r1 - r0, t0, t0 + c1 - c0)
-    assert a.block_equals(r0, r1, c0, c1, c, s0, t0) == (block == other)
+    # b holds the block beside a column of its own, so its rows have
+    # other denominators but the same block at (0, 0)
+    b = Matrix.hstack(block, big_entries(rng, block.rows, 1))
+    assert a.block_equals(r0, r1, c0, c1, b)
+    other = c.submatrix(0, r1 - r0, 0, c1 - c0)
+    assert a.block_equals(r0, r1, c0, c1, c) == (block == other)
     assert a.block_equals(0, a.rows, 0, a.cols, a.scale(3)) == a.is_zero()
 
 

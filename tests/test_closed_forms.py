@@ -266,7 +266,7 @@ def test_berezinian_class_matches_replacement(seed):
     f = q.compose(rand_invertible_endo(rng, c))
     f = f + rand_homotopy(rng, c, other).boundary_conjugate()
     sigma = rand_rational(rng, nonzero=True), rand_rational(rng, nonzero=True)
-    value = berezinian(invertible_replacement(f)[0], *sigma)
+    value = berezinian(invertible_replacement(f), *sigma)
     assert berezinian_class(f, *sigma) == value
     variant = (
         permuted_decomposition(c, _permutation(rng, c)),
@@ -286,7 +286,7 @@ def test_berezinian_class_raises_like_replacement(seed):
     ):
         outcomes = []
         for attempt in (
-            lambda: berezinian(invertible_replacement(f)[0]),
+            lambda: berezinian(invertible_replacement(f)),
             lambda: berezinian_class(f),
         ):
             try:

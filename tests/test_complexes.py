@@ -24,7 +24,7 @@ from modclass import (
     verify_complex,
 )
 from modclass import complexes as complexes_module, linalg as linalg_module
-from oracle import permuted_decomposition, rank
+from oracle import conjugate_replacement, permuted_decomposition, rank
 from randgen import (
     conjugated_complex,
     rand_chain_map,
@@ -269,12 +269,13 @@ class TestIsHomotopyEquivalence:
 
 class TestInvertibleReplacement:
     def test_identity_passes_through(self):
-        g, h = invertible_replacement(ChainMap.identity(acyc()))
-        assert g == ChainMap.identity(acyc())
-        assert h == Homotopy.zero(acyc(), acyc())
+        f = ChainMap.identity(acyc())
+        g = invertible_replacement(f)
+        assert g == f
+        assert are_homotopic(g, f) == Homotopy.zero(acyc(), acyc())
 
     def test_zero_between_acyclics(self):
-        g, h = invertible_replacement(ChainMap.zero(acyc(), acyc()))
+        g = invertible_replacement(ChainMap.zero(acyc(), acyc()))
         assert g.is_invertible()
         # no harmonic part, so the graded determinant collapses to 1
         assert berezinian(g) == 1
@@ -282,8 +283,7 @@ class TestInvertibleReplacement:
     def test_invertible_one_term(self):
         c = one_term()
         f = ChainMap(c, c, {0: Matrix([[5]])})
-        g, h = invertible_replacement(f)
-        assert g == f
+        assert invertible_replacement(f) == f
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(GradedDimensionMismatch):
@@ -299,11 +299,13 @@ class TestInvertibleReplacement:
             c = rand_complex(rng)
             f = rand_invertible_endo(rng, c)
             f = f + rand_homotopy(rng, c, c).boundary_conjugate()
-            g, homotopy = invertible_replacement(f)
+            g = invertible_replacement(f)
+            assert g == conjugate_replacement(f)
             assert g.is_invertible()
             assert verify_chain_map(g).ok
-            assert g - f == homotopy.boundary_conjugate()
-            assert null_homotopy(g - f) is not None
+            homotopy = are_homotopic(g, f)
+            assert homotopy is not None
+            assert homotopy.boundary_conjugate() == g - f
 
 
 class TestBerezinian:
@@ -462,3 +464,33 @@ def test_non_chain_maps_are_refused_as_such():
             with pytest.raises(ValueError, match="^not a chain map: "):
                 entry(t)
     assert refused >= 10
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize(
+    ("kind", "shift"), [(ChainMap, 0), (Homotopy, -1)], ids=["chain-map", "homotopy"]
+)
+def test_graded_maps_share_defaults_equality_and_repr(kind, shift, seed):
+    # component i goes from source degree i to target degree i + shift
+    rng = random.Random(seed)
+    src, tgt = rand_complex(rng, -2, 2), rand_complex(rng, -1, 3)
+    lo, hi = min(src.d_min, tgt.d_min), max(src.d_max, tgt.d_max)
+    zero = kind.zero(src, tgt)
+    assert zero.degrees() == range(lo, hi + 1 - shift)
+    for i in range(lo - 2, hi + 3):
+        c = zero.component(i)
+        assert (c.rows, c.cols) == (tgt.dim(i + shift), src.dim(i)) and c.is_zero()
+    shapes = {i: (tgt.dim(i + shift), src.dim(i)) for i in zero.degrees()}
+    given = {i: rand_matrix(rng, *shape) for i, shape in shapes.items() if rng.random() < 0.5}
+    padded = {i: given.get(i, Matrix.zeros(*shape)) for i, shape in shapes.items()}
+    assert kind(src, tgt, given) == kind(src, tgt, padded)
+    assert (kind(src, tgt, given) == zero) == all(m.is_zero() for m in given.values())
+    name = "ChainMap" if shift == 0 else "Homotopy"
+    assert repr(zero) == f"{name}({src!r} -> {tgt!r})"
+    # a chain map never equals a homotopy, whichever side asks
+    assert ChainMap.zero(src, tgt) != Homotopy.zero(src, tgt)
+    assert Homotopy.zero(src, tgt) != ChainMap.zero(src, tgt)
+    assert not ChainMap.zero(src, tgt) == Homotopy.zero(src, tgt)
+    assert hash(ChainMap.zero(src, tgt)) == hash((src, tgt))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(Homotopy.zero(src, tgt))

@@ -317,6 +317,77 @@ class TestExitCodes:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: compose table: {error}"]
 
+    @pytest.mark.parametrize(
+        ("where", "key", "first"),
+        [
+            (("rep",), "t", {"1": [["5"]]}),
+            (("rep", "t"), "1", [["5"]]),
+            (("complex", "*", "dims"), "1", 2),
+            (("complex",), "*", {"degrees": [0, 0], "dims": {"0": 1}}),
+            (("sigma",), "*", "2"),
+            (("cochain",), "t", "1"),
+            (("groupoid", "identity"), "*", "t"),
+            (("groupoid", "inverse"), "t", "e"),
+            (("groupoid", "arrows", 1), "id", "e"),
+            ((), "cochain", {"e": "1", "t": "1"}),
+        ],
+        ids=[
+            "rep-arrow", "rep-degree", "dims-degree", "complex", "sigma",
+            "cochain", "identity", "inverse", "arrow-id", "section",
+        ],
+    )
+    def test_repeated_key_is_one_error(self, where, key, first, tmp_path, capsys):
+        # a JSON object naming a key twice would keep its last value
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        data["sigma"] = {"*": "1"}
+        owner = data
+        for step in where:
+            owner = owner[step]
+        marker = "repeated-key-marker"
+        owner[marker] = None
+        text = json.dumps(data).replace(
+            f'"{marker}": null', f"{json.dumps(key)}: {json.dumps(first)}"
+        )
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert cli.main(["modular-class", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: not valid JSON: repeated key '{key}'\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_result_past_the_digit_limit_is_one_error(self, fmt, tmp_path, capsys):
+        # f acts on a rank-2 fiber by 10^4000 I, so det f = 10^8000 has more
+        # digits than Python writes, though every input literal is shorter
+        big, units = "1" + "0" * 4000, [["1", "0"], ["0", "1"]]
+        data = {
+            "groupoid": {
+                "objects": ["x", "y"],
+                "arrows": [
+                    {"id": a, "src": s, "tgt": t}
+                    for a, s, t in [("1x", "x", "x"), ("1y", "y", "y"), ("f", "x", "y"), ("g", "y", "x")]
+                ],
+                "identity": {"x": "1x", "y": "1y"},
+                "inverse": {"1x": "1x", "1y": "1y", "f": "g", "g": "f"},
+                "compose": [
+                    ["1x", "1x", "1x"], ["1y", "1y", "1y"], ["f", "1x", "f"], ["1y", "f", "f"],
+                    ["g", "1y", "g"], ["1x", "g", "g"], ["f", "g", "1y"], ["g", "f", "1x"],
+                ],
+            },
+            "rep": {
+                "1x": units,
+                "1y": units,
+                "f": [[big, "0"], ["0", big]],
+                "g": [[f"1/{big}", "0"], ["0", f"1/{big}"]],
+            },
+        }
+        path = tmp_path / "big_det.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["modular-class", str(path), "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: a result has more than {sys.get_int_max_str_digits()} digits\n"
+
     @pytest.mark.parametrize("command", ["validate", "modular-class"])
     def test_failed_groupoid_skips_the_rep_checks(self, command, tmp_path):
         data = json.loads((FIXTURES / "pair2.json").read_text())
@@ -495,7 +566,7 @@ class TestCommands:
             units = {gpd.unit(x) for x in gpd.objects}
             for a in (b for b in gpd.arrow_ids() if b not in units):
                 try:
-                    g, _ = conjugate_replacement(rep(a))
+                    g = conjugate_replacement(rep(a))
                 except ValueError:
                     g = None
                 code = 1 if g is None else 0
