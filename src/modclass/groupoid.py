@@ -383,7 +383,10 @@ def _isotropy_model(gpd: FiniteGroupoid):
     ``(g, h)`` with ``gh: src h -> tgt g`` and ``k(gh) = k(g) k(h)``:
     table lookups only, no arithmetic.  As many entries as composable
     pairs, each one composable, is that domain, so the pairs are never
-    listed.
+    listed.  What each arrow brings to an entry is gathered once, before
+    the pass over the table: its ends, ``k(a)``, and the row of ``k(a)``
+    in its base's multiplication table.  An entry then reads three such
+    tuples and one row.
     """
     try:
         tree: dict[str, str] = {}
@@ -406,16 +409,16 @@ def _isotropy_model(gpd: FiniteGroupoid):
                 return None
             if s == t == b:
                 isotropy[b].append(a)
-        src, tgt, compose = gpd._src, gpd._tgt, gpd.composition
+        compose = gpd.composition
         if len(compose) != _pair_count(gpd):
             return None
+        times = {p: {q: compose[p, q] for q in loops} for loops in isotropy.values() for p in loops}
+        ends = {a: (s, t, k[a], times[k[a]]) for a, s, t in gpd.arrows}
         for (g, h), gh in compose.items():
-            if (
-                src[g] != tgt[h]
-                or src[gh] != src[h]
-                or tgt[gh] != tgt[g]
-                or k[gh] != compose[k[g], k[h]]
-            ):
+            s_g, t_g, _, k_g_times = ends[g]
+            s_h, t_h, k_h, _ = ends[h]
+            s_gh, t_gh, k_gh, _ = ends[gh]
+            if s_g != t_h or s_gh != s_h or t_gh != t_g or k_gh != k_g_times[k_h]:
                 return None
     except KeyError:
         return None

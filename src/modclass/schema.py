@@ -160,6 +160,9 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
     if not isinstance(objects, list) or not objects or not _strings(objects):
         col.add("groupoid: missing or empty 'objects' list of strings")
         objects = []
+    for x, count in Counter(objects).items():
+        if count > 1:
+            col.add(f"groupoid: object '{x}' is listed more than once")
     if not isinstance(arrows_raw, list):
         col.add("groupoid: missing 'arrows' list")
         arrows_raw = []
@@ -171,8 +174,9 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
             col.add(f"groupoid: arrow entry {entry!r} needs string 'id', 'src', 'tgt'")
             continue
         arrows.append(arrow)
-    # each id to the arrow's own string: the compose table is stored with
-    # these, so every later lookup of its entries meets identical strings
+    # each id to the arrow's own string: a compose entry whose three members
+    # it finds is stored with these, in one lookup per member, so every later
+    # lookup of the table's entries meets identical strings
     arrow_ids = {a: a for a, _, _ in arrows}
     canonical = arrow_ids.get
     object_set = set(objects)
@@ -198,6 +202,18 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
         col.add("compose table: expected a list")
         compose = []
     for entry in compose:
+        # a lawful entry is stored and done; any other falls through to the
+        # checks that word its problems
+        if type(entry) is list and len(entry) == 3:
+            g, h, gh = entry
+            try:
+                cg, ch, cgh = canonical(g), canonical(h), canonical(gh)
+            except TypeError:  # a list or dict member
+                pass
+            else:
+                if cg is not None and ch is not None and cgh is not None:
+                    composition[cg, ch] = cgh
+                    continue
         if not (
             isinstance(entry, list)
             and len(entry) == 3
@@ -209,12 +225,10 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
             malformed += 1
             continue
         g, h, gh = entry
-        cg, ch, cgh = canonical(g), canonical(h), canonical(gh)
-        if cg is None or ch is None or cgh is None:
-            for side in (g, h, gh):
-                if side not in arrow_ids:
-                    col.add(f"compose table: unknown arrow '{side}'")
-        composition[cg or g, ch or h] = cgh or gh
+        for side in entry:
+            if side not in arrow_ids:
+                col.add(f"compose table: unknown arrow '{side}'")
+        composition[canonical(g) or g, canonical(h) or h] = canonical(gh) or gh
     if len(composition) < len(compose) - malformed:
         # a pair is listed more than once: name each such pair, in table order
         listed = Counter(

@@ -16,6 +16,12 @@ functions are the groupoid scans before arrows were indexed by target:
 every candidate pair or triple is found by testing all arrows.  The
 ``pair_scan_*`` functions are the functoriality checks before the
 isotropy model: every composable pair is multiplied out.
+``scan_isotropy_model`` builds the isotropy model as it was before each
+arrow's ends, coordinate and isotropy row were gathered ahead of the
+pass over the table: every entry looks up its arrows' ends and
+coordinates and then the table at a new key.  ``scan_compose_table``
+reads a document's compose table as ``schema`` did before lawful
+entries took a shortcut: every entry passes the full type checks first.
 
 ``decompose_by_inverse`` is ``decompose`` as it was before each degree
 was split in closed form: the harmonic block is chosen by eliminating
@@ -58,6 +64,7 @@ or take each arrow's harmonic blocks again.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Sequence
@@ -84,6 +91,7 @@ from modclass import (
     verify_complex,
     verify_line_rep,
 )
+from modclass.groupoid import _components, _pair_count
 from modclass.linalg import _RATIONAL_RE, rref as linalg_rref
 
 
@@ -385,6 +393,83 @@ def scan_validate(gpd: FiniteGroupoid) -> list[str]:
                 if gpd.compose(gh, k) != gpd.compose(g, gpd.compose(h, k)):
                     problems.append(f"associativity fails on ('{g}', '{h}', '{k}')")
     return problems
+
+
+def scan_isotropy_model(gpd: FiniteGroupoid):
+    """``(tree, k, isotropy)``, or None, as ``groupoid._isotropy_model`` gives."""
+    try:
+        tree: dict[str, str] = {}
+        base: dict[str, str] = {}
+        for component in _components(gpd):
+            b = component[0]
+            base.update((x, b) for x in component)
+            tree[b] = gpd.unit(b)
+        for a, s, t in gpd.arrows:
+            if s == base[s] and t not in tree:
+                tree[t] = a
+        k = {
+            a: gpd.compose(gpd.compose(gpd.inv(tree[t]), a), tree[s])
+            for a, s, t in gpd.arrows
+        }
+        isotropy: dict[str, list[str]] = {b: [] for b in tree if base[b] == b}
+        for a, s, t in gpd.arrows:
+            b = base[s]
+            if gpd.src(k[a]) != b or gpd.tgt(k[a]) != b:
+                return None
+            if s == t == b:
+                isotropy[b].append(a)
+        src, tgt, compose = gpd._src, gpd._tgt, gpd.composition
+        if len(compose) != _pair_count(gpd):
+            return None
+        for (g, h), gh in compose.items():
+            if (
+                src[g] != tgt[h]
+                or src[gh] != src[h]
+                or tgt[gh] != tgt[g]
+                or k[gh] != compose[k[g], k[h]]
+            ):
+                return None
+    except KeyError:
+        return None
+    return tree, k, isotropy
+
+
+def scan_compose_table(compose: list, arrow_ids: Mapping[str, str]) -> tuple[dict, list[str]]:
+    """The composition and the problems ``schema`` reads off a compose table.
+
+    ``arrow_ids`` maps each arrow id to the arrow's own string.
+    """
+    problems: list[str] = []
+    composition, malformed = {}, 0
+    canonical = arrow_ids.get
+    for entry in compose:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], str)
+            and isinstance(entry[2], str)
+        ):
+            problems.append(f"compose table: entry {entry!r} is not a [g, h, gh] triple")
+            malformed += 1
+            continue
+        g, h, gh = entry
+        cg, ch, cgh = canonical(g), canonical(h), canonical(gh)
+        if cg is None or ch is None or cgh is None:
+            for side in (g, h, gh):
+                if side not in arrow_ids:
+                    problems.append(f"compose table: unknown arrow '{side}'")
+        composition[cg or g, ch or h] = cgh or gh
+    if len(composition) < len(compose) - malformed:
+        listed = Counter(
+            (e[0], e[1])
+            for e in compose
+            if isinstance(e, list) and len(e) == 3 and all(isinstance(v, str) for v in e)
+        )
+        for (g, h), count in listed.items():
+            if count > 1:
+                problems.append(f"compose table: pair ('{g}', '{h}') is listed more than once")
+    return composition, problems
 
 
 def pair_scan_is_cocycle_1(gpd: FiniteGroupoid, phi: Cochain) -> bool:

@@ -13,12 +13,17 @@ eliminations.  The groupoid scans read composable arrows off the
 by-target index; the references test every arrow for every pair, as the
 scans did before.  Associativity and functoriality are decided through
 the isotropy model; the references compose every composable triple and
-multiply out every composable pair.  ``verify_ruth`` skips the work on a
+multiply out every composable pair.  The isotropy model gathers each
+arrow's ends, coordinate and isotropy row before its pass over the
+table, and the schema stores a lawful compose entry on a shortcut; the
+references look each entry's arrows up afresh and type-check every
+entry first.  ``verify_ruth`` skips the work on a
 unit that acts by the identity; a unit twisted by a homotopy, so not
 the identity, must take the reference's path.  Outputs must agree
 exactly, order included.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -32,6 +37,7 @@ from modclass import (
     ComplexFiber,
     FiniteGroupoid,
     GroupTable,
+    InputDocument,
     LineRep,
     Matrix,
     RepUpToWeakHomotopy,
@@ -45,12 +51,13 @@ from modclass import (
     disjoint_union,
     is_cocycle_1,
     rref,
+    serialize,
     validate,
     verify_line_rep,
     verify_ruth,
     verify_vector_rep,
 )
-from modclass import groupoid as groupoid_module, linalg as linalg_module
+from modclass import groupoid as groupoid_module, linalg as linalg_module, schema as schema_module
 from modclass.groupoid import _is_functorial, _isotropy_model
 from oracle import (
     decompose_by_inverse,
@@ -66,6 +73,8 @@ from oracle import (
     scan_coboundary_solve_1,
     scan_composable_pairs,
     scan_composable_tuples,
+    scan_compose_table,
+    scan_isotropy_model,
     scan_validate,
 )
 from randgen import (
@@ -555,6 +564,81 @@ def test_law_cases_reach_every_certificate_outcome(certified):
             else:
                 outcomes.add("certified" if certified["verdicts"] == [True] else "isotropy fails")
     assert outcomes == {"no model", "coordinates not injective", "isotropy fails", "certified"}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_isotropy_model_matches_the_entry_by_entry_scan(seed):
+    for kind, gpd in law_cases(seed):
+        assert _isotropy_model(gpd) == scan_isotropy_model(gpd), kind
+
+
+# Entries spliced into a compose table: each is worded by the full checks.
+SPLICES = [
+    "not a list", "short", "long", "None member", "int member", "bool member",
+    "list member", "dict member", "unknown id", "repeated pair",
+]
+
+
+def splice(rng: random.Random, compose: list, kind: str) -> list:
+    g, h, gh = rng.choice(compose)
+    if kind == "not a list":
+        return rng.choice(["e,t", {"g": g, "h": h, "gh": gh}, None, 3])
+    if kind == "short":
+        return [g, h]
+    if kind == "long":
+        return [g, h, gh, gh]
+    if kind == "repeated pair":
+        return [g, h, rng.choice(compose)[2]]
+    member = {
+        "None member": None, "int member": 1, "bool member": True,
+        "list member": [g], "dict member": {g: h}, "unknown id": g + "?",
+    }[kind]
+    entry = [g, h, gh]
+    entry[rng.randrange(3)] = member
+    return entry
+
+
+def compose_case(seed: int) -> tuple[dict, list[str]]:
+    """A builder table as a document, in shuffled order, with up to three
+    entries spliced in, and the kinds spliced."""
+    rng = random.Random(seed)
+    gpd = builder_groupoid(rng)
+    data = json.loads(json.dumps(serialize(InputDocument(gpd, None, None, None))))
+    compose = data["groupoid"]["compose"]
+    rng.shuffle(compose)
+    lawful = list(compose)
+    kinds = [rng.choice(SPLICES) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+    for kind in kinds:
+        compose.insert(rng.randrange(len(compose) + 1), splice(rng, lawful, kind))
+    return data, kinds
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compose_table_reads_as_the_type_checked_scan(seed):
+    data, _ = compose_case(seed)
+    raw = data["groupoid"]
+    own = {a["id"]: a["id"] for a in raw["arrows"]}
+    composition, problems = scan_compose_table(raw["compose"], own)
+    col = schema_module._Collector()
+    gpd = schema_module._parse_groupoid(raw, col)
+    assert col.problems == problems
+    assert list(gpd.composition.items()) == list(composition.items())
+    for (g, h), gh in gpd.composition.items():
+        # an arrow's id is stored as the arrow's own string
+        assert all(v is own[v] for v in (g, h, gh) if v in own)
+    if problems:
+        with pytest.raises(schema_module.SchemaError) as refused:
+            schema_module.parse_data(data)
+        assert refused.value.problems == problems
+    else:
+        assert schema_module.parse_data(data).groupoid.composition == composition
+
+
+def test_compose_cases_reach_every_splice_and_a_lawful_table():
+    # the agreement above is only as strong as the entries it sees
+    spliced = [compose_case(seed)[1] for seed in SEEDS]
+    assert set().union(*spliced) == set(SPLICES)
+    assert [] in spliced
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -317,6 +317,39 @@ class TestExitCodes:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: compose table: {error}"]
 
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("complex_of_x", [True, False], ids=["complex", "no-complex"])
+    def test_repeated_object_is_one_error(self, copies, complex_of_x, tmp_path, capsys):
+        # a repeated object was once accepted, and each later problem about
+        # it was then worded once per copy; the published schema refuses it
+        jsonschema = pytest.importorskip("jsonschema")
+        data = json.loads((FIXTURES / "acyclic_two_term.json").read_text())
+        x = data["groupoid"]["objects"][0]
+        data["groupoid"]["objects"] += [x] * copies
+        if not complex_of_x:
+            del data["complex"][x]
+        schema = json.loads((FIXTURES / "schema.json").read_text())
+        assert not jsonschema.Draft202012Validator(schema).is_valid(data)
+        with pytest.raises(SchemaError) as refused:
+            parse_data(data)
+        assert refused.value.problems == [f"groupoid: object '{x}' is listed more than once"]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: groupoid: object '{x}' is listed more than once"]
+
+    def test_each_repeated_object_is_named_once_in_list_order(self):
+        data = json.loads((FIXTURES / "acyclic_two_term.json").read_text())
+        x, y = data["groupoid"]["objects"]
+        data["groupoid"]["objects"] = [y, x, x, y, y]
+        with pytest.raises(SchemaError) as refused:
+            parse_data(data)
+        assert refused.value.problems == [
+            f"groupoid: object '{y}' is listed more than once",
+            f"groupoid: object '{x}' is listed more than once",
+        ]
+
     @pytest.mark.parametrize(
         ("where", "key", "first"),
         [
