@@ -107,7 +107,10 @@ class ComplexFiber:
             raise ValueError("empty degree range")
         self.d_min = d_min
         self.d_max = d_max
-        self.dims = {i: int(dims.get(i, 0)) for i in range(d_min, d_max + 1)}
+        self.dims = {i: dims.get(i, 0) for i in range(d_min, d_max + 1)}
+        for i, n in self.dims.items():
+            if type(n) is not int:
+                raise TypeError(f"dimension {n!r} of degree {i} is not an int")
         self.differentials = dict(differentials)
 
     def dim(self, i: int) -> int:

@@ -9,22 +9,23 @@ on for reproducible basis choices.
 Scalars are `fractions.Fraction` throughout; there is no floating point
 and no rank tolerance.
 
-Two invariants keep the exact kernels lean.  A `Matrix` stores each row
-as integers over one positive denominator, in lowest terms: row ``i`` is
-``_num[i] / _den[i]`` with ``gcd(_den[i], *_num[i]) == 1``, so a zero row
-is over 1 and equal matrices store equal tuples.  The public constructor
-coerces each entry once (a `float` is a TypeError) and clears each row
-over the `lcm` of its denominators (`_cleared`); the string reader
-`Matrix._parse` takes "p/q" strings straight to those integer rows.
-Every other operation stays in integers and makes `Fraction`s only
-where entries leave the matrix (`__getitem__`, `row`, `column`,
-`to_lists`, `repr`); `to_strings` writes the rows straight back to
-"p/q" strings, and `block_equals` compares blocks as stored.  A product
-writes its right operand over one `lcm`, so each entry is an integer
-dot product and each row is normalised with one `gcd`, and every
-elimination here is the one fraction-free `_eliminate` of those
-integer rows.  A rational string is ASCII digits after at most one
-sign, with at most one "/": the published pattern.
+Two invariants keep the exact kernels lean.  A `Matrix` stores its rows
+as integers over one positive denominator, in lowest terms: entry ``(i,
+j)`` is ``_num[i][j] / _den`` with ``gcd(_den, *every entry) == 1``, so a
+zero or empty matrix is over 1 and equal matrices store equal tuples.
+The public constructor coerces each entry once (a `float` or a `str` is
+a TypeError) and clears them all over the `lcm` of their denominators
+(`_cleared`); the string reader `Matrix._parse` takes "p/q" strings
+straight to those integer rows.  Every other operation stays in integers
+and makes `Fraction`s only where entries leave the matrix
+(`__getitem__`, `row`, `column`, `to_lists`, `repr`); `to_strings`
+writes the rows straight back to "p/q" strings, and `block_equals`
+compares blocks as stored.  A product multiplies the stored integer rows
+over the product of the two denominators, so each entry is an integer
+dot product and the result is normalised with one `gcd`, and every
+elimination here is the one fraction-free `_eliminate` of those integer
+rows.  A rational string is ASCII digits after at most one sign, with at
+most one "/": the published pattern.
 
 `_split_degree` splits one degree of a complex for
 `modclass.complexes.decompose`: from the rref of the outgoing
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add, mul, sub
 
 # the published ``rational`` pattern: ASCII digits only, nothing around them
@@ -82,24 +83,26 @@ def format_rational(value: Fraction | int) -> str:
 def _exact(x) -> Fraction:
     if type(x) is Fraction:
         return x
+    if isinstance(x, str):
+        raise TypeError(f"matrix entry {x!r} is a string: read it with parse_rational")
     if isinstance(x, float):
         raise TypeError("matrix entries must be exact rationals")
     return Fraction(x)
 
 
-def _cleared(v) -> tuple[tuple[int, ...], int]:
-    """Fractions ``v`` as integers over one denominator: ``v[i] == ints[i] / d``.
+def _cleared(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of fractions as integer rows over one denominator: ``rows[i][j] == ints[i][j] / d``.
 
-    ``d`` is the ``lcm`` of the denominators, so the result is in lowest
-    terms: a prime dividing ``d`` divides some denominator to its full
-    power there, and that entry's numerator is prime to it.
+    ``d`` is the ``lcm`` of all the denominators, so the result is in
+    lowest terms: a prime dividing ``d`` divides some denominator to its
+    full power there, and that entry's numerator is prime to it.
     """
-    d = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (d // x.denominator) for x in v), d
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in r) for r in rows), d
 
 
 class Matrix:
-    """Immutable dense matrix of rationals.
+    """Immutable dense matrix of rationals, stored as integer rows over one denominator.
 
     Zero-width and zero-height matrices are fully supported; they show
     up constantly as empty blocks of decompositions.
@@ -120,16 +123,16 @@ class Matrix:
                 raise ValueError("cols does not match row width")
         else:
             width = 0 if cols is None else cols
-        cleared = [_cleared(row) for row in data]
+        num, den = _cleared(data)
         _set_rows(self, len(data))
         _set_cols(self, width)
-        _set_num(self, tuple(ints for ints, _ in cleared))
-        _set_den(self, tuple(d for _, d in cleared))
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
-    def _from_ints(cls, num: tuple, den: tuple, cols: int) -> "Matrix":
-        # ``num`` a tuple of ``cols``-wide tuples of ints and ``den`` one
-        # positive int per row, already in lowest terms; nothing is checked.
+    def _from_ints(cls, num: tuple, den: int, cols: int) -> "Matrix":
+        # ``num`` a tuple of ``cols``-wide tuples of ints over the positive
+        # int ``den``, already in lowest terms; nothing is checked.
         m = object.__new__(cls)
         _set_rows(m, len(num))
         _set_cols(m, cols)
@@ -142,11 +145,12 @@ class Matrix:
         """The matrix of "p" or "p/q" strings ``rows``, each ``cols`` wide, and
         the message of each bad entry, in entry order; a bad entry reads as 1.
 
-        Each row goes straight to integers over the ``lcm`` of its
+        The entries go straight to integers over the ``lcm`` of their
         denominators, so the result equals ``Matrix`` of the entries read
         one by one with :func:`parse_rational`: both are in lowest terms.
         """
-        num, den, problems = [], [], []
+        num, dens, problems = [], [], []
+        d = 1
         for row in rows:
             ps, qs = [], []
             for x in row:
@@ -157,21 +161,25 @@ class Matrix:
                     p, q = 1, 1
                 ps.append(p)
                 qs.append(q)
-            d = lcm(*qs)
-            num.append(ps if d == 1 else [p * (d // q) for p, q in zip(ps, qs)])
-            den.append(d)
-        return cls._lowest(num, den, cols), problems
+            num.append(ps)
+            dens.append(qs)
+            d = lcm(d, *qs)  # per row: one lcm over a generator of every entry raised peak RSS
+        if d != 1:
+            num = [[p * (d // q) for p, q in zip(ps, qs)] for ps, qs in zip(num, dens)]
+        return cls._lowest(num, d, cols), problems
 
     @classmethod
-    def _lowest(cls, num: list, den: list, cols: int) -> "Matrix":
-        # Integer rows ``num`` over positive ``den``, each row divided by
-        # its one ``gcd`` with its denominator; both lists are reduced in place.
-        for i, d in enumerate(den):
-            if d != 1:
-                g = gcd(d, *num[i])
-                if g != 1:
-                    num[i], den[i] = [x // g for x in num[i]], d // g
-        return cls._from_ints(tuple(map(tuple, num)), tuple(den), cols)
+    def _lowest(cls, num: list, den: int, cols: int) -> "Matrix":
+        # Integer rows ``num`` over the positive ``den``, divided by their
+        # one ``gcd`` with it.
+        g = den
+        for r in num:
+            if g == 1:
+                break
+            g = gcd(g, *r)
+        if g != 1:
+            num, den = [[x // g for x in r] for r in num], den // g
+        return cls._from_ints(tuple(map(tuple, num)), den, cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -180,11 +188,11 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         zero = (0,) * n
         rows = tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n))
-        return cls._from_ints(rows, (1,) * n, n)
+        return cls._from_ints(rows, 1, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._from_ints(((0,) * cols,) * rows, (1,) * rows, cols)
+        return cls._from_ints(((0,) * cols,) * rows, 1, cols)
 
     @classmethod
     def hstack(cls, *parts: "Matrix") -> "Matrix":
@@ -193,59 +201,51 @@ class Matrix:
         height = parts[0].rows
         if any(p.rows != height for p in parts):
             raise ValueError("row counts differ")
-        # Each part's row is in lowest terms, so their join over the lcm
-        # of the denominators is too, as for `_cleared`.
-        num, den = [], []
-        for i in range(height):
-            dens = [p._den[i] for p in parts]
-            d = lcm(*dens)
-            row = []
-            for p, e in zip(parts, dens):
-                row.extend(p._num[i] if e == d else [x * (d // e) for x in p._num[i]])
-            num.append(tuple(row))
-            den.append(d)
-        return cls._from_ints(tuple(num), tuple(den), sum(p.cols for p in parts))
+        # Each part is in lowest terms, so their join over the lcm of the
+        # denominators is too, as for `_cleared`.
+        d = lcm(*(p._den for p in parts))
+        scales = [d // p._den for p in parts]
+        num = tuple(
+            tuple(x * k for p, k in zip(parts, scales) for x in p._num[i]) for i in range(height)
+        )
+        return cls._from_ints(num, d, sum(p.cols for p in parts))
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return Fraction(self._num[i][j], self._den[i])
+        return Fraction(self._num[i][j], self._den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        d = self._den[i]
+        d = self._den
         return tuple(Fraction(x, d) for x in self._num[i])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(r[j], d) for r, d in zip(self._num, self._den))
+        d = self._den
+        return tuple(Fraction(r[j], d) for r in self._num)
 
     def take_columns(self, indices) -> "Matrix":
         idx = list(indices)
-        return Matrix._lowest([[r[j] for j in idx] for r in self._num], list(self._den), len(idx))
+        return Matrix._lowest([[r[j] for j in idx] for r in self._num], self._den, len(idx))
 
     def submatrix(self, row_start, row_stop, col_start, col_stop) -> "Matrix":
-        num, den = self._num[row_start:row_stop], self._den[row_start:row_stop]
-        if (col_start, col_stop) == (0, self.cols):
-            return Matrix._from_ints(num, den, self.cols)
+        # a slice can drop the only entries prime to the denominator
         return Matrix._lowest(
-            [r[col_start:col_stop] for r in num], list(den), col_stop - col_start
+            [r[col_start:col_stop] for r in self._num[row_start:row_stop]],
+            self._den,
+            col_stop - col_start,
         )
 
     def transpose(self) -> "Matrix":
-        d = lcm(*self._den)
-        columns = zip(*_over(self._num, self._den, d))
-        return Matrix._lowest(
-            list(columns) or [()] * self.cols, [d] * self.cols, self.rows
-        )
+        num = tuple(zip(*self._num)) or ((),) * self.cols
+        return Matrix._from_ints(num, self._den, self.rows)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def to_strings(self) -> list[list[str]]:
         """The entries as "p" or "p/q" strings, as :func:`format_rational` writes them."""
+        d = self._den
         out = []
-        for r, d in zip(self._num, self._den):
-            if d == 1:
-                out.append([str(x) for x in r])
-                continue
+        for r in self._num:
             row = []
             for x in r:
                 g = gcd(x, d)
@@ -262,9 +262,10 @@ class Matrix:
 
     def is_identity(self) -> bool:
         n = self.cols
-        return self.rows == n and all(
-            d == 1 and r[i] == 1 and r.count(0) == n - 1
-            for i, (r, d) in enumerate(zip(self._num, self._den))
+        return (
+            self.rows == n
+            and self._den == 1
+            and all(r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(self._num))
         )
 
     def block_equals(
@@ -275,11 +276,10 @@ class Matrix:
         rows = self._num[r0:r1]
         if other is None:
             return not any(any(r[c0:c1]) for r in rows)
-        for a, d, b, e in zip(rows, self._den[r0:r1], other._num, other._den):
-            a, b = a[c0:c1], b[: c1 - c0]
-            if a != b if d == e else any(x * e != y * d for x, y in zip(a, b)):
-                return False
-        return True
+        d, e, w = self._den, other._den, c1 - c0
+        return all(
+            x * e == y * d for a, b in zip(rows, other._num) for x, y in zip(a[c0:c1], b[:w])
+        )
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -289,16 +289,9 @@ class Matrix:
                 )
             if not (self.rows and self.cols and other.cols):
                 return Matrix.zeros(self.rows, other.cols)
-            # the right operand once over one denominator, read by columns
-            d = lcm(*other._den)
-            if d == 1:
-                right = list(zip(*other._num))
-                den = list(self._den)
-            else:
-                right = list(zip(*_over(other._num, other._den, d)))
-                den = [e * d for e in self._den]
+            right = list(zip(*other._num))
             num = [[sum(map(mul, a, b)) for b in right] for a in self._num]
-            return Matrix._lowest(num, den, other.cols)
+            return Matrix._lowest(num, self._den * other._den, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -309,25 +302,16 @@ class Matrix:
             raise TypeError("matrix scalars must be exact rationals")
         c = Fraction(scalar)
         p, q = c.numerator, c.denominator
-        return Matrix._lowest(
-            [[p * x for x in r] for r in self._num], [q * d for d in self._den], self.cols
-        )
+        return Matrix._lowest([[p * x for x in r] for r in self._num], q * self._den, self.cols)
 
     def _combine(self, other: "Matrix", op) -> "Matrix":
-        # ``op`` (add or sub) applied row by row over the lcm of the two denominators
+        # ``op`` (add or sub) applied entrywise over the lcm of the two denominators
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch in {'addition' if op is add else 'subtraction'}")
-        num, den = [], []
-        for a, da, b, db in zip(self._num, self._den, other._num, other._den):
-            if da == db:
-                num.append(list(map(op, a, b)))
-                den.append(da)
-            else:
-                d = lcm(da, db)
-                fa, fb = d // da, d // db
-                num.append([op(x * fa, y * fb) for x, y in zip(a, b)])
-                den.append(d)
-        return Matrix._lowest(num, den, self.cols)
+        d = lcm(self._den, other._den)
+        fa, fb = d // self._den, d // other._den
+        num = [[op(x * fa, y * fb) for x, y in zip(a, b)] for a, b in zip(self._num, other._num)]
+        return Matrix._lowest(num, d, self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, add)
@@ -367,11 +351,6 @@ _set_rows, _set_cols, _set_num, _set_den = (
 )
 
 
-def _over(num, den, d: int):
-    """Integer rows ``num[i] / den[i]`` rewritten over the common multiple ``d``."""
-    return (r if e == d else tuple(x * (d // e) for x in r) for r, e in zip(num, den))
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns, the first nonzero in scan order.
 
@@ -381,24 +360,24 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     if m.is_zero():
         return m, []
     reduced, p, pivots, _ = _eliminate(m, m.cols)
-    return Matrix._lowest(reduced, [p] * m.rows, m.cols), pivots
+    return Matrix._lowest(reduced, p, m.cols), pivots
 
 
 def _eliminate(m: Matrix, width: int, reduce: bool = True) -> tuple[list, int, list[int], Fraction]:
     """Fraction-free elimination of the integer rows of ``m`` in their first ``width`` columns.
 
-    Row ``i`` of ``m`` is ``m._num[i] / m._den[i]``; the integer rows are
-    eliminated as they are stored.  Each pivot, the first nonzero
-    candidate in scan order, replaces every other row ``x`` it acts on by
-    ``(piv * x - f * y) // prev``: ``y`` is the pivot row, ``f`` the entry
-    of ``x`` under the pivot and ``prev`` the last pivot, and the
-    division is exact by Sylvester's identity (Bareiss 1968).  With
-    ``reduce`` it acts on all rows (Gauss-Jordan), so every pivot ends
-    equal to the last one ``p`` and the rows over ``p`` are the reduced
-    row echelon form; without, on the rows below only.  Returns ``(rows,
-    |p|, pivots, sign * p / product of the denominators)``, the rows signed
-    to go over ``|p|``; the last is the determinant when the pivots are
-    ``range(m.rows)``.
+    ``m`` is ``m._num / m._den``, one denominator scaling every row, so
+    the integer rows have the echelon form of ``m`` and are eliminated as
+    they are stored.  Each pivot, the first nonzero candidate in scan order, replaces every
+    other row ``x`` it acts on by ``(piv * x - f * y) // prev``: ``y`` is
+    the pivot row, ``f`` the entry of ``x`` under the pivot and ``prev``
+    the last pivot, and the division is exact by Sylvester's identity
+    (Bareiss 1968).  With ``reduce`` it acts on all rows (Gauss-Jordan),
+    so every pivot ends equal to the last one ``p`` and the rows over
+    ``p`` are the reduced row echelon form; without, on the rows below
+    only.  Returns ``(rows, |p|, pivots, sign * p / m._den ** m.rows)``,
+    the rows signed to go over ``|p|``; the last is the determinant when
+    the pivots are ``range(m.rows)``.
     """
     a = list(m._num)
     pivots: list[int] = []
@@ -420,7 +399,7 @@ def _eliminate(m: Matrix, width: int, reduce: bool = True) -> tuple[list, int, l
                 a[i] = [(piv * x - f * z) // prev for x, z in zip(a[i], y)]
         pivots.append(col)
         prev = piv
-    d = Fraction(sign * prev, prod(m._den))
+    d = Fraction(sign * prev, m._den ** m.rows)
     if prev < 0:  # the same rows over a positive denominator
         a, prev = [[-x for x in r] for r in a], -prev
     return a, prev, pivots, d
@@ -447,57 +426,56 @@ def _split_degree(
     wide.  None when ``B`` leaves that kernel, that is when the top rows
     of ``reduced`` do not annihilate it.  ``K`` is the identity on the
     free rows ``F``, so ``[B | K] = K [B_F | I]`` and one elimination of
-    ``[B_F | I]`` does all the work.  Its pivots past ``B`` pick the
-    columns ``S`` of ``K`` that make ``H``, the greedy left-to-right
-    completion of ``B`` to a basis of the kernel.  It reduces to ``[* |
-    C^-1]`` for ``C = [B_F | E_S]``, the free rows of ``[B | H]``, and its
-    last pivot gives ``det C``; with ``B`` empty, ``C = I`` and nothing
-    is eliminated.  ``L`` is the unit columns at the pivots, so the
-    inverse is ``C^-1`` on the free columns over the top rows of
-    ``reduced``, and putting the rows in the order ``F`` then ``pivots``
-    makes the basis block lower-triangular: its determinant is ``det C``,
-    signed by that reordering.
+    ``[B_F | I]``, over ``B``'s denominator, does all the work.  Its
+    pivots past ``B`` pick the columns ``S`` of ``K`` that make ``H``, the
+    greedy left-to-right completion of ``B`` to a basis of the kernel.  It
+    reduces to ``[* | C^-1]`` for ``C = [B_F | E_S]``, the free rows of
+    ``[B | H]``, and its last pivot gives ``det C``; with ``B`` empty,
+    ``C = I`` and nothing is eliminated.  ``L`` is the unit columns at the
+    pivots, so the inverse is ``C^-1`` on the free columns over the top
+    rows of ``reduced``, and putting the rows in the order ``F`` then
+    ``pivots`` makes the basis block lower-triangular: its determinant is
+    ``det C``, signed by that reordering.  The inverse goes over one
+    ``lcm`` of its two parts' denominators, and the basis over one
+    ``lcm`` of ``B``'s and ``reduced``'s.
     """
     n, b, height = reduced.cols, boundary.cols, len(pivots)
-    top, top_den = reduced._num[:height], reduced._den[:height]
+    top, top_den = reduced._num[:height], reduced._den
     bnum, bden = boundary._num, boundary._den
-    columns = list(zip(*_over(bnum, bden, lcm(*bden))))
-    if any(sum(map(mul, r, c)) for r in top for c in columns):
+    if any(sum(map(mul, r, c)) for r in top for c in zip(*bnum)):
         return None
     pivot_row = dict(zip(pivots, range(height)))
     free = [j for j in range(n) if j not in pivot_row]
     f = len(free)
     unit = (0,) * f
-    c_num = tuple(bnum[j] + unit[:k] + (bden[j],) + unit[k + 1:] for k, j in enumerate(free))
-    if b:
-        c_den = tuple(bden[j] for j in free)
-        eliminated, p, chosen, det_c = _eliminate(Matrix._from_ints(c_num, c_den, b + f), b + f)
+    c_num = tuple(bnum[j] + unit[:k] + (bden,) + unit[k + 1:] for k, j in enumerate(free))
+    if b:  # [B_F | I] need not be in lowest terms: only `_eliminate` reads it
+        eliminated, p, chosen, det_c = _eliminate(Matrix._from_ints(c_num, bden, b + f), b + f)
         harmonic = [free[q - b] for q in chosen[b:]]
     else:  # C = I: every kernel column is harmonic
         eliminated, p, harmonic, det_c = c_num, 1, free, Fraction(1)
+    d = lcm(p, top_den)
+    u, v = d // p, d // top_den
     inv_num = []
     for row in eliminated:
         r = [0] * n
         for k, j in enumerate(free):
-            r[j] = row[b + k]
+            r[j] = row[b + k] * u
         inv_num.append(r)
-    inverse = Matrix._lowest(inv_num + list(top), [p] * f + list(top_den), n)
+    inv_num.extend([x * v for x in row] for row in top)
+    inverse = Matrix._lowest(inv_num, d, n)
+    d = lcm(bden, top_den)
+    u, v = d // bden, d // top_den
     zeros = (0,) * height
-    basis_num, basis_den = [], []
+    basis_num = []
     for j in range(n):
-        r, e = pivot_row.get(j), bden[j]
+        r = pivot_row.get(j)
         if r is None:  # a free row: B, then a unit entry where H is K's column j
-            basis_num.append(bnum[j] + tuple(e if h == j else 0 for h in harmonic) + zeros)
-            basis_den.append(e)
+            tail = tuple(d if h == j else 0 for h in harmonic) + zeros
         else:  # a pivot row: B, then minus reduced's row at H, then a unit entry at L
-            row, g = top[r], top_den[r]
-            m = lcm(e, g)
-            u, v = m // e, m // g
-            basis_num.append(
-                tuple(x * u for x in bnum[j]) + tuple(-row[h] * v for h in harmonic)
-                + zeros[:r] + (m,) + zeros[r + 1:]
-            )
-            basis_den.append(m)
-    basis = Matrix._lowest(basis_num, basis_den, n)
+            row = top[r]
+            tail = tuple(-row[h] * v for h in harmonic) + zeros[:r] + (d,) + zeros[r + 1:]
+        basis_num.append(tuple(x * u for x in bnum[j]) + tail)
+    basis = Matrix._lowest(basis_num, d, n)
     swaps = sum(j - k for k, j in enumerate(free))  # pairs of a pivot before a free column
     return basis, inverse, -det_c if swaps % 2 else det_c

@@ -451,6 +451,12 @@ def test_chain_map_scale_rejects_floats():
         ChainMap.identity(c).scale(0.1)
 
 
+@pytest.mark.parametrize("dim", [2.9, True, Fraction(2), "2", None])
+def test_complex_fiber_refuses_a_dimension_that_is_not_an_int(dim):
+    with pytest.raises(TypeError, match="not an int"):
+        ComplexFiber(0, 1, {0: 2, 1: dim}, {})
+
+
 def test_non_chain_maps_are_refused_as_such():
     rng = random.Random(23)
     refused = 0

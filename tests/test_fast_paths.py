@@ -1,8 +1,8 @@
 """Differential tests: the lean kernels against the constructions they replace.
 
-``Matrix`` stores integer rows over one denominator each, in lowest
-terms, so ``__mul__`` and ``det`` work in integers; the references are
-the textbook Fraction formulas, and every result is checked for that
+``Matrix`` stores integer rows over one denominator, in lowest terms,
+so ``__mul__`` and ``det`` work in integers; the references are the
+textbook Fraction formulas, and every result is checked for that
 canonical form.  ``rref`` and ``det`` share one fraction-free integer
 elimination; the references are the Fraction Gauss-Jordan and the
 Leibniz formula, and the oracle's ``kernel_basis`` and
@@ -26,7 +26,7 @@ exactly, order included.
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from itertools import product
 
 import pytest
@@ -283,14 +283,14 @@ def test_closed_form_split_refuses_what_the_general_inverse_refuses():
 
 
 def is_canonical(m: Matrix) -> bool:
-    """Integer rows, one positive denominator each, in lowest terms."""
+    """Integer rows over one positive denominator, in lowest terms."""
+    d = m._den
     return (
-        len(m._num) == len(m._den) == m.rows
+        len(m._num) == m.rows
         and all(len(r) == m.cols and all(type(x) is int for x in r) for r in m._num)
-        and all(
-            type(d) is int and d > 0 and gcd(d, *r) == 1 and (any(r) or d == 1)
-            for r, d in zip(m._num, m._den)
-        )
+        and type(d) is int
+        and d > 0
+        and gcd(d, *(x for r in m._num for x in r)) == 1
     )
 
 
@@ -376,6 +376,32 @@ def test_canonical_cases_invert_and_reach_zero_rows():
     assert sum(any(not any(a.row(i)) for i in range(a.rows)) for a, _, _, _ in cases) > 50
 
 
+def row_denominators(m: Matrix) -> set[int]:
+    """The least common denominator of each row's entries."""
+    return {lcm(*(x.denominator for x in m.row(i))) for i in range(m.rows)}
+
+
+def test_canonical_cases_reach_what_one_denominator_must_normalise():
+    # rows over different denominators share one; a slice that drops the
+    # entries prime to it is renormalised; sums, differences and block
+    # comparisons meet operands over different denominators
+    cases = [canonical_case(seed) for seed in SEEDS]
+    assert sum(len(row_denominators(a)) > 1 for a, _, _, _ in cases) > 50
+    renormalised = widened = 0
+    for a, b, _, _ in cases:
+        n, k = a.rows, a.cols
+        slices = (a.submatrix(min(1, n), n, 0, k), a.take_columns(range(1, k)))
+        renormalised += any(m._den < a._den for m in slices)
+        # a's block beside b's columns: the same block over another denominator
+        wider = Matrix.hstack(a, b)
+        assert a.block_equals(0, n, 0, k, wider)
+        assert a.block_equals(0, n, 0, k, b) == (a == b)
+        widened += wider._den != a._den
+    assert renormalised > 50
+    assert widened > 50
+    assert sum(a._den != b._den for a, b, _, _ in cases) > 50
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_products_and_eliminations_make_no_fraction_rows(seed, monkeypatch):
     a, b, s, _ = canonical_case(seed)
@@ -391,7 +417,7 @@ def test_products_and_eliminations_make_no_fraction_rows(seed, monkeypatch):
     a.block_equals(0, a.rows, 0, a.cols, b)
     assert calls == []
     Matrix(a.to_lists(), cols=a.cols)
-    assert len(calls) == a.rows
+    assert len(calls) == 1
 
 
 def builder_groupoid(rng: random.Random) -> FiniteGroupoid:

@@ -15,9 +15,14 @@ obstruction list that certifies a nontrivial one, must survive:
 - the choices a decomposition makes: each arrow's Berezinian, read off
   decompositions built after relabelling every degree's coordinates, is
   the same rational, so the cocycle, and with it the class and its
-  obstructions, does not depend on those choices.
+  obstructions, does not depend on those choices;
+- twisting every non-unit action t to t + dH + Hd by a homotopy H: the
+  action is the same up to homotopy, so the command line prints the
+  same modular-class report, text and JSON, byte for byte, and
+  homotopy-check finds every pair it found before.
 """
 
+import json
 import random
 
 import pytest
@@ -26,18 +31,22 @@ from modclass import (
     ChainMap,
     Cochain,
     FiniteGroupoid,
+    InputDocument,
     RepUpToWeakHomotopy,
     Trivialization,
     berezinian_class,
+    cli,
     coboundary,
     decompose,
     harmonic_blocks,
     modular_class,
+    serialize,
 )
 from modclass.complexes import _class_berezinian
 from oracle import det_and_inverse, permuted_decomposition
 from randgen import (
     conjugated_complex,
+    rand_homotopy,
     rand_potential,
     rand_ruth,
     rand_trivialization,
@@ -158,3 +167,48 @@ def test_permuted_decompositions_make_other_choices():
 def test_cases_cover_both_outcomes():
     trivial = {outcome(modular_class(rep, sigma))[0] for _, rep, sigma in map(ruth_case, SEEDS)}
     assert trivial == {True, False}
+
+
+def homotopy_twisted(rng, rep):
+    """``rep`` with each non-unit action t replaced by t + dH + Hd for a random H."""
+    gpd = rep.groupoid
+    units = {gpd.unit(x) for x in gpd.objects}
+    action = {}
+    for a in gpd.arrow_ids():
+        t = rep(a)
+        if a not in units:  # a twisted unit would break the unit law
+            t = t + rand_homotopy(rng, t.source, t.target).boundary_conjugate()
+        action[a] = t
+    return RepUpToWeakHomotopy(gpd, rep.complexes, action)
+
+
+def cli_outputs(rep, sigma, path, capsys) -> dict:
+    """Exit code and standard output of each command on the serialized ``rep``."""
+    path.write_text(json.dumps(serialize(InputDocument(rep.groupoid, rep, sigma, None))))
+    outputs = {}
+    for command in ("modular-class", "homotopy-check"):
+        for fmt in ("text", "json"):
+            code = cli.main([command, str(path), "--format", fmt])
+            outputs[command, fmt] = code, capsys.readouterr().out
+    return outputs
+
+
+def test_the_command_line_survives_homotopy_twisting(tmp_path, capsys):
+    classes, twisted = set(), 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        fx = standard_fixtures()[seed % 4]
+        rep = rand_ruth(rng, fx, unimodular=seed % 3 == 1)
+        sigma = rand_trivialization(rng, fx.gpd)
+        path = tmp_path / "ruth.json"
+        before = cli_outputs(rep, sigma, path, capsys)
+        document = path.read_text()
+        after = cli_outputs(homotopy_twisted(rng, rep), sigma, path, capsys)
+        twisted += path.read_text() != document
+        assert after == before, seed
+        code, out = before["homotopy-check", "json"]
+        pairs = json.loads(out)["pairs"]
+        assert code == 0 and pairs and all(p["certificate"] == "found" for p in pairs), seed
+        classes.add(json.loads(before["modular-class", "json"][1])["class"])
+    assert classes == {"trivial", "nontrivial"}
+    assert twisted > 20

@@ -75,6 +75,15 @@ def test_matrix_rejects_float_entries():
         Matrix([[0.1]])
 
 
+@pytest.mark.parametrize("text", ["1", "1/2", "\uff11", " 3 ", "1e3", "1.5"])
+def test_matrix_refuses_string_entries(text):
+    # strings are read by parse_rational, which holds to the published pattern
+    with pytest.raises(TypeError, match="parse_rational"):
+        Matrix([[text]])
+    with pytest.raises(TypeError, match="parse_rational"):
+        Matrix([[1, text]], cols=2)
+
+
 def test_matrix_scale_rejects_floats():
     with pytest.raises(TypeError, match="exact rationals"):
         Matrix([[1]]).scale(0.1)
