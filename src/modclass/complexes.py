@@ -2,7 +2,13 @@
 
 A complex here is a finite family of coordinate spaces ``C^i`` for
 degrees in a bounded interval, with differentials ``d^i : C^i ->
-C^{i+1}`` squaring to zero.  On top of that this module provides chain
+C^{i+1}`` squaring to zero.  A fiber stores only its nonzero degrees,
+its *support*, and every per-degree computation below walks supports,
+never the declared interval: a zero-dimensional degree has empty
+blocks, adds a factor 1 to every Berezinian and nothing to any law, so
+the width of the interval costs nothing.  Checks of stored data (shapes,
+``==``, :meth:`ChainMap.is_identity`) look at every stored component and
+differential.  On top of that this module provides chain
 maps and chain homotopies (graded maps of degree 0 and -1, sharing one
 class but for their own operations), the boundary/harmonic/lift
 decomposition of each degree, and the Berezinian (graded determinant).
@@ -54,6 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add, sub
 from typing import Mapping
 
 from .linalg import Matrix, _split_degree, det, rref
@@ -90,8 +97,12 @@ class ComplexFiber:
     ``dims`` maps a degree to the dimension of that coordinate space and
     ``differentials`` maps degree ``i`` to the matrix of ``d^i``, of
     shape ``dims(i+1) x dims(i)``.  Outside ``[d_min, d_max]`` all
-    dimensions are zero.  Construction does not enforce ``d o d = 0``;
-    use :func:`verify_complex` to check it.
+    dimensions are zero.  The stored ``dims`` is the support: the
+    nonzero dimensions in increasing degree, fixed at construction.  A
+    0 may be given for any degree and is dropped; a negative dimension,
+    or a nonzero one outside ``[d_min, d_max]``, is a ValueError.
+    Construction does not enforce ``d o d = 0``; use
+    :func:`verify_complex` to check it.
     """
 
     __slots__ = ("d_min", "d_max", "dims", "differentials")
@@ -107,10 +118,14 @@ class ComplexFiber:
             raise ValueError("empty degree range")
         self.d_min = d_min
         self.d_max = d_max
-        self.dims = {i: dims.get(i, 0) for i in range(d_min, d_max + 1)}
-        for i, n in self.dims.items():
+        for i, n in dims.items():
             if type(n) is not int:
                 raise TypeError(f"dimension {n!r} of degree {i} is not an int")
+            if n < 0:
+                raise ValueError(f"dimension {n} of degree {i} is negative")
+            if n and not d_min <= i <= d_max:
+                raise ValueError(f"dimension {n} of degree {i} is outside [{d_min}, {d_max}]")
+        self.dims = {i: n for i, n in sorted(dims.items()) if n}
         self.differentials = dict(differentials)
 
     def dim(self, i: int) -> int:
@@ -123,6 +138,7 @@ class ComplexFiber:
         return d
 
     def degrees(self) -> range:
+        """The declared range ``[d_min, d_max]``, zero-dimensional degrees included."""
         return range(self.d_min, self.d_max + 1)
 
     def total_dim(self) -> int:
@@ -138,12 +154,13 @@ class ComplexFiber:
             and self.d_max == other.d_max
             and self.dims == other.dims
             and all(
-                self.differential(i) == other.differential(i) for i in self.degrees()
+                self.differential(i) == other.differential(i)
+                for i in self.differentials.keys() | other.differentials.keys()
             )
         )
 
     def __hash__(self):
-        return hash((self.d_min, self.d_max, tuple(sorted(self.dims.items()))))
+        return hash((self.d_min, self.d_max, tuple(self.dims.items())))
 
     def __repr__(self) -> str:
         return f"ComplexFiber(degrees=[{self.d_min},{self.d_max}], dims={self.dims})"
@@ -154,7 +171,7 @@ class _GradedMap:
     target degree ``i + shift``; a missing component is zero.
 
     Two maps are equal when they have the same type and ends and equal
-    components in every degree of :meth:`degrees`.
+    components in every degree where either stores one.
     """
 
     __slots__ = ("source", "target", "components")
@@ -180,11 +197,11 @@ class _GradedMap:
     def zero(cls, source: ComplexFiber, target: ComplexFiber):
         return cls(source, target, {})
 
-    def degrees(self) -> range:
-        """Both fibers' degree ranges, widened by ``-shift`` at the top."""
-        lo = min(self.source.d_min, self.target.d_min)
-        hi = max(self.source.d_max, self.target.d_max)
-        return range(lo, hi + 1 - self.shift)
+    def degrees(self) -> list[int]:
+        """The degrees ``i`` where component ``i`` has a nonzero end, in order:
+        the source's support and the target's, shifted by ``-shift``.  Every
+        other component is empty."""
+        return sorted(self.source.dims.keys() | {i - self.shift for i in self.target.dims})
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -192,7 +209,10 @@ class _GradedMap:
         return (
             self.source == other.source
             and self.target == other.target
-            and all(self.component(i) == other.component(i) for i in self.degrees())
+            and all(
+                self.component(i) == other.component(i)
+                for i in self.components.keys() | other.components.keys()
+            )
         )
 
     def __repr__(self) -> str:
@@ -206,11 +226,7 @@ class ChainMap(_GradedMap):
 
     @classmethod
     def identity(cls, fiber: ComplexFiber) -> "ChainMap":
-        return cls(
-            fiber,
-            fiber,
-            {i: Matrix.identity(fiber.dim(i)) for i in fiber.degrees()},
-        )
+        return cls(fiber, fiber, {i: Matrix.identity(n) for i, n in fiber.dims.items()})
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """``self`` after ``other``."""
@@ -227,37 +243,28 @@ class ChainMap(_GradedMap):
         )
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        self._require_parallel(other)
-        return ChainMap(
-            self.source,
-            self.target,
-            {i: self.component(i) + other.component(i) for i in self.degrees()},
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
-        self._require_parallel(other)
-        return ChainMap(
-            self.source,
-            self.target,
-            {i: self.component(i) - other.component(i) for i in self.degrees()},
-        )
+        return self._combine(other, sub)
 
-    def scale(self, scalar) -> "ChainMap":
-        return ChainMap(
-            self.source,
-            self.target,
-            {i: self.component(i).scale(scalar) for i in self.degrees()},
-        )
-
-    def _require_parallel(self, other: "ChainMap") -> None:
+    def _combine(self, other: "ChainMap", op) -> "ChainMap":
+        # ``op`` (add or sub) wherever either map stores a component; elsewhere both are zero
         if self.source != other.source or self.target != other.target:
             raise ValueError("chain maps do not share source and target")
+        stored = sorted(self.components.keys() | other.components.keys())
+        comps = {i: op(self.component(i), other.component(i)) for i in stored}
+        return ChainMap(self.source, self.target, comps)
+
+    def scale(self, scalar) -> "ChainMap":
+        comps = {i: m.scale(scalar) for i, m in self.components.items()}
+        return ChainMap(self.source, self.target, comps)
 
     def is_identity(self) -> bool:
         """Whether this is ``ChainMap.identity(self.source)``; no identity is built."""
         return self.target == self.source and all(
             (m := self.component(i)).rows == self.source.dim(i) and m.is_identity()
-            for i in self.degrees()
+            for i in self.source.dims.keys() | self.components.keys()
         )
 
     def is_invertible(self) -> bool:
@@ -287,39 +294,39 @@ class Homotopy(_GradedMap):
             {
                 i: tgt.differential(i - 1) * self.component(i)
                 + self.component(i + 1) * src.differential(i)
-                for i in self.degrees()[:-1]  # the degrees of a chain map
-                if tgt.dim(i) and src.dim(i)
+                for i in src.dims
+                if tgt.dim(i)
             },
         )
 
 
 def verify_complex(c: ComplexFiber) -> ValidationReport:
-    """Check shapes and ``d^{i+1} o d^i = 0`` in every degree."""
+    """Check the shape of every differential stored in ``[d_min, d_max]``, and
+    ``d^{i+1} o d^i = 0`` in every nonzero degree ``i`` (elsewhere it maps
+    a zero space)."""
     report = ValidationReport()
-    for i in c.degrees():
-        d = c.differential(i)
-        if (d.rows, d.cols) != (c.dim(i + 1), c.dim(i)):
+    for i in sorted(c.differentials):
+        d = c.differentials[i]
+        if c.d_min <= i <= c.d_max and (d.rows, d.cols) != (c.dim(i + 1), c.dim(i)):
             report.add(
                 f"differential at degree {i} has shape {d.rows}x{d.cols},"
                 f" expected {c.dim(i + 1)}x{c.dim(i)}"
             )
     if report.ok:
-        for i in c.degrees():
+        for i in c.dims:
             if not (c.differential(i + 1) * c.differential(i)).is_zero():
                 report.add(f"d o d is nonzero starting at degree {i}")
-    for i in c.dims:
-        if c.dims[i] < 0:
-            report.add(f"negative dimension at degree {i}")
     return report
 
 
 def _shape_problems(t: ChainMap) -> list[str]:
-    """Each component whose shape is not ``target.dim(i) x source.dim(i)``, worded."""
+    """Each stored component whose shape is not ``target.dim(i) x source.dim(i)``,
+    worded in degree order; a missing one is zero of the right shape."""
     return [
         f"component at degree {i} has shape {comp.rows}x{comp.cols},"
         f" expected {t.target.dim(i)}x{t.source.dim(i)}"
-        for i in t.degrees()
-        if ((comp := t.component(i)).rows, comp.cols) != (t.target.dim(i), t.source.dim(i))
+        for i in sorted(t.components)
+        if ((comp := t.components[i]).rows, comp.cols) != (t.target.dim(i), t.source.dim(i))
     ]
 
 
@@ -345,7 +352,9 @@ class Decomposition:
     outgoing differential, and the lift block L is a complement of that
     kernel which the differential carries isomorphically onto the
     boundary block of the next degree (by the identity matrix, in these
-    bases).  ``basis_det[i]`` is the determinant of ``basis[i]``.
+    bases).  ``basis_det[i]`` is the determinant of ``basis[i]``.  The
+    dicts hold the fiber's nonzero degrees; ``basis_at``, ``widths`` and
+    ``tau`` read a zero degree as empty.
 
     The splitting is a strong deformation retract onto the harmonic
     blocks: the contraction ``h^i = L^{i-1} coordB^i`` (boundary block
@@ -398,42 +407,42 @@ class Decomposition:
 
 
 def decompose(c: ComplexFiber) -> Decomposition:
-    """Split every degree as boundaries + harmonics + lift of boundaries.
+    """Split every nonzero degree as boundaries + harmonics + lift of boundaries.
 
     The choices are the canonical ones of the module docstring.  The
     quantities claimed not to depend on them are tested against
     decompositions made in relabelled coordinates.  Raises ValueError
-    exactly when ``c`` is no complex: a differential's shape disagrees
-    with ``dims`` (from degree ``d_min - 1`` on), or ``d^i d^{i-1} != 0``
-    in some degree ``i`` of its range.
+    exactly when ``c`` is no complex: the shape of a differential stored
+    at a degree from ``d_min - 1`` to ``d_max`` disagrees with ``dims``,
+    or ``d^i d^{i-1} != 0`` in some degree ``i``.  The fields hold the
+    nonzero degrees; a zero one is empty, with no block and determinant 1.
     """
-    diffs = {i: c.differential(i) for i in range(c.d_min - 1, c.d_max + 1)}
-    if any((d.rows, d.cols) != (c.dim(i + 1), c.dim(i)) for i, d in diffs.items()):
-        raise ValueError("ambient dimensions differ")
-    reduced = {i: rref(d) for i, d in diffs.items()}
-    pivot_cols = {i: pivots for i, (_, pivots) in reduced.items()}
+    for i, d in c.differentials.items():
+        if c.d_min - 1 <= i <= c.d_max and (d.rows, d.cols) != (c.dim(i + 1), c.dim(i)):
+            raise ValueError("ambient dimensions differ")
+    reduced = {i: rref(c.differential(i)) for i in c.dims}
 
     basis: dict[int, Matrix] = {}
     basis_inv: dict[int, Matrix] = {}
     boundary_dims: dict[int, int] = {}
     harmonic_dims: dict[int, int] = {}
     basis_det: dict[int, Fraction] = {}
-    for i in c.degrees():
-        boundary = diffs[i - 1].take_columns(pivot_cols[i - 1])
-        split = _split_degree(boundary, *reduced[i])
+    for i, (outgoing, pivots) in reduced.items():
+        # with degree i - 1 zero the incoming differential has no columns
+        incoming = reduced[i - 1][1] if i - 1 in reduced else ()
+        boundary = c.differential(i - 1).take_columns(incoming)
+        split = _split_degree(boundary, outgoing, pivots)
         if split is None:
             raise ValueError(f"degree {i} does not split; complex is invalid")
         basis[i], basis_inv[i], basis_det[i] = split
         boundary_dims[i] = boundary.cols
-        harmonic_dims[i] = basis[i].cols - boundary.cols - len(pivot_cols[i])
-    boundary_dims[c.d_max + 1] = len(pivot_cols[c.d_max])
+        harmonic_dims[i] = basis[i].cols - boundary.cols - len(pivots)
     return Decomposition(c, basis, basis_inv, boundary_dims, harmonic_dims, basis_det)
 
 
 def cohomology_dims(c: ComplexFiber) -> dict[int, int]:
-    """Dimension of kernel mod image in each degree."""
-    dec = decompose(c)
-    return {i: dec.harmonic_dims[i] for i in c.degrees()}
+    """Dimension of kernel mod image in each nonzero degree."""
+    return decompose(c).harmonic_dims
 
 
 def harmonic_blocks(
@@ -444,7 +453,8 @@ def harmonic_blocks(
     Entry ``i`` is ``pi_T^i t^i iota_S^i``: the harmonic coordinate rows
     of the target, times ``t``, times the harmonic columns of the
     source, of shape ``harmonic_dims`` of the target by that of the
-    source (empty in a degree outside a fiber's range).  For a chain map
+    source, for each degree of ``t.degrees()`` (empty where a fiber is
+    zero; absent where both are).  For a chain map
     this is the harmonic diagonal block of ``t`` in decomposition
     coordinates, and homotopic chain maps have equal harmonic blocks.
     """
@@ -574,8 +584,8 @@ def are_homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
 class HomotopyEquivalenceCheck:
     """Truthy iff the map induces isomorphisms on cohomology.
 
-    ``cohomology_maps`` holds the induced matrix in every degree, in the
-    harmonic bases of the two decompositions.
+    ``cohomology_maps`` holds the induced matrix in every degree where a
+    fiber is nonzero, in the harmonic bases of the two decompositions.
     """
 
     ok: bool
@@ -720,7 +730,7 @@ def _class_berezinian(
     """The closed form of :func:`berezinian_class`, from a map's harmonic blocks.
 
     ``prod_i det(H^i)^(-1)^i * tau(target) / tau(source)`` times the scale
-    ratio, for ``blocks`` in every degree of both fibers (as
+    ratio, for ``blocks`` in every nonzero degree of both fibers (as
     :func:`harmonic_blocks` gives them): the determinants' integer parts
     are multiplied out, and one ``Fraction`` is made at the end.
     """

@@ -194,22 +194,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls._from_ints(((0,) * cols,) * rows, 1, cols)
 
-    @classmethod
-    def hstack(cls, *parts: "Matrix") -> "Matrix":
-        if not parts:
-            raise ValueError("nothing to stack")
-        height = parts[0].rows
-        if any(p.rows != height for p in parts):
-            raise ValueError("row counts differ")
-        # Each part is in lowest terms, so their join over the lcm of the
-        # denominators is too, as for `_cleared`.
-        d = lcm(*(p._den for p in parts))
-        scales = [d // p._den for p in parts]
-        num = tuple(
-            tuple(x * k for p, k in zip(parts, scales) for x in p._num[i]) for i in range(height)
-        )
-        return cls._from_ints(num, d, sum(p.cols for p in parts))
-
     def __getitem__(self, key) -> Fraction:
         i, j = key
         return Fraction(self._num[i][j], self._den)

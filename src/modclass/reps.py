@@ -344,6 +344,8 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     when the harmonic blocks satisfy ``H(g) H(h) = H(gh)`` in every
     degree; that is decided for all pairs at once through the groupoid's
     isotropy model, and pair by pair only when that check does not pass.
+    Each step walks the fibers' supports, their nonzero degrees: a zero
+    degree has empty blocks and takes part in no law.
     """
     report = RuthReport(r)
     gpd = r.groupoid
@@ -371,8 +373,7 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
             continue
         if gpd.identity.get(x) == a and y == x and t.is_identity():
             report.identities.add(a)  # a chain map, joining equal fibers
-            dims = decs[x].harmonic_dims
-            blocks[a] = {i: Matrix.identity(dims[i]) for i in t.degrees()}
+            blocks[a] = {i: Matrix.identity(h) for i, h in decs[x].harmonic_dims.items()}
             continue
         problem, ms = _in_bases(t, decs[x], decs[y])
         mismatch = _dimension_mismatch(a, t)
@@ -393,12 +394,10 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     if not report.ok:
         return report
     report.decompositions, report.blocks = decs, blocks
-    # Outside an arrow's degrees both of its fibers are zero, so its
-    # harmonic block there is 0x0: pad every arrow to all degrees.
-    all_degrees = sorted({i for b in blocks.values() for i in b})
-    empty = Matrix.zeros(0, 0)
-    padded = {a: tuple(b.get(i, empty) for i in all_degrees) for a, b in blocks.items()}
-    failing = _failing_pairs(gpd, padded.__getitem__)
+    # Each arrow joins fibers of one support, so the arrows of a component
+    # have blocks in the same degrees, in order.
+    values = {a: tuple(b.values()) for a, b in blocks.items()}
+    failing = _failing_pairs(gpd, values.__getitem__)
     for g, h in failing:
         report.add(
             f"no homotopy between the composed actions of ('{g}', '{h}')"

@@ -463,11 +463,11 @@ def serialize(doc: InputDocument) -> dict:
         data["complex"] = {
             obj: {
                 "degrees": [fiber.d_min, fiber.d_max],
-                "dims": {str(i): fiber.dim(i) for i in fiber.degrees()},
+                "dims": {str(i): n for i, n in fiber.dims.items()},
                 "differentials": {
-                    str(i): fiber.differential(i).to_strings()
-                    for i in fiber.degrees()
-                    if not fiber.differential(i).is_zero()
+                    str(i): d.to_strings()
+                    for i, d in sorted(fiber.differentials.items())
+                    if not d.is_zero()
                 },
             }
             for obj, fiber in sorted(rep.complexes.items())
@@ -475,7 +475,7 @@ def serialize(doc: InputDocument) -> dict:
         data["rep"] = {
             a: {
                 str(i): rep(a).component(i).to_strings()
-                for i in rep(a).source.degrees()
+                for i in rep(a).source.dims
             }
             for a in gpd.arrow_ids()
         }

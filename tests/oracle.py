@@ -28,6 +28,9 @@ was split in closed form: the harmonic block is chosen by eliminating
 ``[boundary | kernel basis]``, and the basis is inverted, and its
 determinant taken, by eliminating ``[basis | I]``.
 
+``hstack`` sets matrices side by side through the public constructor,
+for the constructions below; no command needs it.
+
 ``regex_rational_parts`` reads a "p" or "p/q" string by the regular
 expression alone, as ``linalg`` did before plain integers took a
 shortcut.
@@ -95,6 +98,17 @@ from modclass.groupoid import _components, _pair_count
 from modclass.linalg import _RATIONAL_RE, rref as linalg_rref
 
 
+def hstack(*parts: Matrix) -> Matrix:
+    """The matrices side by side, which must have equal heights."""
+    if not parts:
+        raise ValueError("nothing to stack")
+    height = parts[0].rows
+    if any(p.rows != height for p in parts):
+        raise ValueError("row counts differ")
+    rows = [[x for p in parts for x in p.row(i)] for i in range(height)]
+    return Matrix(rows, cols=sum(p.cols for p in parts))
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns, by ``Fraction`` Gauss-Jordan.
 
@@ -128,7 +142,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if a.rows != b.rows:
         raise ValueError(f"rows(a)={a.rows} != rows(b)={b.rows}")
-    reduced, pivots = rref(Matrix.hstack(a, b))
+    reduced, pivots = rref(hstack(a, b))
     if any(p >= a.cols for p in pivots):
         return None
     x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
@@ -237,7 +251,7 @@ def det_and_inverse(m: Matrix) -> tuple[Fraction, Matrix | None]:
     if not m.is_square:
         raise ValueError(f"determinant of non-square {m.rows}x{m.cols} matrix")
     n = m.rows
-    reduced, pivots = linalg_rref(Matrix.hstack(m, Matrix.identity(n)))
+    reduced, pivots = linalg_rref(hstack(m, Matrix.identity(n)))
     if pivots[:n] != list(range(n)):
         return Fraction(0), None
     return det(m), reduced.submatrix(0, n, n, 2 * n)
@@ -254,12 +268,12 @@ def extend_to_basis(independent: Matrix, within: Matrix) -> Matrix:
     if independent.rows != within.rows:
         raise ValueError("ambient dimensions differ")
     k = independent.cols
-    pivots = linalg_rref(Matrix.hstack(independent, within))[1]
+    pivots = linalg_rref(hstack(independent, within))[1]
     if pivots[:k] != list(range(k)):
         raise ValueError("columns of `independent` are linearly dependent")
     if k and len(pivots) > rank(within):
         raise ValueError("`independent` does not lie in the span of `within`")
-    return Matrix.hstack(independent, within.take_columns(p - k for p in pivots[k:]))
+    return hstack(independent, within.take_columns(p - k for p in pivots[k:]))
 
 
 def naive_matmul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
@@ -707,11 +721,11 @@ def decompose_by_inverse(c: ComplexFiber) -> Decomposition:
         if boundary.rows != kernel.rows:
             raise ValueError("ambient dimensions differ")
         b = boundary.cols
-        chosen = rref(Matrix.hstack(boundary, kernel))[1]
+        chosen = rref(hstack(boundary, kernel))[1]
         if chosen[:b] != list(range(b)):
             raise ValueError("columns of `independent` are linearly dependent")
-        kernel_full = Matrix.hstack(boundary, kernel.take_columns(q - b for q in chosen[b:]))
-        full = Matrix.hstack(kernel_full, Matrix.identity(n).take_columns(pivot_cols[i]))
+        kernel_full = hstack(boundary, kernel.take_columns(q - b for q in chosen[b:]))
+        full = hstack(kernel_full, Matrix.identity(n).take_columns(pivot_cols[i]))
         if full.cols != n:
             raise ValueError(f"degree {i} does not split; complex is invalid")
         d, inv = det_and_inverse(full)

@@ -31,6 +31,7 @@ from modclass import (
     berezinian,
     berezinian_class,
     decompose,
+    disjoint_union,
     format_rational,
     harmonic_blocks,
     invertible_replacement,
@@ -46,6 +47,7 @@ from oracle import (
     class_berezinian_by_degree,
     conjugate_replacement,
     contraction_homotopy,
+    hstack,
     kernel_basis,
     pair_scan_ruth,
 )
@@ -58,6 +60,7 @@ from randgen import (
     rand_matrix,
     rand_rational,
     rand_ruth,
+    standard_fixtures,
 )
 
 SEEDS = range(300)
@@ -76,8 +79,10 @@ def perturbed(rng: random.Random, t: ChainMap) -> ChainMap | None:
 
 
 def misshapen(rng: random.Random, t: ChainMap) -> ChainMap:
-    """``t`` with one component given one row too many."""
-    i = rng.choice(list(t.degrees()))
+    """``t`` with one component in the span of its two ranges, empty ones
+    included, given one row too many."""
+    src, tgt = t.source, t.target
+    i = rng.choice(range(min(src.d_min, tgt.d_min), max(src.d_max, tgt.d_max) + 1))
     m = t.component(i)
     return ChainMap(t.source, t.target, {**t.components, i: rand_matrix(rng, m.rows + 1, m.cols)})
 
@@ -322,6 +327,41 @@ def test_the_ruth_cases_reach_every_verdict():
             ("no complex", "complex of ")} <= seen
 
 
+def component_cases(seed: int) -> RepUpToWeakHomotopy:
+    """A random representation over a disjoint union of two standard
+    groupoids, each piece with its own fiber, so the arrows of different
+    components have harmonic blocks in different degrees; odd seeds swap
+    one action for a random chain map."""
+    rng = random.Random(seed)
+    pieces = [rng.choice(standard_fixtures()) for _ in range(2)]
+    gpd = disjoint_union(*(fx.gpd for fx in pieces))
+    complexes, action = {}, {}
+    for k, fx in enumerate(pieces):
+        built = rand_ruth(rng, fx)
+        complexes.update({f"c{k}.{x}": c for x, c in built.complexes.items()})
+        action.update({f"c{k}.{a}": t for a, t in built.action.items()})
+    if seed % 2:
+        a = rng.choice([b for b in gpd.arrow_ids() if b not in gpd.identity.values()])
+        action[a] = rand_chain_map(rng, action[a].source, action[a].target)
+    return RepUpToWeakHomotopy(gpd, complexes, action)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_components_of_different_supports_are_decided_apart(seed):
+    rep = component_cases(seed)
+    report = verify_ruth(rep)
+    assert (report.problems, report.certificates) == pair_scan_ruth(rep)
+
+
+def test_the_component_cases_reach_different_supports_and_both_verdicts():
+    seen = set()
+    for seed in range(40):
+        rep = component_cases(seed)
+        supports = {tuple(c.dims) for c in rep.complexes.values()}
+        seen.add((len(supports) > 1, verify_ruth(rep).ok))
+    assert {(True, True), (True, False)} <= seen
+
+
 def test_a_fiber_failing_in_several_degrees_is_worded_in_full():
     # decompose refuses at the first degree; verify_complex lists every one
     ones = {i: Matrix([[1]]) for i in range(3)}
@@ -385,7 +425,7 @@ def test_block_equals_compares_the_blocks(seed):
     assert a.block_equals(r0, r1, c0, c1) == block.is_zero()
     # b holds the block beside a column of its own, so its rows have
     # other denominators but the same block at (0, 0)
-    b = Matrix.hstack(block, big_entries(rng, block.rows, 1))
+    b = hstack(block, big_entries(rng, block.rows, 1))
     assert a.block_equals(r0, r1, c0, c1, b)
     other = c.submatrix(0, r1 - r0, 0, c1 - c0)
     assert a.block_equals(r0, r1, c0, c1, c) == (block == other)

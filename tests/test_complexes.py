@@ -115,7 +115,7 @@ class TestDecompose:
                     assert (d * boundary).is_zero()
                 image = d * lift
                 assert rank(image) == lift.cols == dec.boundary_dims.get(i + 1, 0)
-                assert det(dec.basis[i]) != 0
+                assert det(dec.basis_at(i)) != 0
                 # in the bases d is a partial identity: lift onto the next
                 # boundary block by the identity, zero elsewhere
                 in_bases = dec.basis_inv_at(i + 1) * d * dec.basis_at(i)
@@ -436,7 +436,8 @@ def test_harmonic_blocks_are_square_of_harmonic_size():
         dec = decompose(c)
         blocks = harmonic_blocks(t, dec, dec)
         for i in c.degrees():
-            assert (blocks[i].rows, blocks[i].cols) == (dec.harmonic_dims[i],) * 2
+            block = blocks.get(i, Matrix.zeros(0, 0))
+            assert (block.rows, block.cols) == (dec.harmonic_dims.get(i, 0),) * 2
 
 
 def test_berezinian_class_rejects_float_scales():
@@ -455,6 +456,52 @@ def test_chain_map_scale_rejects_floats():
 def test_complex_fiber_refuses_a_dimension_that_is_not_an_int(dim):
     with pytest.raises(TypeError, match="not an int"):
         ComplexFiber(0, 1, {0: 2, 1: dim}, {})
+
+
+@pytest.mark.parametrize(
+    ("dims", "error"),
+    [
+        ({0: -1}, "dimension -1 of degree 0 is negative"),
+        ({0: 1, 1: 1, 5: 3}, r"dimension 3 of degree 5 is outside \[0, 1\]"),
+        ({-1: 2, 0: 1}, r"dimension 2 of degree -1 is outside \[0, 1\]"),
+    ],
+    ids=["negative", "above-the-range", "below-the-range"],
+)
+def test_complex_fiber_refuses_a_dimension_it_cannot_hold(dims, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        ComplexFiber(0, 1, dims, {})
+
+
+def test_complex_fiber_stores_its_nonzero_degrees():
+    # a 0 is accepted for any degree, inside the range or not, and dropped
+    c = ComplexFiber(0, 4, {3: 1, 9: 0, 1: 2, 0: 0, -2: 0}, {})
+    same = ComplexFiber(0, 4, {1: 2, 3: 1}, {})
+    assert list(c.dims.items()) == [(1, 2), (3, 1)]
+    assert [c.dim(i) for i in range(-1, 6)] == [0, 0, 2, 0, 1, 0, 0]
+    assert (c.degrees(), c.total_dim()) == (range(0, 5), 3)
+    assert c == same and hash(c) == hash(same)
+    assert cohomology_dims(c) == {1: 2, 3: 1}
+
+
+def test_stored_data_at_a_zero_degree_is_still_checked():
+    # degree 0 of c is zero, so a component there must be 0x0 and
+    # d^0 must be 0x1; shape checks, == and is_identity see what is stored
+    c = ComplexFiber(0, 1, {1: 1}, {})
+    t = ChainMap(c, c, {0: Matrix([[1]]), 1: Matrix([[1]])})
+    problem = "component at degree 0 has shape 1x1, expected 0x0"
+    assert verify_chain_map(t).problems == [problem]
+    for entry in (berezinian_class, invertible_replacement, is_homotopy_equivalence):
+        with pytest.raises(ValueError, match=f"^not a chain map: {problem}$"):
+            entry(t)
+    assert null_homotopy(t) is None
+    assert not t.is_identity() and t != ChainMap.identity(c)
+    empty_there = ChainMap(c, c, {0: Matrix.zeros(0, 0), 1: Matrix([[1]])})
+    assert empty_there.is_identity() and empty_there == ChainMap.identity(c)
+    bad = ComplexFiber(0, 2, {0: 1, 2: 1}, {0: Matrix([[1]])})
+    assert verify_complex(bad).problems == ["differential at degree 0 has shape 1x1, expected 0x1"]
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        decompose(bad)
+    assert bad != ComplexFiber(0, 2, {0: 1, 2: 1}, {})
 
 
 def test_non_chain_maps_are_refused_as_such():
@@ -482,7 +529,10 @@ def test_graded_maps_share_defaults_equality_and_repr(kind, shift, seed):
     src, tgt = rand_complex(rng, -2, 2), rand_complex(rng, -1, 3)
     lo, hi = min(src.d_min, tgt.d_min), max(src.d_max, tgt.d_max)
     zero = kind.zero(src, tgt)
-    assert zero.degrees() == range(lo, hi + 1 - shift)
+    # the degrees of the span where the source or the target is nonzero
+    assert zero.degrees() == [
+        i for i in range(lo, hi + 1 - shift) if src.dim(i) or tgt.dim(i + shift)
+    ]
     for i in range(lo - 2, hi + 3):
         c = zero.component(i)
         assert (c.rows, c.cols) == (tgt.dim(i + shift), src.dim(i)) and c.is_zero()

@@ -14,6 +14,7 @@ from modclass import (
 from oracle import (
     det_and_inverse,
     extend_to_basis,
+    hstack,
     kernel_basis,
     rank,
     rref as gauss_jordan_rref,
@@ -173,7 +174,7 @@ class TestSolve:
     def test_solution_iff_rank_equality(self, a, data):
         b = data.draw(matrices(rows=a.rows, cols=1))
         x = solve(a, b)
-        augmented_rank = rank(Matrix.hstack(a, b))
+        augmented_rank = rank(hstack(a, b))
         if x is None:
             assert rank(a) < augmented_rank
         else:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import pathlib
@@ -9,17 +10,30 @@ import pytest
 import modclass
 from modclass import cli, complexes
 from modclass import (
+    Cochain,
+    ComplexFiber,
     InputDocument,
+    Matrix,
     RepUpToWeakHomotopy,
     SchemaError,
     VectorRep,
     are_homotopic,
+    decompose,
     parse,
     parse_data,
     serialize,
 )
 from oracle import conjugate_replacement
-from randgen import RuthSpec, rand_chain_map, rand_ruth, run_modclass_cli, standard_fixtures
+from randgen import (
+    RuthSpec,
+    rand_chain_map,
+    rand_cocycle,
+    rand_complex,
+    rand_ruth,
+    rand_trivialization,
+    run_modclass_cli,
+    standard_fixtures,
+)
 
 FIXTURES = pathlib.Path(modclass.__file__).parent / "fixtures"
 DATA = pathlib.Path(__file__).parent / "data"
@@ -107,6 +121,18 @@ class TestRoundTrip:
         doc = parse(FIXTURES / f"{name}.json")
         again = parse_data(json.loads(json.dumps(serialize(doc))))
         assert again == doc
+
+    def test_serialize_writes_only_what_is_stored(self):
+        # a 10^12-wide range with a 0 given: the dims and components of
+        # degree 1 are all there is to write
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        data["complex"]["*"]["degrees"] = [0, 10**12]
+        data["complex"]["*"]["dims"]["7"] = 0
+        doc = parse_data(data)
+        written = serialize(doc)
+        assert written["complex"]["*"] == {"degrees": [0, 10**12], "dims": {"1": 1}, "differentials": {}}
+        assert written["rep"] == data["rep"]
+        assert parse_data(json.loads(json.dumps(written))) == doc
 
 
 class TestShippedSchema:
@@ -846,6 +872,124 @@ class TestWorkCounts:
         groupoid = json.loads((FIXTURES / "pair2.json").read_text())["groupoid"]
         # one per arrow, and one per tree arrow off the base in the functoriality check
         assert len(taken) == len(groupoid["arrows"]) + len(groupoid["objects"]) - 1
+
+
+def padded_ranges(data: dict, rng: random.Random, widths) -> tuple[dict, dict]:
+    """A copy of ``data`` with each object's range widened below and above by
+    widths drawn from ``widths``, and the degrees each object gained."""
+    padded, gained = json.loads(json.dumps(data)), {}
+    for obj, spec in padded["complex"].items():
+        lo, hi = spec["degrees"]
+        below, above = rng.choice(widths), rng.choice(widths)
+        spec["degrees"] = [lo - below, hi + above]
+        if rng.random() < 0.5:  # a 0 given for a degree is as good as none
+            spec["dims"][str(hi + above)] = 0
+        gained[obj] = [*range(lo - below, lo), *range(hi + 1, hi + above + 1)]
+    return padded, gained
+
+
+class TestEmptyDegrees:
+    """A zero-dimensional degree costs nothing and changes no report."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_padding_changes_no_report(self, seed, tmp_path, capsys):
+        # random homotopy documents over the four standard groupoids, odd
+        # seeds with one action swapped for a random chain map, with a
+        # cocycle and on some seeds a trivialization; each range is widened
+        # by up to 10^6 empty degrees, up to 50 for `replace`
+        rng = random.Random(seed)
+        fx = standard_fixtures()[seed % 4]
+        gpd, rep = fx.gpd, rand_ruth(rng, fx)
+        arrow = rng.choice(gpd.arrow_ids())
+        if seed % 2:
+            units = {gpd.unit(x) for x in gpd.objects}
+            arrow = rng.choice([b for b in gpd.arrow_ids() if b not in units])
+            rep.action[arrow] = rand_chain_map(rng, rep(arrow).source, rep(arrow).target)
+        cochain = Cochain(1, {(a,): v for a, v in rand_cocycle(rng, fx).items()})
+        sigma = rand_trivialization(rng, gpd) if seed % 3 == 0 else None
+        data = serialize(InputDocument(gpd, rep, sigma, cochain))
+        path = tmp_path / "doc.json"
+
+        def outcome(doc: dict, command: str, *options: str):
+            path.write_text(json.dumps(doc))
+            code = cli.main([command, str(path), *options])
+            out, err = capsys.readouterr()
+            return code, out, [line for line in err.splitlines() if line.startswith("error:")]
+
+        for fmt in ("text", "json"):
+            wide, _ = padded_ranges(data, rng, [1, 2, 17, 1000, 10**6])
+            for command, *options in [
+                ("validate",), ("cohomology",), ("modular-class",), ("homotopy-check",),
+                ("berezinian", "--arrow", arrow),
+            ]:
+                options += ["--format", fmt]
+                assert outcome(wide, command, *options) == outcome(data, command, *options)
+            options = ["--arrow", arrow, "--format", fmt]
+            code, out, errors = outcome(data, "replace", *options)
+            padded, gained = padded_ranges(data, rng, range(1, 51))
+            extra = gained[gpd.src(arrow)] if code == 0 else []
+            wide_code, wide_out, wide_errors = outcome(padded, "replace", *options)
+            assert (wide_code, wide_errors) == (code, errors)
+            # `replace` lists every degree of the source's range, a gained one as []
+            if fmt == "json":
+                payload = json.loads(wide_out)
+                assert [payload["components"].pop(str(i)) for i in extra] == [[]] * len(extra)
+                assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
+            else:
+                lines = wide_out.splitlines(keepends=True)
+                kept = [line for line in lines if line not in {f"  {i}:\n" for i in extra}]
+                assert (len(lines) - len(kept), "".join(kept)) == (len(extra), out)
+
+    def test_decompose_splits_each_nonzero_degree_once(self, monkeypatch):
+        rng = random.Random(4)
+        split, calls, inner_zeros = complexes._split_degree, [], 0
+
+        def counted(*args):
+            calls.append(args)
+            return split(*args)
+
+        monkeypatch.setattr(complexes, "_split_degree", counted)
+        for _ in range(40):
+            c = rand_complex(rng, -1, 4, 3)
+            inner_zeros += len(c.dims) < len(c.degrees())
+            below, above = rng.randint(0, 10**9), rng.randint(0, 10**9)
+            wide = ComplexFiber(c.d_min - below, c.d_max + above, c.dims, c.differentials)
+            decs = []
+            for fiber in (c, wide):
+                calls.clear()
+                decs.append(decompose(fiber))
+                assert len(calls) == len(fiber.dims)
+            fields = ("basis", "basis_inv", "boundary_dims", "harmonic_dims", "basis_det")
+            assert [getattr(decs[0], f) for f in fields] == [getattr(decs[1], f) for f in fields]
+        assert inner_zeros > 10
+
+    @pytest.mark.parametrize("command", ["validate", "modular-class", "homotopy-check", "berezinian"])
+    def test_a_wide_range_does_the_work_of_its_support(self, command, monkeypatch):
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        narrow = parse_data(data)
+        data["complex"]["*"]["degrees"] = [0, 10**12]
+        wide = parse_data(data)
+        counts = {"split": 0, "product": 0}
+        split, product = complexes._split_degree, Matrix.__mul__
+
+        def counted_split(*args):
+            counts["split"] += 1
+            return split(*args)
+
+        def counted_product(*args):
+            counts["product"] += 1
+            return product(*args)
+
+        monkeypatch.setattr(complexes, "_split_degree", counted_split)
+        monkeypatch.setattr(Matrix, "__mul__", counted_product)
+        seen = []
+        for doc in (narrow, wide):
+            counts.update(split=0, product=0)
+            args = argparse.Namespace(input="z2_sign_odd.json", fmt="json", arrow="t")
+            report, code = cli.run(command, doc, args)
+            seen.append((dict(counts), code, report.to_json()))
+        assert seen[0] == seen[1]
+        assert seen[0][0]["split"] == 1 and seen[0][0]["product"] > 0
 
 
 def test_fixture_generator_reproduces_the_shipped_documents():
