@@ -6,12 +6,15 @@ C^{i+1}`` squaring to zero.  A fiber stores only its nonzero degrees,
 its *support*, and every per-degree computation below walks supports,
 never the declared interval: a zero-dimensional degree has empty
 blocks, adds a factor 1 to every Berezinian and nothing to any law, so
-the width of the interval costs nothing.  Checks of stored data (shapes,
-``==``, :meth:`ChainMap.is_identity`) look at every stored component and
-differential.  On top of that this module provides chain
-maps and chain homotopies (graded maps of degree 0 and -1, sharing one
-class but for their own operations), the boundary/harmonic/lift
-decomposition of each degree, and the Berezinian (graded determinant).
+the width of the interval costs nothing.  The constructors own the
+shape rule: the graded dimensions fix the shape of every differential
+and component, a misshapen one is a ValueError, and a zero or empty
+one is dropped, so fibers and maps store only nonzero entries on the
+support and no check after construction looks at shapes.  On top of
+that this module provides chain maps and chain homotopies (graded maps
+of degree 0 and -1, sharing one class but for their own operations),
+the boundary/harmonic/lift decomposition of each degree, and the
+Berezinian (graded determinant).
 The decomposition is a strong deformation retract onto the harmonic
 blocks, and the harmonic blocks (``pi_T t iota_S`` per degree, the map
 on cohomology) are the one view of a homotopy class: a chain map is
@@ -96,12 +99,14 @@ class ComplexFiber:
 
     ``dims`` maps a degree to the dimension of that coordinate space and
     ``differentials`` maps degree ``i`` to the matrix of ``d^i``, of
-    shape ``dims(i+1) x dims(i)``.  Outside ``[d_min, d_max]`` all
+    shape ``dim(i+1) x dim(i)``.  Outside ``[d_min, d_max]`` all
     dimensions are zero.  The stored ``dims`` is the support: the
     nonzero dimensions in increasing degree, fixed at construction.  A
     0 may be given for any degree and is dropped; a negative dimension,
-    or a nonzero one outside ``[d_min, d_max]``, is a ValueError.
-    Construction does not enforce ``d o d = 0``; use
+    or a nonzero one outside ``[d_min, d_max]``, is a ValueError.  So is
+    a differential of another shape, at any degree; a zero or empty one
+    is dropped, so ``differentials`` holds the nonzero ones, in degree
+    order.  Construction does not enforce ``d o d = 0``; use
     :func:`verify_complex` to check it.
     """
 
@@ -126,7 +131,7 @@ class ComplexFiber:
             if n and not d_min <= i <= d_max:
                 raise ValueError(f"dimension {n} of degree {i} is outside [{d_min}, {d_max}]")
         self.dims = {i: n for i, n in sorted(dims.items()) if n}
-        self.differentials = dict(differentials)
+        self.differentials = _nonzero_entries("differential", differentials, self, self, 1)
 
     def dim(self, i: int) -> int:
         return self.dims.get(i, 0)
@@ -153,10 +158,7 @@ class ComplexFiber:
             self.d_min == other.d_min
             and self.d_max == other.d_max
             and self.dims == other.dims
-            and all(
-                self.differential(i) == other.differential(i)
-                for i in self.differentials.keys() | other.differentials.keys()
-            )
+            and self.differentials == other.differentials
         )
 
     def __hash__(self):
@@ -166,12 +168,32 @@ class ComplexFiber:
         return f"ComplexFiber(degrees=[{self.d_min},{self.d_max}], dims={self.dims})"
 
 
+def _nonzero_entries(
+    what: str, matrices: Mapping[int, Matrix], rows: ComplexFiber, cols: ComplexFiber, shift: int
+) -> dict[int, Matrix]:
+    """The nonzero matrices of ``matrices``, in degree order, once each
+    entry ``i`` is checked to be ``rows.dim(i + shift) x cols.dim(i)``;
+    the first in degree order that is not is a ValueError naming the
+    degree and both shapes."""
+    stored = {}
+    for i, m in sorted(matrices.items()):
+        r, c = rows.dim(i + shift), cols.dim(i)
+        if m.rows != r or m.cols != c:
+            raise ValueError(f"{what} at degree {i} has shape {m.rows}x{m.cols}, expected {r}x{c}")
+        if not m.is_zero():
+            stored[i] = m
+    return stored
+
+
 class _GradedMap:
     """A family of matrices, component ``i`` from source degree ``i`` to
-    target degree ``i + shift``; a missing component is zero.
+    target degree ``i + shift``, of shape ``target.dim(i + shift) x
+    source.dim(i)``; a missing component is zero.
 
-    Two maps are equal when they have the same type and ends and equal
-    components in every degree where either stores one.
+    Construction refuses a component of another shape with a ValueError
+    and drops a zero or empty one, so ``components`` holds the nonzero
+    ones, in degree order.  Two maps are equal when they have the same
+    type, ends and stored components.
     """
 
     __slots__ = ("source", "target", "components")
@@ -185,7 +207,7 @@ class _GradedMap:
     ):
         self.source = source
         self.target = target
-        self.components = dict(components)
+        self.components = _nonzero_entries("component", components, target, source, self.shift)
 
     def component(self, i: int) -> Matrix:
         c = self.components.get(i)
@@ -209,10 +231,7 @@ class _GradedMap:
         return (
             self.source == other.source
             and self.target == other.target
-            and all(
-                self.component(i) == other.component(i)
-                for i in self.components.keys() | other.components.keys()
-            )
+            and self.components == other.components
         )
 
     def __repr__(self) -> str:
@@ -229,18 +248,12 @@ class ChainMap(_GradedMap):
         return cls(fiber, fiber, {i: Matrix.identity(n) for i, n in fiber.dims.items()})
 
     def compose(self, other: "ChainMap") -> "ChainMap":
-        """``self`` after ``other``."""
+        """``self`` after ``other``: a product in each degree where both store a component."""
         if other.target != self.source:
             raise ValueError("chain maps are not composable")
-        return ChainMap(
-            other.source,
-            self.target,
-            {
-                i: self.component(i) * other.component(i)
-                for i in self.degrees()
-                if self.target.dim(i) and other.source.dim(i)
-            },
-        )
+        theirs = other.components
+        comps = {i: m * theirs[i] for i, m in self.components.items() if i in theirs}
+        return ChainMap(other.source, self.target, comps)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         return self._combine(other, add)
@@ -252,7 +265,7 @@ class ChainMap(_GradedMap):
         # ``op`` (add or sub) wherever either map stores a component; elsewhere both are zero
         if self.source != other.source or self.target != other.target:
             raise ValueError("chain maps do not share source and target")
-        stored = sorted(self.components.keys() | other.components.keys())
+        stored = self.components.keys() | other.components.keys()
         comps = {i: op(self.component(i), other.component(i)) for i in stored}
         return ChainMap(self.source, self.target, comps)
 
@@ -263,8 +276,7 @@ class ChainMap(_GradedMap):
     def is_identity(self) -> bool:
         """Whether this is ``ChainMap.identity(self.source)``; no identity is built."""
         return self.target == self.source and all(
-            (m := self.component(i)).rows == self.source.dim(i) and m.is_identity()
-            for i in self.source.dims.keys() | self.components.keys()
+            self.component(i).is_identity() for i in self.source.dims
         )
 
     def is_invertible(self) -> bool:
@@ -301,44 +313,24 @@ class Homotopy(_GradedMap):
 
 
 def verify_complex(c: ComplexFiber) -> ValidationReport:
-    """Check the shape of every differential stored in ``[d_min, d_max]``, and
-    ``d^{i+1} o d^i = 0`` in every nonzero degree ``i`` (elsewhere it maps
-    a zero space)."""
+    """Check ``d^{i+1} o d^i = 0`` in every nonzero degree ``i`` (elsewhere
+    it maps a zero space); construction already fixed every shape."""
     report = ValidationReport()
-    for i in sorted(c.differentials):
-        d = c.differentials[i]
-        if c.d_min <= i <= c.d_max and (d.rows, d.cols) != (c.dim(i + 1), c.dim(i)):
-            report.add(
-                f"differential at degree {i} has shape {d.rows}x{d.cols},"
-                f" expected {c.dim(i + 1)}x{c.dim(i)}"
-            )
-    if report.ok:
-        for i in c.dims:
-            if not (c.differential(i + 1) * c.differential(i)).is_zero():
-                report.add(f"d o d is nonzero starting at degree {i}")
+    for i in c.dims:
+        if not (c.differential(i + 1) * c.differential(i)).is_zero():
+            report.add(f"d o d is nonzero starting at degree {i}")
     return report
 
 
-def _shape_problems(t: ChainMap) -> list[str]:
-    """Each stored component whose shape is not ``target.dim(i) x source.dim(i)``,
-    worded in degree order; a missing one is zero of the right shape."""
-    return [
-        f"component at degree {i} has shape {comp.rows}x{comp.cols},"
-        f" expected {t.target.dim(i)}x{t.source.dim(i)}"
-        for i in sorted(t.components)
-        if ((comp := t.components[i]).rows, comp.cols) != (t.target.dim(i), t.source.dim(i))
-    ]
-
-
 def verify_chain_map(t: ChainMap) -> ValidationReport:
-    """Check shapes and ``d o T = T o d`` in every degree (as :func:`_in_bases` does)."""
-    report = ValidationReport(_shape_problems(t))
-    if report.ok:
-        for i in t.degrees():
-            lhs = t.target.differential(i) * t.component(i)
-            rhs = t.component(i + 1) * t.source.differential(i)
-            if lhs != rhs:
-                report.add(f"does not commute with the differential at degree {i}")
+    """Check ``d o T = T o d`` in every degree (as :func:`_in_bases` does);
+    construction already fixed every shape."""
+    report = ValidationReport()
+    for i in t.degrees():
+        lhs = t.target.differential(i) * t.component(i)
+        rhs = t.component(i + 1) * t.source.differential(i)
+        if lhs != rhs:
+            report.add(f"does not commute with the differential at degree {i}")
     return report
 
 
@@ -412,14 +404,10 @@ def decompose(c: ComplexFiber) -> Decomposition:
     The choices are the canonical ones of the module docstring.  The
     quantities claimed not to depend on them are tested against
     decompositions made in relabelled coordinates.  Raises ValueError
-    exactly when ``c`` is no complex: the shape of a differential stored
-    at a degree from ``d_min - 1`` to ``d_max`` disagrees with ``dims``,
-    or ``d^i d^{i-1} != 0`` in some degree ``i``.  The fields hold the
+    exactly when ``c`` is no complex, ``d^i d^{i-1} != 0`` in some degree
+    ``i``; construction already fixed every shape.  The fields hold the
     nonzero degrees; a zero one is empty, with no block and determinant 1.
     """
-    for i, d in c.differentials.items():
-        if c.d_min - 1 <= i <= c.d_max and (d.rows, d.cols) != (c.dim(i + 1), c.dim(i)):
-            raise ValueError("ambient dimensions differ")
     reduced = {i: rref(c.differential(i)) for i in c.dims}
 
     basis: dict[int, Matrix] = {}
@@ -474,9 +462,6 @@ def _in_bases(
     exactly when ``M^i[L_T, B_S | H_S] = 0``, ``M^i[L_T, L_S] =
     M^{i+1}[B_T, B_S]`` and ``M^{i+1}[H_T | L_T, B_S] = 0``.
     """
-    shapes = _shape_problems(t)
-    if shapes:
-        return shapes[0], {}
     ms = {
         i: target_dec.basis_inv_at(i) * t.component(i) * source_dec.basis_at(i)
         for i in t.degrees()

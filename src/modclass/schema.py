@@ -252,6 +252,7 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
         if spec is None:
             col.add(f"complex section: object '{obj}' has no complex")
             continue
+        seen = len(col.problems)
         spec = col.mapping(spec, f"complex of '{obj}'")
         degrees = spec.get("degrees")
         if not (isinstance(degrees, list) and len(degrees) == 2) or not all(
@@ -261,7 +262,6 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
             continue
         d_min, d_max = degrees
         dims, named = {}, {}
-        seen = len(col.problems)
         raw_dims = col.mapping(spec.get("dims", {}), f"complex of '{obj}', dims")
         for key, value in raw_dims.items():
             # type, not isinstance: JSON true is a bool, and a bool is an int
@@ -297,8 +297,9 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
         )
         if d_min > d_max:
             col.add(f"complex of '{obj}': empty degree range")
-            continue
-        fibers[obj] = ComplexFiber(d_min, d_max, dims, diffs)
+        # the fiber of a spec with a problem would meet unchecked shapes
+        if len(col.problems) == seen:
+            fibers[obj] = ComplexFiber(d_min, d_max, dims, diffs)
     return fibers
 
 
@@ -465,17 +466,18 @@ def serialize(doc: InputDocument) -> dict:
                 "degrees": [fiber.d_min, fiber.d_max],
                 "dims": {str(i): n for i, n in fiber.dims.items()},
                 "differentials": {
-                    str(i): d.to_strings()
-                    for i, d in sorted(fiber.differentials.items())
-                    if not d.is_zero()
+                    str(i): d.to_strings() for i, d in fiber.differentials.items()
                 },
             }
             for obj, fiber in sorted(rep.complexes.items())
         }
+        # a component into a zero degree is 0xN, which JSON cannot spell
+        # ([] reads as 0x0), and it is zero
         data["rep"] = {
             a: {
                 str(i): rep(a).component(i).to_strings()
                 for i in rep(a).source.dims
+                if rep(a).target.dim(i)
             }
             for a in gpd.arrow_ids()
         }

@@ -78,22 +78,28 @@ def perturbed(rng: random.Random, t: ChainMap) -> ChainMap | None:
     return ChainMap(t.source, t.target, {**t.components, i: Matrix(rows, cols=len(rows[0]))})
 
 
-def misshapen(rng: random.Random, t: ChainMap) -> ChainMap:
-    """``t`` with one component in the span of its two ranges, empty ones
-    included, given one row too many."""
+def misshapen(rng: random.Random, t: ChainMap) -> int:
+    """Give ``t`` one component in the span of its two ranges, empty ones
+    included, with one row too many; check that construction refuses it,
+    naming the degree and both shapes, and return the degree."""
     src, tgt = t.source, t.target
     i = rng.choice(range(min(src.d_min, tgt.d_min), max(src.d_max, tgt.d_max) + 1))
     m = t.component(i)
-    return ChainMap(t.source, t.target, {**t.components, i: rand_matrix(rng, m.rows + 1, m.cols)})
+    bad = rand_matrix(rng, m.rows + 1, m.cols)
+    shapes = f"shape {bad.rows}x{bad.cols}, expected {m.rows}x{m.cols}"
+    with pytest.raises(ValueError, match=f"^component at degree {i} has {shapes}$"):
+        ChainMap(src, tgt, {**t.components, i: bad})
+    return i
 
 
 def map_cases(seed: int):
-    """Two random complexes, ranges and dimensions drawn apart, and maps between them."""
+    """Two random complexes, ranges and dimensions drawn apart, maps between
+    them, and the degree of a misshapen component construction refused."""
     rng = random.Random(seed)
     src, tgt = rand_complex(rng, -1, 3, 4), rand_complex(rng, -1, 3, 4)
     t = rand_chain_map(rng, src, tgt)
-    maps = [("chain map", t), ("perturbed", perturbed(rng, t)), ("misshapen", misshapen(rng, t))]
-    return src, tgt, [(kind, m) for kind, m in maps if m is not None]
+    maps = [("chain map", t), ("perturbed", perturbed(rng, t))]
+    return src, tgt, [(kind, m) for kind, m in maps if m is not None], misshapen(rng, t)
 
 
 def first_problem(t: ChainMap) -> str | None:
@@ -103,27 +109,31 @@ def first_problem(t: ChainMap) -> str | None:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_the_coordinate_verdict_is_verify_chain_maps(seed):
-    src, tgt, maps = map_cases(seed)
+    src, tgt, maps, _ = map_cases(seed)
     ends = decompose(src), decompose(tgt)
     for kind, t in maps:
         problem, ms = _in_bases(t, *ends)
         assert problem == first_problem(t), kind
-        if kind != "misshapen":
-            # chain map or not, the blocks read off M are pi_T t iota_S
-            assert _harmonic_part(ms, *ends) == harmonic_blocks(t, *ends), kind
+        # chain map or not, the blocks read off M are pi_T t iota_S
+        assert _harmonic_part(ms, *ends) == harmonic_blocks(t, *ends), kind
 
 
 def test_the_map_cases_reach_every_verdict():
     # the agreement above is only as strong as the failures it sees
     seen, offsets = set(), set()
     for seed in SEEDS:
-        src, tgt, maps = map_cases(seed)
+        src, tgt, maps, i = map_cases(seed)
         for kind, t in maps:
             problem = first_problem(t)
             seen.add((kind, problem is None))
             if kind == "perturbed" and problem is not None:
                 offsets.add(int(problem.split()[-1]) - max(src.d_min, tgt.d_min))
-    assert seen == {("chain map", True), ("perturbed", False), ("perturbed", True), ("misshapen", False)}
+        # refused where the component is empty and where it is not
+        seen.add(("misshapen", bool(src.dim(i) and tgt.dim(i))))
+    assert seen == {
+        ("chain map", True), ("perturbed", False), ("perturbed", True),
+        ("misshapen", False), ("misshapen", True),
+    }
     # the first failing degree is not always the lowest shared one
     assert len(offsets) >= 3
 
@@ -283,7 +293,8 @@ def padded(c: ComplexFiber, below: int, above: int) -> ComplexFiber:
 
 def ruth_cases(seed: int):
     """Two-object representations whose fibers differ in range, as built
-    and with one arrow perturbed, misshapen, or one fiber made no complex."""
+    and with one arrow perturbed or one fiber made no complex; one arrow
+    given a misshapen component is refused by construction."""
     rng = random.Random(seed)
     fx = pair2_fixture()
     gpd = fx.gpd
@@ -299,7 +310,7 @@ def ruth_cases(seed: int):
     changed = perturbed(rng, action[a])
     if changed is not None:
         yield "perturbed", RepUpToWeakHomotopy(gpd, fibers, {**action, a: changed})
-    yield "misshapen", RepUpToWeakHomotopy(gpd, fibers, {**action, a: misshapen(rng, action[a])})
+    misshapen(rng, action[a])
     c = fibers[y]
     broken = ComplexFiber(c.d_min, c.d_max, c.dims, {
         i: rand_matrix(rng, c.dim(i + 1), c.dim(i)) for i in c.degrees()
@@ -323,8 +334,9 @@ def test_the_ruth_cases_reach_every_verdict():
         for kind, rep in ruth_cases(seed):
             problems = verify_ruth(rep).problems
             seen.add((kind, problems[0].split(":")[0].split("'")[0] if problems else "ok"))
-    assert {("built", "ok"), ("perturbed", "action of arrow "), ("misshapen", "action of arrow "),
-            ("no complex", "complex of ")} <= seen
+    assert {
+        ("built", "ok"), ("perturbed", "action of arrow "), ("no complex", "complex of "),
+    } <= seen
 
 
 def component_cases(seed: int) -> RepUpToWeakHomotopy:
@@ -379,14 +391,13 @@ def test_a_fiber_failing_in_several_degrees_is_worded_in_full():
 
 def test_a_differential_outside_the_range_is_refused():
     # d^-1 maps a zero space, so it has no columns; a matrix there would
-    # make a boundary out of nothing.  verify_complex checks only the
-    # range, so the refusal is worded by decompose
-    c = ComplexFiber(0, 0, {0: 1}, {-1: Matrix([[1]])})
-    assert verify_complex(c).ok
+    # make a boundary out of nothing, and construction refuses it
+    with pytest.raises(ValueError, match="^differential at degree -1 has shape 1x1, expected 1x0$"):
+        ComplexFiber(0, 0, {0: 1}, {-1: Matrix([[1]])})
+    c = ComplexFiber(0, 0, {0: 1}, {-1: Matrix.zeros(1, 0)})
+    assert c.differentials == {} and c == ComplexFiber(0, 0, {0: 1}, {})
     rep = RepUpToWeakHomotopy(pair_groupoid(["x"]), {"x": c}, {"e:x>x": ChainMap.identity(c)})
-    report = verify_ruth(rep)
-    assert report.complex_checks["x"].problems == ["ambient dimensions differ"]
-    assert report.problems == ["complex of 'x' is invalid: ambient dimensions differ"]
+    assert verify_ruth(rep).ok
 
 
 def big_entries(rng: random.Random, rows: int, cols: int) -> Matrix:
@@ -452,6 +463,7 @@ def test_is_identity_is_equality_with_the_identity(n):
         assert m.is_identity() == (m == Matrix.identity(m.rows))
     c = ComplexFiber(0, 1, {0: n, 1: 1}, {})
     twisted = ChainMap(c, c, {0: Matrix.identity(n), 1: Matrix([[2]])})
-    too_big = ChainMap(c, c, {0: Matrix.identity(n + 1), 1: Matrix.identity(1)})
-    for t in (ChainMap.identity(c), twisted, too_big, ChainMap.zero(c, c)):
+    for t in (ChainMap.identity(c), twisted, ChainMap.zero(c, c)):
         assert t.is_identity() == (t == ChainMap.identity(c))
+    with pytest.raises(ValueError, match=f"^component at degree 0 has shape {n + 1}x{n + 1}, "):
+        ChainMap(c, c, {0: Matrix.identity(n + 1), 1: Matrix.identity(1)})

@@ -63,8 +63,10 @@ class TestVerifyComplex:
         assert verify_complex(ComplexFiber(0, 2, {0: 2, 1: 3, 2: 1}, {})).ok
 
     def test_shape_mismatch_reported(self):
-        c = ComplexFiber(0, 1, {0: 2, 1: 1}, {0: Matrix([[1]])})
-        assert not verify_complex(c).ok
+        # construction checks the shape, so verify_complex never meets it
+        error = "^differential at degree 0 has shape 1x1, expected 1x2$"
+        with pytest.raises(ValueError, match=error):
+            ComplexFiber(0, 1, {0: 2, 1: 1}, {0: Matrix([[1]])})
 
 
 class TestVerifyChainMap:
@@ -176,10 +178,11 @@ class TestDecompose:
         assert per_call == [2, 0, 1, 1]
 
     def test_refuses_a_differential_whose_width_is_not_the_dimension(self):
-        # the split sizes each basis by the differentials; they must agree with dims
-        c = ComplexFiber(0, 0, {0: 2}, {-1: Matrix.zeros(3, 0), 0: Matrix.zeros(0, 3)})
-        with pytest.raises(ValueError, match="ambient dimensions differ"):
-            decompose(c)
+        # the split sizes each basis by the differentials; construction
+        # makes them agree with dims before decompose sees them
+        error = "^differential at degree -1 has shape 3x0, expected 2x0$"
+        with pytest.raises(ValueError, match=error):
+            ComplexFiber(0, 0, {0: 2}, {-1: Matrix.zeros(3, 0), 0: Matrix.zeros(0, 3)})
 
     def test_bases_build_no_identity_for_a_degree_they_hold(self, monkeypatch):
         c = two_one()
@@ -485,23 +488,85 @@ def test_complex_fiber_stores_its_nonzero_degrees():
 
 def test_stored_data_at_a_zero_degree_is_still_checked():
     # degree 0 of c is zero, so a component there must be 0x0 and
-    # d^0 must be 0x1; shape checks, == and is_identity see what is stored
+    # d^0 must be 0x1; construction refuses anything else, and drops the
+    # empty entry it accepts
     c = ComplexFiber(0, 1, {1: 1}, {})
-    t = ChainMap(c, c, {0: Matrix([[1]]), 1: Matrix([[1]])})
-    problem = "component at degree 0 has shape 1x1, expected 0x0"
-    assert verify_chain_map(t).problems == [problem]
-    for entry in (berezinian_class, invertible_replacement, is_homotopy_equivalence):
-        with pytest.raises(ValueError, match=f"^not a chain map: {problem}$"):
-            entry(t)
-    assert null_homotopy(t) is None
-    assert not t.is_identity() and t != ChainMap.identity(c)
+    with pytest.raises(ValueError, match="^component at degree 0 has shape 1x1, expected 0x0$"):
+        ChainMap(c, c, {0: Matrix([[1]]), 1: Matrix([[1]])})
     empty_there = ChainMap(c, c, {0: Matrix.zeros(0, 0), 1: Matrix([[1]])})
     assert empty_there.is_identity() and empty_there == ChainMap.identity(c)
-    bad = ComplexFiber(0, 2, {0: 1, 2: 1}, {0: Matrix([[1]])})
-    assert verify_complex(bad).problems == ["differential at degree 0 has shape 1x1, expected 0x1"]
-    with pytest.raises(ValueError, match="ambient dimensions differ"):
-        decompose(bad)
-    assert bad != ComplexFiber(0, 2, {0: 1, 2: 1}, {})
+    assert list(empty_there.components) == [1]
+    with pytest.raises(ValueError, match="^differential at degree 0 has shape 1x1, expected 0x1$"):
+        ComplexFiber(0, 2, {0: 1, 2: 1}, {0: Matrix([[1]])})
+    assert ComplexFiber(0, 2, {0: 1, 2: 1}, {0: Matrix.zeros(0, 1)}).differentials == {}
+
+
+def gap() -> ComplexFiber:
+    return ComplexFiber(0, 1, {1: 1}, {})
+
+
+def one_two() -> ComplexFiber:
+    return ComplexFiber(0, 1, {0: 1, 1: 2}, {})
+
+
+@pytest.mark.parametrize(
+    ("build", "error"),
+    [
+        # a differential past the range once passed every check
+        (lambda: ComplexFiber(0, 0, {0: 1}, {5: Matrix([[1]])}),
+         "differential at degree 5 has shape 1x1, expected 0x0"),
+        (lambda: ComplexFiber(0, 0, {0: 1}, {-1: Matrix([[1]])}),
+         "differential at degree -1 has shape 1x1, expected 1x0"),
+        (lambda: ChainMap(gap(), gap(), {0: Matrix([[1]])}),
+         "component at degree 0 has shape 1x1, expected 0x0"),
+        # component 1 of a homotopy goes to target degree 0: 1x2, not 2x2
+        (lambda: Homotopy(one_two(), one_two(), {1: Matrix.identity(2)}),
+         "component at degree 1 has shape 2x2, expected 1x2"),
+    ],
+    ids=["differential-past-the-range", "differential-below-the-range",
+         "component-at-a-zero-degree", "homotopy-component"],
+)
+def test_construction_refuses_a_misshapen_entry(build, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        build()
+
+
+def with_zeros(rng: random.Random, entries: dict, shape, lo: int, hi: int) -> dict:
+    """``entries`` with zero or empty matrices of shape ``shape(i)`` given
+    at random degrees from ``lo`` to ``hi`` where none is."""
+    padded = dict(entries)
+    for i in range(lo, hi + 1):
+        if i not in padded and rng.random() < 0.6:
+            padded[i] = Matrix.zeros(*shape(i))
+        elif i in padded and rng.random() < 0.2:
+            padded[i] = padded[i].scale(0)
+    return dict(rng.sample(sorted(padded.items()), len(padded)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_zero_and_empty_entries_are_not_stored(seed):
+    # fibers and maps given zero or empty entries, in any order and past
+    # the range, store what the same ones built from the nonzero entries store
+    rng = random.Random(seed)
+    src, tgt = rand_complex(rng, -2, 2), rand_complex(rng, -1, 3)
+    lo, hi = min(src.d_min, tgt.d_min) - 2, max(src.d_max, tgt.d_max) + 2
+    for c in (src, tgt):
+        given = with_zeros(rng, c.differentials, lambda i: (c.dim(i + 1), c.dim(i)), lo, hi)
+        nonzero = {i: m for i, m in given.items() if not m.is_zero()}
+        built, bare = (ComplexFiber(c.d_min, c.d_max, c.dims, d) for d in (given, nonzero))
+        assert built.differentials == bare.differentials == nonzero
+        assert list(built.differentials) == sorted(nonzero)
+        assert built == bare and hash(built) == hash(bare)
+    maps = (ChainMap, rand_chain_map(rng, src, tgt)), (Homotopy, rand_homotopy(rng, src, tgt))
+    for kind, t in maps:
+        given = with_zeros(rng, t.components, lambda i: (tgt.dim(i + kind.shift), src.dim(i)), lo, hi)
+        nonzero = {i: m for i, m in given.items() if not m.is_zero()}
+        built, bare = kind(src, tgt, given), kind(src, tgt, nonzero)
+        assert built.components == bare.components == nonzero
+        assert list(built.components) == sorted(nonzero)
+        assert built == bare
+        if kind is ChainMap:
+            assert hash(built) == hash(bare)
 
 
 def test_non_chain_maps_are_refused_as_such():

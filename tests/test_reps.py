@@ -344,7 +344,7 @@ class TestVerifyRuth:
         report = verify_ruth(rep)
         assert (E, TAU) in report.certificates and (TAU, TAU) not in report.certificates
         homotopy = are_homotopic(rep(E).compose(rep(TAU)), rep(TAU))
-        assert homotopy.boundary_conjugate().components[0].is_zero()
+        assert homotopy.boundary_conjugate().component(0).is_zero()
         assert are_homotopic(rep(TAU).compose(rep(TAU)), rep(E)) is None
 
     def test_invalid_complex_is_reported_not_raised(self):

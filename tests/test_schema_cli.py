@@ -134,6 +134,46 @@ class TestRoundTrip:
         assert written["rep"] == data["rep"]
         assert parse_data(json.loads(json.dumps(written))) == doc
 
+    def test_a_component_into_a_zero_degree_round_trips(self):
+        # x -> y maps a line into a zero space: its component at degree 0
+        # is 0x1, which was once written as [] and read back as 0x0
+        gpd = modclass.pair_groupoid(["x", "y"])
+        fibers = {"x": ComplexFiber(0, 0, {0: 1}, {}), "y": ComplexFiber(0, 0, {}, {})}
+        action = {
+            a: complexes.ChainMap.zero(fibers[gpd.src(a)], fibers[gpd.tgt(a)])
+            for a in gpd.arrow_ids()
+        }
+        action["e:x>x"] = complexes.ChainMap.identity(fibers["x"])
+        doc = InputDocument(gpd, RepUpToWeakHomotopy(gpd, fibers, action), None, None)
+        written = serialize(doc)
+        assert written["rep"] == {"e:x>x": {"0": [["1"]]}, "e:x>y": {}, "e:y>x": {}, "e:y>y": {}}
+        assert parse_data(json.loads(json.dumps(written))) == doc
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_documents_built_with_zero_entries_round_trip(self, seed):
+        # random library-built representations whose fibers and maps were
+        # also given zero and empty entries, some past the range
+        rng = random.Random(seed)
+        fx = standard_fixtures()[seed % 4]
+        gpd, built = fx.gpd, rand_ruth(rng, fx)
+        if seed % 2:
+            a = rng.choice([b for b in gpd.arrow_ids() if b not in gpd.identity.values()])
+            built.action[a] = rand_chain_map(rng, built(a).source, built(a).target)
+        fibers = {}
+        for x, c in built.complexes.items():
+            diffs = zero_entries(rng, c.d_min - 2, c.d_max + 2, lambda i: (c.dim(i + 1), c.dim(i)))
+            fibers[x] = ComplexFiber(c.d_min, c.d_max, c.dims, {**diffs, **c.differentials})
+        action = {}
+        for a, t in built.action.items():
+            src, tgt = fibers[gpd.src(a)], fibers[gpd.tgt(a)]
+            lo, hi = min(src.d_min, tgt.d_min) - 2, max(src.d_max, tgt.d_max) + 2
+            comps = zero_entries(rng, lo, hi, lambda i: (tgt.dim(i), src.dim(i)))
+            action[a] = complexes.ChainMap(src, tgt, {**comps, **t.components})
+        sigma = rand_trivialization(rng, gpd) if seed % 3 == 0 else None
+        doc = InputDocument(gpd, RepUpToWeakHomotopy(gpd, fibers, action), sigma, None)
+        assert fibers == built.complexes and action == built.action
+        assert parse_data(json.loads(json.dumps(serialize(doc)))) == doc
+
 
 class TestShippedSchema:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -364,6 +404,26 @@ class TestExitCodes:
         assert cli.main(["validate", str(path)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: groupoid: object '{x}' is listed more than once"]
+
+    def test_a_fiber_with_rejected_dims_is_not_built(self, tmp_path, capsys):
+        # the differential's shape is not checked against dims missing a
+        # rejected entry, so no fiber may be built from them
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        data["complex"]["*"] = {
+            "degrees": [0, 2], "dims": {"1": -1, "2": 1}, "differentials": {"1": [["1"], ["2"]]},
+        }
+        with pytest.raises(SchemaError) as refused:
+            parse_data(data)
+        assert refused.value.problems == [
+            "complex of '*': dimension '1' must be a non-negative integer"
+        ]
+        path = tmp_path / "rejected.json"
+        path.write_text(json.dumps(data))
+        for fmt in ("text", "json"):
+            assert cli.main(["validate", str(path), "--format", fmt]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines()
+            assert all(line.startswith("error:") for line in err.splitlines())
 
     def test_each_repeated_object_is_named_once_in_list_order(self):
         data = json.loads((FIXTURES / "acyclic_two_term.json").read_text())
@@ -874,9 +934,23 @@ class TestWorkCounts:
         assert len(taken) == len(groupoid["arrows"]) + len(groupoid["objects"]) - 1
 
 
+def zero_entries(rng: random.Random, lo: int, hi: int, shape) -> dict[int, Matrix]:
+    """Zero or empty matrices of shape ``shape(i)`` at random degrees from
+    ``lo`` to ``hi``, none of shape 0xN with N > 0, which JSON spells as
+    the 0x0 ``[]``."""
+    entries = {}
+    for i in range(lo, hi + 1):
+        rows, cols = shape(i)
+        if (rows or not cols) and rng.random() < 0.5:
+            entries[i] = Matrix.zeros(rows, cols)
+    return entries
+
+
 def padded_ranges(data: dict, rng: random.Random, widths) -> tuple[dict, dict]:
     """A copy of ``data`` with each object's range widened below and above by
-    widths drawn from ``widths``, and the degrees each object gained."""
+    widths drawn from ``widths``, zero differentials and components spelled
+    out at some degrees where none is given, and the degrees each object
+    gained."""
     padded, gained = json.loads(json.dumps(data)), {}
     for obj, spec in padded["complex"].items():
         lo, hi = spec["degrees"]
@@ -885,6 +959,21 @@ def padded_ranges(data: dict, rng: random.Random, widths) -> tuple[dict, dict]:
         if rng.random() < 0.5:  # a 0 given for a degree is as good as none
             spec["dims"][str(hi + above)] = 0
         gained[obj] = [*range(lo - below, lo), *range(hi + 1, hi + above + 1)]
+    # spell out zeros over the old range and one degree past it each way
+    spans = {obj: spec["degrees"] for obj, spec in data["complex"].items()}
+
+    def dim(obj: str, i: int) -> int:
+        return padded["complex"][obj]["dims"].get(str(i), 0)
+
+    for obj, (lo, hi) in spans.items():
+        given = padded["complex"][obj].setdefault("differentials", {})
+        for i, m in zero_entries(rng, lo - 1, hi + 1, lambda i: (dim(obj, i + 1), dim(obj, i))).items():
+            given.setdefault(str(i), m.to_strings())
+    for a in padded["groupoid"]["arrows"]:
+        x, y = a["src"], a["tgt"]
+        lo, hi = min(spans[x][0], spans[y][0]), max(spans[x][1], spans[y][1])
+        for i, m in zero_entries(rng, lo - 1, hi + 1, lambda i: (dim(y, i), dim(x, i))).items():
+            padded["rep"][a["id"]].setdefault(str(i), m.to_strings())
     return padded, gained
 
 
@@ -896,7 +985,8 @@ class TestEmptyDegrees:
         # random homotopy documents over the four standard groupoids, odd
         # seeds with one action swapped for a random chain map, with a
         # cocycle and on some seeds a trivialization; each range is widened
-        # by up to 10^6 empty degrees, up to 50 for `replace`
+        # by up to 10^6 empty degrees, up to 50 for `replace`, and zero
+        # differentials and components are spelled out
         rng = random.Random(seed)
         fx = standard_fixtures()[seed % 4]
         gpd, rep = fx.gpd, rand_ruth(rng, fx)
