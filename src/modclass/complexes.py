@@ -654,13 +654,20 @@ def invertible_replacement(f: ChainMap) -> ChainMap:
     return ChainMap(f.source, f.target, comps)
 
 
-def _scale_ratio(sigma_source: Fraction | int, sigma_target: Fraction | int) -> Fraction:
+def _scale_parts(sigma_source: Fraction | int, sigma_target: Fraction | int) -> tuple[int, int]:
+    """Integers ``(p, q)``, ``q`` nonzero, with ``p / q = sigma_source / sigma_target``."""
     if isinstance(sigma_source, float) or isinstance(sigma_target, float):
         raise TypeError("trivialization scales must be exact rationals")
-    sigma_source, sigma_target = Fraction(sigma_source), Fraction(sigma_target)
-    if sigma_source == 0 or sigma_target == 0:
+    if not isinstance(sigma_source, (int, Fraction)):
+        sigma_source = Fraction(sigma_source)
+    if not isinstance(sigma_target, (int, Fraction)):
+        sigma_target = Fraction(sigma_target)
+    if not sigma_source or not sigma_target:
         raise ValueError("trivialization scales must be nonzero")
-    return sigma_source / sigma_target
+    return (
+        sigma_source.numerator * sigma_target.denominator,
+        sigma_source.denominator * sigma_target.numerator,
+    )
 
 
 def berezinian(
@@ -676,7 +683,7 @@ def berezinian(
     normalizations of the two graded determinant lines.  The empty
     complex has Berezinian 1.
     """
-    ratio = _scale_ratio(sigma_source, sigma_target)
+    ratio = Fraction(*_scale_parts(sigma_source, sigma_target))
     value = Fraction(1)
     for i in t.degrees():
         if t.source.dim(i) != t.target.dim(i):
@@ -720,11 +727,11 @@ def _class_berezinian(
     are multiplied out, and one ``Fraction`` is made at the end.
     """
     num, den = _alternating(_harmonic_dets(blocks))
-    ratio = _scale_ratio(sigma_source, sigma_target)
+    p, q = _scale_parts(sigma_source, sigma_target)
     tau_s, tau_t = source_dec.tau, target_dec.tau
     return Fraction(
-        num * ratio.numerator * tau_t.numerator * tau_s.denominator,
-        den * ratio.denominator * tau_t.denominator * tau_s.numerator,
+        num * p * tau_t.numerator * tau_s.denominator,
+        den * q * tau_t.denominator * tau_s.numerator,
     )
 
 

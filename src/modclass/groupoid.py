@@ -37,6 +37,8 @@ from typing import Iterable, Mapping, Sequence
 from .complexes import ValidationReport
 from .linalg import Matrix, det
 
+_ONE = Fraction(1)  # one shared 1: a Fraction is immutable
+
 
 class FiniteGroupoid:
     """Objects, arrows, and the unit/inverse/composition tables.
@@ -127,10 +129,11 @@ class Cochain:
     def __post_init__(self):
         coerced = {}
         for key, value in self.values.items():
-            if isinstance(value, float):
-                raise TypeError("cochain values must be exact rationals")
-            value = Fraction(value)
-            if value == 0:
+            if not isinstance(value, Fraction):
+                if isinstance(value, float):
+                    raise TypeError("cochain values must be exact rationals")
+                value = Fraction(value)
+            if not value:
                 raise ValueError(f"cochain value at {key!r} is zero")
             coerced[key] = value
         object.__setattr__(self, "values", coerced)
@@ -340,10 +343,16 @@ def is_cocycle_1(gpd: FiniteGroupoid, phi: Cochain) -> bool:
 
     Decided through the isotropy model (``_is_functorial``); a table
     without one, or a cochain it rejects, is scanned pair by pair.
+    Raises ValueError naming the first arrow, in arrow order, where
+    ``phi`` has no value.
     """
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    return not _failing_pairs(gpd, lambda a: phi((a,)))
+    values = phi.values
+    missing = next((a for a in gpd.arrow_ids() if (a,) not in values), None)
+    if missing is not None:
+        raise ValueError(f"cochain has no value on arrow '{missing}'")
+    return not _failing_pairs(gpd, lambda a: values[(a,)])
 
 
 def _components(gpd: FiniteGroupoid) -> list[list[str]]:
@@ -617,7 +626,13 @@ def coboundary_solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
 
 
 def _solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
-    """:func:`coboundary_solve_1` for a phi already known to be a cocycle."""
+    """:func:`coboundary_solve_1` for a phi already known to be a cocycle.
+
+    Only the potential is multiplied in ``Fraction``s, once per tree arrow.
+    Each arrow's defect is compared with 1 on integer numerators and
+    denominators, and a ``Fraction`` is made only for an obstruction's.
+    """
+    values = phi.values
     # Arrows between distinct objects, listed at both ends in arrow order;
     # loops never extend the forest.
     incident: dict[str, list[tuple[str, str, str]]] = {x: [] for x in gpd.objects}
@@ -629,22 +644,25 @@ def _solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
     f: dict[str, Fraction] = {}
     for component in _components(gpd):
         root = component[0]
-        f[root] = Fraction(1)
+        f[root] = _ONE
         frontier = deque([root])
         while frontier:
             u = frontier.popleft()
             for a, s, t in incident[u]:
                 if t == u and s not in f:
-                    f[s] = phi((a,)) * f[u]
+                    f[s] = values[(a,)] * f[u]
                     frontier.append(s)
                 elif s == u and t not in f:
-                    f[t] = f[u] / phi((a,))
+                    f[t] = f[u] / values[(a,)]
                     frontier.append(t)
+    parts = {x: (v.numerator, v.denominator) for x, v in f.items()}
     obstructions = []
-    for a in gpd.arrow_ids():
-        defect = phi((a,)) * f[gpd.tgt(a)] / f[gpd.src(a)]
-        if defect != 1:
-            obstructions.append((a, defect))
+    for a, s, t in gpd.arrows:
+        # the defect phi(a) f(t) / f(s), as p / q
+        v, (t_num, t_den), (s_num, s_den) = values[(a,)], parts[t], parts[s]
+        p, q = v.numerator * t_num * s_den, v.denominator * t_den * s_num
+        if p != q:
+            obstructions.append((a, Fraction(p, q)))
     if obstructions:
         return ClassReport(phi, False, None, obstructions)
     return ClassReport(phi, True, Cochain(0, f), [])

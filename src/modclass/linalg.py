@@ -77,7 +77,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as "p" or "p/q" with positive denominator."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def _exact(x) -> Fraction:

@@ -39,6 +39,7 @@ from .complexes import (
     verify_complex,
 )
 from .groupoid import (
+    _ONE,
     ClassReport,
     Cochain,
     FiniteGroupoid,
@@ -99,7 +100,7 @@ class Trivialization:
                 raise ValueError(f"trivialization scale at '{obj}' is zero")
 
     def __call__(self, obj: str) -> Fraction:
-        return self.scales.get(obj, Fraction(1))
+        return self.scales.get(obj, _ONE)
 
     @classmethod
     def ones(cls) -> "Trivialization":
@@ -200,17 +201,24 @@ def characteristic_function(
     """The cocycle measuring how the action moves the chosen sections.
 
     With sections scaled by ``sigma``, the arrow ``g`` contributes
-    ``action(g) * sigma(src g) / sigma(tgt g)``.
+    ``action(g) * sigma(src g) / sigma(tgt g)``.  An arrow with no scale
+    at either end keeps its action value; any other is multiplied out on
+    integer numerators and denominators into one ``Fraction``.
     """
-    sigma = sigma or Trivialization.ones()
-    gpd = r.groupoid
-    return Cochain(
-        1,
-        {
-            (a,): r(a) * sigma(gpd.src(a)) / sigma(gpd.tgt(a))
-            for a in gpd.arrow_ids()
-        },
-    )
+    scales = sigma.scales if sigma is not None else {}
+    values = {}
+    for a, s, t in r.groupoid.arrows:
+        value = r(a)
+        if s in scales or t in scales:
+            if isinstance(value, float):
+                raise TypeError("cochain values must be exact rationals")
+            above, below = scales.get(s, _ONE), scales.get(t, _ONE)
+            value = Fraction(
+                value.numerator * above.numerator * below.denominator,
+                value.denominator * above.denominator * below.numerator,
+            )
+        values[(a,)] = value
+    return Cochain(1, values)
 
 
 def tensor(r1: LineRep, r2: LineRep) -> LineRep:
@@ -308,7 +316,7 @@ class RuthReport(ValidationReport):
         action = {}
         for a, blocks in self.blocks.items():
             if a in self.identities:
-                action[a] = Fraction(1)
+                action[a] = _ONE
                 continue
             x, y = gpd.src(a), gpd.tgt(a)
             action[a] = _class_berezinian(blocks, decs[x], decs[y], sigma(x), sigma(y))

@@ -110,9 +110,11 @@ class _Collector:
 
         ``label`` names an entry and ``bad_key`` a key that is no plain
         integer (:func:`_degree`);
-        a ``shape(i)`` of None, or no ``degrees``, skips that check.  Each
-        rejected key adds one problem; so does a key naming a degree an
-        earlier key named (``"1"`` and ``"01"``).
+        a ``shape(i)`` of None, or no ``degrees``, skips that check.  Where
+        ``shape(i)`` has no rows, ``[]`` reads as that shape: JSON has no
+        other spelling of a 0xN matrix.  Each rejected key adds one
+        problem; so does a key naming a degree an earlier key named (``"1"``
+        and ``"01"``).
         """
         matrices, named = {}, {}
         for key, rows in raw.items():
@@ -125,11 +127,14 @@ class _Collector:
             m = self.matrix(rows, f"{where}, {label} {i}")
             expected = shape(i)
             if expected is not None and (m.rows, m.cols) != expected:
-                self.add(
-                    f"{where}, {label} {i}: shape {m.rows}x{m.cols},"
-                    f" expected {expected[0]}x{expected[1]}"
-                )
-                continue
+                if rows == [] and expected[0] == 0:
+                    m = Matrix.zeros(0, expected[1])
+                else:
+                    self.add(
+                        f"{where}, {label} {i}: shape {m.rows}x{m.cols},"
+                        f" expected {expected[0]}x{expected[1]}"
+                    )
+                    continue
             if degrees is not None and i not in degrees:
                 self.add(
                     f"{where}: {label} {key!r} is outside degrees"
@@ -471,8 +476,8 @@ def serialize(doc: InputDocument) -> dict:
             }
             for obj, fiber in sorted(rep.complexes.items())
         }
-        # a component into a zero degree is 0xN, which JSON cannot spell
-        # ([] reads as 0x0), and it is zero
+        # a component into a zero degree is 0xN and zero: it is left out,
+        # as the parser reads a missing degree (or a [] there) as that zero
         data["rep"] = {
             a: {
                 str(i): rep(a).component(i).to_strings()

@@ -19,8 +19,11 @@ table, and the schema stores a lawful compose entry on a shortcut; the
 references look each entry's arrows up afresh and type-check every
 entry first.  ``verify_ruth`` skips the work on a
 unit that acts by the identity; a unit twisted by a homotopy, so not
-the identity, must take the reference's path.  Outputs must agree
-exactly, order included.
+the identity, must take the reference's path.  The degree-1 class path
+(the characteristic cocycle, the Berezinian action and the coboundary
+solve) multiplies integer numerators and denominators; the references
+multiply ``Fraction``s arrow by arrow.  Outputs must agree exactly, order
+included.
 """
 
 import json
@@ -33,6 +36,7 @@ import pytest
 
 from modclass import (
     ChainMap,
+    ClassReport,
     Cochain,
     ComplexFiber,
     FiniteGroupoid,
@@ -41,11 +45,15 @@ from modclass import (
     LineRep,
     Matrix,
     RepUpToWeakHomotopy,
+    Trivialization,
     VectorRep,
     action_groupoid,
+    characteristic_function,
     coboundary_solve_1,
     composable_tuples,
     connected_groupoid,
+    cyclic_groupoid,
+    decide_modular_class,
     decompose,
     det,
     disjoint_union,
@@ -58,6 +66,7 @@ from modclass import (
     verify_vector_rep,
 )
 from modclass import groupoid as groupoid_module, linalg as linalg_module, schema as schema_module
+from modclass.cli import _class_fields
 from modclass.groupoid import _is_functorial, _isotropy_model
 from oracle import (
     decompose_by_inverse,
@@ -70,6 +79,7 @@ from oracle import (
     pair_scan_line_rep,
     pair_scan_ruth,
     pair_scan_vector_rep,
+    per_arrow_ber_rep,
     rref as gauss_jordan_rref,
     scan_coboundary_solve_1,
     scan_composable_pairs,
@@ -88,6 +98,7 @@ from randgen import (
     rand_potential,
     rand_rational,
     rand_ruth,
+    standard_fixtures,
 )
 
 SEEDS = range(200)
@@ -955,3 +966,180 @@ def test_vector_check_costs_arrows_not_pairs(monkeypatch):
     n, g, arrows = len(gpd.objects), len(group.elements), len(gpd.arrows)
     assert (arrows, len(gpd.composable_pairs())) == (150, 4500)
     assert 0 < len(products) <= arrows + g * g + n * g
+
+
+# ---------------------------------------------------------------------------
+# The degree-1 class path on integer numerators and denominators
+
+
+def nonzero_big_rational(rng: random.Random) -> Fraction:
+    """A nonzero rational of either sign, its parts up to 200 bits."""
+    value = big_rational(rng)
+    return value or Fraction(-(2**70) - 1, 3)
+
+
+def element_sign(arrow: str) -> int:
+    """The sign character on an arrow's group part: ``r1`` in Z/2, odd permutations in S3."""
+    element = arrow.split(":")[0].split(".")[-1]
+    if element.startswith("s"):
+        digits = element[1:]
+        inversions = sum(digits[i] > digits[j] for i in range(3) for j in range(i + 1, 3))
+        return -1 if inversions % 2 else 1
+    return -1 if element == "r1" else 1
+
+
+def partial_sigma(rng: random.Random, gpd: FiniteGroupoid) -> Trivialization:
+    """Scales at a random subset of the objects: now and then none, or all."""
+    share = rng.choice((0.0, 0.5, 1.0))
+    return Trivialization({x: nonzero_big_rational(rng) for x in gpd.objects if rng.random() < share})
+
+
+def class_path_case(seed: int) -> tuple[LineRep, Trivialization | None]:
+    """A line representation over one to three components, and maybe a trivialization.
+
+    Each component is the pair groupoid on one to four objects times Z/1,
+    Z/2 or S3.  On about half of them the action is the sign character,
+    which makes the class nontrivial when the group has odd elements; it
+    is twisted everywhere by the coboundary of a potential of large
+    rationals of either sign.
+    """
+    rng = random.Random(seed)
+    # Z/2 twice as often as the others; S3 on at most two objects keeps the scan small
+    groups = (GroupTable.cyclic(1), GroupTable.cyclic(2), GroupTable.cyclic(2), GroupTable.symmetric_3())
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        group = rng.choice(groups)
+        n = rng.randint(1, 2 if len(group.elements) == 6 else 4)
+        pieces.append(connected_groupoid([f"o{i}" for i in range(n)], group))
+    gpd = disjoint_union(*pieces)
+    signed = {i for i in range(len(pieces)) if rng.random() < 0.5}
+    f = {x: nonzero_big_rational(rng) for x in gpd.objects}
+    action = {
+        a: (element_sign(a) if int(a[1 : a.index(".")]) in signed else 1) * f[s] / f[t]
+        for a, s, t in gpd.arrows
+    }
+    sigma = partial_sigma(rng, gpd) if seed % 4 else None
+    return LineRep(gpd, action), sigma
+
+
+def scaled_by_fractions(r: LineRep, sigma: Trivialization | None) -> Cochain:
+    """``r(a) * sigma(src a) / sigma(tgt a)`` on every arrow, one Fraction product at a time."""
+    sigma = sigma or Trivialization.ones()
+    gpd = r.groupoid
+    return Cochain(1, {(a,): r(a) * sigma(gpd.src(a)) / sigma(gpd.tgt(a)) for a in gpd.arrow_ids()})
+
+
+def scanned_class(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
+    """The class of ``phi`` as the all-arrow scan decides it."""
+    potential, obstructions = scan_coboundary_solve_1(gpd, phi)
+    if obstructions:
+        return ClassReport(phi, False, None, obstructions)
+    return ClassReport(phi, True, Cochain(0, potential), [])
+
+
+def assert_same_class(report: ClassReport, reference: ClassReport) -> None:
+    assert list(report.cocycle.values.items()) == list(reference.cocycle.values.items())
+    assert report.is_coboundary == reference.is_coboundary
+    assert report.obstructions == reference.obstructions
+    if reference.witness is not None:
+        assert list(report.witness.values.items()) == list(reference.witness.values.items())
+    assert _class_fields(report) == _class_fields(reference)
+    values = [*report.cocycle.values.values(), *(v for _, v in report.obstructions)]
+    if report.witness is not None:
+        values += report.witness.values.values()
+    assert all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_characteristic_function_matches_the_fraction_products(seed):
+    r, sigma = class_path_case(seed)
+    phi = characteristic_function(r, sigma)
+    reference = scaled_by_fractions(r, sigma)
+    assert list(phi.values.items()) == list(reference.values.items())
+    assert all(type(v) is Fraction for v in phi.values.values())
+    # integer actions are read as the same rationals
+    if all(v.denominator == 1 for v in r.action.values()):
+        ints = LineRep(r.groupoid, {a: int(v) for a, v in r.action.items()})
+        assert list(characteristic_function(ints, sigma).values.items()) == list(phi.values.items())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_class_decision_matches_the_fraction_scan(seed):
+    r, sigma = class_path_case(seed)
+    gpd = r.groupoid
+    reference = scanned_class(gpd, scaled_by_fractions(r, sigma))
+    assert_same_class(coboundary_solve_1(gpd, reference.cocycle), reference)
+    check = verify_line_rep(r)
+    assert check.ok
+    line, report = decide_modular_class(r, check, sigma)
+    assert line is r
+    assert_same_class(report, reference)
+
+
+def test_class_path_cases_reach_both_classes_partial_scales_and_large_parts():
+    cases = [class_path_case(seed) for seed in SEEDS]
+    verdicts = {coboundary_solve_1(r.groupoid, characteristic_function(r, s)).is_coboundary for r, s in cases}
+    assert verdicts == {True, False}
+    assert any(s is None for _, s in cases)
+    assert any(0 < len(s.scales) < len(r.groupoid.objects) for r, s in cases if s is not None)
+    assert any(len({a[: a.index(".")] for a in r.action}) > 1 for r, _ in cases)
+    assert any(abs(v.numerator) > 2**64 and v < 0 for r, _ in cases for v in r.action.values())
+
+
+def union_fixture() -> GroupoidFixture:
+    """Z/2 beside the pair groupoid on two objects: three objects, two components."""
+    gpd = disjoint_union(cyclic_groupoid(2), connected_groupoid(["x", "y"], GroupTable.cyclic(1)))
+    sign = {a: Fraction(element_sign(a)) for a in gpd.arrow_ids()}
+    return GroupoidFixture("Z2+PAIR2", gpd, [{a: Fraction(1) for a in sign}, sign])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_berezinian_rep_matches_the_per_arrow_fraction_product(seed):
+    rng = random.Random(seed)
+    fx = union_fixture() if seed % 3 == 0 else standard_fixtures()[seed % 4]
+    rep = rand_ruth(rng, fx)
+    gpd = rep.groupoid
+    sigma = partial_sigma(rng, gpd) if seed % 5 else None
+    check = verify_ruth(rep)
+    assert check.ok
+    line, report = decide_modular_class(rep, check, sigma)
+    reference = per_arrow_ber_rep(rep, sigma)
+    assert list(line.action.items()) == list(reference.action.items())
+    assert all(type(v) is Fraction for v in line.action.values())
+    assert_same_class(report, scanned_class(gpd, characteristic_function(reference)))
+
+
+def test_a_float_action_is_still_refused():
+    gpd = cyclic_groupoid(2)
+    r = LineRep(gpd, {"e:*>*": Fraction(1), "r1:*>*": 0.5})
+    for sigma in (None, Trivialization(), Trivialization({"*": Fraction(-3, 7)})):
+        with pytest.raises(TypeError, match="exact rationals"):
+            characteristic_function(r, sigma)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_class_decision_multiplies_fractions_only_along_the_tree(signed, monkeypatch):
+    group = GroupTable.symmetric_3()
+    gpd = connected_groupoid([f"o{i}" for i in range(5)], group)
+    rng = random.Random(5)
+    f = {x: nonzero_big_rational(rng) for x in gpd.objects}
+    r = LineRep(gpd, {a: (element_sign(a) if signed else 1) * f[s] / f[t] for a, s, t in gpd.arrows})
+    sigma = Trivialization({x: nonzero_big_rational(rng) for x in gpd.objects[1:]})
+    check = verify_line_rep(r)
+    assert check.ok
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        original = getattr(Fraction, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    _, report = decide_modular_class(r, check, sigma)
+    monkeypatch.undo()
+    components = 1
+    assert len(gpd.arrows) == 150
+    assert report.is_coboundary is not signed
+    # one product or quotient per tree arrow, for the potential
+    assert 0 < len(calls) <= len(gpd.objects) - components

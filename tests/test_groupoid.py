@@ -139,6 +139,36 @@ def test_cochain_constant_rejects_floats():
         Cochain.constant(1, [(E,)], 0.1)
 
 
+def test_a_cochain_without_a_value_on_an_arrow_is_named():
+    partial = Cochain(1, {(E,): 1})
+    whole = Cochain.constant(1, [(E,), (TAU,)])
+    calls = [
+        lambda: coboundary_solve_1(Z2, partial),
+        lambda: is_cocycle_1(Z2, partial),
+        lambda: class_equal(Z2, partial, whole),
+        lambda: class_equal(Z2, whole, partial),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^cochain has no value on arrow 'r1:\*>\*'$") as exc:
+            call()
+        assert type(exc.value) is ValueError
+    # the first arrow without a value, in arrow order
+    gpd = connected_groupoid(["x", "y"], GroupTable.cyclic(2))
+    given = {(a,): 1 for a in gpd.arrow_ids()[::3]}
+    with pytest.raises(ValueError, match=r"no value on arrow 'r1:x>x'$"):
+        is_cocycle_1(gpd, Cochain(1, given))
+
+
+def test_cochain_values_are_fractions_and_keep_the_checks():
+    phi = Cochain(1, {(E,): 1, (TAU,): Fraction(-2, 4)})
+    assert [type(v) for v in phi.values.values()] == [Fraction, Fraction]
+    assert phi.values == {(E,): 1, (TAU,): Fraction(-1, 2)}
+    with pytest.raises(ValueError, match="is zero"):
+        Cochain(1, {(E,): Fraction(0)})
+    with pytest.raises(TypeError, match="exact rationals"):
+        Cochain(1, {(E,): 0.5})
+
+
 class TestCoboundary:
     def test_constant_potential(self):
         assert delta0(PAIR2, {"x": 5, "y": 5}).is_one()

@@ -936,14 +936,55 @@ class TestWorkCounts:
 
 def zero_entries(rng: random.Random, lo: int, hi: int, shape) -> dict[int, Matrix]:
     """Zero or empty matrices of shape ``shape(i)`` at random degrees from
-    ``lo`` to ``hi``, none of shape 0xN with N > 0, which JSON spells as
-    the 0x0 ``[]``."""
+    ``lo`` to ``hi``; one of shape 0xN is spelled ``[]`` in JSON."""
     entries = {}
     for i in range(lo, hi + 1):
-        rows, cols = shape(i)
-        if (rows or not cols) and rng.random() < 0.5:
-            entries[i] = Matrix.zeros(rows, cols)
+        if rng.random() < 0.5:
+            entries[i] = Matrix.zeros(*shape(i))
     return entries
+
+
+def _z2_sign_odd_to_degree_2(data: dict) -> None:
+    # degree 2 has dimension 0, so the differential out of degree 1 is 0x1
+    data["complex"]["*"]["degrees"] = [1, 2]
+
+
+def _acyclic_two_term_y_in_degree_0(data: dict) -> None:
+    # y keeps degree 0 alone, so g: x -> y is 0x1 in degree 1
+    data["complex"]["y"].update(dims={"0": 1}, differentials={})
+    for arrow in ("1y", "g", "ginv"):
+        data["rep"][arrow].pop("1")
+
+
+@pytest.mark.parametrize(
+    ("name", "reshape", "spell"),
+    [
+        ("z2_sign_odd", _z2_sign_odd_to_degree_2, lambda d: d["complex"]["*"]["differentials"].update({"1": []})),
+        ("acyclic_two_term", _acyclic_two_term_y_in_degree_0, lambda d: d["rep"]["g"].update({"1": []})),
+    ],
+    ids=["differential", "component"],
+)
+def test_an_empty_list_reads_as_the_zero_entry_with_no_rows(name, reshape, spell, tmp_path, capsys):
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    reshape(data)
+    spelled = json.loads(json.dumps(data))
+    spell(spelled)
+    assert parse_data(spelled) == parse_data(data)
+    path = tmp_path / "doc.json"
+
+    def outcome(doc: dict, command: str, fmt: str):
+        path.write_text(json.dumps(doc))
+        code = cli.main([command, str(path), "--format", fmt])
+        out, err = capsys.readouterr()
+        return code, out, [line for line in err.splitlines() if line.startswith("error:")]
+
+    codes = set()
+    for command in ("validate", "cohomology", "modular-class", "homotopy-check"):
+        for fmt in ("text", "json"):
+            result = outcome(spelled, command, fmt)
+            assert result == outcome(data, command, fmt)
+            codes.add((command, result[0]))
+    assert ("validate", 0 if name == "z2_sign_odd" else 1) in codes
 
 
 def padded_ranges(data: dict, rng: random.Random, widths) -> tuple[dict, dict]:
