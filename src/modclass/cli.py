@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .complexes import ValidationReport, berezinian_class, invertible_replacement
 from .groupoid import ClassReport, NotACocycle, coboundary_solve_1, validate as validate_groupoid
@@ -45,7 +46,10 @@ class ReportDocument:
     def to_json(self) -> str:
         payload = {"command": self.command, "input": self.input, "ok": self.ok}
         payload.update(self.fields)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        out: list[str] = []
+        _write_json(payload, "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}", f"input: {self.input}"]
@@ -53,6 +57,44 @@ class ReportDocument:
             lines.extend(_text_lines(key, value))
         lines.append(f"status: {'ok' if self.ok else 'failed'}")
         return "\n".join(lines) + "\n"
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True, indent=2)``
+    writes it, nested below ``newline`` (a newline and its indent).
+
+    With ``indent`` set, ``json.dumps`` runs json's pure-Python encoder;
+    this writer does its work in fewer calls.  Strings go through the
+    function ``json.dumps`` itself uses, other scalars through
+    ``json.dumps``, and a tuple is written as a list.  Keys must be
+    strings: a report has no other.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(f"{separator}{_quote(key)}: ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _text_lines(key, value, indent: str = "") -> list[str]:

@@ -32,6 +32,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
+from operator import eq
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import ValidationReport
@@ -486,6 +488,15 @@ def _mul(u, v):
     return u * v
 
 
+def _mul_parts(u, v):
+    # Scalars as (numerator, denominator): the product, not reduced.
+    return u[0] * v[0], u[1] * v[1]
+
+
+def _equal_parts(u, v) -> bool:
+    return u[0] * v[1] == v[0] * u[1]
+
+
 def _invertible(v) -> bool:
     if isinstance(v, tuple):
         return all(map(_invertible, v))
@@ -549,9 +560,10 @@ def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
 
     Costs one product per arrow and per distinct ``(y, k(a))`` off the
     bases, and ``(|G_b| - 1)^2`` per base: over one object, the products
-    of the non-unit loops alone.  False (no model, a failed check, a
-    missing value or mismatched shapes) decides nothing: the caller then
-    scans the pairs.
+    of the non-unit loops alone.  Rational scalars are multiplied and
+    compared as integer numerators and denominators, so no ``Fraction``
+    is made.  False (no model, a failed check, a missing value or
+    mismatched shapes) decides nothing: the caller then scans the pairs.
     """
     model = _model_of(gpd)
     if model is None:
@@ -559,6 +571,8 @@ def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
     tree, k, isotropy = model
     compose = gpd.composition
     try:
+        values = {a: phi(a) for a in gpd._arrow_ids}
+        phi = values.__getitem__
         at = {}  # phi(t_x) off the bases
         for x, a in tree.items():
             value = phi(a)
@@ -570,14 +584,20 @@ def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
                 return False
             else:
                 at[x] = value
+        mul, equal = _mul, eq
+        if all(isinstance(v, Rational) for v in values.values()):
+            # scalars as (numerator, denominator), compared by cross-multiplication
+            parts = {a: (v.numerator, v.denominator) for a, v in values.items()}
+            phi, mul, equal = parts.__getitem__, _mul_parts, _equal_parts
+            at = {x: parts[tree[x]] for x in at}
         moved: dict[tuple[str, str], object] = {}  # phi(t_y) phi(k) by (y, k)
         for a, s, t in gpd.arrows:
             key = (t, k[a])
             if key not in moved:
                 value = phi(k[a])
-                moved[key] = _mul(at[t], value) if t in at else value
+                moved[key] = mul(at[t], value) if t in at else value
             value = phi(a)
-            if (_mul(value, at[s]) if s in at else value) != moved[key]:
+            if not equal(mul(value, at[s]) if s in at else value, moved[key]):
                 return False
         for b, loops in isotropy.items():
             e = tree[b]
@@ -586,7 +606,7 @@ def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
                     if p == e or q == e:
                         if compose[p, q] != (q if p == e else p):
                             return False
-                    elif _mul(phi(p), phi(q)) != phi(compose[p, q]):
+                    elif not equal(mul(phi(p), phi(q)), phi(compose[p, q])):
                         return False
     except (KeyError, ValueError):
         return False

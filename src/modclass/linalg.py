@@ -16,8 +16,9 @@ zero or empty matrix is over 1 and equal matrices store equal tuples.
 The public constructor coerces each entry once (a `float` or a `str` is
 a TypeError) and clears them all over the `lcm` of their denominators
 (`_cleared`); the string reader `Matrix._parse` takes "p/q" strings
-straight to those integer rows.  Every other operation stays in integers
-and makes `Fraction`s only where entries leave the matrix
+straight to those integer rows, with one check of a matrix's joined
+text when every entry is well formed.  Every other operation stays in
+integers and makes `Fraction`s only where entries leave the matrix
 (`__getitem__`, `row`, `column`, `to_lists`, `repr`); `to_strings`
 writes the rows straight back to "p/q" strings, and `block_equals`
 compares blocks as stored.  A product multiplies the stored integer rows
@@ -43,6 +44,8 @@ from operator import add, mul, sub
 
 # the published ``rational`` pattern: ASCII digits only, nothing around them
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# the only characters of a matrix that `_plain_parts` reads in bulk
+_PLAIN_TEXT = re.compile(r"[0-9+/-]*")
 
 
 def _rational_parts(text) -> tuple[int, int]:
@@ -64,6 +67,58 @@ def _rational_parts(text) -> tuple[int, int]:
     if q == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")
     return int(num), q
+
+
+def _plain_parts(rows) -> tuple[list, list]:
+    """``(num, dens)`` for the rational strings ``rows``: the numerators
+    and the denominators, row by row (no rows of denominators when no
+    entry has a "/").  ValueError or TypeError unless every entry is
+    well formed.
+
+    One check of the joined text: only ``[0-9+/-]``, so ``int`` meets no
+    space, ``_`` or non-ASCII digit; ``int`` then refuses a misplaced
+    sign, and a denominator must be digits and nonzero.  The integers
+    equal :func:`_rational_parts`'s of each entry.
+    """
+    text = "".join(map("".join, rows))  # TypeError on an entry that is no string
+    if not _PLAIN_TEXT.fullmatch(text):
+        raise ValueError("not plain")
+    if "/" not in text:
+        return [list(map(int, row)) for row in rows], []
+    num, dens = [], []
+    for row in rows:
+        ps, qs = [], []
+        for x in row:
+            p, slash, q = x.partition("/")
+            ps.append(int(p))
+            if not slash:
+                qs.append(1)
+            elif q.isdigit() and (q := int(q)):
+                qs.append(q)
+            else:
+                raise ValueError("bad denominator")
+        num.append(ps)
+        dens.append(qs)
+    return num, dens
+
+
+def _entry_parts(rows) -> tuple[list[list[int]], list[list[int]], list[str]]:
+    """:func:`_plain_parts` entry by entry, with the message of each bad
+    entry in entry order; a bad entry reads as 1."""
+    num, dens, problems = [], [], []
+    for row in rows:
+        ps, qs = [], []
+        for x in row:
+            try:
+                p, q = _rational_parts(x)
+            except ValueError as exc:
+                problems.append(str(exc))
+                p, q = 1, 1
+            ps.append(p)
+            qs.append(q)
+        num.append(ps)
+        dens.append(qs)
+    return num, dens, problems
 
 
 def parse_rational(text: str) -> Fraction:
@@ -148,21 +203,16 @@ class Matrix:
         The entries go straight to integers over the ``lcm`` of their
         denominators, so the result equals ``Matrix`` of the entries read
         one by one with :func:`parse_rational`: both are in lowest terms.
+        A matrix of well-formed entries is read in bulk (:func:`_plain_parts`);
+        any other is read entry by entry, which words each problem.
         """
-        num, dens, problems = [], [], []
+        try:
+            num, dens = _plain_parts(rows)
+            problems = []
+        except (TypeError, ValueError):
+            num, dens, problems = _entry_parts(rows)
         d = 1
-        for row in rows:
-            ps, qs = [], []
-            for x in row:
-                try:
-                    p, q = _rational_parts(x)
-                except ValueError as exc:
-                    problems.append(str(exc))
-                    p, q = 1, 1
-                ps.append(p)
-                qs.append(q)
-            num.append(ps)
-            dens.append(qs)
+        for qs in dens:
             d = lcm(d, *qs)  # per row: one lcm over a generator of every entry raised peak RSS
         if d != 1:
             num = [[p * (d // q) for p, q in zip(ps, qs)] for ps, qs in zip(num, dens)]

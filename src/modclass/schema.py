@@ -53,8 +53,14 @@ _DEGREE_KEY = re.compile(r"[+-]?[0-9]+")
 
 
 def _degree(key) -> int | None:
-    """The degree a key names, or None when it is no plain integer string."""
-    return int(key) if isinstance(key, str) and _DEGREE_KEY.fullmatch(key) else None
+    """The degree a key names, or None when it is no plain integer string
+    or is longer than Python's digit limit for ``int``."""
+    if isinstance(key, str) and _DEGREE_KEY.fullmatch(key):
+        try:
+            return int(key)
+        except ValueError:
+            return None
+    return None
 
 
 def _strings(values) -> bool:

@@ -1143,3 +1143,28 @@ def test_class_decision_multiplies_fractions_only_along_the_tree(signed, monkeyp
     assert report.is_coboundary is not signed
     # one product or quotient per tree arrow, for the potential
     assert 0 < len(calls) <= len(gpd.objects) - components
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_lawful_scalar_checks_multiply_no_fraction(signed, monkeypatch):
+    # a cochain or line action is certified on integer numerators and denominators
+    group = GroupTable.symmetric_3()
+    gpd = connected_groupoid([f"o{i}" for i in range(5)], group)
+    rng = random.Random(7)
+    f = {x: nonzero_big_rational(rng) for x in gpd.objects}
+    action = {a: (element_sign(a) if signed else 1) * f[s] / f[t] for a, s, t in gpd.arrows}
+    r, phi = LineRep(gpd, action), Cochain(1, {(a,): v for a, v in action.items()})
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        original = getattr(Fraction, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    lawful = verify_line_rep(r).ok, is_cocycle_1(gpd, phi)
+    monkeypatch.undo()
+    assert len(gpd.arrows) == 150
+    assert lawful == (True, True)
+    assert calls == []

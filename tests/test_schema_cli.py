@@ -507,6 +507,25 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: a result has more than {sys.get_int_max_str_digits()} digits\n"
 
+    @pytest.mark.parametrize("section", ["dims", "differentials", "rep"])
+    def test_a_degree_key_past_the_digit_limit_is_one_error(self, section, tmp_path, capsys):
+        # int() refuses the key, so it names no degree
+        key = "1" * (sys.get_int_max_str_digits() + 1)
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        if section == "rep":
+            data["rep"]["t"][key] = [["1"]]
+            error = f"rep of arrow 't': bad degree {key!r}"
+        else:
+            data["complex"]["*"][section][key] = 1 if section == "dims" else []
+            kind = "dimension entry" if section == "dims" else "differential degree"
+            error = f"complex of '*': bad {kind} {key!r}"
+        path = tmp_path / "big_key.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {error}\n"
+
     @pytest.mark.parametrize("command", ["validate", "modular-class"])
     def test_failed_groupoid_skips_the_rep_checks(self, command, tmp_path):
         data = json.loads((FIXTURES / "pair2.json").read_text())
