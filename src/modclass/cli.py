@@ -32,6 +32,10 @@ from .reps import (
 )
 from .schema import InputDocument, SchemaError, parse
 
+# ``replace`` writes one component per degree of the arrow's source range,
+# zero degrees included; a wider range is refused (exit 2) before any work.
+REPLACE_MAX_DEGREES = 10_000
+
 
 @dataclass
 class ReportDocument:
@@ -236,6 +240,12 @@ def _cmd_berezinian(doc: InputDocument, args, report: ReportDocument) -> int:
 
 def _cmd_replace(doc: InputDocument, args, report: ReportDocument) -> int:
     t = _arrow_chain_map(doc, args.arrow)
+    lo, hi = t.source.d_min, t.source.d_max
+    if hi - lo >= REPLACE_MAX_DEGREES:
+        raise SchemaError([
+            f"arrow '{args.arrow}' has source degrees {lo} to {hi}; replace writes"
+            f" one component per degree, at most {REPLACE_MAX_DEGREES}"
+        ])
     try:
         g = invertible_replacement(t)
     except ValueError as exc:

@@ -237,18 +237,21 @@ def validate(gpd: FiniteGroupoid) -> ValidationReport:
         if not report.ok:
             return report
 
+    compose, unit, inverse = gpd.composition, gpd.identity, gpd.inverse
+    src, tgt = gpd._src, gpd._tgt
     for a in ids:
-        if gpd.compose(gpd.unit(gpd.tgt(a)), a) != a:
+        s, t = src[a], tgt[a]
+        if compose[unit[t], a] != a:
             report.add(f"left unit law fails for arrow '{a}'")
-        if gpd.compose(a, gpd.unit(gpd.src(a))) != a:
+        if compose[a, unit[s]] != a:
             report.add(f"right unit law fails for arrow '{a}'")
-        b = gpd.inv(a)
-        if gpd.src(b) != gpd.tgt(a) or gpd.tgt(b) != gpd.src(a):
+        b = inverse[a]
+        if src[b] != t or tgt[b] != s:
             report.add(f"inverse of '{a}' has wrong endpoints")
         else:
-            if gpd.compose(a, b) != gpd.unit(gpd.tgt(a)):
+            if compose[a, b] != unit[t]:
                 report.add(f"inverse law fails: '{a}' * '{b}' is not a unit")
-            if gpd.compose(b, a) != gpd.unit(gpd.src(a)):
+            if compose[b, a] != unit[s]:
                 report.add(f"inverse law fails: '{b}' * '{a}' is not a unit")
 
     if not _is_associative(gpd, model):
@@ -497,12 +500,34 @@ def _equal_parts(u, v) -> bool:
     return u[0] * v[1] == v[0] * u[1]
 
 
-def _invertible(v) -> bool:
+def _product_equals_parts(u, v, w) -> bool:
+    # Scalars as (numerator, denominator): u v == w by cross-multiplication.
+    return u[0] * v[0] * w[1] == w[0] * u[1] * v[1]
+
+
+def _product_equals(u, v, w) -> bool:
+    # u v == w with no product built: a Matrix's by linalg, a tuple's degree by degree.
+    if isinstance(u, tuple):
+        return len(u) == len(v) == len(w) and all(map(_product_equals, u, v, w))
+    if isinstance(u, Matrix):
+        return u.product_equals(v, w)
+    return u * v == w
+
+
+def _determinant(v):
+    # A square Matrix's determinant and 0 for any other, a scalar itself,
+    # entry by entry for a tuple: invertible exactly when nonzero throughout.
     if isinstance(v, tuple):
-        return all(map(_invertible, v))
+        return tuple(map(_determinant, v))
     if isinstance(v, Matrix):
-        return v.is_square and det(v) != 0
-    return v != 0
+        return det(v) if v.is_square else 0
+    return v
+
+
+def _nonzero(d) -> bool:
+    if isinstance(d, tuple):
+        return all(map(_nonzero, d))
+    return d != 0
 
 
 def _is_unit(v) -> bool:
@@ -521,7 +546,7 @@ def _shape(v):
     return (v.rows, v.cols) if isinstance(v, Matrix) else None
 
 
-def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
+def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
     """True only if ``phi(g) phi(h) == phi(gh)`` on every composable pair.
 
     ``phi`` maps an arrow to a value with ``*`` and ``==``: a Fraction,
@@ -558,18 +583,23 @@ def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
     is ``phi(k(gh))``; and ``gh: x -> z``, so (A) for ``gh`` makes the
     whole ``phi(gh)``.
 
-    Costs one product per arrow and per distinct ``(y, k(a))`` off the
-    bases, and ``(|G_b| - 1)^2`` per base: over one object, the products
-    of the non-unit loops alone.  Rational scalars are multiplied and
-    compared as integer numerators and denominators, so no ``Fraction``
-    is made.  False (no model, a failed check, a missing value or
-    mismatched shapes) decides nothing: the caller then scans the pairs.
+    Costs one determinant per tree arrow off the bases, one product per
+    distinct ``(y, k(a))`` off the bases, one comparison per arrow, and
+    ``(|G_b| - 1)^2`` products per base: over one object, the products of
+    the non-unit loops alone.  (A) builds no product: a matrix's is
+    compared with ``Matrix.product_equals``.  Rational scalars are
+    multiplied and compared as integer numerators and denominators, so no
+    ``Fraction`` is made.  (T) leaves the determinant of each tree arrow
+    off the bases in ``dets``, by arrow, when it is given.  False (no
+    model, a failed check, a missing value or mismatched shapes) decides
+    nothing: the caller then scans the pairs.
     """
     model = _model_of(gpd)
     if model is None:
         return False
     tree, k, isotropy = model
     compose = gpd.composition
+    dets = {} if dets is None else dets
     try:
         values = {a: phi(a) for a in gpd._arrow_ids}
         phi = values.__getitem__
@@ -580,15 +610,17 @@ def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
                 shape = _shape(value)
                 if not _is_unit(value) or any(_shape(phi(p)) != shape for p in isotropy[x]):
                     return False
-            elif not _invertible(value):
+                continue
+            d = dets[a] = _determinant(value)
+            if not _nonzero(d):
                 return False
-            else:
-                at[x] = value
-        mul, equal = _mul, eq
+            at[x] = value
+        mul, equal, product_equals = _mul, eq, _product_equals
         if all(isinstance(v, Rational) for v in values.values()):
             # scalars as (numerator, denominator), compared by cross-multiplication
             parts = {a: (v.numerator, v.denominator) for a, v in values.items()}
             phi, mul, equal = parts.__getitem__, _mul_parts, _equal_parts
+            product_equals = _product_equals_parts
             at = {x: parts[tree[x]] for x in at}
         moved: dict[tuple[str, str], object] = {}  # phi(t_y) phi(k) by (y, k)
         for a, s, t in gpd.arrows:
@@ -596,8 +628,8 @@ def _is_functorial(gpd: FiniteGroupoid, phi) -> bool:
             if key not in moved:
                 value = phi(k[a])
                 moved[key] = mul(at[t], value) if t in at else value
-            value = phi(a)
-            if not equal(mul(value, at[s]) if s in at else value, moved[key]):
+            value, target = phi(a), moved[key]
+            if not (product_equals(value, at[s], target) if s in at else equal(value, target)):
                 return False
         for b, loops in isotropy.items():
             e = tree[b]
@@ -622,6 +654,12 @@ def _failing_pairs(gpd: FiniteGroupoid, phi) -> list[tuple[str, str]]:
     """
     if _is_functorial(gpd, phi):
         return []
+    return _scan_pairs(gpd, phi)
+
+
+def _scan_pairs(gpd: FiniteGroupoid, phi) -> list[tuple[str, str]]:
+    """:func:`_failing_pairs` with every pair multiplied out: for a caller
+    that has already asked :func:`_is_functorial`."""
     return [
         (g, h)
         for g, h in gpd.composable_pairs()

@@ -23,7 +23,9 @@ integers and makes `Fraction`s only where entries leave the matrix
 writes the rows straight back to "p/q" strings, and `block_equals`
 compares blocks as stored.  A product multiplies the stored integer rows
 over the product of the two denominators, so each entry is an integer
-dot product and the result is normalised with one `gcd`, and every
+dot product and the result is normalised with one `gcd`;
+`product_equals` compares those dot products with a given matrix by
+cross-multiplication, without normalising or building one.  Every
 elimination here is the one fraction-free `_eliminate` of those integer
 rows.  A rational string is ASCII digits after at most one sign, with at
 most one "/": the published pattern.
@@ -327,6 +329,29 @@ class Matrix:
             num = [[sum(map(mul, a, b)) for b in right] for a in self._num]
             return Matrix._lowest(num, self._den * other._den, other.cols)
         return self.scale(other)
+
+    def product_equals(self, other: "Matrix", target: "Matrix") -> bool:
+        """Whether ``self * other == target``; the product is not built.
+
+        Each integer dot product of the stored rows is cross-multiplied
+        with ``target``'s entry over the two denominators, so no row is
+        normalised and no ``Matrix`` is made.
+        """
+        if self.cols != other.rows:
+            raise ValueError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        if (target.rows, target.cols) != (self.rows, other.cols):
+            return False
+        if not self.cols:  # the product is zero
+            return target.is_zero()
+        d, e = self._den * other._den, target._den
+        right = list(zip(*other._num))
+        return all(
+            sum(map(mul, a, b)) * e == y * d
+            for a, row in zip(self._num, target._num)
+            for b, y in zip(right, row)
+        )
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -44,6 +44,9 @@ from .groupoid import (
     Cochain,
     FiniteGroupoid,
     _failing_pairs,
+    _is_functorial,
+    _model_of,
+    _scan_pairs,
     _solve_1,
     class_equal,
 )
@@ -153,7 +156,8 @@ class VectorReport(ValidationReport):
     """Validation outcome for a vector representation.
 
     ``dets`` holds the determinant of each square action, in arrow
-    order, taken once for the singularity check.  Once the report
+    order: read off the isotropy model when functoriality is certified,
+    else taken arrow by arrow for the singularity check.  Once the report
     passes (over a lawful groupoid) every action is square, invertible
     and in ``dets``: they are the action of :func:`det_representation`.
     """
@@ -166,33 +170,78 @@ class VectorReport(ValidationReport):
 def verify_vector_rep(r: VectorRep) -> VectorReport:
     """Shapes, invertibility, unitality, and functoriality.
 
-    Functoriality is decided as in :func:`verify_line_rep`.
+    Functoriality is decided as in :func:`verify_line_rep`.  When every
+    action is square and of its ends' shape, and the isotropy model
+    certifies it, the determinants are read off the model
+    (:func:`_model_dets`); a zero among them, or any other input, takes
+    the arrow-by-arrow check, which alone words shape and singularity
+    problems.  The unit check runs on both paths: the certificate does
+    not prove that units act by the identity.
     """
     report = VectorReport()
     gpd = r.groupoid
-    for a in gpd.arrow_ids():
-        m = r.action.get(a)
-        if m is None:
-            report.add(f"arrow '{a}' has no action")
-            continue
-        expected = (r.dims[gpd.tgt(a)], r.dims[gpd.src(a)])
-        if (m.rows, m.cols) != expected:
-            report.add(
-                f"action of arrow '{a}' has shape {m.rows}x{m.cols},"
-                f" expected {expected[0]}x{expected[1]}"
-            )
-        elif m.is_square:
-            d = report.dets[a] = det(m)
-            if d == 0:
-                report.add(f"action of arrow '{a}' is singular")
-    if not report.ok:
-        return report
+    action, dims, tree_dets = r.action, r.dims, {}
+    certified = all(
+        (m := action.get(a)) is not None and m.rows == m.cols == dims[t] == dims[s]
+        for a, s, t in gpd.arrows
+    ) and _is_functorial(gpd, r, tree_dets)
+    dets = _model_dets(r, tree_dets) if certified else None
+    if dets is not None:
+        report.dets = dets
+    else:
+        for a in gpd.arrow_ids():
+            m = action.get(a)
+            if m is None:
+                report.add(f"arrow '{a}' has no action")
+                continue
+            expected = (dims[gpd.tgt(a)], dims[gpd.src(a)])
+            if (m.rows, m.cols) != expected:
+                report.add(
+                    f"action of arrow '{a}' has shape {m.rows}x{m.cols},"
+                    f" expected {expected[0]}x{expected[1]}"
+                )
+            elif m.is_square:
+                d = report.dets[a] = det(m)
+                if d == 0:
+                    report.add(f"action of arrow '{a}' is singular")
+        if not report.ok:
+            return report
     for x in gpd.objects:
         if not r(gpd.unit(x)).is_identity():
             report.add(f"unit of object '{x}' does not act by the identity")
-    for g, h in _failing_pairs(gpd, r):
+    # the model has refused the actions or was not asked: scan every pair
+    for g, h in [] if certified else _scan_pairs(gpd, r):
         report.add(f"functoriality fails on ('{g}', '{h}')")
     return report
+
+
+def _model_dets(r: VectorRep, tree_dets: Mapping[str, Fraction]) -> dict[str, Fraction] | None:
+    """Every arrow's determinant, in arrow order, from the loops' and the tree's.
+
+    ``r`` is square throughout and certified by :func:`_is_functorial`,
+    which left the determinant of each tree arrow ``t_x`` off the bases
+    in ``tree_dets``.  Its check (A), ``phi(a) phi(t_x) = phi(t_y)
+    phi(k(a))`` for ``a: x -> y``, gives ``det phi(a) = det phi(t_y) det
+    phi(k(a)) / det phi(t_x)``, ``t_b`` being the unit at a base ``b``.
+    So ``det`` runs on the isotropy loops alone, and each arrow's value is
+    multiplied out on integer numerators and denominators into one
+    ``Fraction``.  None when a loop's determinant is 0: the arrow-by-arrow
+    check then words what is singular.
+    """
+    tree, k, isotropy = _model_of(r.groupoid)
+    parts = {a: (d.numerator, d.denominator) for a, d in tree_dets.items()}
+    for loops in isotropy.values():
+        for p in loops:
+            d = det(r(p))
+            if d == 0:
+                return None
+            parts[p] = d.numerator, d.denominator
+    at = {x: parts[a] for x, a in tree.items()}
+    dets = {}
+    for a, s, t in r.groupoid.arrows:
+        (y_num, y_den), (k_num, k_den), (x_num, x_den) = at[t], parts[k[a]], at[s]
+        dets[a] = Fraction(y_num * k_num * x_den, y_den * k_den * x_num)
+    return dets
 
 
 def characteristic_function(

@@ -16,6 +16,8 @@ functions are the groupoid scans before arrows were indexed by target:
 every candidate pair or triple is found by testing all arrows.  The
 ``pair_scan_*`` functions are the functoriality checks before the
 isotropy model: every composable pair is multiplied out.
+``per_arrow_vector_rep`` is the vector check before its determinants
+were read off that model: one ``det`` per square action.
 ``scan_isotropy_model`` builds the isotropy model as it was before each
 arrow's ends, coordinate and isotropy row were gathered ahead of the
 pass over the table: every entry looks up its arrows' ends and
@@ -514,7 +516,13 @@ def pair_scan_line_rep(r: LineRep) -> list[str]:
 
 
 def pair_scan_vector_rep(r: VectorRep) -> list[str]:
+    return per_arrow_vector_rep(r)[0]
+
+
+def per_arrow_vector_rep(r: VectorRep) -> tuple[list[str], dict[str, Fraction]]:
+    """Problems, and the determinant of each square action in arrow order."""
     report = ValidationReport()
+    dets = {}
     gpd = r.groupoid
     for a in gpd.arrow_ids():
         m = r.action.get(a)
@@ -527,17 +535,19 @@ def pair_scan_vector_rep(r: VectorRep) -> list[str]:
                 f"action of arrow '{a}' has shape {m.rows}x{m.cols},"
                 f" expected {expected[0]}x{expected[1]}"
             )
-        elif m.is_square and det(m) == 0:
-            report.add(f"action of arrow '{a}' is singular")
+        elif m.is_square:
+            dets[a] = det(m)
+            if dets[a] == 0:
+                report.add(f"action of arrow '{a}' is singular")
     if not report.ok:
-        return report.problems
+        return report.problems, dets
     for x in gpd.objects:
         if not r(gpd.unit(x)).is_identity():
             report.add(f"unit of object '{x}' does not act by the identity")
     for g, h in gpd.composable_pairs():
         if r(g) * r(h) != r(gpd.compose(g, h)):
             report.add(f"functoriality fails on ('{g}', '{h}')")
-    return report.problems
+    return report.problems, dets
 
 
 def pair_scan_ruth(r: RepUpToWeakHomotopy) -> tuple[list[str], set]:

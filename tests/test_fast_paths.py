@@ -22,11 +22,15 @@ unit that acts by the identity; a unit twisted by a homotopy, so not
 the identity, must take the reference's path.  The degree-1 class path
 (the characteristic cocycle, the Berezinian action and the coboundary
 solve) multiplies integer numerators and denominators; the references
-multiply ``Fraction``s arrow by arrow.  Outputs must agree exactly, order
-included.
+multiply ``Fraction``s arrow by arrow.  The vector check reads each
+arrow's determinant off the isotropy model, and the functoriality check
+compares a matrix product without building it; the references take one
+determinant per arrow and build every product.  Outputs must agree
+exactly, order included.
 """
 
 import json
+import pathlib
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -65,7 +69,12 @@ from modclass import (
     verify_ruth,
     verify_vector_rep,
 )
-from modclass import groupoid as groupoid_module, linalg as linalg_module, schema as schema_module
+from modclass import (
+    groupoid as groupoid_module,
+    linalg as linalg_module,
+    reps as reps_module,
+    schema as schema_module,
+)
 from modclass.cli import _class_fields
 from modclass.groupoid import _is_functorial, _isotropy_model
 from oracle import (
@@ -80,6 +89,7 @@ from oracle import (
     pair_scan_ruth,
     pair_scan_vector_rep,
     per_arrow_ber_rep,
+    per_arrow_vector_rep,
     rref as gauss_jordan_rref,
     scan_coboundary_solve_1,
     scan_composable_pairs,
@@ -102,6 +112,8 @@ from randgen import (
 )
 
 SEEDS = range(200)
+FIXTURES = pathlib.Path(schema_module.__file__).parent / "fixtures"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def big_rational(rng: random.Random) -> Fraction:
@@ -204,16 +216,39 @@ def test_trusted_results_equal_the_checked_constructor(seed):
         assert entries_are_fractions(m), name
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_product_equals_matches_the_built_product(seed):
+    rng = random.Random(seed)
+    n, k, m = (rng.randint(0, 4) for _ in range(3))
+    a, b = big_matrix(rng, n, k), big_matrix(rng, k, m)
+    built = a * b
+    # the product itself, the same value over another scale, a nearby
+    # matrix, a matrix of another shape, and a nonzero one for an empty product
+    targets = [built, built.scale(Fraction(3, 2)), built.transpose(), big_matrix(rng, n, m)]
+    if n and m:
+        entries = built.to_lists()
+        entries[rng.randrange(n)][rng.randrange(m)] += Fraction(1, 7)
+        targets.append(Matrix(entries, cols=m))
+    for target in targets:
+        assert a.product_equals(b, target) is (built == target)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        a.product_equals(big_matrix(rng, k + 1, m), built)
+
+
 EMPTY_SHAPES = [shape for shape in product(range(3), repeat=3) if 0 in shape]
 
 
 @pytest.mark.parametrize("n, k, m", EMPTY_SHAPES)
 def test_a_product_with_an_empty_dimension_is_the_zero_matrix(n, k, m):
     rng = random.Random(9 * n + 3 * k + m)
-    result = big_matrix(rng, n, k) * big_matrix(rng, k, m)
+    a, b = big_matrix(rng, n, k), big_matrix(rng, k, m)
+    result = a * b
     zeros = Matrix.zeros(n, m)
     assert (result.rows, result.cols) == (n, m)
     assert result == zeros and hash(result) == hash(zeros)
+    assert a.product_equals(b, zeros)
+    if n and m:  # nothing but the zero matrix of that shape is the product
+        assert not a.product_equals(b, Matrix.identity(n) if n == m else Matrix([[1] * m] * n))
     assert is_canonical(result)
 
 
@@ -836,6 +871,16 @@ def scan_accepts(kind, scanned) -> bool:
     return not any("functoriality fails" in p or "no homotopy" in p for p in problems)
 
 
+def stopped_at_an_action(kind, scanned) -> bool:
+    """Whether the vector scan refused an action, and so multiplied no pair.
+
+    verify_vector_rep asks the checker before it takes the determinants,
+    so a singular action can meet the checker, which may refuse it."""
+    return kind == "vector" and isinstance(scanned, list) and any(
+        "has no action" in p or "has shape" in p or "is singular" in p for p in scanned
+    )
+
+
 def is_unit_value(v) -> bool:
     return v.is_identity() if isinstance(v, Matrix) else v == 1
 
@@ -845,11 +890,13 @@ def verdicts(monkeypatch):
     """The checker's answers, as the four callers receive them."""
     seen = []
 
-    def spy(gpd, phi):
-        seen.append(_is_functorial(gpd, phi))
+    def spy(gpd, phi, *rest):
+        seen.append(_is_functorial(gpd, phi, *rest))
         return seen[-1]
 
-    monkeypatch.setattr(groupoid_module, "_is_functorial", spy)
+    # verify_vector_rep asks it from reps, the others through _failing_pairs
+    for module in (groupoid_module, reps_module):
+        monkeypatch.setattr(module, "_is_functorial", spy)
     return seen
 
 
@@ -908,10 +955,13 @@ def test_functoriality_checker_agrees_with_the_pair_scans(seed, verdicts):
         verdicts.clear()
         got, scanned = caller_and_scan(gpd, kind, values, extra)
         assert got == scanned, (kind, mutation)
+        if mutation is None:
+            assert verdicts, kind  # every caller is seen
         for verdict in verdicts:
             # never accepts what the scan rejects
             assert not verdict or scan_accepts(kind, scanned), (kind, mutation)
-        if lawful and verdicts and scan_accepts(kind, scanned):
+        reached = not stopped_at_an_action(kind, scanned)
+        if lawful and verdicts and reached and scan_accepts(kind, scanned):
             # accepts every functorial input on a lawful table
             assert verdicts == [True], (kind, mutation)
         if kind != "ruth":
@@ -966,6 +1016,157 @@ def test_vector_check_costs_arrows_not_pairs(monkeypatch):
     n, g, arrows = len(gpd.objects), len(group.elements), len(gpd.arrows)
     assert (arrows, len(gpd.composable_pairs())) == (150, 4500)
     assert 0 < len(products) <= arrows + g * g + n * g
+
+
+# ---------------------------------------------------------------------------
+# Vector determinants read off the isotropy model
+
+
+def vector_outcome(rep: VectorRep, check) -> tuple | type:
+    """``check``'s problems and determinants, in arrow order, or the type it raised."""
+    try:
+        problems, dets = check(rep)
+    except Exception as exc:  # the oracle raises on broken tables; so must the check
+        return type(exc)
+    assert all(type(v) is Fraction for v in dets.values())
+    return problems, list(dets.items())
+
+
+def checked(rep: VectorRep) -> tuple[list[str], dict]:
+    report = verify_vector_rep(rep)
+    return report.problems, report.dets
+
+
+def assert_matches_the_per_arrow_check(rep: VectorRep) -> None:
+    assert vector_outcome(rep, checked) == vector_outcome(rep, per_arrow_vector_rep)
+
+
+def vector_rep_cases(rng: random.Random, gpd: FiniteGroupoid):
+    """The regular representation of ``gpd`` in random frames, each of
+    its rep mutations, and the same actions on each table mutation."""
+    values, dims = functorial_values(rng, gpd, "vector")
+    yield VectorRep(gpd, dims, values)
+    for mutation in REP_MUTATIONS[1:]:
+        changed, changed_dims = mutated_values(rng, gpd, "vector", values, dims, mutation)
+        yield VectorRep(gpd, changed_dims, changed)
+    for table in MUTATIONS[1:]:
+        yield VectorRep(mutated(gpd, rng, table), dims, values)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_vector_determinants_match_the_per_arrow_check(seed):
+    rng = random.Random(f"vector determinants {seed}")
+    for rep in vector_rep_cases(rng, builder_groupoid(rng)):
+        assert_matches_the_per_arrow_check(rep)
+
+
+DOCUMENTS = sorted(FIXTURES.glob("*.json")) + sorted(DATA.glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.name)
+def test_vector_determinants_match_on_the_documents(path):
+    # a document's own vector rep, and vector reps on its groupoid
+    try:
+        doc = schema_module.parse(path)
+    except schema_module.SchemaError:
+        return  # refused before any check: no groupoid to act on
+    if isinstance(doc.rep, VectorRep):
+        assert_matches_the_per_arrow_check(doc.rep)
+    try:
+        cases = list(vector_rep_cases(random.Random(path.name), doc.groupoid))
+    except KeyError:  # no regular representation on a table with a missing composite
+        cases = []
+    for rep in cases:
+        assert_matches_the_per_arrow_check(rep)
+
+
+VECTOR_PROBLEMS = (
+    "has no action", "has shape", "is singular", "not act by the identity", "functoriality fails"
+)
+
+
+def test_vector_cases_reach_both_paths(monkeypatch):
+    # determinants off the model, with and without a unit problem, and the
+    # per-arrow check on every kind of problem
+    certified = []
+    model_dets = reps_module._model_dets
+
+    def spy(*args):
+        certified.append(args)
+        return model_dets(*args)
+
+    monkeypatch.setattr(reps_module, "_model_dets", spy)
+    outcomes = set()
+    for seed in range(40):
+        rng = random.Random(f"vector determinants {seed}")
+        for rep in vector_rep_cases(rng, builder_groupoid(rng)):
+            certified.clear()
+            try:
+                problems = verify_vector_rep(rep).problems
+            except (KeyError, ValueError):
+                continue
+            kinds = {kind for kind in VECTOR_PROBLEMS for p in problems if kind in p}
+            outcomes.update((bool(certified), kind) for kind in kinds or {"ok"})
+    assert {(True, "ok"), (True, "not act by the identity")} <= outcomes
+    assert {(False, kind) for kind in VECTOR_PROBLEMS} <= outcomes
+
+
+def idempotent_loop() -> FiniteGroupoid:
+    """One object with ``e`` and ``p``, ``p p = p``: no group, yet with an isotropy model."""
+    return FiniteGroupoid(
+        objects=["*"],
+        arrows=[("e", "*", "*"), ("p", "*", "*")],
+        identity={"*": "e"},
+        inverse={"e": "e", "p": "p"},
+        composition={("e", "e"): "e", ("e", "p"): "p", ("p", "e"): "p", ("p", "p"): "p"},
+    )
+
+
+def test_a_singular_loop_the_model_certifies_is_still_refused():
+    # the checker does not prove that the loops form a group: it certifies
+    # this idempotent action, and its determinant 0 sends the check back
+    # to the per-arrow path, which words it
+    gpd = idempotent_loop()
+    values = {"e": Matrix.identity(2), "p": Matrix([[1, 0], [0, 0]])}
+    rep = VectorRep(gpd, {"*": 2}, values)
+    assert _is_functorial(gpd, values.__getitem__)
+    report = verify_vector_rep(rep)
+    assert report.problems == ["action of arrow 'p' is singular"]
+    assert (report.problems, report.dets) == per_arrow_vector_rep(rep)
+    assert list(report.dets.items()) == [("e", 1), ("p", 0)]
+
+
+def test_a_unit_off_the_identity_the_model_certifies_is_still_refused():
+    # the "bad unit" table of seed 27 gives object 'c1.v' a unit that is
+    # not the identity; the checker certifies the actions all the same
+    gpd, values, dims = next(
+        (gpd, values, dims)
+        for gpd, _, kind, mutation, values, dims in functoriality_cases(27)
+        if (kind, mutation) == ("vector", "bad unit")
+    )
+    assert _is_functorial(gpd, values.__getitem__)
+    rep = VectorRep(gpd, dims, values)
+    report = verify_vector_rep(rep)
+    assert report.problems == ["unit of object 'c1.v' does not act by the identity"]
+    assert (report.problems, report.dets) == per_arrow_vector_rep(rep)
+
+
+def test_a_lawful_vector_check_takes_a_determinant_per_loop_and_tree_arrow(monkeypatch):
+    group = GroupTable.symmetric_3()
+    gpd = connected_groupoid([f"o{i}" for i in range(5)], group)
+    dims, values = regular_values(random.Random(0), gpd)
+    rep = VectorRep(gpd, dims, values)
+    taken = []
+    for module in (groupoid_module, reps_module):
+        monkeypatch.setattr(module, "det", lambda m: taken.append(m) or det(m))
+    report = verify_vector_rep(rep)
+    monkeypatch.undo()
+    assert report.ok
+    assert (report.problems, report.dets) == per_arrow_vector_rep(rep)
+    n, g = len(gpd.objects), len(group.elements)
+    # one per loop at the base and one per tree arrow off it, where the
+    # per-arrow check takes one per arrow, 150 here, and four more for the tree
+    assert len(taken) == g + n - 1 <= g + 2 * (n - 1) == 14
 
 
 # ---------------------------------------------------------------------------

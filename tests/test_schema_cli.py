@@ -935,7 +935,7 @@ class TestWorkCounts:
 
 
     def test_a_vector_document_takes_each_determinant_once(self, monkeypatch, capsys):
-        # verify_vector_rep's singularity check takes them, and the
+        # verify_vector_rep reads them off the isotropy model, and the
         # modular class reads them off its report
         taken = []
         original = modclass.linalg.det
@@ -949,8 +949,11 @@ class TestWorkCounts:
                 monkeypatch.setattr(module, "det", counted)
         assert cli.main(["modular-class", str(FIXTURES / "pair2.json"), "--format", "json"]) == 0
         groupoid = json.loads((FIXTURES / "pair2.json").read_text())["groupoid"]
-        # one per arrow, and one per tree arrow off the base in the functoriality check
-        assert len(taken) == len(groupoid["arrows"]) + len(groupoid["objects"]) - 1
+        # one per isotropy loop at the base, the first object, and one per
+        # tree arrow off it, which the functoriality check hands over
+        base = groupoid["objects"][0]
+        loops = [a for a in groupoid["arrows"] if a["src"] == a["tgt"] == base]
+        assert len(taken) == len(loops) + len(groupoid["objects"]) - 1 < len(groupoid["arrows"])
 
 
 def zero_entries(rng: random.Random, lo: int, hi: int, shape) -> dict[int, Matrix]:
@@ -1140,6 +1143,36 @@ class TestEmptyDegrees:
             seen.append((dict(counts), code, report.to_json()))
         assert seen[0] == seen[1]
         assert seen[0][0]["split"] == 1 and seen[0][0]["product"] > 0
+
+    @staticmethod
+    def z2_document(tmp_path, degrees) -> str:
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        data["complex"]["*"]["degrees"] = degrees
+        path = tmp_path / "z2.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("hi", [cli.REPLACE_MAX_DEGREES, 10**12])
+    def test_replace_refuses_a_range_past_its_limit(self, hi, tmp_path, monkeypatch, capsys):
+        # told by the refusal alone: no replacement is built, nothing is written
+        monkeypatch.setattr(cli, "invertible_replacement", lambda t: pytest.fail("built"))
+        path = self.z2_document(tmp_path, [0, hi])
+        assert cli.main(["replace", path, "--arrow", "t", "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: arrow 't' has source degrees 0 to {hi}; replace writes one"
+            f" component per degree, at most {cli.REPLACE_MAX_DEGREES}"
+        ]
+
+    def test_replace_at_its_limit_writes_every_degree(self, tmp_path, capsys):
+        limit = cli.REPLACE_MAX_DEGREES
+        path = self.z2_document(tmp_path, [1, limit])
+        assert cli.main(["replace", path, "--arrow", "t", "--format", "json"]) == 0
+        components = json.loads(capsys.readouterr().out)["components"]
+        assert list(components) == sorted(str(i) for i in range(1, limit + 1))
+        assert components["1"] == [["-1"]]
+        assert all(components[str(i)] == [] for i in range(2, limit + 1))
 
 
 def test_fixture_generator_reproduces_the_shipped_documents():
