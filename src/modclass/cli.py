@@ -262,9 +262,9 @@ def _cmd_homotopy_check(doc: InputDocument, args, report: ReportDocument) -> int
     if _groupoid_fails(doc, report):
         return 1
     check = verify_ruth(rep)
-    pairs = []
+    certificates, pairs = check.certificates, []
     for g, h in rep.groupoid.composable_pairs():
-        found = (g, h) in check.certificates
+        found = (g, h) in certificates
         pairs.append(
             {
                 "g": g,

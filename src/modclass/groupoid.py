@@ -4,7 +4,9 @@ A finite groupoid is stored by its tables: objects, arrows with source
 and target, the unit arrow of each object, the inverse of each arrow,
 and the composition table (defined exactly on composable pairs; the
 composite ``g * h`` requires ``src(g) == tgt(h)``, so ``h`` acts
-first).
+first).  The composition table is kept as one row per first arrow,
+``{g: {h: gh}}``, so that a lookup or a pass over the table makes no
+pair.
 
 Cochains take values in the multiplicative group of nonzero rationals:
 a degree-k cochain assigns a nonzero scalar to every composable k-tuple
@@ -40,10 +42,22 @@ from .complexes import ValidationReport
 from .linalg import Matrix, det
 
 _ONE = Fraction(1)  # one shared 1: a Fraction is immutable
+_NO_ROW = object()  # the first arrow before any row: equal to no arrow id
 
 
 class FiniteGroupoid:
     """Objects, arrows, and the unit/inverse/composition tables.
+
+    The composition table is stored as rows keyed by the first arrow:
+    ``_rows[g][h]`` is ``g * h``, rows in the order their first arrows
+    first appear in the table, and each row's entries in the order their
+    second arrows first appear in it.  ``composition`` is the flat view
+    ``{(g, h): gh}``, built when read, in table order: a repeated pair
+    keeps its first position and its last value, as in a dict filled
+    entry by entry.  When each row's entries are contiguous in the table
+    (as in :func:`schema.serialize`'s output and in every builder's
+    table) the rows give that order; only an interleaved table keeps it
+    in ``_order``, its distinct pairs by first position.
 
     ``_into`` indexes the arrows by target, each list in arrow order, so
     that the arrows composable after a given one are read off directly.
@@ -52,7 +66,7 @@ class FiniteGroupoid:
     tables as constructed.
     """
 
-    __slots__ = ("objects", "arrows", "identity", "inverse", "composition",
+    __slots__ = ("objects", "arrows", "identity", "inverse", "_rows", "_order",
                  "_src", "_tgt", "_arrow_ids", "_into", "_model")
 
     def __init__(
@@ -63,11 +77,30 @@ class FiniteGroupoid:
         inverse: Mapping[str, str],
         composition: Mapping[tuple[str, str], str],
     ):
+        rows: dict[str, dict[str, str]] = {}
+        runs, last = 0, _NO_ROW
+        for (g, h), gh in composition.items():
+            if g != last:
+                runs, last = runs + 1, g
+            rows.setdefault(g, {})[h] = gh
+        order = list(composition) if runs > len(rows) else None
+        self._init(objects, arrows, identity, inverse, rows, order)
+
+    @classmethod
+    def _from_rows(cls, objects, arrows, identity, inverse, rows, order) -> "FiniteGroupoid":
+        """A groupoid on rows built by the caller, as ``_rows`` and
+        ``_order`` are described above; they are stored, not copied."""
+        gpd = cls.__new__(cls)
+        gpd._init(objects, arrows, identity, inverse, rows, order)
+        return gpd
+
+    def _init(self, objects, arrows, identity, inverse, rows, order) -> None:
         self.objects = list(objects)
         self.arrows = [(a, s, t) for a, s, t in arrows]
         self.identity = dict(identity)
         self.inverse = dict(inverse)
-        self.composition = dict(composition)
+        self._rows = rows
+        self._order = order
         self._src = {a: s for a, s, t in self.arrows}
         self._tgt = {a: t for a, s, t in self.arrows}
         self._arrow_ids = [a for a, _, _ in self.arrows]
@@ -93,7 +126,15 @@ class FiniteGroupoid:
 
     def compose(self, g: str, h: str) -> str:
         """The composite ``g * h`` (h first); KeyError if not composable."""
-        return self.composition[(g, h)]
+        return self._rows[g][h]
+
+    @property
+    def composition(self) -> dict[tuple[str, str], str]:
+        """The table as a new flat dict ``{(g, h): gh}``, in table order."""
+        rows = self._rows
+        if self._order is not None:
+            return {(g, h): rows[g][h] for g, h in self._order}
+        return {(g, h): gh for g, row in rows.items() for h, gh in row.items()}
 
     def composable_pairs(self) -> list[tuple[str, str]]:
         """Pairs ``(g, h)`` with ``src(g) == tgt(h)``, by ``g`` then ``h`` in arrow order."""
@@ -107,7 +148,7 @@ class FiniteGroupoid:
             and self.arrows == other.arrows
             and self.identity == other.identity
             and self.inverse == other.inverse
-            and self.composition == other.composition
+            and self._rows == other._rows  # as the flat tables: order aside
         )
 
     def __repr__(self) -> str:
@@ -237,21 +278,22 @@ def validate(gpd: FiniteGroupoid) -> ValidationReport:
         if not report.ok:
             return report
 
-    compose, unit, inverse = gpd.composition, gpd.identity, gpd.inverse
+    rows, unit, inverse = gpd._rows, gpd.identity, gpd.inverse
     src, tgt = gpd._src, gpd._tgt
     for a in ids:
         s, t = src[a], tgt[a]
-        if compose[unit[t], a] != a:
+        row = rows[a]
+        if rows[unit[t]][a] != a:
             report.add(f"left unit law fails for arrow '{a}'")
-        if compose[a, unit[s]] != a:
+        if row[unit[s]] != a:
             report.add(f"right unit law fails for arrow '{a}'")
         b = inverse[a]
         if src[b] != t or tgt[b] != s:
             report.add(f"inverse of '{a}' has wrong endpoints")
         else:
-            if compose[a, b] != unit[t]:
+            if row[b] != unit[t]:
                 report.add(f"inverse law fails: '{a}' * '{b}' is not a unit")
-            if compose[b, a] != unit[s]:
+            if rows[b][a] != unit[s]:
                 report.add(f"inverse law fails: '{b}' * '{a}' is not a unit")
 
     if not _is_associative(gpd, model):
@@ -397,10 +439,12 @@ def _isotropy_model(gpd: FiniteGroupoid):
     ``(g, h)`` with ``gh: src h -> tgt g`` and ``k(gh) = k(g) k(h)``:
     table lookups only, no arithmetic.  As many entries as composable
     pairs, each one composable, is that domain, so the pairs are never
-    listed.  What each arrow brings to an entry is gathered once, before
-    the pass over the table: its ends, ``k(a)``, and the row of ``k(a)``
-    in its base's multiplication table.  An entry then reads three such
-    tuples and one row.
+    listed; the entries are counted by the rows' lengths.  What each
+    arrow brings to an entry is gathered once, before the pass over the
+    table: its ends, ``k(a)``, and the row of ``k(a)`` in its base's
+    multiplication table.  The table is then read row by row: ``g``'s
+    ends and row of ``k(g)`` once per row, and for each entry ``(h,
+    gh)`` of it the ends and ``k`` of ``h`` and of ``gh``.
     """
     try:
         tree: dict[str, str] = {}
@@ -423,17 +467,18 @@ def _isotropy_model(gpd: FiniteGroupoid):
                 return None
             if s == t == b:
                 isotropy[b].append(a)
-        compose = gpd.composition
-        if len(compose) != _pair_count(gpd):
+        rows = gpd._rows
+        if sum(map(len, rows.values())) != _pair_count(gpd):
             return None
-        times = {p: {q: compose[p, q] for q in loops} for loops in isotropy.values() for p in loops}
+        times = {p: {q: rows[p][q] for q in loops} for loops in isotropy.values() for p in loops}
         ends = {a: (s, t, k[a], times[k[a]]) for a, s, t in gpd.arrows}
-        for (g, h), gh in compose.items():
+        for g, row in rows.items():
             s_g, t_g, _, k_g_times = ends[g]
-            s_h, t_h, k_h, _ = ends[h]
-            s_gh, t_gh, k_gh, _ = ends[gh]
-            if s_g != t_h or s_gh != s_h or t_gh != t_g or k_gh != k_g_times[k_h]:
-                return None
+            for h, gh in row.items():
+                s_h, t_h, k_h, _ = ends[h]
+                s_gh, t_gh, k_gh, _ = ends[gh]
+                if s_g != t_h or s_gh != s_h or t_gh != t_g or k_gh != k_g_times[k_h]:
+                    return None
     except KeyError:
         return None
     return tree, k, isotropy
@@ -471,15 +516,16 @@ def _is_associative(gpd: FiniteGroupoid, model) -> bool:
     if model is None:
         return False
     _, k, isotropy = model
-    src, tgt, compose = gpd._src, gpd._tgt, gpd.composition
+    src, tgt, rows = gpd._src, gpd._tgt, gpd._rows
     if len({(tgt[a], k[a], src[a]) for a in gpd._arrow_ids}) != len(gpd._arrow_ids):
         return False
     for loops in isotropy.values():
         for p in loops:
+            row_p = rows[p]
             for q in loops:
-                pq = compose[p, q]
+                row_pq, row_q = rows[row_p[q]], rows[q]
                 for r in loops:
-                    if compose[pq, r] != compose[p, compose[q, r]]:
+                    if row_pq[r] != row_p[row_q[r]]:
                         return False
     return True
 
@@ -598,7 +644,7 @@ def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
     if model is None:
         return False
     tree, k, isotropy = model
-    compose = gpd.composition
+    rows = gpd._rows
     dets = {} if dets is None else dets
     try:
         values = {a: phi(a) for a in gpd._arrow_ids}
@@ -634,11 +680,12 @@ def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
         for b, loops in isotropy.items():
             e = tree[b]
             for p in loops:
+                row_p = rows[p]
                 for q in loops:
                     if p == e or q == e:
-                        if compose[p, q] != (q if p == e else p):
+                        if row_p[q] != (q if p == e else p):
                             return False
-                    elif not equal(mul(phi(p), phi(q)), phi(compose[p, q])):
+                    elif not equal(mul(phi(p), phi(q)), phi(row_p[q])):
                         return False
     except (KeyError, ValueError):
         return False

@@ -322,8 +322,11 @@ class RuthReport(ValidationReport):
     holds each object's decomposition and ``blocks`` each arrow's
     harmonic blocks.  ``certificates`` holds each composable pair
     ``(g, h)`` whose composed action is certified homotopic to the
-    action of the composite.  The certificate is the decision alone;
-    ``are_homotopic(r(g).compose(r(h)), r(gh))`` builds the homotopy.
+    action of the composite; it is derived from the failing pairs when
+    it is read, so a caller that only decides lists no pair, and it is
+    empty when the check stopped before the pairs.  The certificate is
+    the decision alone; ``are_homotopic(r(g).compose(r(h)), r(gh))``
+    builds the homotopy.
     ``identities`` holds each unit arrow whose action is the identity
     chain map of its fiber: it is a chain map with identity harmonic
     blocks and Berezinian 1, so none of that is computed for it.
@@ -335,8 +338,14 @@ class RuthReport(ValidationReport):
         self.complex_checks: dict[str, ValidationReport] = {}
         self.decompositions: dict[str, Decomposition] = {}
         self.blocks: dict[str, dict[int, Matrix]] = {}
-        self.certificates: set[tuple[str, str]] = set()
         self.identities: set[str] = set()
+        self._failing: list[tuple[str, str]] | None = None  # once the pairs are decided
+
+    @property
+    def certificates(self) -> set[tuple[str, str]]:
+        if self._failing is None:
+            return set()
+        return set(self.rep.groupoid.composable_pairs()).difference(self._failing)
 
     def _require_ok(self) -> None:
         # GradedDimensionMismatch for unequal graded dimensions, else the first problem
@@ -460,7 +469,7 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
             f"no homotopy between the composed actions of ('{g}', '{h}')"
             f" and the action of their composite"
         )
-    report.certificates = set(gpd.composable_pairs()).difference(failing)
+    report._failing = failing
     return report
 
 

@@ -207,48 +207,61 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
         for side in (a, b):
             if side not in arrow_ids:
                 col.add(f"inverse table: unknown arrow '{side}'")
-    composition, malformed = {}, 0
+    # the table goes straight into FiniteGroupoid's rows, {g: {h: gh}}
+    rows: dict[str, dict[str, str]] = {}
+    row, last, interleaved, malformed = None, None, False, 0
     compose = raw.get("compose", [])
     if not isinstance(compose, list):
         col.add("compose table: expected a list")
         compose = []
     for entry in compose:
-        # a lawful entry is stored and done; any other falls through to the
-        # checks that word its problems
+        # a lawful entry goes straight to its row; any other is worded by
+        # the checks below first, and stored if it is a triple of strings
+        cg = None
         if type(entry) is list and len(entry) == 3:
             g, h, gh = entry
             try:
                 cg, ch, cgh = canonical(g), canonical(h), canonical(gh)
             except TypeError:  # a list or dict member
                 pass
-            else:
-                if cg is not None and ch is not None and cgh is not None:
-                    composition[cg, ch] = cgh
-                    continue
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 3
-            and isinstance(entry[0], str)
-            and isinstance(entry[1], str)
-            and isinstance(entry[2], str)
-        ):
-            col.add(f"compose table: entry {entry!r} is not a [g, h, gh] triple")
-            malformed += 1
-            continue
-        g, h, gh = entry
-        for side in entry:
-            if side not in arrow_ids:
-                col.add(f"compose table: unknown arrow '{side}'")
-        composition[canonical(g) or g, canonical(h) or h] = canonical(gh) or gh
-    if len(composition) < len(compose) - malformed:
-        # a pair is listed more than once: name each such pair, in table order
+        if cg is None or ch is None or cgh is None:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 3
+                and isinstance(entry[0], str)
+                and isinstance(entry[1], str)
+                and isinstance(entry[2], str)
+            ):
+                col.add(f"compose table: entry {entry!r} is not a [g, h, gh] triple")
+                malformed += 1
+                continue
+            g, h, gh = entry
+            for side in entry:
+                if side not in arrow_ids:
+                    col.add(f"compose table: unknown arrow '{side}'")
+            cg, ch, cgh = canonical(g) or g, canonical(h) or h, canonical(gh) or gh
+        if cg is not last:
+            # a new row; or back to an earlier one, and then the rows
+            # alone no longer give the table's order
+            last, seen = cg, rows.get(cg)
+            if seen is None:
+                row = rows[cg] = {}
+            elif seen is not row:
+                row, interleaved = seen, True
+        row[ch] = cgh
+    if interleaved or sum(map(len, rows.values())) < len(compose) - malformed:
+        # the stored pairs, each by its first position in the table
         listed = Counter(
             (e[0], e[1]) for e in compose if isinstance(e, list) and len(e) == 3 and _strings(e)
         )
+        # a pair listed more than once: name each such pair, in table order
         for (g, h), count in listed.items():
             if count > 1:
                 col.add(f"compose table: pair ('{g}', '{h}') is listed more than once")
-    return FiniteGroupoid(objects, arrows, identity, inverse, composition)
+    order = None
+    if interleaved:
+        order = [(canonical(g) or g, canonical(h) or h) for g, h in listed]
+    return FiniteGroupoid._from_rows(objects, arrows, identity, inverse, rows, order)
 
 
 def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, ComplexFiber]:

@@ -712,6 +712,124 @@ def test_compose_cases_reach_every_splice_and_a_lawful_table():
     assert [] in spliced
 
 
+# The table is stored as rows keyed by the first arrow; ``composition``
+# must still read as the flat dict the table's entries fill in order.
+
+
+class FlatTable:
+    """A groupoid's tables with its composition as one flat dict, as it
+    was stored before rows: what the oracle's scans read."""
+
+    def __init__(self, gpd: FiniteGroupoid, flat: dict):
+        self.objects, self.arrows = gpd.objects, gpd.arrows
+        self.identity, self.inverse, self.composition = gpd.identity, gpd.inverse, flat
+        self._src = {a: s for a, s, _ in gpd.arrows}
+        self._tgt = {a: t for a, _, t in gpd.arrows}
+
+    def arrow_ids(self):
+        return [a for a, _, _ in self.arrows]
+
+    def src(self, a):
+        return self._src[a]
+
+    def tgt(self, a):
+        return self._tgt[a]
+
+    def unit(self, x):
+        return self.identity[x]
+
+    def inv(self, a):
+        return self.inverse[a]
+
+    def compose(self, g, h):
+        return self.composition[g, h]
+
+
+ORDER_LAYOUTS = ("rows", "shuffled", "interleaved")
+
+
+def table_order_case(seed: int) -> tuple[FiniteGroupoid, list, str]:
+    """A builder table's entries laid out by rows (sorted, as
+    ``serialize`` writes them), shuffled, or by rows with one entry moved
+    out of its row; now and then with repeated pairs (the same composite
+    or another) and entries naming unknown ids."""
+    rng = random.Random(seed)
+    gpd = builder_groupoid(rng)
+    entries = [[g, h, gh] for (g, h), gh in sorted(gpd.composition.items())]
+    layout = ORDER_LAYOUTS[seed % 3]
+    if layout == "shuffled":
+        rng.shuffle(entries)
+    elif layout == "interleaved":
+        # the first row's first entry, moved to the end of the table
+        entries.append(entries.pop(0))
+    ids = gpd.arrow_ids()
+    for _ in range(rng.choice((0, 1, 2))):
+        g, h, _ = rng.choice(entries)
+        entries.insert(rng.randrange(len(entries) + 1), [g, h, rng.choice(ids)])
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        entry = list(rng.choice(entries))
+        entry[rng.randrange(3)] = rng.choice(ids) + "?"
+        entries.insert(rng.randrange(len(entries) + 1), entry)
+    return gpd, entries, layout
+
+
+def flat_table(entries: list) -> dict:
+    # the old rule: a dict filled entry by entry
+    flat = {}
+    for g, h, gh in entries:
+        flat[g, h] = gh
+    return flat
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_composition_reads_in_table_order_from_rows(seed):
+    base, entries, _ = table_order_case(seed)
+    flat = flat_table(entries)
+    tables = base.objects, base.arrows, base.identity, base.inverse
+    built = FiniteGroupoid(*tables, flat)
+    data = json.loads(json.dumps(serialize(InputDocument(base, None, None, None))))
+    data["groupoid"]["compose"] = entries
+    read = schema_module._parse_groupoid(data["groupoid"], schema_module._Collector())
+    oracle = scan_validate(FlatTable(base, flat))
+    for gpd in (built, read):
+        # the flat view iterates as the flat dict did, and compose agrees
+        assert list(gpd.composition.items()) == list(flat.items())
+        for (g, h), gh in flat.items():
+            assert gpd.compose(g, h) == gh
+        with pytest.raises(KeyError):
+            gpd.compose(base.arrow_ids()[0], "no such arrow")
+        assert validate(gpd).problems == oracle
+    # equality ignores the table's order
+    assert built == read
+    assert built == FiniteGroupoid(*tables, dict(reversed(flat.items())))
+    assert built == FiniteGroupoid(*tables, dict(sorted(flat.items())))
+    changed = dict(flat)
+    changed[next(iter(flat))] = "no such arrow"
+    assert built != FiniteGroupoid(*tables, changed)
+
+
+def test_table_order_cases_reach_every_layout():
+    # the agreement above is only as strong as the tables it sees
+    reached = set()
+    for seed in SEEDS:
+        base, entries, layout = table_order_case(seed)
+        pairs = [(g, h) for g, h, _ in entries]
+        repeated = len(set(pairs)) < len(pairs)
+        unknown = any(v not in base.arrow_ids() for e in entries for v in e)
+        gpd = FiniteGroupoid(base.objects, base.arrows, base.identity, base.inverse, flat_table(entries))
+        # a table whose rows are contiguous keeps no order of its own
+        kept = gpd._order is not None
+        reached.add((layout, repeated, unknown, kept))
+        if layout == "rows" and not repeated and not unknown:
+            assert not kept
+    assert {layout for layout, *_ in reached} == set(ORDER_LAYOUTS)
+    assert {(repeated, unknown) for _, repeated, unknown, _ in reached} == {
+        (False, False), (False, True), (True, False), (True, True)
+    }
+    assert ("interleaved", False, False, True) in reached
+    assert ("shuffled", False, False, True) in reached
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_coboundary_solve_1_matches_the_all_arrow_bfs(seed):
     rng = random.Random(seed)

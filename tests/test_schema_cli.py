@@ -933,6 +933,71 @@ class TestWorkCounts:
         assert listed == []
         assert calls["_isotropy_model"] == 1
 
+    @pytest.mark.parametrize("name", ["z2_sign_odd", "acyclic_two_term"])
+    def test_deciding_a_homotopy_document_lists_no_pairs(self, name, calls, monkeypatch, capsys):
+        # the report's certificates are derived when read, and modular-class
+        # reads none; homotopy-check, which reports them, lists the pairs
+        listed = []
+        composable_pairs = modclass.FiniteGroupoid.composable_pairs
+
+        def counted(gpd):
+            listed.append(gpd)
+            return composable_pairs(gpd)
+
+        monkeypatch.setattr(modclass.FiniteGroupoid, "composable_pairs", counted)
+        assert cli.main(["modular-class", str(FIXTURES / f"{name}.json"), "--format", "json"]) == 0
+        assert listed == []
+        assert calls["verify_ruth"] == 1
+        assert cli.main(["homotopy-check", str(FIXTURES / f"{name}.json"), "--format", "json"]) == 0
+        assert listed != []
+
+    @staticmethod
+    def s3_documents(tmp_path) -> dict[str, pathlib.Path]:
+        """A lawful 5 objects x S3 groupoid with its sign character as a
+        vector, a line, and a line plus a cochain document."""
+        gpd = modclass.connected_groupoid([f"o{i}" for i in range(5)], modclass.GroupTable.symmetric_3())
+
+        def sign(arrow: str) -> int:
+            digits = arrow[1:4]  # "s102:o0>o1"
+            odd = sum(digits[i] > digits[j] for i in range(3) for j in range(i + 1, 3)) % 2
+            return -1 if odd else 1
+
+        signs = {a: sign(a) for a in gpd.arrow_ids()}
+        line = modclass.LineRep(gpd, signs)
+        vector = VectorRep(gpd, dict.fromkeys(gpd.objects, 1), {a: Matrix([[v]]) for a, v in signs.items()})
+        cochain = Cochain(1, {(a,): v for a, v in signs.items()})
+        docs = {
+            "vector": InputDocument(gpd, vector, None, None),
+            "line": InputDocument(gpd, line, None, None),
+            "cochain": InputDocument(gpd, line, None, cochain),
+        }
+        paths = {}
+        for kind, doc in docs.items():
+            paths[kind] = tmp_path / f"{kind}.json"
+            paths[kind].write_text(json.dumps(serialize(doc)))
+        return paths
+
+    def test_a_lawful_table_is_read_and_checked_on_its_rows(self, tmp_path, monkeypatch, capsys):
+        # the flat view of the composition table is for the scans that
+        # word problems; no step of a lawful request reads it
+        paths = self.s3_documents(tmp_path)
+
+        def flat_view(gpd):
+            raise AssertionError("the flat composition table was read")
+
+        monkeypatch.setattr(modclass.FiniteGroupoid, "composition", property(flat_view))
+        for kind, path in paths.items():
+            doc = parse(str(path))
+            assert modclass.validate(doc.groupoid).ok
+            assert cli.main(["validate", str(path), "--format", "json"]) == 0
+            assert cli.main(["modular-class", str(path), "--format", "json"]) == 0, kind
+        capsys.readouterr()
+        assert cli.main(["cohomology", str(paths["cochain"]), "--format", "json"]) == 0
+        # the sign character is no coboundary: the work was done, not skipped
+        assert json.loads(capsys.readouterr().out)["class"] == "nontrivial"
+        with pytest.raises(AssertionError, match="flat composition"):
+            parse(str(paths["line"])).groupoid.composition
+
 
     def test_a_vector_document_takes_each_determinant_once(self, monkeypatch, capsys):
         # verify_vector_rep reads them off the isotropy model, and the
