@@ -29,10 +29,13 @@ block of degree ``i+1`` by the identity and kills the other two.  So
 every homotopy decision and construction reads one change of basis per
 arrow and degree, ``M^i = basis_inv_T^i t^i basis_S^i`` (``_in_bases``):
 the chain-map verdict, the harmonic blocks ``M^i[H_T, H_S]``, the null
-homotopy and the invertible replacement.  :func:`verify_chain_map`,
-:func:`harmonic_blocks` and :func:`verify_complex` multiply the maps out
-directly, as references and to word the problems of fibers that are no
-complexes.
+homotopy and the invertible replacement.  Each of the two constructions
+writes its matrix ``N`` in decomposition coordinates with
+``Matrix.with_blocks``, from blocks of ``M`` and identities, and maps it
+back by one conjugation, ``basis_T N basis_inv_S``.
+:func:`verify_chain_map`, :func:`harmonic_blocks` and
+:func:`verify_complex` multiply the maps out directly, as references and
+to word the problems of fibers that are no complexes.
 
 Fibers are coordinate spaces, so the graded determinant line always has
 a standard trivializing element (the one determined by the standard
@@ -382,16 +385,6 @@ class Decomposition:
         b, h, l = self.widths(i)
         return (0, b, b + h, b + h + l)
 
-    def _block(self, i: int, k: int) -> Matrix:
-        """Column group ``k`` (0 boundary, 1 harmonic, 2 lift) of ``basis_at(i)``."""
-        lo, hi = self.edges(i)[k : k + 2]
-        return self.basis_at(i).take_columns(range(lo, hi))
-
-    def _coordinate(self, i: int, k: int) -> Matrix:
-        """Row group ``k`` of ``basis_inv_at(i)``: the coordinates along that block."""
-        lo, hi = self.edges(i)[k : k + 2]
-        return self.basis_inv_at(i).submatrix(lo, hi, 0, self.fiber.dim(i))
-
     @cached_property
     def tau(self) -> Fraction:
         """``prod_i det(basis^i)^(-1)^i``, the Berezinian of the bases."""
@@ -446,10 +439,13 @@ def harmonic_blocks(
     this is the harmonic diagonal block of ``t`` in decomposition
     coordinates, and homotopic chain maps have equal harmonic blocks.
     """
-    return {
-        i: target_dec._coordinate(i, 1) * t.component(i) * source_dec._block(i, 1)
-        for i in t.degrees()
-    }
+    blocks = {}
+    for i in t.degrees():
+        # ``edges(i)[1:3]`` bounds the harmonic block
+        rows = target_dec.basis_inv_at(i).submatrix(*target_dec.edges(i)[1:3], 0, t.target.dim(i))
+        cols = source_dec.basis_at(i).submatrix(0, t.source.dim(i), *source_dec.edges(i)[1:3])
+        blocks[i] = rows * t.component(i) * cols
+    return blocks
 
 
 def _in_bases(
@@ -485,11 +481,10 @@ def _harmonic_part(
     ms: Mapping[int, Matrix], source_dec: Decomposition, target_dec: Decomposition
 ) -> dict[int, Matrix]:
     """The harmonic blocks ``M^i[H_T, H_S]`` of a map in decomposition bases."""
-    blocks = {}
-    for i, m in ms.items():
-        (_, rb, rh, _), (_, cb, ch, _) = target_dec.edges(i), source_dec.edges(i)
-        blocks[i] = m.submatrix(rb, rh, cb, ch)
-    return blocks
+    return {
+        i: m.submatrix(*target_dec.edges(i)[1:3], *source_dec.edges(i)[1:3])
+        for i, m in ms.items()
+    }
 
 
 def _coordinates(t: ChainMap) -> tuple[str | None, tuple[Decomposition, ...], dict]:
@@ -525,22 +520,23 @@ def _contracting_homotopy(
 
     For a chain map ``t`` this gives ``d H + H d = t - p_T t p_S``, so it
     is a null homotopy exactly when every harmonic block of ``t`` is zero.
-    In decomposition coordinates ``H^i`` has two nonzero blocks: the
-    target lift rows ``L_T^{i-1}`` are ``M^i[B_T^i, :]``, and the block
-    ``[H_T^{i-1}, B_S^i]`` is ``M^{i-1}[H_T^{i-1}, L_S^{i-1}]``, with
-    ``ms`` the ``M^i`` of :func:`_in_bases`.  Each is mapped back by the
-    target's basis columns and the source's coordinate rows.  It is the
-    one place a :class:`Homotopy` is built, behind :func:`null_homotopy`
-    and :func:`are_homotopic`.
+    In decomposition coordinates ``H^i`` is a matrix ``N`` that is zero
+    but for two blocks: the target lift rows ``L_T^{i-1}`` are
+    ``M^i[B_T^i, :]``, and the block ``[H_T^{i-1}, B_S^i]`` is
+    ``M^{i-1}[H_T^{i-1}, L_S^{i-1}]``, with ``ms`` the ``M^i`` of
+    :func:`_in_bases`.  ``N`` is mapped back by one conjugation,
+    ``basis_T^{i-1} N basis_inv_S^i``.  It is the one place a
+    :class:`Homotopy` is built, behind :func:`null_homotopy` and
+    :func:`are_homotopic`.
     """
     comps = {}
     for i, m in ms.items():
         if t.target.dim(i - 1) and t.source.dim(i):
-            rb = target_dec.edges(i)[1]
-            (_, hb, hh, _), (_, _, cl, cn) = target_dec.edges(i - 1), source_dec.edges(i - 1)
-            lift = target_dec._block(i - 1, 2) * m.submatrix(0, rb, 0, m.cols)
-            harmonic = target_dec._block(i - 1, 1) * ms[i - 1].submatrix(hb, hh, cl, cn)
-            comps[i] = lift * source_dec.basis_inv_at(i) + harmonic * source_dec._coordinate(i, 0)
+            (_, hb, hh, end), (_, _, cl, cn) = target_dec.edges(i - 1), source_dec.edges(i - 1)
+            lift = m.submatrix(0, end - hh, 0, m.cols)
+            harmonic = ms[i - 1].submatrix(hb, hh, cl, cn)
+            n = Matrix.zeros(end, m.cols).with_blocks([(hh, 0, lift), (hb, 0, harmonic)])
+            comps[i] = target_dec.basis_at(i - 1) * n * source_dec.basis_inv_at(i)
     return Homotopy(t.source, t.target, comps)
 
 
@@ -622,10 +618,12 @@ def invertible_replacement(f: ChainMap) -> ChainMap:
     M^i[B_T, B_S]`` adds ``phi^i`` to the boundary diagonal block and
     ``phi^{i+1}`` to the lift one, and the chain-map law ``M^i[L_T, L_S]
     = M^{i+1}[B_T, B_S]`` makes both sums the identity.  So ``g = f + d
-    o H + H o d`` is ``g^i = f^i + B_T^i phi^i coordB_S^i + L_T^i
-    phi^{i+1} coordL_S^i``, still block upper-triangular, with diagonal
-    (identity, harmonic block, identity): it is invertible exactly when
-    every harmonic block is, which is checked first.  ``H`` is not built:
+    o H + H o d`` is ``g^i = basis_T^i N^i basis_inv_S^i``, with ``N^i``
+    the matrix ``M^i`` whose boundary and lift diagonal blocks are
+    overwritten by identities: still block upper-triangular, with
+    diagonal (identity, harmonic block, identity), it is invertible
+    exactly when every harmonic block is, which is checked first.  Once
+    they are, both ends have equal block widths.  ``H`` is not built:
     ``are_homotopic(g, f)`` finds a homotopy, as ``g - f = d H + H d``
     has zero harmonic blocks.
 
@@ -637,20 +635,11 @@ def invertible_replacement(f: ChainMap) -> ChainMap:
     """
     (src_dec, tgt_dec), ms = _equivalence_coordinates(f)
     _harmonic_dets(_harmonic_part(ms, src_dec, tgt_dec))
-    phis: dict[int, Matrix] = {}
-    for i, m in ms.items():
-        rb, cb = tgt_dec.edges(i)[1], src_dec.edges(i)[1]
-        phi = Matrix.identity(rb) - m.submatrix(0, rb, 0, cb)
-        if not phi.is_zero():
-            phis[i] = phi
     comps = {}
-    for i in ms:
-        g = f.component(i)
-        if i in phis:
-            g = g + tgt_dec._block(i, 0) * phis[i] * src_dec._coordinate(i, 0)
-        if i + 1 in phis:
-            g = g + tgt_dec._block(i, 2) * phis[i + 1] * src_dec._coordinate(i, 2)
-        comps[i] = g
+    for i, m in ms.items():
+        _, b, bh, end = tgt_dec.edges(i)
+        n = m.with_blocks([(0, 0, Matrix.identity(b)), (bh, bh, Matrix.identity(end - bh))])
+        comps[i] = tgt_dec.basis_at(i) * n * src_dec.basis_inv_at(i)
     return ChainMap(f.source, f.target, comps)
 
 

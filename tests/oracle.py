@@ -59,6 +59,10 @@ decomposition's contraction ``h`` and harmonic projector ``p``, and the
 replacement ``f + d H + H d`` through ``Homotopy.boundary_conjugate``,
 with its invertibility checked by a determinant per degree.
 
+``loop_characters`` is the cocycle on loops by the Lefschetz trace
+formula: traces of the given chain maps, with no decomposition and no
+elimination.
+
 ``per_arrow_ber_rep`` and ``per_degree_cohomology_rep`` are the
 Berezinian and cohomology representations built without a
 ``verify_ruth`` report: they decompose every fiber afresh, take each
@@ -803,3 +807,50 @@ def conjugate_replacement(f: ChainMap) -> ChainMap:
     if not g.is_invertible():
         raise ValueError("replacement failed to be invertible")
     return g
+
+
+def _trace(m: Matrix) -> Fraction:
+    return sum((m[i, i] for i in range(m.rows)), Fraction(0))
+
+
+def loop_characters(rep: RepUpToWeakHomotopy | VectorRep) -> dict[str, int]:
+    """``chi(l)``, +1 or -1, for each loop ``l`` (an arrow from an object to
+    itself) of a lawful homotopy or vector representation, in arrow order.
+
+    On a loop the bases' and trivializations' factors of the Berezinian
+    cancel, so the cocycle is ``chi(l) = prod_i det H^i(l)^((-1)^i)``, and a
+    rational matrix of finite order has determinant ``(-1)^(multiplicity of
+    the eigenvalue -1)``.  By the Hopf trace formula the Lefschetz number
+    ``L(t) = sum_i (-1)^i tr t^i`` equals ``sum_i (-1)^i tr H^i(t)``, and as
+    ``H(t_{l^k}) = H(t_l)^k``, ``k -> L(t_{l^k})`` is the character of the
+    virtual representation ``sum_i (-1)^i H^i`` of the cyclic group ``<l>``
+    of order ``m``.  So ``chi(l) = 1`` for odd ``m``, and for even ``m``
+    ``chi(l) = (-1)^n`` with ``n = (1/m) sum_k (-1)^k L(t_{l^k})``, the
+    multiplicity of the sign character, an integer.  A vector
+    representation is its own complex in degree 0.
+    """
+    gpd = rep.groupoid
+
+    def lefschetz(a: str) -> Fraction:
+        t = rep(a)
+        if isinstance(t, Matrix):
+            return _trace(t)
+        traces = {i: _trace(t.component(i)) for i in t.source.dims}
+        return sum((-x if i % 2 else x for i, x in traces.items()), Fraction(0))
+
+    characters = {}
+    for a, s, t in gpd.arrows:
+        if s != t:
+            continue
+        unit, powers = gpd.unit(s), [gpd.unit(s)]
+        while (power := gpd.compose(a, powers[-1])) != unit:
+            powers.append(power)
+        m = len(powers)
+        if m % 2:  # -1 is no eigenvalue of a matrix of odd order
+            characters[a] = 1
+            continue
+        n = sum(lefschetz(p) * (-1 if k % 2 else 1) for k, p in enumerate(powers)) / m
+        if n.denominator != 1:
+            raise ValueError(f"loop '{a}': the multiplicity {n} is no integer")
+        characters[a] = -1 if n % 2 else 1
+    return characters

@@ -15,11 +15,13 @@ against the blocks, identities and ``format_rational`` strings they
 stand for.
 """
 
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import modclass
 from modclass import (
     ChainMap,
     ComplexFiber,
@@ -38,6 +40,7 @@ from modclass import (
     is_homotopy_equivalence,
     null_homotopy,
     pair_groupoid,
+    parse,
     verify_chain_map,
     verify_complex,
     verify_ruth,
@@ -57,6 +60,7 @@ from randgen import (
     rand_chain_map,
     rand_complex,
     rand_homotopy,
+    rand_homotopy_equivalence,
     rand_matrix,
     rand_rational,
     rand_ruth,
@@ -467,3 +471,49 @@ def test_is_identity_is_equality_with_the_identity(n):
         assert t.is_identity() == (t == ChainMap.identity(c))
     with pytest.raises(ValueError, match=f"^component at degree 0 has shape {n + 1}x{n + 1}, "):
         ChainMap(c, c, {0: Matrix.identity(n + 1), 1: Matrix.identity(1)})
+
+
+# ---------------------------------------------------------------------------
+# Work counts: each construction maps back by one conjugation
+
+
+FIXTURES = pathlib.Path(modclass.__file__).parent / "fixtures"
+
+
+def work_count_maps() -> list[ChainMap]:
+    """The non-unit actions of the homotopy fixtures, then 50 seeded homotopy equivalences."""
+    maps = []
+    for name in ("z2_sign_odd", "acyclic_two_term"):
+        doc = parse(FIXTURES / f"{name}.json")
+        units = set(doc.groupoid.identity.values())
+        maps += [t for a, t in doc.rep.action.items() if a not in units]
+    for seed in range(50):
+        rng = random.Random(seed)
+        c = rand_complex(rng, -1, 3, 4)
+        other, q = conjugated_complex(rng, c)
+        maps.append(rand_homotopy_equivalence(rng, c, other, q))
+    return maps
+
+
+def test_each_construction_is_one_conjugation(monkeypatch):
+    maps = work_count_maps()
+    products = []
+    original = Matrix.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    for f in maps:
+        products.clear()
+        g = invertible_replacement(f)
+        # two products for the change of basis, two to map back
+        assert len(products) == 4 * len(f.degrees())
+        t = g - f  # null-homotopic
+        written = [i for i in t.degrees() if t.target.dim(i - 1) and t.source.dim(i)]
+        products.clear()
+        assert null_homotopy(t) is not None
+        assert len(products) == 2 * len(t.degrees()) + 2 * len(written)
+    # the fixtures' actions and every random map are counted
+    assert len(maps) > 50
