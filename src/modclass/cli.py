@@ -322,19 +322,13 @@ def run(command: str, doc: InputDocument, args) -> tuple[ReportDocument, int]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = parse(args.input)
+        report, code = run(args.command, parse(args.input), args)
     except FileNotFoundError:
         print(f"error: no such file: {args.input}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
         return 2
-    except SchemaError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 2
-    try:
-        report, code = run(args.command, doc, args)
     except SchemaError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)

@@ -452,14 +452,18 @@ def _in_bases(
     t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
 ) -> tuple[str | None, dict[int, Matrix]]:
     """The first problem :func:`verify_chain_map` finds (None for a chain map),
-    and ``M^i = basis_inv_T^i t^i basis_S^i`` per degree, grouped ``[B | H | L]``.
+    and ``M^i = basis_inv_T^i t^i basis_S^i`` per degree, grouped ``[B | H | L]``:
+    the zero matrix, with no product, where ``t`` stores no component.
 
     As ``d`` is a partial identity in these bases, ``d t^i = t^{i+1} d``
     exactly when ``M^i[L_T, B_S | H_S] = 0``, ``M^i[L_T, L_S] =
     M^{i+1}[B_T, B_S]`` and ``M^{i+1}[H_T | L_T, B_S] = 0``.
     """
+    stored = t.components
     ms = {
-        i: target_dec.basis_inv_at(i) * t.component(i) * source_dec.basis_at(i)
+        i: target_dec.basis_inv_at(i) * stored[i] * source_dec.basis_at(i)
+        if i in stored
+        else Matrix.zeros(t.target.dim(i), t.source.dim(i))
         for i in t.degrees()
     }
     empty = Matrix.zeros(0, 0)

@@ -747,8 +747,9 @@ def _solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
             incident[s].append(arrow)
             incident[t].append(arrow)
     f: dict[str, Fraction] = {}
-    for component in _components(gpd):
-        root = component[0]
+    for root in gpd.objects:
+        if root in f:
+            continue
         f[root] = _ONE
         frontier = deque([root])
         while frontier:

@@ -57,6 +57,7 @@ from .linalg import Matrix, det
 class LineRep:
     """An invertible scalar per arrow, functorial under composition."""
 
+    kind = "line"
     groupoid: FiniteGroupoid
     action: Mapping[str, Fraction]
 
@@ -68,6 +69,7 @@ class LineRep:
 class VectorRep:
     """An invertible matrix per arrow, functorial under composition."""
 
+    kind = "vector"
     groupoid: FiniteGroupoid
     dims: Mapping[str, int]
     action: Mapping[str, Matrix]
@@ -80,6 +82,7 @@ class VectorRep:
 class RepUpToWeakHomotopy:
     """A chain map per arrow, functorial up to chain homotopy."""
 
+    kind = "homotopy"
     groupoid: FiniteGroupoid
     complexes: Mapping[str, ComplexFiber]
     action: Mapping[str, ChainMap]
@@ -509,8 +512,7 @@ def decide_modular_class(
     if isinstance(r, RepUpToWeakHomotopy):
         line, sigma = check.berezinian_rep(sigma), None
     elif not check.ok:
-        kind = "vector" if isinstance(r, VectorRep) else "line"
-        raise ValueError(f"not a {kind} representation: {check.problems[0]}")
+        raise ValueError(f"not a {r.kind} representation: {check.problems[0]}")
     else:
         line = LineRep(r.groupoid, check.dets) if isinstance(r, VectorRep) else r
     return line, _solve_1(r.groupoid, characteristic_function(line, sigma))

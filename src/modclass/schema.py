@@ -39,14 +39,14 @@ class InputDocument:
 
     @property
     def rep_kind(self) -> str | None:
-        if isinstance(self.rep, RepUpToWeakHomotopy):
-            return "homotopy"
-        if isinstance(self.rep, VectorRep):
-            return "vector"
-        if isinstance(self.rep, LineRep):
-            return "line"
-        return None
+        return None if self.rep is None else self.rep.kind
 
+
+# ``decompose`` builds dense dim x dim bases in each nonzero degree, so a
+# complex section whose dim^2 summed over every object and degree is larger
+# is refused (exit 2) before any fiber is built; 2^22 is one degree of
+# dimension 2,048.
+COMPLEX_MAX_DIM_SQUARES = 2**22
 
 # a degree key: ASCII digits after at most one sign, as fixtures/schema.json has it
 _DEGREE_KEY = re.compile(r"[+-]?[0-9]+")
@@ -87,6 +87,16 @@ class _Collector:
             self.add(f"{where}: value must be nonzero")
             return Fraction(1)
         return value
+
+    def scalars(self, raw, section: str, kind: str, known) -> dict[str, Fraction]:
+        """The nonzero rationals of ``section``, keyed by ids of ``kind`` in ``known``."""
+        values = {}
+        for key, value in self.mapping(raw, f"{section} section").items():
+            if key not in known:
+                self.add(f"{section} section: unknown {kind} '{key}'")
+                continue
+            values[key] = self.nonzero_rational(value, f"{section} at {kind} '{key}'")
+        return values
 
     def mapping(self, raw, where: str, of_strings: bool = False) -> dict:
         """``raw`` if it is a JSON object (of strings), else ``{}`` and a problem."""
@@ -225,13 +235,7 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
             except TypeError:  # a list or dict member
                 pass
         if cg is None or ch is None or cgh is None:
-            if not (
-                isinstance(entry, list)
-                and len(entry) == 3
-                and isinstance(entry[0], str)
-                and isinstance(entry[1], str)
-                and isinstance(entry[2], str)
-            ):
+            if not (isinstance(entry, list) and len(entry) == 3 and _strings(entry)):
                 col.add(f"compose table: entry {entry!r} is not a [g, h, gh] triple")
                 malformed += 1
                 continue
@@ -265,7 +269,7 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
 
 
 def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, ComplexFiber]:
-    fibers = {}
+    specs, squares = {}, 0
     raw = col.mapping(raw, "complex section")
     known = set(gpd.objects)
     for obj in raw:
@@ -305,6 +309,13 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
                 )
                 continue
             dims[i] = value
+        squares += sum(n * n for n in dims.values())
+        if squares > COMPLEX_MAX_DIM_SQUARES:
+            col.add(
+                "complex section: the sum of squared dimensions over all objects"
+                f" and degrees exceeds {COMPLEX_MAX_DIM_SQUARES}"
+            )
+            return {}
         # shapes checked against dims missing a rejected entry would add
         # a second, spurious problem
         dims_rejected = len(col.problems) > seen
@@ -323,8 +334,8 @@ def _parse_complexes(raw, gpd: FiniteGroupoid, col: _Collector) -> dict[str, Com
             col.add(f"complex of '{obj}': empty degree range")
         # the fiber of a spec with a problem would meet unchecked shapes
         if len(col.problems) == seen:
-            fibers[obj] = ComplexFiber(d_min, d_max, dims, diffs)
-    return fibers
+            specs[obj] = d_min, d_max, dims, diffs
+    return {obj: ComplexFiber(*spec) for obj, spec in specs.items()}
 
 
 def _parse_rep(raw, gpd, fibers, col: _Collector):
@@ -356,9 +367,7 @@ def _parse_rep(raw, gpd, fibers, col: _Collector):
             return None
         action = {}
         for a in gpd.arrow_ids():
-            src, tgt = fibers.get(gpd.src(a)), fibers.get(gpd.tgt(a))
-            if src is None or tgt is None:
-                return None
+            src, tgt = fibers[gpd.src(a)], fibers[gpd.tgt(a)]
             comps = col.per_degree(
                 raw[a],
                 f"rep of arrow '{a}'",
@@ -422,28 +431,18 @@ def parse_data(data: dict) -> InputDocument:
 
     sigma = None
     if "sigma" in data:
-        scales, known = {}, set(gpd.objects)
-        for obj, raw in col.mapping(data["sigma"], "sigma section").items():
-            if obj not in known:
-                col.add(f"sigma section: unknown object '{obj}'")
-                continue
-            scales[obj] = col.nonzero_rational(raw, f"sigma at object '{obj}'")
+        scales = col.scalars(data["sigma"], "sigma", "object", set(gpd.objects))
         if not col.problems:
             sigma = Trivialization(scales)
 
     cochain = None
     if "cochain" in data:
-        values, known = {}, set(gpd.arrow_ids())
-        for a, raw in col.mapping(data["cochain"], "cochain section").items():
-            if a not in known:
-                col.add(f"cochain section: unknown arrow '{a}'")
-                continue
-            values[(a,)] = col.nonzero_rational(raw, f"cochain at arrow '{a}'")
+        values = col.scalars(data["cochain"], "cochain", "arrow", set(gpd.arrow_ids()))
         for a in gpd.arrow_ids():
-            if (a,) not in values:
+            if a not in values:
                 col.add(f"cochain section: arrow '{a}' has no value")
         if not col.problems:
-            cochain = Cochain(1, values)
+            cochain = Cochain(1, {(a,): v for a, v in values.items()})
 
     col.finish()
     return InputDocument(gpd, rep, sigma, cochain)

@@ -267,6 +267,7 @@ class TestModularClassVector:
     def test_invalid_rep_raises_the_first_problem(self, rep, kind):
         # as for a homotopy rep: the law check's first problem, not a
         # complaint about the cocycle or a determinant taken again
+        assert rep.kind == kind
         check = verify_line_rep(rep) if kind == "line" else verify_vector_rep(rep)
         with pytest.raises(ValueError) as raised:
             modular_class(rep)

@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import math
 import pathlib
 import random
 import sys
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import modclass
-from modclass import cli, complexes
+from modclass import cli, complexes, schema
 from modclass import (
     Cochain,
     ComplexFiber,
@@ -1238,6 +1239,78 @@ class TestEmptyDegrees:
         assert list(components) == sorted(str(i) for i in range(1, limit + 1))
         assert components["1"] == [["-1"]]
         assert all(components[str(i)] == [] for i in range(2, limit + 1))
+
+
+def units_document(tmp_path, dims: dict[str, dict[str, int]]) -> str:
+    """The written path of a groupoid of units, one per object of ``dims``,
+    each object's complex the ``dims`` given with no differential, and each
+    unit acting by the zero chain map (``{}``)."""
+    objects = list(dims)
+    data = {
+        "groupoid": {
+            "objects": objects,
+            "arrows": [{"id": f"1{x}", "src": x, "tgt": x} for x in objects],
+            "identity": {x: f"1{x}" for x in objects},
+            "inverse": {f"1{x}": f"1{x}" for x in objects},
+            "compose": [[f"1{x}"] * 3 for x in objects],
+        },
+        "complex": {
+            x: {"degrees": [0, len(spec)], "dims": {str(i): n for i, n in enumerate(spec.values())}}
+            for x, spec in dims.items()
+        },
+        "rep": {f"1{x}": {} for x in objects},
+    }
+    path = tmp_path / "units.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestDimensionLimit:
+    """What ``decompose`` allocates is bounded by the document's dimensions.
+
+    Each nonzero degree of dimension n gets dense n x n bases, so a document
+    whose dim^2 summed over objects and degrees passes
+    ``schema.COMPLEX_MAX_DIM_SQUARES`` is refused before any fiber is built;
+    told by the refusal, never by letting such a document run.
+    """
+
+    LIMIT_ERROR = (
+        "error: complex section: the sum of squared dimensions over all objects"
+        f" and degrees exceeds {schema.COMPLEX_MAX_DIM_SQUARES}"
+    )
+
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            {"*": {"0": 2049}},
+            {"x": {"0": 1500}, "y": {"0": 1500}},
+            {"*": {"0": 1500, "1": 1500}},
+            {"*": {"0": 10**12}},
+        ],
+        ids=["one-degree", "two-objects", "two-degrees", "10^12"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "modular-class", "replace"])
+    def test_a_document_past_the_limit_is_one_error(self, dims, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(schema, "ComplexFiber", lambda *args: pytest.fail("a fiber was built"))
+        path = units_document(tmp_path, dims)
+        arrow = ["--arrow", f"1{next(iter(dims))}"] if command == "replace" else []
+        assert cli.main([command, path, *arrow]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err.splitlines()) == ("", [self.LIMIT_ERROR])
+
+    def test_a_document_at_the_limit_is_read(self, tmp_path):
+        side = math.isqrt(schema.COMPLEX_MAX_DIM_SQUARES)
+        doc = schema.parse(units_document(tmp_path, {"*": {"0": side}}))
+        assert doc.rep.complexes["*"].dims == {0: side}
+
+    def test_a_zero_action_is_decided_with_no_product(self, tmp_path, monkeypatch, capsys):
+        # the change of basis of a component t stores no entry of is zero, not a product
+        monkeypatch.setattr(Matrix, "__mul__", lambda *args: pytest.fail("a product was made"))
+        path = units_document(tmp_path, {"*": {"0": 1000}})
+        assert cli.main(["modular-class", path]) == 1
+        out, err = capsys.readouterr()
+        assert "rep:\n    - unit of object '*' does not act by the identity\n" in out
+        assert not [line for line in err.splitlines() if line.startswith("error:")]
 
 
 def test_fixture_generator_reproduces_the_shipped_documents():
