@@ -16,18 +16,13 @@ from .complexes import (
     ComplexFiber,
     Decomposition,
     GradedDimensionMismatch,
-    Homotopy,
     NotHomotopyEquivalence,
     ValidationReport,
-    are_homotopic,
     berezinian,
     berezinian_class,
-    cohomology_dims,
     decompose,
     harmonic_blocks,
     invertible_replacement,
-    is_homotopy_equivalence,
-    null_homotopy,
     verify_chain_map,
     verify_complex,
 )
@@ -38,10 +33,8 @@ from .groupoid import (
     GroupTable,
     NotACocycle,
     action_groupoid,
-    class_equal,
     coboundary,
     coboundary_solve_1,
-    composable_tuples,
     connected_groupoid,
     cyclic_groupoid,
     disjoint_union,
@@ -54,16 +47,10 @@ from .reps import (
     RepUpToWeakHomotopy,
     Trivialization,
     VectorRep,
-    abs_plus_function,
     characteristic_function,
-    cohomology_representation,
     decide_modular_class,
-    det_representation,
-    induced_ber_rep,
     modular_class,
-    regular_factorization_check,
     strict_as_homotopy,
-    tensor,
     verify_line_rep,
     verify_rep,
     verify_ruth,

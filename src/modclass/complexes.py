@@ -11,28 +11,26 @@ shape rule: the graded dimensions fix the shape of every differential
 and component, a misshapen one is a ValueError, and a zero or empty
 one is dropped, so fibers and maps store only nonzero entries on the
 support and no check after construction looks at shapes.  On top of
-that this module provides chain maps and chain homotopies (graded maps
-of degree 0 and -1, sharing one class but for their own operations),
-the boundary/harmonic/lift decomposition of each degree, and the
-Berezinian (graded determinant).
+that this module provides chain maps, the boundary/harmonic/lift
+decomposition of each degree, and the Berezinian (graded determinant).
 The decomposition is a strong deformation retract onto the harmonic
 blocks, and the harmonic blocks (``pi_T t iota_S`` per degree, the map
 on cohomology) are the one view of a homotopy class: a chain map is
-null-homotopic exactly when they vanish (the contraction then gives the
-homotopy), and the Berezinian of a homotopy equivalence's class is the
-alternating product of their determinants, corrected by those of the
-bases.
+null-homotopic exactly when they vanish, so a homotopy need only exist
+and none is built, and the Berezinian of a homotopy equivalence's
+class is the alternating product of their determinants, corrected by
+those of the bases.
 
 In the decomposition bases each differential is a fixed partial
 identity: it carries the lift block of degree ``i`` onto the boundary
 block of degree ``i+1`` by the identity and kills the other two.  So
 every homotopy decision and construction reads one change of basis per
 arrow and degree, ``M^i = basis_inv_T^i t^i basis_S^i`` (``_in_bases``):
-the chain-map verdict, the harmonic blocks ``M^i[H_T, H_S]``, the null
-homotopy and the invertible replacement.  Each of the two constructions
-writes its matrix ``N`` in decomposition coordinates with
-``Matrix.with_blocks``, from blocks of ``M`` and identities, and maps it
-back by one conjugation, ``basis_T N basis_inv_S``.
+the chain-map verdict, the harmonic blocks ``M^i[H_T, H_S]`` and the
+invertible replacement.  The replacement writes its matrix ``N`` in
+decomposition coordinates with ``Matrix.with_blocks``, from blocks of
+``M`` and identities, and maps it back by one conjugation, ``basis_T N
+basis_inv_S``.
 :func:`verify_chain_map`, :func:`harmonic_blocks` and
 :func:`verify_complex` multiply the maps out directly, as references and
 to word the problems of fibers that are no complexes.
@@ -188,19 +186,19 @@ def _nonzero_entries(
     return stored
 
 
-class _GradedMap:
-    """A family of matrices, component ``i`` from source degree ``i`` to
-    target degree ``i + shift``, of shape ``target.dim(i + shift) x
-    source.dim(i)``; a missing component is zero.
+class ChainMap:
+    """A degree-preserving map of complexes commuting with differentials.
 
-    Construction refuses a component of another shape with a ValueError
-    and drops a zero or empty one, so ``components`` holds the nonzero
-    ones, in degree order.  Two maps are equal when they have the same
-    type, ends and stored components.
+    Component ``i`` goes from source degree ``i`` to target degree ``i``,
+    of shape ``target.dim(i) x source.dim(i)``; a missing component is
+    zero.  Construction refuses a component of another shape with a
+    ValueError and drops a zero or empty one, so ``components`` holds the
+    nonzero ones, in degree order.  Two chain maps are equal when they
+    have the same ends and stored components.  Construction does not
+    enforce commutation; use :func:`verify_chain_map` to check it.
     """
 
     __slots__ = ("source", "target", "components")
-    shift = 0
 
     def __init__(
         self,
@@ -210,45 +208,26 @@ class _GradedMap:
     ):
         self.source = source
         self.target = target
-        self.components = _nonzero_entries("component", components, target, source, self.shift)
+        self.components = _nonzero_entries("component", components, target, source, 0)
 
     def component(self, i: int) -> Matrix:
         c = self.components.get(i)
         if c is None:
-            return Matrix.zeros(self.target.dim(i + self.shift), self.source.dim(i))
+            return Matrix.zeros(self.target.dim(i), self.source.dim(i))
         return c
 
     @classmethod
-    def zero(cls, source: ComplexFiber, target: ComplexFiber):
+    def zero(cls, source: ComplexFiber, target: ComplexFiber) -> "ChainMap":
         return cls(source, target, {})
-
-    def degrees(self) -> list[int]:
-        """The degrees ``i`` where component ``i`` has a nonzero end, in order:
-        the source's support and the target's, shifted by ``-shift``.  Every
-        other component is empty."""
-        return sorted(self.source.dims.keys() | {i - self.shift for i in self.target.dims})
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.source!r} -> {self.target!r})"
-
-
-class ChainMap(_GradedMap):
-    """A degree-preserving map of complexes commuting with differentials."""
-
-    __slots__ = ()
 
     @classmethod
     def identity(cls, fiber: ComplexFiber) -> "ChainMap":
         return cls(fiber, fiber, {i: Matrix.identity(n) for i, n in fiber.dims.items()})
+
+    def degrees(self) -> list[int]:
+        """The degrees where a component has a nonzero end, in order: the
+        union of the two fibers' supports.  Every other component is empty."""
+        return sorted(self.source.dims.keys() | self.target.dims.keys())
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """``self`` after ``other``: a product in each degree where both store a component."""
@@ -289,30 +268,20 @@ class ChainMap(_GradedMap):
             for i in self.degrees()
         )
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and self.components == other.components
+        )
+
     def __hash__(self):
         return hash((self.source, self.target))
 
-
-class Homotopy(_GradedMap):
-    """A degree -1 map: component ``i`` goes from source degree ``i`` to
-    target degree ``i-1``.  Unhashable."""
-
-    __slots__ = ()
-    shift = -1
-
-    def boundary_conjugate(self) -> ChainMap:
-        """The chain map ``d o H + H o d`` induced by this homotopy."""
-        src, tgt = self.source, self.target
-        return ChainMap(
-            src,
-            tgt,
-            {
-                i: tgt.differential(i - 1) * self.component(i)
-                + self.component(i + 1) * src.differential(i)
-                for i in src.dims
-                if tgt.dim(i)
-            },
-        )
+    def __repr__(self) -> str:
+        return f"ChainMap({self.source!r} -> {self.target!r})"
 
 
 def verify_complex(c: ComplexFiber) -> ValidationReport:
@@ -421,11 +390,6 @@ def decompose(c: ComplexFiber) -> Decomposition:
     return Decomposition(c, basis, basis_inv, boundary_dims, harmonic_dims, basis_det)
 
 
-def cohomology_dims(c: ComplexFiber) -> dict[int, int]:
-    """Dimension of kernel mod image in each nonzero degree."""
-    return decompose(c).harmonic_dims
-
-
 def harmonic_blocks(
     t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
 ) -> dict[int, Matrix]:
@@ -491,115 +455,35 @@ def _harmonic_part(
     }
 
 
-def _coordinates(t: ChainMap) -> tuple[str | None, tuple[Decomposition, ...], dict]:
-    """:func:`_in_bases` on the decompositions of both ends (shared for an
-    endomorphism), with them in the middle.  When an end is no complex,
-    "not a chain map" wins: :func:`verify_chain_map`'s problem comes back
-    with no decompositions, and for a chain map the refusal is raised.
-    """
-    try:
-        source_dec = decompose(t.source)
-        ends = source_dec, source_dec if t.target == t.source else decompose(t.target)
-    except ValueError:
-        check = verify_chain_map(t)
-        if check.ok:
-            raise
-        return check.problems[0], (), {}
-    problem, ms = _in_bases(t, *ends)
-    return problem, ends, ms
-
-
-def _require_chain_map(t: ChainMap) -> tuple[tuple[Decomposition, ...], dict[int, Matrix]]:
-    """:func:`_coordinates`, raising ValueError for a map that is no chain map."""
-    problem, ends, ms = _coordinates(t)
-    if problem is not None:
-        raise ValueError(f"not a chain map: {problem}")
-    return ends, ms
-
-
-def _contracting_homotopy(
-    t: ChainMap, ms: Mapping[int, Matrix], source_dec: Decomposition, target_dec: Decomposition
-) -> Homotopy:
-    """``H^i = h_T^i t^i + p_T^{i-1} t^{i-1} h_S^i``, read off ``t``'s change of basis.
-
-    For a chain map ``t`` this gives ``d H + H d = t - p_T t p_S``, so it
-    is a null homotopy exactly when every harmonic block of ``t`` is zero.
-    In decomposition coordinates ``H^i`` is a matrix ``N`` that is zero
-    but for two blocks: the target lift rows ``L_T^{i-1}`` are
-    ``M^i[B_T^i, :]``, and the block ``[H_T^{i-1}, B_S^i]`` is
-    ``M^{i-1}[H_T^{i-1}, L_S^{i-1}]``, with ``ms`` the ``M^i`` of
-    :func:`_in_bases`.  ``N`` is mapped back by one conjugation,
-    ``basis_T^{i-1} N basis_inv_S^i``.  It is the one place a
-    :class:`Homotopy` is built, behind :func:`null_homotopy` and
-    :func:`are_homotopic`.
-    """
-    comps = {}
-    for i, m in ms.items():
-        if t.target.dim(i - 1) and t.source.dim(i):
-            (_, hb, hh, end), (_, _, cl, cn) = target_dec.edges(i - 1), source_dec.edges(i - 1)
-            lift = m.submatrix(0, end - hh, 0, m.cols)
-            harmonic = ms[i - 1].submatrix(hb, hh, cl, cn)
-            n = Matrix.zeros(end, m.cols).with_blocks([(hh, 0, lift), (hb, 0, harmonic)])
-            comps[i] = target_dec.basis_at(i - 1) * n * source_dec.basis_inv_at(i)
-    return Homotopy(t.source, t.target, comps)
-
-
-def null_homotopy(t: ChainMap) -> Homotopy | None:
-    """A homotopy ``H`` with ``T^i = d^{i-1} H^i + H^{i+1} d^i``, or None.
-
-    Over a field a chain map is null-homotopic exactly when it induces
-    zero on cohomology, that is when all of its harmonic blocks vanish;
-    the homotopy is then read off the same change of basis in closed
-    form (:func:`_contracting_homotopy`).
-    """
-    problem, ends, ms = _coordinates(t)
-    if problem is not None or any(not h.is_zero() for h in _harmonic_part(ms, *ends).values()):
-        return None
-    return _contracting_homotopy(t, ms, *ends)
-
-
-def are_homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
-    """A homotopy from ``g`` to ``f`` (witnessing ``f - g = dH + Hd``), or None."""
-    if f.source != g.source or f.target != g.target:
-        raise ValueError("chain maps do not share source and target")
-    return null_homotopy(f - g)
-
-
-@dataclass(frozen=True)
-class HomotopyEquivalenceCheck:
-    """Truthy iff the map induces isomorphisms on cohomology.
-
-    ``cohomology_maps`` holds the induced matrix in every degree where a
-    fiber is nonzero, in the harmonic bases of the two decompositions.
-    """
-
-    ok: bool
-    cohomology_maps: dict[int, Matrix]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_homotopy_equivalence(f: ChainMap) -> HomotopyEquivalenceCheck:
-    """Decide homotopy equivalence via invertibility of the harmonic blocks.
-
-    Raises ValueError for a map that is not a chain map.
-    """
-    ends, ms = _require_chain_map(f)
-    maps = _harmonic_part(ms, *ends)
-    ok = all(h.is_square and det(h) != 0 for h in maps.values())
-    return HomotopyEquivalenceCheck(ok, maps)
-
-
 def _equivalence_coordinates(f: ChainMap) -> tuple[tuple[Decomposition, ...], dict[int, Matrix]]:
-    """:func:`_require_chain_map`, once graded dimensions agree."""
+    """The decompositions of ``f``'s ends (shared for an endomorphism) and
+    ``f``'s change of basis ``M^i`` (:func:`_in_bases`), once ``f`` is
+    checked to be a chain map between complexes of equal graded dimension.
+
+    Raises GradedDimensionMismatch first, then ValueError for a map that
+    is no chain map.  When an end is no complex, "not a chain map" wins:
+    :func:`verify_chain_map` words it, and only for a chain map is the
+    refusal to split raised.
+    """
     src, tgt = f.source, f.target
     for i in f.degrees():
         if src.dim(i) != tgt.dim(i):
             raise GradedDimensionMismatch(
                 f"source has dimension {src.dim(i)} and target {tgt.dim(i)} in degree {i}"
             )
-    return _require_chain_map(f)
+    try:
+        source_dec = decompose(src)
+        ends = source_dec, source_dec if tgt == src else decompose(tgt)
+    except ValueError:
+        check = verify_chain_map(f)
+        if check.ok:
+            raise
+        problem = check.problems[0]
+    else:
+        problem, ms = _in_bases(f, *ends)
+    if problem is not None:
+        raise ValueError(f"not a chain map: {problem}")
+    return ends, ms
 
 
 def _harmonic_dets(blocks: Mapping[int, Matrix]) -> dict[int, Fraction]:
@@ -628,8 +512,8 @@ def invertible_replacement(f: ChainMap) -> ChainMap:
     diagonal (identity, harmonic block, identity), it is invertible
     exactly when every harmonic block is, which is checked first.  Once
     they are, both ends have equal block widths.  ``H`` is not built:
-    ``are_homotopic(g, f)`` finds a homotopy, as ``g - f = d H + H d``
-    has zero harmonic blocks.
+    ``g - f = d H + H d`` has zero harmonic blocks, so ``g`` and ``f``
+    are homotopic.
 
     Maps that are already invertible still go through the same
     canonicalization, so the output may differ from the input (but is

@@ -10,8 +10,8 @@ pair.
 
 Cochains take values in the multiplicative group of nonzero rationals:
 a degree-k cochain assigns a nonzero scalar to every composable k-tuple
-(to every object when k = 0), the coboundary uses products and
-quotients, and "vanishing" means being identically 1.  Degree-1 classes
+(to every object when k = 0), the coboundary of a degree-0 cochain
+takes quotients, and "vanishing" means being identically 1.  Degree-1 classes
 are handled concretely, as a cocycle plus a triviality decision with a
 witness or an obstruction list; triviality is decided by propagating a
 potential along a spanning forest of the object graph and checking the
@@ -345,44 +345,11 @@ def _scan_associativity(gpd: FiniteGroupoid, report: ValidationReport) -> None:
                 report.add(f"associativity fails on ('{g}', '{h}', '{k}')")
 
 
-def composable_tuples(gpd: FiniteGroupoid, k: int) -> list:
-    """All chains of ``k`` arrows with matching endpoints (objects for k=0)."""
-    if k < 0:
-        raise ValueError("tuple length must be nonnegative")
-    if k == 0:
-        return list(gpd.objects)
-    tuples: list[tuple[str, ...]] = [(a,) for a in gpd.arrow_ids()]
-    for _ in range(k - 1):
-        tuples = [t + (a,) for t in tuples for a in gpd._into.get(gpd.src(t[-1]), ())]
-    return tuples
-
-
 def coboundary(gpd: FiniteGroupoid, f: Cochain) -> Cochain:
-    """Multiplicative coboundary, one degree up.
-
-    In degree 0 this is (delta f)(g) = f(src g) / f(tgt g).  In degree
-    k >= 1 the value on (g_1, ..., g_{k+1}) is the alternating product
-    of f over the front face, the k merged-composite faces, and the
-    back face.
-    """
-    k = f.degree
-    if k == 0:
-        return Cochain(
-            1,
-            {
-                (a,): f(gpd.src(a)) / f(gpd.tgt(a))
-                for a in gpd.arrow_ids()
-            },
-        )
-    values = {}
-    for chain in composable_tuples(gpd, k + 1):
-        v = f(chain[1:])
-        for i in range(1, k + 1):
-            merged = chain[: i - 1] + (gpd.compose(chain[i - 1], chain[i]),) + chain[i + 1 :]
-            v = v / f(merged) if i % 2 else v * f(merged)
-        v = v * f(chain[:k]) if (k + 1) % 2 == 0 else v / f(chain[:k])
-        values[chain] = v
-    return Cochain(k + 1, values)
+    """Multiplicative coboundary of a degree-0 cochain: (delta f)(g) = f(src g) / f(tgt g)."""
+    if f.degree != 0:
+        raise ValueError("expected a degree-0 cochain")
+    return Cochain(1, {(a,): f(s) / f(t) for a, s, t in gpd.arrows})
 
 
 def is_cocycle_1(gpd: FiniteGroupoid, phi: Cochain) -> bool:
@@ -772,14 +739,6 @@ def _solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
     if obstructions:
         return ClassReport(phi, False, None, obstructions)
     return ClassReport(phi, True, Cochain(0, f), [])
-
-
-def class_equal(gpd: FiniteGroupoid, phi1: Cochain, phi2: Cochain) -> bool:
-    """Whether two degree-1 cocycles differ by a coboundary."""
-    for phi in (phi1, phi2):
-        if not is_cocycle_1(gpd, phi):
-            raise NotACocycle("input cochain is not a cocycle")
-    return _solve_1(gpd, phi1 / phi2).is_coboundary  # a quotient of cocycles is one
 
 
 # ---------------------------------------------------------------------------

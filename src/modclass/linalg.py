@@ -245,7 +245,8 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls._from_ints(((0,) * cols,) * rows, 1, cols)
+        # with no rows, no row of ``cols`` zeros is built
+        return cls._from_ints(((0,) * cols,) * rows if rows else (), 1, cols)
 
     def __getitem__(self, key) -> Fraction:
         i, j = key

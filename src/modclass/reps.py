@@ -8,12 +8,12 @@ A representation up to weak homotopy assigns a chain map of per-object
 complexes to every arrow, unital, with composition respected only up to
 existence of a chain homotopy.  Homotopy questions are answered on the
 per-object boundary/harmonic/lift decompositions: functoriality up to
-homotopy is strict functoriality of the harmonic blocks (decided here;
-:func:`~modclass.complexes.are_homotopic` builds a pair's homotopy), and
-the Berezinian of the homotopy class of each chain map, read off its
-harmonic blocks, is again a strictly functorial line representation
-whose class is the modular class of the homotopy representation.  Both
-are read off the one analysis, the report of :func:`verify_ruth`.
+homotopy is strict functoriality of the harmonic blocks, decided here
+with no homotopy built, since one need only exist.  The Berezinian of
+the homotopy class of each chain map, read off its harmonic blocks, is
+again a strictly functorial line representation whose class is the
+modular class of the homotopy representation.  Both are read off the
+one analysis, the report of :func:`verify_ruth`.
 
 A trivialization fixes a nonzero scale per object (of the determinant
 line for vector representations, of the Berezinian line for homotopy
@@ -48,7 +48,6 @@ from .groupoid import (
     _model_of,
     _scan_pairs,
     _solve_1,
-    class_equal,
 )
 from .linalg import Matrix, det
 
@@ -162,7 +161,7 @@ class VectorReport(ValidationReport):
     order: read off the isotropy model when functoriality is certified,
     else taken arrow by arrow for the singularity check.  Once the report
     passes (over a lawful groupoid) every action is square, invertible
-    and in ``dets``: they are the action of :func:`det_representation`.
+    and in ``dets``: they are the action on determinant lines.
     """
 
     def __init__(self):
@@ -273,32 +272,6 @@ def characteristic_function(
     return Cochain(1, values)
 
 
-def tensor(r1: LineRep, r2: LineRep) -> LineRep:
-    """Tensor product of line representations: actions multiply."""
-    if r1.groupoid != r2.groupoid:
-        raise ValueError("tensor factors live over different groupoids")
-    return LineRep(
-        r1.groupoid, {a: r1(a) * r2(a) for a in r1.groupoid.arrow_ids()}
-    )
-
-
-def abs_plus_function(r: LineRep, sigma: Trivialization | None = None) -> Cochain:
-    """The positive cocycle |phi|, insensitive to section signs."""
-    phi = characteristic_function(r, sigma)
-    return Cochain(1, {k: abs(v) for k, v in phi.values.items()})
-
-
-def det_representation(r: VectorRep) -> LineRep:
-    """The induced action on top exterior powers: each arrow acts by det."""
-    action = {}
-    for a in r.groupoid.arrow_ids():
-        d = det(r(a))
-        if d == 0:
-            raise ValueError(f"action of arrow '{a}' is singular")
-        action[a] = d
-    return LineRep(r.groupoid, action)
-
-
 def strict_as_homotopy(r: VectorRep, degree: int = 0) -> RepUpToWeakHomotopy:
     """View a strict representation as concentrated in one degree."""
     gpd = r.groupoid
@@ -328,8 +301,7 @@ class RuthReport(ValidationReport):
     action of the composite; it is derived from the failing pairs when
     it is read, so a caller that only decides lists no pair, and it is
     empty when the check stopped before the pairs.  The certificate is
-    the decision alone; ``are_homotopic(r(g).compose(r(h)), r(gh))``
-    builds the homotopy.
+    the decision alone: no homotopy is built.
     ``identities`` holds each unit arrow whose action is the identity
     chain map of its fiber: it is a chain map with identity harmonic
     blocks and Berezinian 1, so none of that is computed for it.
@@ -382,14 +354,6 @@ class RuthReport(ValidationReport):
             x, y = gpd.src(a), gpd.tgt(a)
             action[a] = _class_berezinian(blocks, decs[x], decs[y], sigma(x), sigma(y))
         return LineRep(gpd, action)
-
-    def cohomology_rep(self, degree: int) -> VectorRep:
-        """The action on degree-``degree`` cohomology: each arrow's harmonic block."""
-        self._require_ok()
-        gpd, decs = self.rep.groupoid, self.decompositions
-        dims = {x: decs[x].harmonic_dims.get(degree, 0) for x in gpd.objects}
-        action = {a: b.get(degree, Matrix.zeros(0, 0)) for a, b in self.blocks.items()}
-        return VectorRep(gpd, dims, action)
 
 
 def _dimension_mismatch(a: str, t: ChainMap) -> str | None:
@@ -476,19 +440,6 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     return report
 
 
-def induced_ber_rep(r: RepUpToWeakHomotopy, sigma: Trivialization | None = None) -> LineRep:
-    """The strictly functorial action on Berezinian lines.
-
-    Each arrow acts by the Berezinian of the homotopy class of its chain
-    map, scaled by the trivialization at its endpoints (see
-    :meth:`RuthReport.berezinian_rep`).  Raises GradedDimensionMismatch
-    when an arrow joins fibers of unequal graded dimension, and
-    ValueError with :func:`verify_ruth`'s first problem on any other
-    invalid input.
-    """
-    return verify_ruth(r).berezinian_rep(sigma)
-
-
 def verify_rep(r: LineRep | VectorRep | RepUpToWeakHomotopy) -> ValidationReport:
     """The law check of ``r``'s kind, off which its class is read."""
     if isinstance(r, RepUpToWeakHomotopy):
@@ -507,7 +458,9 @@ def decide_modular_class(
     vector rep on determinant lines by the check's ``dets``, and a line rep
     is its own line; the check proved the action functorial, so its cocycle
     needs no second check.  A failed check raises ValueError with its first
-    problem, or for a homotopy rep as :func:`induced_ber_rep` does.
+    problem, or for a homotopy rep as :meth:`RuthReport.berezinian_rep`
+    does: GradedDimensionMismatch for unequal graded dimensions, else
+    ValueError with the first problem.
     """
     if isinstance(r, RepUpToWeakHomotopy):
         line, sigma = check.berezinian_rep(sigma), None
@@ -523,34 +476,3 @@ def modular_class(
 ) -> ClassReport:
     """The class of :func:`decide_modular_class`, after ``r``'s own law check."""
     return decide_modular_class(r, verify_rep(r), sigma)[1]
-
-
-def cohomology_representation(r: RepUpToWeakHomotopy, degree: int) -> VectorRep:
-    """The strict representation induced on degree-``degree`` cohomology.
-
-    Each arrow acts by its harmonic block, in the harmonic bases of the
-    per-object decompositions; homotopy functoriality makes this
-    strictly functorial and invertible.  Raises as :func:`induced_ber_rep`.
-    """
-    return verify_ruth(r).cohomology_rep(degree)
-
-
-def regular_factorization_check(
-    r: RepUpToWeakHomotopy, sigma: Trivialization | None = None
-) -> bool:
-    """Compare the modular cocycle with its cohomology factorization.
-
-    The Berezinian cocycle of the whole representation should be
-    cohomologous to the alternating product, over degrees, of the
-    determinant cocycles of the induced cohomology representations,
-    both read off one :func:`verify_ruth` report.  Raises as
-    :func:`induced_ber_rep`.
-    """
-    gpd = r.groupoid
-    report = verify_ruth(r)
-    total = characteristic_function(report.berezinian_rep(sigma))
-    product = Cochain.constant(1, [(a,) for a in gpd.arrow_ids()])
-    for i in sorted({i for blocks in report.blocks.values() for i in blocks}):
-        phi_i = characteristic_function(det_representation(report.cohomology_rep(i)))
-        product = product * phi_i if i % 2 == 0 else product / phi_i
-    return class_equal(gpd, total, product)

@@ -1,5 +1,12 @@
 """Slow reference constructions that the fast paths are tested against.
 
+``Homotopy`` is a degree -1 map of complexes, component ``i`` from
+source degree ``i`` to target degree ``i-1``, and
+``Homotopy.boundary_conjugate`` the chain map ``d H + H d`` it
+induces.  The library decides homotopies from harmonic blocks and
+builds none, so only the random generators and the references below
+build them.
+
 ``global_null_homotopy`` decides null-homotopy the general way: every
 entry of every homotopy component is an unknown, all degrees together
 form one linear system ``d^{i-1} H^i + H^{i+1} d^i = T^i``, and it is
@@ -51,13 +58,16 @@ coordinates were relabelled, pulled back to the original coordinates.
 ``tau`` was kept: a ``Fraction`` product, degree by degree, of each
 harmonic determinant and the quotient of the two basis determinants.
 
-``contraction_homotopy`` and ``conjugate_replacement`` are
-``null_homotopy``'s and ``invertible_replacement``'s builders as they
-were before both were read off one change of basis: the contraction
-``h_T t + p_T t h_S`` multiplied out in standard coordinates from each
-decomposition's contraction ``h`` and harmonic projector ``p``, and the
-replacement ``f + d H + H d`` through ``Homotopy.boundary_conjugate``,
-with its invertibility checked by a determinant per degree.
+``contraction_homotopy`` is the contraction ``h_T t + p_T t h_S``
+multiplied out in standard coordinates from each decomposition's
+contraction ``h`` and harmonic projector ``p``; for a chain map ``t``
+it is a null homotopy exactly when ``t``'s harmonic blocks vanish.
+``homotopy_between`` builds on it the homotopy between two chain maps,
+and keeps it only when ``d H + H d`` is their difference.
+``conjugate_replacement`` is ``invertible_replacement``'s builder as it
+was before it was read off one change of basis: the replacement ``f + d
+H + H d`` through ``Homotopy.boundary_conjugate``, with its
+invertibility checked by a determinant per degree.
 
 ``loop_characters`` is the cocycle on loops by the Lefschetz trace
 formula: traces of the given chain maps, with no decomposition and no
@@ -69,6 +79,14 @@ Berezinian and cohomology representations built without a
 arrow's Berezinian from its harmonic blocks by
 ``class_berezinian_by_degree`` and re-check the result's functoriality,
 or take each arrow's harmonic blocks again.
+
+``scan_coboundary`` is the multiplicative coboundary in every degree,
+over the tuples of ``scan_composable_tuples``; the library keeps degree
+0 alone.  ``class_equal`` decides whether two degree-1 cocycles differ
+by a coboundary, ``tensor`` multiplies two line representations, and
+``regular_factorization_check`` compares the Berezinian cocycle with
+the alternating product of the cohomology representations' determinant
+cocycles: claims of the paper that no command states.
 """
 
 from __future__ import annotations
@@ -85,23 +103,85 @@ from modclass import (
     Decomposition,
     FiniteGroupoid,
     GradedDimensionMismatch,
-    Homotopy,
     LineRep,
     Matrix,
+    NotACocycle,
     NotHomotopyEquivalence,
     RepUpToWeakHomotopy,
     Trivialization,
     ValidationReport,
     VectorRep,
+    characteristic_function,
+    coboundary,
     decompose,
     det,
     harmonic_blocks,
+    is_cocycle_1,
     verify_chain_map,
     verify_complex,
     verify_line_rep,
+    verify_ruth,
 )
-from modclass.groupoid import _components, _pair_count
+from modclass.complexes import _nonzero_entries
+from modclass.groupoid import _components, _pair_count, _solve_1
 from modclass.linalg import _RATIONAL_RE, rref as linalg_rref
+
+
+class Homotopy:
+    """A degree -1 map: component ``i`` goes from source degree ``i`` to
+    target degree ``i-1``, of shape ``target.dim(i-1) x source.dim(i)``; a
+    missing component is zero.
+
+    Construction refuses a component of another shape and drops a zero
+    or empty one, as ``ChainMap``'s does.  Two homotopies are equal when
+    they have the same ends and stored components; a homotopy never
+    equals a chain map, and it is unhashable.
+    """
+
+    __slots__ = ("source", "target", "components")
+
+    def __init__(self, source: ComplexFiber, target: ComplexFiber, components: Mapping[int, Matrix]):
+        self.source = source
+        self.target = target
+        self.components = _nonzero_entries("component", components, target, source, -1)
+
+    @classmethod
+    def zero(cls, source: ComplexFiber, target: ComplexFiber) -> "Homotopy":
+        return cls(source, target, {})
+
+    def component(self, i: int) -> Matrix:
+        c = self.components.get(i)
+        return Matrix.zeros(self.target.dim(i - 1), self.source.dim(i)) if c is None else c
+
+    def degrees(self) -> list[int]:
+        """The degrees ``i`` where component ``i`` has a nonzero end, in order."""
+        return sorted(self.source.dims.keys() | {i + 1 for i in self.target.dims})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Homotopy:
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and self.components == other.components
+        )
+
+    def __repr__(self) -> str:
+        return f"Homotopy({self.source!r} -> {self.target!r})"
+
+    def boundary_conjugate(self) -> ChainMap:
+        """The chain map ``d o H + H o d`` induced by this homotopy."""
+        src, tgt = self.source, self.target
+        return ChainMap(
+            src,
+            tgt,
+            {
+                i: tgt.differential(i - 1) * self.component(i)
+                + self.component(i + 1) * src.differential(i)
+                for i in src.dims
+                if tgt.dim(i)
+            },
+        )
 
 
 def hstack(*parts: Matrix) -> Matrix:
@@ -316,6 +396,35 @@ def scan_composable_tuples(gpd: FiniteGroupoid, k: int) -> list:
             t + (a,) for t in tuples for a in gpd.arrow_ids() if gpd.src(t[-1]) == gpd.tgt(a)
         ]
     return tuples
+
+
+def scan_coboundary(gpd: FiniteGroupoid, f: Cochain) -> Cochain:
+    """Multiplicative coboundary, one degree up, in any degree.
+
+    Degree 0 is the library's ``coboundary``.  In degree k >= 1 the value
+    on ``(g_1, ..., g_{k+1})`` is the alternating product of ``f`` over the
+    front face, the k merged-composite faces, and the back face.
+    """
+    k = f.degree
+    if k == 0:
+        return coboundary(gpd, f)
+    values = {}
+    for chain in scan_composable_tuples(gpd, k + 1):
+        v = f(chain[1:])
+        for i in range(1, k + 1):
+            merged = chain[: i - 1] + (gpd.compose(chain[i - 1], chain[i]),) + chain[i + 1 :]
+            v = v / f(merged) if i % 2 else v * f(merged)
+        v = v * f(chain[:k]) if (k + 1) % 2 == 0 else v / f(chain[:k])
+        values[chain] = v
+    return Cochain(k + 1, values)
+
+
+def class_equal(gpd: FiniteGroupoid, phi1: Cochain, phi2: Cochain) -> bool:
+    """Whether two degree-1 cocycles differ by a coboundary; each is checked once."""
+    for phi in (phi1, phi2):
+        if not is_cocycle_1(gpd, phi):
+            raise NotACocycle("input cochain is not a cocycle")
+    return _solve_1(gpd, phi1 / phi2).is_coboundary  # a quotient of cocycles is one
 
 
 def scan_coboundary_solve_1(gpd: FiniteGroupoid, phi) -> tuple[dict, list]:
@@ -668,6 +777,36 @@ def per_arrow_ber_rep(r: RepUpToWeakHomotopy, sigma: Trivialization | None = Non
     return rep
 
 
+def tensor(r1: LineRep, r2: LineRep) -> LineRep:
+    """Tensor product of line representations: actions multiply."""
+    if r1.groupoid != r2.groupoid:
+        raise ValueError("tensor factors live over different groupoids")
+    return LineRep(r1.groupoid, {a: r1(a) * r2(a) for a in r1.groupoid.arrow_ids()})
+
+
+def regular_factorization_check(
+    r: RepUpToWeakHomotopy, sigma: Trivialization | None = None
+) -> bool:
+    """Compare the modular cocycle with its cohomology factorization.
+
+    The Berezinian cocycle of the whole representation should be
+    cohomologous to the alternating product, over degrees, of the
+    determinant cocycles of the induced cohomology representations, each
+    arrow acting in degree ``i`` by its harmonic block.  Both are read off
+    one ``verify_ruth`` report, so an invalid ``r`` raises as
+    ``RuthReport.berezinian_rep`` does.
+    """
+    gpd = r.groupoid
+    report = verify_ruth(r)
+    total = characteristic_function(report.berezinian_rep(sigma))
+    product = Cochain.constant(1, [(a,) for a in gpd.arrow_ids()])
+    for i in sorted({i for blocks in report.blocks.values() for i in blocks}):
+        dets = {a: det(b[i]) if i in b else 1 for a, b in report.blocks.items()}
+        phi_i = characteristic_function(LineRep(gpd, dets))
+        product = product * phi_i if i % 2 == 0 else product / phi_i
+    return class_equal(gpd, total, product)
+
+
 def per_degree_cohomology_rep(r: RepUpToWeakHomotopy, degree: int) -> VectorRep:
     """Each arrow's harmonic block in one degree, on fresh decompositions."""
     gpd = r.groupoid
@@ -786,6 +925,20 @@ def contraction_homotopy(
             projected = harmonic_projector(target_dec, i - 1) * t.component(i - 1)
             comps[i] = along_target + projected * contraction(source_dec, i)
     return Homotopy(src, tgt, comps)
+
+
+def homotopy_between(f: ChainMap, g: ChainMap) -> Homotopy | None:
+    """A homotopy ``H`` with ``f - g = d H + H d``, or None.
+
+    ``H`` is the contraction of ``f - g`` on the canonical decompositions
+    of its ends, kept only when it witnesses the difference: it does
+    exactly when ``f - g`` is a chain map with zero harmonic blocks.
+    ``f`` and ``g`` must share source and target, and these must be
+    complexes.
+    """
+    t = f - g
+    h = contraction_homotopy(t, decompose(t.source), decompose(t.target))
+    return h if h.boundary_conjugate() == t else None
 
 
 def conjugate_replacement(f: ChainMap) -> ChainMap:

@@ -25,7 +25,6 @@ from modclass import (
     ChainMap,
     ComplexFiber,
     FiniteGroupoid,
-    Homotopy,
     LineRep,
     Matrix,
     RepUpToWeakHomotopy,
@@ -38,7 +37,7 @@ from modclass import (
     pair_groupoid,
     GroupTable,
 )
-from oracle import det_and_inverse, kernel_basis
+from oracle import Homotopy, det_and_inverse, kernel_basis, scan_composable_tuples
 
 
 def rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
@@ -275,9 +274,9 @@ def rand_potential(rng: random.Random, gpd: FiniteGroupoid) -> dict[str, Fractio
 
 
 def rand_cochain(rng: random.Random, gpd: FiniteGroupoid, degree: int):
-    from modclass import Cochain, composable_tuples
+    from modclass import Cochain
 
-    keys = composable_tuples(gpd, degree)
+    keys = scan_composable_tuples(gpd, degree)
     return Cochain(degree, {k: rand_rational(rng, nonzero=True) for k in keys})
 
 

@@ -1,13 +1,14 @@
 """Differential tests: the decomposition's closed forms against slow references.
 
-``null_homotopy`` and ``verify_ruth`` decide homotopies from harmonic
-blocks, and ``null_homotopy`` builds them from the contraction; the
-reference is the global linear system in ``oracle.py``.
+A chain map is null-homotopic exactly when it is a chain map whose
+harmonic blocks vanish, and ``verify_ruth`` decides homotopies that way;
+the reference is the global linear system in ``oracle.py``, and the
+contraction in ``oracle.py`` witnesses each homotopy found.
 ``berezinian_class`` reads the Berezinian off harmonic-block and basis
 determinants; the reference is the Berezinian of an explicit invertible
 replacement, and its closed form is held to the per-degree ``Fraction``
-product it replaced.  The Berezinian and cohomology representations
-read off a ``verify_ruth`` report are checked against
+product it replaced.  The Berezinian representation and the harmonic
+blocks kept by a ``verify_ruth`` report are checked against
 ``berezinian_class`` per arrow and against the per-arrow and per-degree
 constructions in ``oracle.py``.
 """
@@ -22,16 +23,12 @@ from modclass import (
     ComplexFiber,
     Matrix,
     NotHomotopyEquivalence,
-    are_homotopic,
     berezinian,
     berezinian_class,
-    cohomology_representation,
     decompose,
     harmonic_blocks,
-    induced_ber_rep,
     invertible_replacement,
-    null_homotopy,
-    regular_factorization_check,
+    verify_chain_map,
     verify_ruth,
 )
 from modclass.complexes import _class_berezinian
@@ -39,9 +36,11 @@ from oracle import (
     class_berezinian_by_degree,
     contraction_homotopy,
     global_null_homotopy,
+    homotopy_between,
     per_arrow_ber_rep,
     per_degree_cohomology_rep,
     permuted_decomposition,
+    regular_factorization_check,
 )
 from randgen import (
     conjugated_complex,
@@ -64,11 +63,14 @@ def _complex(rng):
 
 
 def _check_against_oracle(t: ChainMap) -> bool:
-    found = null_homotopy(t)
-    assert (found is None) == (global_null_homotopy(t) is None)
-    if found is not None:
-        assert found.boundary_conjugate() == t
-    return found is not None
+    # null-homotopic exactly when a chain map with zero harmonic blocks
+    ends = decompose(t.source), decompose(t.target)
+    blocks = harmonic_blocks(t, *ends).values()
+    found = verify_chain_map(t).ok and all(h.is_zero() for h in blocks)
+    assert found == (global_null_homotopy(t) is not None)
+    if found:
+        assert contraction_homotopy(t, *ends).boundary_conjugate() == t
+    return found
 
 
 def _permutation(rng, c):
@@ -184,7 +186,7 @@ def test_verify_ruth_decisions_and_certificates(seed):
             assert (g, h) not in report.certificates
         else:
             assert (g, h) in report.certificates
-            homotopy = are_homotopic(rep(g).compose(rep(h)), rep(gpd.compose(g, h)))
+            homotopy = homotopy_between(rep(g).compose(rep(h)), rep(gpd.compose(g, h)))
             assert homotopy.boundary_conjugate() == difference
     assert report.ok == (not failed)
     assert len(report.problems) == len(failed)
@@ -192,14 +194,14 @@ def test_verify_ruth_decisions_and_certificates(seed):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_certificates_from_shared_contractions_match_fresh_ones(seed):
-    # hold each homotopy are_homotopic builds, on decompositions made
-    # afresh for that pair, to the contraction multiplied out in standard
-    # coordinates on the report's decompositions
+    # hold each homotopy the contraction gives on decompositions made
+    # afresh for that pair to the contraction on the report's
+    # decompositions
     _, rep = _ruth_case(seed)
     gpd, report = rep.groupoid, verify_ruth(rep)
     for g, h in sorted(gpd.composable_pairs(), reverse=True):
         composed, composite = rep(g).compose(rep(h)), rep(gpd.compose(g, h))
-        fresh = are_homotopic(composed, composite)
+        fresh = homotopy_between(composed, composite)
         assert ((g, h) in report.certificates) == (fresh is not None)
         if fresh is not None:
             ends = report.decompositions[gpd.src(h)], report.decompositions[gpd.tgt(g)]
@@ -228,15 +230,14 @@ def test_report_reads_match_the_per_arrow_oracles(seed):
     assert expected is not None or not report.ok
     if not report.ok:
         for read in (
-            lambda: induced_ber_rep(rep, sigma),
-            lambda: cohomology_representation(rep, 0),
+            lambda: report.berezinian_rep(sigma),
             lambda: regular_factorization_check(rep, sigma),
         ):
             with pytest.raises(ValueError, match=re.escape(report.problems[0])):
                 read()
         return
-    line = induced_ber_rep(rep, sigma)
-    assert line.action == expected.action == report.berezinian_rep(sigma).action
+    line = report.berezinian_rep(sigma)
+    assert line.action == expected.action
     variants = {x: permuted_decomposition(c, _permutation(rng, c)) for x, c in rep.complexes.items()}
     for a in gpd.arrow_ids():
         x, y = gpd.src(a), gpd.tgt(a)
@@ -247,9 +248,10 @@ def test_report_reads_match_the_per_arrow_oracles(seed):
     fibers = rep.complexes.values()
     # one degree past either end, where every fiber is zero
     for i in range(min(c.d_min for c in fibers) - 1, max(c.d_max for c in fibers) + 2):
-        induced, oracle = report.cohomology_rep(i), per_degree_cohomology_rep(rep, i)
-        assert (induced.dims, induced.action) == (oracle.dims, oracle.action)
-    assert cohomology_representation(rep, 0).action == report.cohomology_rep(0).action
+        oracle = per_degree_cohomology_rep(rep, i)
+        dims = {x: dec.harmonic_dims.get(i, 0) for x, dec in report.decompositions.items()}
+        action = {a: b.get(i, Matrix.zeros(0, 0)) for a, b in report.blocks.items()}
+        assert (dims, action) == (oracle.dims, oracle.action)
     assert regular_factorization_check(rep, sigma)
 
 

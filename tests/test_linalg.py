@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,19 @@ def test_identity_entries_are_fractions():
     assert m == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert all(type(x) is Fraction for row in m.to_lists() for x in row)
     assert (Matrix.identity(0).rows, Matrix.identity(0).cols) == (0, 0)
+
+
+def test_a_matrix_with_no_rows_builds_no_row():
+    # one row of a million zeros is about 8 MB
+    tracemalloc.start()
+    try:
+        m = Matrix.zeros(0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (m.rows, m.cols, m.to_lists()) == (0, 10**6, [])
+    assert m == Matrix([], cols=10**6) and m.is_zero()
+    assert peak < 100_000
 
 
 class TestDet:

@@ -15,30 +15,30 @@ from modclass import (
     RepUpToWeakHomotopy,
     Trivialization,
     VectorRep,
-    abs_plus_function,
-    are_homotopic,
     characteristic_function,
-    class_equal,
     coboundary,
     coboundary_solve_1,
-    cohomology_representation,
     cyclic_groupoid,
-    det_representation,
     harmonic_blocks,
-    induced_ber_rep,
     is_cocycle_1,
     modular_class,
     pair_groupoid,
-    regular_factorization_check,
     strict_as_homotopy,
-    tensor,
     verify_line_rep,
     verify_ruth,
     verify_vector_rep,
 )
 from modclass import groupoid as groupoid_module, reps as reps_module
 from modclass.complexes import _class_berezinian
-from oracle import pair_scan_ruth, permuted_decomposition
+from oracle import (
+    class_equal,
+    homotopy_between,
+    pair_scan_ruth,
+    per_degree_cohomology_rep,
+    permuted_decomposition,
+    regular_factorization_check,
+    tensor,
+)
 from randgen import (
     pair2_fixture,
     rand_homotopy,
@@ -192,30 +192,16 @@ def modular_class_for_line(rep: LineRep):
     return coboundary_solve_1(rep.groupoid, characteristic_function(rep))
 
 
-class TestAbsPlus:
-    def test_sign_flattens(self):
-        assert abs_plus_function(sign_rep())((TAU,)) == 1
-
-    def test_positive_rep_unchanged(self):
-        rep = pair2_line_rep(Fraction(3, 2))
-        assert abs_plus_function(rep).values == characteristic_function(rep).values
-
-    def test_negative_scalar(self):
-        rep = pair2_line_rep(Fraction(-2))
-        assert abs_plus_function(rep)(("e:x>y",)) == 2
-
-
 class TestDetRepresentation:
     def test_one_dimensional_is_itself(self):
         rep = VectorRep(Z2, {"*": 1}, {E: Matrix([[1]]), TAU: Matrix([[-1]])})
-        det_rep = det_representation(rep)
-        assert det_rep.action == {E: Fraction(1), TAU: Fraction(-1)}
+        assert verify_vector_rep(rep).dets == {E: Fraction(1), TAU: Fraction(-1)}
 
     def test_swap(self):
         swap = VectorRep(
             Z2, {"*": 2}, {E: Matrix.identity(2), TAU: Matrix([[0, 1], [1, 0]])}
         )
-        assert det_representation(swap)(TAU) == -1
+        assert verify_vector_rep(swap).dets[TAU] == -1
 
     def test_diagonal(self):
         rep = VectorRep(
@@ -228,7 +214,7 @@ class TestDetRepresentation:
                 "e:y>x": Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]),
             },
         )
-        assert det_representation(rep)("e:x>y") == 6
+        assert verify_vector_rep(rep).dets["e:x>y"] == 6
 
 
 class TestModularClassVector:
@@ -316,7 +302,7 @@ class TestVerifyRuth:
         gpd = rep.groupoid
         # with zero differentials homotopies have nowhere to live
         for g, h in report.certificates:
-            homotopy = are_homotopic(rep(g).compose(rep(h)), rep(gpd.compose(g, h)))
+            homotopy = homotopy_between(rep(g).compose(rep(h)), rep(gpd.compose(g, h)))
             assert all(m.is_zero() for m in homotopy.components.values())
 
     def test_zero_action_on_acyclic_fiber(self):
@@ -344,9 +330,9 @@ class TestVerifyRuth:
         )
         report = verify_ruth(rep)
         assert (E, TAU) in report.certificates and (TAU, TAU) not in report.certificates
-        homotopy = are_homotopic(rep(E).compose(rep(TAU)), rep(TAU))
+        homotopy = homotopy_between(rep(E).compose(rep(TAU)), rep(TAU))
         assert homotopy.boundary_conjugate().component(0).is_zero()
-        assert are_homotopic(rep(TAU).compose(rep(TAU)), rep(E)) is None
+        assert homotopy_between(rep(TAU).compose(rep(TAU)), rep(E)) is None
 
     def test_invalid_complex_is_reported_not_raised(self):
         # d^1 d^0 = [[1]] is not zero
@@ -359,25 +345,29 @@ class TestVerifyRuth:
         assert report.problems == ["complex of '*' is invalid: d o d is nonzero starting at degree 0"]
 
 
+def berezinian_line(rep: RepUpToWeakHomotopy) -> LineRep:
+    return verify_ruth(rep).berezinian_rep()
+
+
 class TestInducedBerRep:
     def test_even_strict_rep_reduces_to_determinant(self):
         rng = random.Random(36)
         strict = rand_vector_rep(rng, z2_fixture())
-        rep = induced_ber_rep(strict_as_homotopy(strict))
-        assert rep.action == det_representation(strict).action
+        rep = berezinian_line(strict_as_homotopy(strict))
+        assert rep.action == verify_vector_rep(strict).dets
 
     def test_zero_on_acyclic_forces_one(self):
-        rep = induced_ber_rep(zero_map_rep_on_acyc())
+        rep = berezinian_line(zero_map_rep_on_acyc())
         assert rep.action == {E: Fraction(1), TAU: Fraction(1)}
 
     def test_odd_line_inverts(self):
-        rep = induced_ber_rep(odd_sign_rep())
+        rep = berezinian_line(odd_sign_rep())
         assert rep(TAU) == -1
 
     def test_functorial_on_random_inputs(self):
         rng = random.Random(37)
         for fx in standard_fixtures()[:3]:
-            rep = induced_ber_rep(rand_ruth(rng, fx))
+            rep = berezinian_line(rand_ruth(rng, fx))
             assert verify_line_rep(rep).ok
 
     def test_rejects_unequal_graded_dims(self):
@@ -395,7 +385,7 @@ class TestInducedBerRep:
             },
         )
         with pytest.raises(GradedDimensionMismatch):
-            induced_ber_rep(rep)
+            berezinian_line(rep)
 
 
     def test_rejects_blocks_whose_determinants_alone_multiply(self):
@@ -405,7 +395,7 @@ class TestInducedBerRep:
         doubled = ChainMap(fiber, fiber, {0: Matrix([[2]]), 1: Matrix([[2]])})
         rep = RepUpToWeakHomotopy(Z2, {"*": fiber}, {E: ChainMap.identity(fiber), TAU: doubled})
         problem = verify_ruth(rep).problems[0]
-        for read in (induced_ber_rep, modular_class, regular_factorization_check):
+        for read in (berezinian_line, modular_class, regular_factorization_check):
             with pytest.raises(ValueError, match=re.escape(problem)) as raised:
                 read(rep)
             assert type(raised.value) is ValueError
@@ -424,9 +414,8 @@ class TestInducedBerRep:
             },
         )
         assert verify_ruth(rep).problems[0] == "action of arrow 'e:x>x' joins the wrong fibers"
-        for read in (induced_ber_rep, lambda r: cohomology_representation(r, 0)):
-            with pytest.raises(GradedDimensionMismatch, match="arrow 'e:x>y'"):
-                read(rep)
+        with pytest.raises(GradedDimensionMismatch, match="arrow 'e:x>y'"):
+            berezinian_line(rep)
 
 
 class TestModularClassRuth:
@@ -485,26 +474,32 @@ class TestModularClassRuth:
             assert _class_berezinian(blocks, dec, dec, 1, 1) == report.cocycle((a,))
 
 
+def cohomology_from_report(rep: RepUpToWeakHomotopy, degree: int) -> VectorRep:
+    """The action on degree-``degree`` cohomology, read off a passing
+    ``verify_ruth`` report: each arrow's harmonic block, and the harmonic
+    dimensions of the report's decompositions.  It must equal the oracle
+    built on fresh decompositions."""
+    report = verify_ruth(rep)
+    gpd, decs = rep.groupoid, report.decompositions
+    dims = {x: decs[x].harmonic_dims.get(degree, 0) for x in gpd.objects}
+    action = {a: b.get(degree, Matrix.zeros(0, 0)) for a, b in report.blocks.items()}
+    expected = per_degree_cohomology_rep(rep, degree)
+    assert (dims, action) == (expected.dims, expected.action)
+    return VectorRep(gpd, dims, action)
+
+
 class TestCohomologyRepresentation:
     def test_no_differential_returns_degree_component(self):
         rng = random.Random(41)
         strict = rand_vector_rep(rng, z2_fixture())
         rep = strict_as_homotopy(strict, 0)
-        induced = cohomology_representation(rep, 0)
+        induced = cohomology_from_report(rep, 0)
         assert induced.action == dict(strict.action)
 
     def test_acyclic_gives_empty_rep(self):
-        induced = cohomology_representation(zero_map_rep_on_acyc(), 0)
+        induced = cohomology_from_report(zero_map_rep_on_acyc(), 0)
         assert induced.dims == {"*": 0}
         assert verify_vector_rep(induced).ok
-
-    def test_invalid_rep_raises_the_first_problem(self):
-        fiber = ComplexFiber(0, 0, {0: 1}, {})
-        rep = RepUpToWeakHomotopy(
-            Z2, {"*": fiber}, {E: ChainMap.identity(fiber), TAU: ChainMap.zero(fiber, fiber)}
-        )
-        with pytest.raises(ValueError, match=re.escape(verify_ruth(rep).problems[0])):
-            cohomology_representation(rep, 0)
 
     def test_partial_differential(self):
         fiber = ComplexFiber(0, 1, {0: 2, 1: 1}, {0: Matrix([[1, 0]])})
@@ -513,8 +508,8 @@ class TestCohomologyRepresentation:
             {"*": fiber},
             {E: ChainMap.identity(fiber), TAU: ChainMap.identity(fiber)},
         )
-        h0 = cohomology_representation(rep, 0)
-        h1 = cohomology_representation(rep, 1)
+        h0 = cohomology_from_report(rep, 0)
+        h1 = cohomology_from_report(rep, 1)
         assert (h0.dims["*"], h1.dims["*"]) == (1, 0)
         assert verify_vector_rep(h0).ok
 
@@ -524,9 +519,9 @@ class TestRegularFactorization:
         rng = random.Random(42)
         strict = rand_vector_rep(rng, z2_fixture())
         rep = strict_as_homotopy(strict, 0)
-        total = characteristic_function(induced_ber_rep(rep))
+        total = characteristic_function(berezinian_line(rep))
         factor = characteristic_function(
-            det_representation(cohomology_representation(rep, 0))
+            LineRep(rep.groupoid, verify_vector_rep(cohomology_from_report(rep, 0)).dets)
         )
         assert total.values == factor.values
         assert regular_factorization_check(rep)

@@ -18,13 +18,12 @@ from modclass import (
     RepUpToWeakHomotopy,
     SchemaError,
     VectorRep,
-    are_homotopic,
     decompose,
     parse,
     parse_data,
     serialize,
 )
-from oracle import conjugate_replacement
+from oracle import conjugate_replacement, homotopy_between
 from randgen import (
     RuthSpec,
     rand_chain_map,
@@ -689,7 +688,7 @@ class TestCommands:
             homotopic = {
                 (g, h)
                 for g, h in gpd.composable_pairs()
-                if are_homotopic(rep(g).compose(rep(h)), rep(gpd.compose(g, h))) is not None
+                if homotopy_between(rep(g).compose(rep(h)), rep(gpd.compose(g, h))) is not None
             }
             assert found == homotopic, seed
             assert code == (0 if len(found) == len(pairs) else 1), seed
@@ -781,19 +780,19 @@ class TestCommands:
 
 
 class TestHomotopyBuilds:
-    """Deciding homotopies builds none: every command reads the report's decisions."""
+    """Deciding homotopies builds none: every command reads the report's
+    decisions, and only ``replace`` writes a matrix in decomposition
+    coordinates (``Matrix.with_blocks``)."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        original, calls = complexes._contracting_homotopy, []
+        original, calls = Matrix.with_blocks, []
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("modclass") and getattr(module, "_contracting_homotopy", None) is original:
-                monkeypatch.setattr(module, "_contracting_homotopy", counted)
+        monkeypatch.setattr(Matrix, "with_blocks", counted)
         return calls
 
     @pytest.mark.parametrize("command", ["validate", "modular-class", "homotopy-check"])
@@ -807,8 +806,8 @@ class TestHomotopyBuilds:
     def test_homotopy_check_multiplies_each_contraction_once(self, builds, monkeypatch, capsys, tmp_path):
         # one object with a nonzero differential: every pair is found from
         # the harmonic blocks read off each arrow's change of basis, so the
-        # object is decomposed once and no homotopy is built; building a
-        # found pair's homotopy takes one contracting homotopy
+        # object is decomposed once and nothing is built; the contraction
+        # witnesses a found pair's homotopy
         z2 = standard_fixtures()[0]
         spec = RuthSpec({0: 1, 1: 1}, [0])
         rep = rand_ruth(random.Random(3), z2, spec)
@@ -828,8 +827,10 @@ class TestHomotopyBuilds:
         assert [p["certificate"] for p in pairs] == ["found"] * 4
         assert (decomposed, builds) == ([rep.complexes["*"]], [])
         g = h = next(a for a in z2.gpd.arrow_ids() if a != z2.gpd.unit("*"))
-        assert are_homotopic(rep(g).compose(rep(h)), rep(z2.gpd.compose(g, h))) is not None
-        assert len(builds) == 1
+        assert homotopy_between(rep(g).compose(rep(h)), rep(z2.gpd.compose(g, h))) is not None
+        # the spy sees the one construction a command makes
+        assert cli.main(["replace", str(path), "--arrow", g, "--format", "json"]) == 0
+        assert builds
 
 
 class TestWorkCounts:
@@ -842,7 +843,6 @@ class TestWorkCounts:
         ("complexes", "harmonic_blocks", "arrow"),
         ("complexes", "verify_chain_map", "arrow"),
         ("groupoid", "_isotropy_model", "request"),
-        ("reps", "det_representation", "request"),
         # one law check and one class decision: nothing is checked twice
         ("reps", "verify_rep", "request"),
         ("reps", "verify_ruth", "request"),
