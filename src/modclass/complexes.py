@@ -27,10 +27,11 @@ block of degree ``i+1`` by the identity and kills the other two.  So
 every homotopy decision and construction reads one change of basis per
 arrow and degree, ``M^i = basis_inv_T^i t^i basis_S^i`` (``_in_bases``):
 the chain-map verdict, the harmonic blocks ``M^i[H_T, H_S]`` and the
-invertible replacement.  The replacement writes its matrix ``N`` in
-decomposition coordinates with ``Matrix.with_blocks``, from blocks of
-``M`` and identities, and maps it back by one conjugation, ``basis_T N
-basis_inv_S``.
+invertible replacement.  Both the change of basis and the replacement,
+``M`` with its boundary and lift diagonal blocks set to identities and
+mapped back, are read off each degree's factors
+(:func:`modclass.linalg.change_of_basis`, :func:`modclass.linalg.replacement`),
+with no dense basis.
 :func:`verify_chain_map`, :func:`harmonic_blocks` and
 :func:`verify_complex` multiply the maps out directly, as references and
 to word the problems of fibers that are no complexes.
@@ -51,12 +52,16 @@ lift block of degree ``i`` to the boundary basis of degree ``i+1`` by
 the identity matrix, which makes the contraction and the replacement
 construction exact rather than merely up to isomorphism.
 
-Each degree is split by one elimination beyond the rref of its outgoing
-differential (:func:`modclass.linalg._split_degree`): the kernel basis
-is the identity on the free coordinates, so the harmonic choice, the
-basis inverse and its determinant (the factor ``tau`` of the
-Berezinian) are read off that rref and one small elimination of the
-boundary block's free rows, with no general inverse.
+A degree is split only when a differential goes in or out, by one
+elimination of ``b`` rows beyond the rref of its outgoing differential
+(:func:`modclass.linalg.split_degree`): the kernel basis is the identity
+on the free coordinates, so the harmonic choice, the coordinates along
+each block and the basis determinant (the factor ``tau`` of the
+Berezinian) are read off that rref, the boundary columns and ``B_Q^-1``
+for the ``b`` free rows ``Q`` where the boundary has its last nonzeros.
+The decomposition keeps those factors and no dense matrix; a degree
+with no differential in or out keeps nothing, as its basis is the
+identity.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from functools import cached_property
 from operator import add, sub
 from typing import Mapping
 
-from .linalg import Matrix, _split_degree, det, rref
+from .linalg import Matrix, Split, change_of_basis, det, replacement, rref, split_degree
 
 
 class GradedDimensionMismatch(ValueError):
@@ -310,15 +315,21 @@ def verify_chain_map(t: ChainMap) -> ValidationReport:
 class Decomposition:
     """Per-degree splitting into boundaries, harmonics, and a lift.
 
-    ``basis[i]`` is invertible with columns grouped as ``[B | H | L]``:
-    the boundary block B spans the image of the incoming differential,
-    the harmonic block H completes it to a basis of the kernel of the
-    outgoing differential, and the lift block L is a complement of that
-    kernel which the differential carries isomorphically onto the
-    boundary block of the next degree (by the identity matrix, in these
-    bases).  ``basis_det[i]`` is the determinant of ``basis[i]``.  The
-    dicts hold the fiber's nonzero degrees; ``basis_at``, ``widths`` and
-    ``tau`` read a zero degree as empty.
+    The basis of degree ``i`` is invertible with columns grouped as ``[B
+    | H | L]``: the boundary block B spans the image of the incoming
+    differential, the harmonic block H completes it to a basis of the
+    kernel of the outgoing differential, and the lift block L is a
+    complement of that kernel which the differential carries
+    isomorphically onto the boundary block of the next degree (by the
+    identity matrix, in these bases).  ``splits[i]`` keeps that basis
+    as the factors it is read off (:class:`modclass.linalg.Split`), in
+    each degree with a differential in or out; in every other nonzero
+    degree the basis is the identity and nothing is stored.
+    ``basis_det[i]`` is the determinant of the basis where it is
+    stored.  The width dicts hold the fiber's nonzero degrees;
+    ``basis_at``, ``widths`` and ``tau`` read a zero degree as empty.
+    ``basis_at`` and ``basis_inv_at`` build the dense matrices on
+    request; the change of basis and the replacement read the factors.
 
     The splitting is a strong deformation retract onto the harmonic
     blocks: the contraction ``h^i = L^{i-1} coordB^i`` (boundary block
@@ -328,31 +339,30 @@ class Decomposition:
     """
 
     fiber: ComplexFiber
-    basis: dict[int, Matrix]
-    basis_inv: dict[int, Matrix]
+    splits: dict[int, Split]
     boundary_dims: dict[int, int]
     harmonic_dims: dict[int, int]
     basis_det: dict[int, Fraction]
 
     def widths(self, i: int) -> tuple[int, int, int]:
-        return (
-            self.boundary_dims.get(i, 0),
-            self.harmonic_dims.get(i, 0),
-            self.boundary_dims.get(i + 1, 0),
-        )
+        _, b, bh, n = self.edges(i)
+        return b, bh - b, n - bh
 
     def basis_at(self, i: int) -> Matrix:
-        m = self.basis.get(i)
-        return Matrix.identity(self.fiber.dim(i)) if m is None else m
+        return change_of_basis(Matrix.identity(self.fiber.dim(i)), self.splits.get(i), None)
 
     def basis_inv_at(self, i: int) -> Matrix:
-        m = self.basis_inv.get(i)
-        return Matrix.identity(self.fiber.dim(i)) if m is None else m
+        return change_of_basis(Matrix.identity(self.fiber.dim(i)), None, self.splits.get(i))
 
     def edges(self, i: int) -> tuple[int, int, int, int]:
         """Offsets where the three blocks of degree ``i`` start and end."""
-        b, h, l = self.widths(i)
-        return (0, b, b + h, b + h + l)
+        return self._edges.get(i, (0, 0, 0, 0))
+
+    @cached_property
+    def _edges(self) -> dict[int, tuple[int, int, int, int]]:
+        # every change of basis reads them, so they are worked out once
+        bd, hd = self.boundary_dims, self.harmonic_dims
+        return {i: (0, bd[i], bd[i] + hd[i], bd[i] + hd[i] + bd.get(i + 1, 0)) for i in hd}
 
     @cached_property
     def tau(self) -> Fraction:
@@ -367,27 +377,24 @@ def decompose(c: ComplexFiber) -> Decomposition:
     quantities claimed not to depend on them are tested against
     decompositions made in relabelled coordinates.  Raises ValueError
     exactly when ``c`` is no complex, ``d^i d^{i-1} != 0`` in some degree
-    ``i``; construction already fixed every shape.  The fields hold the
-    nonzero degrees; a zero one is empty, with no block and determinant 1.
+    ``i``; construction already fixed every shape.  Only the stored
+    differentials are eliminated, and a degree with none in or out
+    stores nothing.
     """
-    reduced = {i: rref(c.differential(i)) for i in c.dims}
-
-    basis: dict[int, Matrix] = {}
-    basis_inv: dict[int, Matrix] = {}
-    boundary_dims: dict[int, int] = {}
-    harmonic_dims: dict[int, int] = {}
-    basis_det: dict[int, Fraction] = {}
-    for i, (outgoing, pivots) in reduced.items():
-        # with degree i - 1 zero the incoming differential has no columns
+    reduced = {i: rref(d) for i, d in c.differentials.items()}
+    splits, boundary_dims, harmonic_dims = {}, {}, {}
+    for i, n in c.dims.items():
+        outgoing, pivots = reduced[i] if i in reduced else (Matrix.zeros(0, n), ())
         incoming = reduced[i - 1][1] if i - 1 in reduced else ()
-        boundary = c.differential(i - 1).take_columns(incoming)
-        split = _split_degree(boundary, outgoing, pivots)
-        if split is None:
-            raise ValueError(f"degree {i} does not split; complex is invalid")
-        basis[i], basis_inv[i], basis_det[i] = split
-        boundary_dims[i] = boundary.cols
-        harmonic_dims[i] = basis[i].cols - boundary.cols - len(pivots)
-    return Decomposition(c, basis, basis_inv, boundary_dims, harmonic_dims, basis_det)
+        boundary_dims[i] = len(incoming)
+        harmonic_dims[i] = n - len(incoming) - len(pivots)
+        if incoming or pivots:
+            boundary = c.differential(i - 1).take_columns(incoming)
+            splits[i] = split_degree(boundary, outgoing, pivots)
+            if splits[i] is None:
+                raise ValueError(f"degree {i} does not split; complex is invalid")
+    basis_det = {i: s.det for i, s in splits.items()}
+    return Decomposition(c, splits, boundary_dims, harmonic_dims, basis_det)
 
 
 def harmonic_blocks(
@@ -416,16 +423,18 @@ def _in_bases(
     t: ChainMap, source_dec: Decomposition, target_dec: Decomposition
 ) -> tuple[str | None, dict[int, Matrix]]:
     """The first problem :func:`verify_chain_map` finds (None for a chain map),
-    and ``M^i = basis_inv_T^i t^i basis_S^i`` per degree, grouped ``[B | H | L]``:
-    the zero matrix, with no product, where ``t`` stores no component.
+    and ``M^i = basis_inv_T^i t^i basis_S^i`` per degree, grouped ``[B | H | L]``
+    and read off the two ends' factors: the zero matrix, with no product,
+    where ``t`` stores no component, and ``t^i`` itself where neither end
+    has a differential in or out of degree ``i``.
 
     As ``d`` is a partial identity in these bases, ``d t^i = t^{i+1} d``
     exactly when ``M^i[L_T, B_S | H_S] = 0``, ``M^i[L_T, L_S] =
     M^{i+1}[B_T, B_S]`` and ``M^{i+1}[H_T | L_T, B_S] = 0``.
     """
-    stored = t.components
+    stored, sources, targets = t.components, source_dec.splits, target_dec.splits
     ms = {
-        i: target_dec.basis_inv_at(i) * stored[i] * source_dec.basis_at(i)
+        i: change_of_basis(stored[i], sources.get(i), targets.get(i))
         if i in stored
         else Matrix.zeros(t.target.dim(i), t.source.dim(i))
         for i in t.degrees()
@@ -511,9 +520,11 @@ def invertible_replacement(f: ChainMap) -> ChainMap:
     overwritten by identities: still block upper-triangular, with
     diagonal (identity, harmonic block, identity), it is invertible
     exactly when every harmonic block is, which is checked first.  Once
-    they are, both ends have equal block widths.  ``H`` is not built:
-    ``g - f = d H + H d`` has zero harmonic blocks, so ``g`` and ``f``
-    are homotopic.
+    they are, both ends have equal block widths, and ``g^i - f^i = B_T
+    (I - M_BB) coordB_S + L_T (I - M_LL) R_S`` is read off the two splits
+    (:func:`modclass.linalg.replacement`), so ``N`` is never built.
+    Nor is ``H``: ``g - f = d H + H d`` has zero harmonic blocks, so
+    ``g`` and ``f`` are homotopic.
 
     Maps that are already invertible still go through the same
     canonicalization, so the output may differ from the input (but is
@@ -523,11 +534,10 @@ def invertible_replacement(f: ChainMap) -> ChainMap:
     """
     (src_dec, tgt_dec), ms = _equivalence_coordinates(f)
     _harmonic_dets(_harmonic_part(ms, src_dec, tgt_dec))
-    comps = {}
-    for i, m in ms.items():
-        _, b, bh, end = tgt_dec.edges(i)
-        n = m.with_blocks([(0, 0, Matrix.identity(b)), (bh, bh, Matrix.identity(end - bh))])
-        comps[i] = tgt_dec.basis_at(i) * n * src_dec.basis_inv_at(i)
+    comps = {
+        i: replacement(f.component(i), m, src_dec.splits.get(i), tgt_dec.splits.get(i))
+        for i, m in ms.items()
+    }
     return ChainMap(f.source, f.target, comps)
 
 

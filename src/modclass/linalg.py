@@ -31,20 +31,30 @@ elimination here is the one fraction-free `_eliminate` of those integer
 rows.  A rational string is ASCII digits after at most one sign, with at
 most one "/": the published pattern.
 
-`_split_degree` splits one degree of a complex for
+`split_degree` splits one degree of a complex for
 `modclass.complexes.decompose`: from the rref of the outgoing
-differential and the boundary columns it reads the basis ``[B | H |
-L]``, its inverse and its determinant, by one elimination of the
-boundary's free rows.
+differential and the boundary columns it reads the factors of the basis
+``[B | H | L]`` (a `Split`), its determinant, and the coordinates along
+each block, by one elimination of ``b`` rows.  The basis is kept by
+columns and its inverse by rows, each as the indices and integers of its
+nonzero entries, and no dense ``n x n`` matrix is built.
+`change_of_basis` reads ``basis_inv_T t basis_S`` off two splits, each
+column of ``t basis_S`` a combination of columns of ``t`` and each row of
+the result one of rows, and `replacement` maps a change of basis whose
+boundary and lift diagonal blocks are set to identities back the same
+way.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import add, mul, sub
+from typing import NamedTuple
 
+_ONE = Fraction(1)
 # the published ``rational`` pattern: ASCII digits only, nothing around them
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 # the only characters of a matrix that `_plain_parts` reads in bulk
@@ -491,69 +501,141 @@ def det(m: Matrix) -> Fraction:
     return d if len(pivots) == m.rows else Fraction(0)
 
 
-def _split_degree(
-    boundary: Matrix, reduced: Matrix, pivots: list[int]
-) -> tuple[Matrix, Matrix, Fraction] | None:
-    """A degree's basis ``[B | H | L]``, its inverse and determinant, by one elimination.
+class Split(NamedTuple):
+    """One degree of a complex split as ``[B | H | L]``, kept as factors (:func:`split_degree`).
 
-    ``reduced`` and ``pivots`` are the rref of the outgoing differential,
-    whose kernel has the canonical basis ``K``: row ``j`` of ``K`` is a
-    unit row on the free coordinates when ``j`` is free, and minus the
-    free entries of ``reduced``'s row at ``j`` when ``j`` is a pivot.
-    ``boundary`` is ``B``, independent columns as tall as ``reduced`` is
-    wide.  None when ``B`` leaves that kernel, that is when the top rows
-    of ``reduced`` do not annihilate it.  ``K`` is the identity on the
-    free rows ``F``, so ``[B | K] = K [B_F | I]`` and one elimination of
-    ``[B_F | I]``, over ``B``'s denominator, does all the work.  Its
-    pivots past ``B`` pick the columns ``S`` of ``K`` that make ``H``, the
-    greedy left-to-right completion of ``B`` to a basis of the kernel.  It
-    reduces to ``[* | C^-1]`` for ``C = [B_F | E_S]``, the free rows of
-    ``[B | H]``, and its last pivot gives ``det C``; with ``B`` empty,
-    ``C = I`` and nothing is eliminated.  ``L`` is the unit columns at the
-    pivots, so the inverse is ``C^-1`` on the free columns over the top
-    rows of ``reduced``, and putting the rows in the order ``F`` then
-    ``pivots`` makes the basis block lower-triangular: its determinant is
-    ``det C``, signed by that reordering.  The inverse goes over one
-    ``lcm`` of its two parts' denominators, and the basis over one
-    ``lcm`` of ``B``'s and ``reduced``'s.
+    ``widths`` is ``(b, h, l)``, ``harmonic`` the free coordinates ``S``
+    whose kernel columns make ``H``, and ``det`` the basis determinant.
+    ``columns`` holds the basis by columns and ``rows`` its inverse by
+    rows, each an ``(indices, integers)`` pair of its nonzero entries,
+    over ``column_den`` and ``row_den``: no factor is a dense ``n x n``
+    matrix.  Only this module reads the pairs.
     """
-    n, b, height = reduced.cols, boundary.cols, len(pivots)
-    top, top_den = reduced._num[:height], reduced._den
-    bnum, bden = boundary._num, boundary._den
-    if any(sum(map(mul, r, c)) for r in top for c in zip(*bnum)):
+
+    widths: tuple[int, int, int]
+    harmonic: list[int]
+    det: Fraction
+    columns: list
+    column_den: int
+    rows: list
+    row_den: int
+
+
+def _sparse(v, scale: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The nonzero entries of ``v``: their indices, and the entries times ``scale``."""
+    return tuple(compress(range(len(v)), v)), tuple(map(scale.__mul__, filter(None, v)))
+
+
+def _combination(vectors, term):
+    """``sum_j c_j vectors[i_j]`` for the ``(indices, integers)`` pair ``term``;
+    a term with the one coefficient 1 is that vector itself, and builds nothing."""
+    idx, coef = term
+    if len(idx) == 1:
+        v, c = vectors[idx[0]], coef[0]
+        return v if c == 1 else [c * x for x in v]
+    return [sum(map(mul, coef, col)) for col in zip(*map(vectors.__getitem__, idx))]
+
+
+def split_degree(boundary: Matrix, reduced: Matrix, pivots: list[int]) -> Split | None:
+    """A degree's basis ``[B | H | L]`` as factors, by one elimination of ``b`` rows.
+
+    ``reduced`` and ``pivots`` are the rref of the outgoing differential
+    (``l`` pivots ``P``, top rows ``R``), whose kernel has the canonical
+    basis ``K``: the identity on the free coordinates ``F``, and ``-R`` on
+    ``P``.  ``boundary`` is ``B``, ``b`` independent columns as tall as
+    ``reduced`` is wide; None when ``R B != 0``, that is when ``B`` leaves
+    the kernel.  ``H`` is ``K``'s columns at ``S``, the greedy completion
+    of ``B`` to a kernel basis, and ``L`` the unit columns at ``P``.  A
+    free coordinate is passed over by the greedy scan exactly when some
+    vector of span(``B_F``) has its last nonzero there, so the rref of
+    ``B_F``'s transpose with ``F`` reversed finds those ``b`` coordinates
+    ``Q``; its ``[* | I]`` part reduces to the transpose of ``B_Q^-1`` and
+    its last pivot gives ``det B_Q``.  ``S`` is the rest of ``F``.  A
+    vector ``v`` then has coordinates ``B_Q^-1 v_Q`` along ``B``, ``v_S -
+    B_S B_Q^-1 v_Q`` along ``H`` and ``R v`` along ``L``.  In the row
+    order ``Q, S, P`` the basis is block lower-triangular with diagonal
+    ``(B_Q, I, I)``, so its determinant is ``det B_Q``, signed by that
+    reordering.
+    """
+    n, b, l = reduced.cols, boundary.cols, len(pivots)
+    top, rd = reduced._num[:l], reduced._den
+    bnum, bd = boundary._num, boundary._den
+    bcols = list(zip(*bnum))
+    if any(sum(map(mul, r, c)) for r in top for c in bcols):
         return None
-    pivot_row = dict(zip(pivots, range(height)))
-    free = [j for j in range(n) if j not in pivot_row]
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
     f = len(free)
-    unit = (0,) * f
-    c_num = tuple(bnum[j] + unit[:k] + (bden,) + unit[k + 1:] for k, j in enumerate(free))
-    if b:  # [B_F | I] need not be in lowest terms: only `_eliminate` reads it
-        eliminated, p, chosen, det_c = _eliminate(Matrix._from_ints(c_num, bden, b + f), b + f)
-        harmonic = [free[q - b] for q in chosen[b:]]
-    else:  # C = I: every kernel column is harmonic
-        eliminated, p, harmonic, det_c = c_num, 1, free, Fraction(1)
-    d = lcm(p, top_den)
-    u, v = d // p, d // top_den
-    inv_num = []
-    for row in eliminated:
-        r = [0] * n
-        for k, j in enumerate(free):
-            r[j] = row[b + k] * u
-        inv_num.append(r)
-    inv_num.extend([x * v for x in row] for row in top)
-    inverse = Matrix._lowest(inv_num, d, n)
-    d = lcm(bden, top_den)
-    u, v = d // bden, d // top_den
-    zeros = (0,) * height
-    basis_num = []
-    for j in range(n):
-        r = pivot_row.get(j)
-        if r is None:  # a free row: B, then a unit entry where H is K's column j
-            tail = tuple(d if h == j else 0 for h in harmonic) + zeros
-        else:  # a pivot row: B, then minus reduced's row at H, then a unit entry at L
-            row = top[r]
-            tail = tuple(-row[h] * v for h in harmonic) + zeros[:r] + (d,) + zeros[r + 1:]
-        basis_num.append(tuple(x * u for x in bnum[j]) + tail)
-    basis = Matrix._lowest(basis_num, d, n)
-    swaps = sum(j - k for k, j in enumerate(free))  # pairs of a pivot before a free column
-    return basis, inverse, -det_c if swaps % 2 else det_c
+    swaps = sum(free) - f * (f - 1) // 2  # pairs of a pivot before a free coordinate
+    corner, inv, p, det_q = [], [], 1, _ONE
+    if b:
+        rev, unit = free[::-1], (0,) * b
+        x = tuple(
+            tuple(c[j] for j in rev) + unit[:k] + (bd,) + unit[k + 1:] for k, c in enumerate(bcols)
+        )
+        eliminated, p, chosen, det_q = _eliminate(Matrix._from_ints(x, bd, f + b), f)
+        corner = [rev[c] for c in chosen]
+        swaps += b * (f - 1) - sum(chosen)  # Q before S, Q listed last coordinate first
+        inv = list(zip(*(r[f:] for r in eliminated)))  # B_Q^-1 over p, its columns in Q's order
+    taken = set(corner)
+    harmonic = [j for j in free if j not in taken]
+    cd = lcm(bd, rd)
+    u, v = cd // bd, cd // rd
+    cols = [_sparse(c, u) for c in bcols]
+    cols += [((s, *pivots), (cd, *(-r[s] * v for r in top))) for s in harmonic]
+    cols += [((j,), (cd,)) for j in pivots]
+    rden = lcm(bd * p, rd)
+    u, v, w = rden // p, rden // (bd * p), rden // rd
+    inv_cols = list(zip(*inv))
+    rows = [(tuple(corner), tuple(map(u.__mul__, r))) for r in inv]
+    rows += [
+        ((s, *corner), (rden, *(-sum(map(mul, bnum[s], c)) * v for c in inv_cols)))
+        for s in harmonic
+    ]
+    rows += [_sparse(r, w) for r in top]
+    det_basis = -det_q if swaps % 2 else det_q
+    return Split((b, len(harmonic), l), harmonic, det_basis, cols, cd, rows, rden)
+
+
+def change_of_basis(t: Matrix, source: Split | None, target: Split | None) -> Matrix:
+    """``basis_inv_T t basis_S``, read off the splits of ``t``'s two ends.
+
+    None is a degree with no differential in or out, whose basis is the
+    identity: with both ends None this is ``t`` itself, and no product.
+    """
+    rows, den = t._num, t._den
+    if source is not None:  # each column of t basis_S combines columns of t
+        columns = list(zip(*rows))
+        rows = list(zip(*[_combination(columns, c) for c in source.columns]))
+        den *= source.column_den
+    if target is not None:  # each row of basis_inv_T Y combines rows of Y
+        rows, den = [_combination(rows, r) for r in target.rows], den * target.row_den
+    return t if source is target is None else Matrix._lowest(rows, den, t.cols)
+
+
+def replacement(t: Matrix, m: Matrix, source: Split | None, target: Split | None) -> Matrix:
+    """``t + B_T (I - m_BB) coordB_S + L_T (I - m_LL) R_S`` for ``m`` the change of basis of ``t``.
+
+    That is ``t`` with the boundary and lift diagonal blocks of ``m`` set
+    to identities, mapped back.  The two splits have equal widths; with
+    no boundary or lift block (None) it is ``t``.
+    """
+    if source is None:
+        return t
+    b, _, l = source.widths
+    n, mnum, md = t.cols, m._num, m._den
+    e = md * source.row_den * target.column_den
+    d = lcm(t._den, e)
+    u, v = d // t._den, d // e
+    g = [[x * u for x in r] for r in t._num]
+    for block in (range(b), range(n - l, n)):
+        for k in block:
+            row = [0] * n  # row k of (I - m) on the block, in the source's coordinates
+            for j in block:
+                x = md * (j == k) - mnum[k][j]
+                for q, c in zip(*source.rows[j]):
+                    row[q] += x * c
+            for r, c in zip(*target.columns[k]):
+                c *= v
+                g[r] = [y + c * z for y, z in zip(g[r], row)]
+    return Matrix._lowest(g, d, n)

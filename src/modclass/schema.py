@@ -42,10 +42,12 @@ class InputDocument:
         return None if self.rep is None else self.rep.kind
 
 
-# ``decompose`` builds dense dim x dim bases in each nonzero degree, so a
-# complex section whose dim^2 summed over every object and degree is larger
-# is refused (exit 2) before any fiber is built; 2^22 is one degree of
-# dimension 2,048.
+# A degree of dimension n can still cost n x n entries: the differentials
+# and components a document writes out and their eliminations, the factors
+# ``decompose`` keeps (B and R together hold at most n x n), and the
+# identity harmonic block of a unit.  So a complex section whose dim^2
+# summed over every object and degree is larger is refused (exit 2) before
+# any fiber is built; 2^22 is one degree of dimension 2,048.
 COMPLEX_MAX_DIM_SQUARES = 2**22
 
 # a degree key: ASCII digits after at most one sign, as fixtures/schema.json has it

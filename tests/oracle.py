@@ -37,6 +37,16 @@ was split in closed form: the harmonic block is chosen by eliminating
 ``[boundary | kernel basis]``, and the basis is inverted, and its
 determinant taken, by eliminating ``[basis | I]``.
 
+``dense_split_degree`` is the closed split as it was before
+``decompose`` kept each degree's factors: it builds the basis ``[B | H |
+L]`` and its inverse as dense ``n x n`` matrices by one elimination of
+``[B_F | I]``, in every nonzero degree, and ``dense_decompose`` is
+``decompose`` on it.  ``DenseDecomposition`` is the one constructor of a
+decomposition from dense bases, their inverses and determinants; it
+keeps no factors, so only what reads the bases (``harmonic_blocks``,
+``tau`` and the references here) takes it.  ``dense_decompose``,
+``decompose_by_inverse`` and ``permuted_decomposition`` return one.
+
 ``hstack`` sets matrices side by side through the public constructor,
 for the constructions below; no command needs it.
 
@@ -92,8 +102,11 @@ cocycles: claims of the paper that no command states.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from modclass import (
@@ -124,7 +137,7 @@ from modclass import (
 )
 from modclass.complexes import _nonzero_entries
 from modclass.groupoid import _components, _pair_count, _solve_1
-from modclass.linalg import _RATIONAL_RE, rref as linalg_rref
+from modclass.linalg import _RATIONAL_RE, _eliminate, rref as linalg_rref
 
 
 class Homotopy:
@@ -824,7 +837,115 @@ def per_degree_cohomology_rep(r: RepUpToWeakHomotopy, degree: int) -> VectorRep:
     return VectorRep(gpd, dims, action)
 
 
-def permuted_decomposition(c: ComplexFiber, perms: Mapping[int, Sequence[int]]) -> Decomposition:
+@dataclass(frozen=True)
+class DenseDecomposition(Decomposition):
+    """A decomposition given by its dense bases and their inverses.
+
+    It keeps no factors (``splits`` is None), so only what reads the
+    bases takes it: ``harmonic_blocks``, ``tau`` and the references here.
+    """
+
+    basis: Mapping[int, Matrix]
+    basis_inv: Mapping[int, Matrix]
+
+    def basis_at(self, i: int) -> Matrix:
+        m = self.basis.get(i)
+        return Matrix.identity(self.fiber.dim(i)) if m is None else m
+
+    def basis_inv_at(self, i: int) -> Matrix:
+        m = self.basis_inv.get(i)
+        return Matrix.identity(self.fiber.dim(i)) if m is None else m
+
+
+def dense_split_degree(
+    boundary: Matrix, reduced: Matrix, pivots: list[int]
+) -> tuple[Matrix, Matrix, Fraction, list[int]] | None:
+    """A degree's basis ``[B | H | L]``, its inverse, determinant and harmonic
+    coordinates, by one elimination of ``[B_F | I]``.
+
+    ``reduced`` and ``pivots`` are the rref of the outgoing differential,
+    whose kernel has the canonical basis ``K``: row ``j`` of ``K`` is a
+    unit row on the free coordinates when ``j`` is free, and minus the
+    free entries of ``reduced``'s row at ``j`` when ``j`` is a pivot.
+    ``boundary`` is ``B``, independent columns as tall as ``reduced`` is
+    wide.  None when ``B`` leaves that kernel, that is when the top rows
+    of ``reduced`` do not annihilate it.  ``K`` is the identity on the
+    free rows ``F``, so ``[B | K] = K [B_F | I]`` and one elimination of
+    ``[B_F | I]``, over ``B``'s denominator, does all the work.  Its
+    pivots past ``B`` pick the columns ``S`` of ``K`` that make ``H``, the
+    greedy left-to-right completion of ``B`` to a basis of the kernel.  It
+    reduces to ``[* | C^-1]`` for ``C = [B_F | E_S]``, the free rows of
+    ``[B | H]``, and its last pivot gives ``det C``; with ``B`` empty,
+    ``C = I`` and nothing is eliminated.  ``L`` is the unit columns at the
+    pivots, so the inverse is ``C^-1`` on the free columns over the top
+    rows of ``reduced``, and putting the rows in the order ``F`` then
+    ``pivots`` makes the basis block lower-triangular: its determinant is
+    ``det C``, signed by that reordering.  This is the dense split that
+    ``decompose`` made before it kept the factors of each degree.
+    """
+    n, b, height = reduced.cols, boundary.cols, len(pivots)
+    top, top_den = reduced._num[:height], reduced._den
+    bnum, bden = boundary._num, boundary._den
+    if any(sum(map(mul, r, c)) for r in top for c in zip(*bnum)):
+        return None
+    pivot_row = dict(zip(pivots, range(height)))
+    free = [j for j in range(n) if j not in pivot_row]
+    f = len(free)
+    unit = (0,) * f
+    c_num = tuple(bnum[j] + unit[:k] + (bden,) + unit[k + 1:] for k, j in enumerate(free))
+    if b:  # [B_F | I] need not be in lowest terms: only `_eliminate` reads it
+        eliminated, p, chosen, det_c = _eliminate(Matrix._from_ints(c_num, bden, b + f), b + f)
+        harmonic = [free[q - b] for q in chosen[b:]]
+    else:  # C = I: every kernel column is harmonic
+        eliminated, p, harmonic, det_c = c_num, 1, free, Fraction(1)
+    d = lcm(p, top_den)
+    u, v = d // p, d // top_den
+    inv_num = []
+    for row in eliminated:
+        r = [0] * n
+        for k, j in enumerate(free):
+            r[j] = row[b + k] * u
+        inv_num.append(r)
+    inv_num.extend([x * v for x in row] for row in top)
+    inverse = Matrix._lowest(inv_num, d, n)
+    d = lcm(bden, top_den)
+    u, v = d // bden, d // top_den
+    zeros = (0,) * height
+    basis_num = []
+    for j in range(n):
+        r = pivot_row.get(j)
+        if r is None:  # a free row: B, then a unit entry where H is K's column j
+            tail = tuple(d if h == j else 0 for h in harmonic) + zeros
+        else:  # a pivot row: B, then minus reduced's row at H, then a unit entry at L
+            row = top[r]
+            tail = tuple(-row[h] * v for h in harmonic) + zeros[:r] + (d,) + zeros[r + 1:]
+        basis_num.append(tuple(x * u for x in bnum[j]) + tail)
+    basis = Matrix._lowest(basis_num, d, n)
+    swaps = sum(j - k for k, j in enumerate(free))  # pairs of a pivot before a free column
+    return basis, inverse, -det_c if swaps % 2 else det_c, list(harmonic)
+
+
+def dense_decompose(c: ComplexFiber) -> tuple[DenseDecomposition, dict[int, list[int]]]:
+    """``decompose`` by :func:`dense_split_degree` in every nonzero degree, and
+    the harmonic coordinates of each; ValueError as ``decompose`` raises it."""
+    reduced = {i: linalg_rref(c.differential(i)) for i in c.dims}
+    basis, basis_inv, boundary_dims, harmonic_dims, basis_det, harmonic = {}, {}, {}, {}, {}, {}
+    for i, (outgoing, pivots) in reduced.items():
+        incoming = reduced[i - 1][1] if i - 1 in reduced else ()
+        boundary = c.differential(i - 1).take_columns(incoming)
+        split = dense_split_degree(boundary, outgoing, pivots)
+        if split is None:
+            raise ValueError(f"degree {i} does not split; complex is invalid")
+        basis[i], basis_inv[i], basis_det[i], harmonic[i] = split
+        boundary_dims[i] = boundary.cols
+        harmonic_dims[i] = len(harmonic[i])
+    dec = DenseDecomposition(c, None, boundary_dims, harmonic_dims, basis_det, basis, basis_inv)
+    return dec, harmonic
+
+
+def permuted_decomposition(
+    c: ComplexFiber, perms: Mapping[int, Sequence[int]]
+) -> DenseDecomposition:
     """A valid decomposition of ``c`` that makes other greedy choices.
 
     ``perms[i]`` relabels degree ``i``: ``P_i`` has a 1 at ``(perms[i][j], j)``
@@ -852,10 +973,12 @@ def permuted_decomposition(c: ComplexFiber, perms: Mapping[int, Sequence[int]]) 
     basis_det, basis_inv = {}, {}
     for i, b in basis.items():
         basis_det[i], basis_inv[i] = det_and_inverse(b)
-    return Decomposition(c, basis, basis_inv, dec.boundary_dims, dec.harmonic_dims, basis_det)
+    return DenseDecomposition(
+        c, None, dec.boundary_dims, dec.harmonic_dims, basis_det, basis, basis_inv
+    )
 
 
-def decompose_by_inverse(c: ComplexFiber) -> Decomposition:
+def decompose_by_inverse(c: ComplexFiber) -> DenseDecomposition:
     """``decompose`` by a general elimination per degree for each of its steps.
 
     The harmonic columns are the pivot columns of ``[B | K]`` past ``B``
@@ -888,7 +1011,9 @@ def decompose_by_inverse(c: ComplexFiber) -> Decomposition:
         boundary_dims[i] = b
         harmonic_dims[i] = kernel_full.cols - b
     boundary_dims[c.d_max + 1] = len(pivot_cols[c.d_max])
-    return Decomposition(c, basis, basis_inv, boundary_dims, harmonic_dims, basis_det)
+    return DenseDecomposition(
+        c, None, boundary_dims, harmonic_dims, basis_det, basis, basis_inv
+    )
 
 
 def _columns(dec: Decomposition, i: int, k: int) -> Matrix:

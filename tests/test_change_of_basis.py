@@ -22,6 +22,7 @@ from fractions import Fraction
 import pytest
 
 import modclass
+import modclass.complexes as complexes_module
 from modclass import (
     ChainMap,
     ComplexFiber,
@@ -442,7 +443,7 @@ def test_is_identity_is_equality_with_the_identity(n):
 
 
 # ---------------------------------------------------------------------------
-# Work counts: the replacement maps back by one conjugation
+# Work counts: the replacement is read off the factors
 
 
 FIXTURES = pathlib.Path(modclass.__file__).parent / "fixtures"
@@ -464,20 +465,27 @@ def work_count_maps() -> list[ChainMap]:
 
 
 def test_each_construction_is_one_conjugation(monkeypatch):
+    # the change of basis and its way back are read off each degree's
+    # factors: no dense product, one change of basis per stored component
+    # (a degree with none reads the zero matrix) and one replacement per degree
     maps = work_count_maps()
-    products = []
-    original = Matrix.__mul__
+    counts = {"product": 0, "change": 0, "replacement": 0}
+    originals = Matrix.__mul__, complexes_module.change_of_basis, complexes_module.replacement
 
-    def counted(self, other):
-        products.append(other)
-        return original(self, other)
+    def counted(key, original):
+        def call(*args):
+            counts[key] += 1
+            return original(*args)
+        return call
 
-    monkeypatch.setattr(Matrix, "__mul__", counted)
+    monkeypatch.setattr(Matrix, "__mul__", counted("product", originals[0]))
+    monkeypatch.setattr(complexes_module, "change_of_basis", counted("change", originals[1]))
+    monkeypatch.setattr(complexes_module, "replacement", counted("replacement", originals[2]))
     for f in maps:
-        products.clear()
-        g = invertible_replacement(f)
-        # two products for the change of basis of each stored component (a
-        # degree with none reads the zero matrix), two per degree to map back
-        assert len(products) == 2 * len(f.components) + 2 * len(f.degrees())
+        counts.update(product=0, change=0, replacement=0)
+        invertible_replacement(f)
+        assert counts == {
+            "product": 0, "change": len(f.components), "replacement": len(f.degrees())
+        }
     # the fixtures' actions and every random map are counted
     assert len(maps) > 50

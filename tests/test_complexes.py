@@ -136,7 +136,7 @@ class TestDecompose:
         perm = {i: rng.sample(range(c.dim(i)), c.dim(i)) for i in c.degrees()}
         dec = permuted_decomposition(c, perm)
         for i in c.degrees():
-            assert det(dec.basis[i]) != 0
+            assert det(dec.basis_at(i)) != 0
             assert dec.widths(i) == decompose(c).widths(i)
 
     def test_eliminates_each_differential_once(self, monkeypatch):
@@ -165,7 +165,7 @@ class TestDecompose:
         d0, d1 = Matrix([[1], [2], [3]]), Matrix([[2, -1, 0], [3, 0, -1]])
         c = ComplexFiber(0, 2, {0: 1, 1: 3, 2: 2}, {0: d0, 1: d1})
         per_call = [0]  # eliminations before the first split, then in each
-        eliminate, split = linalg_module._eliminate, complexes_module._split_degree
+        eliminate, split = linalg_module._eliminate, complexes_module.split_degree
 
         def counted_eliminate(*args, **kwargs):
             per_call[-1] += 1
@@ -176,7 +176,7 @@ class TestDecompose:
             return split(*args)
 
         monkeypatch.setattr(linalg_module, "_eliminate", counted_eliminate)
-        monkeypatch.setattr(complexes_module, "_split_degree", counted_split)
+        monkeypatch.setattr(complexes_module, "split_degree", counted_split)
         decompose(c)
         assert per_call == [2, 0, 1, 1]
 
@@ -188,22 +188,22 @@ class TestDecompose:
             ComplexFiber(0, 0, {0: 2}, {-1: Matrix.zeros(3, 0), 0: Matrix.zeros(0, 3)})
 
     def test_bases_build_no_identity_for_a_degree_they_hold(self, monkeypatch):
-        c = two_one()
+        # each degree keeps its factors: no identity, product or transpose
+        # is made, and the bases are built only on request; degrees 2 and 3
+        # have no differential in or out and store nothing
+        c = ComplexFiber(0, 3, {0: 2, 1: 3, 2: 1, 3: 4}, {0: Matrix([[1, 2], [0, 1], [3, 6]])})
+        built = []
+        for name in ("identity", "__mul__", "transpose"):
+            original = getattr(Matrix, name)
+            monkeypatch.setattr(
+                Matrix, name, lambda *args, name=name, f=original: built.append(name) or f(*args)
+            )
         dec = decompose(c)
-        built, identity = [], Matrix.identity
-
-        def counted(n):
-            built.append(n)
-            return identity(n)
-
-        monkeypatch.setattr(Matrix, "identity", counted)
-        for i in c.degrees():
-            assert dec.basis_at(i) is dec.basis[i]
-            assert dec.basis_inv_at(i) is dec.basis_inv[i]
-        assert built == []
+        assert built == [] and list(dec.splits) == [0, 1]
+        assert dec.basis_at(3) == dec.basis_inv_at(3) == Matrix.identity(4)
+        assert built == ["identity", "identity", "identity"]
         # outside its degrees a fiber is zero, and so is its basis
         assert dec.basis_at(c.d_max + 1) == dec.basis_inv_at(c.d_min - 1) == Matrix.zeros(0, 0)
-        assert built == [0, 0]
 
 
 class TestCohomologyDims:

@@ -160,7 +160,9 @@ def test_permuted_decompositions_make_other_choices():
     for seed in SEEDS:
         rng, rep, _ = ruth_case(seed)
         for x, dec in permuted_decompositions(rng, rep).items():
-            changed += dec.basis != decompose(rep.complexes[x]).basis
+            c = rep.complexes[x]
+            canonical = decompose(c)
+            changed += any(dec.basis_at(i) != canonical.basis_at(i) for i in c.degrees())
     assert changed > len(SEEDS) // 4
 
 

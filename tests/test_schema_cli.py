@@ -781,18 +781,18 @@ class TestCommands:
 
 class TestHomotopyBuilds:
     """Deciding homotopies builds none: every command reads the report's
-    decisions, and only ``replace`` writes a matrix in decomposition
-    coordinates (``Matrix.with_blocks``)."""
+    decisions, and only ``replace`` maps a matrix in decomposition
+    coordinates back (``linalg.replacement``)."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        original, calls = Matrix.with_blocks, []
+        original, calls = complexes.replacement, []
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(Matrix, "with_blocks", counted)
+        monkeypatch.setattr(complexes, "replacement", counted)
         return calls
 
     @pytest.mark.parametrize("command", ["validate", "modular-class", "homotopy-check"])
@@ -1160,55 +1160,59 @@ class TestEmptyDegrees:
                 assert (len(lines) - len(kept), "".join(kept)) == (len(extra), out)
 
     def test_decompose_splits_each_nonzero_degree_once(self, monkeypatch):
+        # once for each nonzero degree with a differential in or out: any
+        # other stores nothing, and the empty degrees of the range cost nothing
         rng = random.Random(4)
-        split, calls, inner_zeros = complexes._split_degree, [], 0
+        split, calls, inner_zeros = complexes.split_degree, [], 0
 
         def counted(*args):
             calls.append(args)
             return split(*args)
 
-        monkeypatch.setattr(complexes, "_split_degree", counted)
+        monkeypatch.setattr(complexes, "split_degree", counted)
         for _ in range(40):
             c = rand_complex(rng, -1, 4, 3)
             inner_zeros += len(c.dims) < len(c.degrees())
             below, above = rng.randint(0, 10**9), rng.randint(0, 10**9)
             wide = ComplexFiber(c.d_min - below, c.d_max + above, c.dims, c.differentials)
+            moved = {i for d in c.differentials for i in (d, d + 1)}
             decs = []
             for fiber in (c, wide):
                 calls.clear()
                 decs.append(decompose(fiber))
-                assert len(calls) == len(fiber.dims)
-            fields = ("basis", "basis_inv", "boundary_dims", "harmonic_dims", "basis_det")
+                assert len(calls) == len(moved) == len(decs[-1].splits)
+            fields = ("splits", "boundary_dims", "harmonic_dims", "basis_det")
             assert [getattr(decs[0], f) for f in fields] == [getattr(decs[1], f) for f in fields]
         assert inner_zeros > 10
 
     @pytest.mark.parametrize("command", ["validate", "modular-class", "homotopy-check", "berezinian"])
     def test_a_wide_range_does_the_work_of_its_support(self, command, monkeypatch):
+        # the fiber's one degree has no differential, so it is split with
+        # no factor and each change of basis is its map, with no product
         data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
         narrow = parse_data(data)
         data["complex"]["*"]["degrees"] = [0, 10**12]
         wide = parse_data(data)
-        counts = {"split": 0, "product": 0}
-        split, product = complexes._split_degree, Matrix.__mul__
+        counts = {"split": 0, "change": 0, "product": 0}
+        originals = complexes.split_degree, complexes.change_of_basis, Matrix.__mul__
 
-        def counted_split(*args):
-            counts["split"] += 1
-            return split(*args)
+        def counted(key, original):
+            def call(*args):
+                counts[key] += 1
+                return original(*args)
+            return call
 
-        def counted_product(*args):
-            counts["product"] += 1
-            return product(*args)
-
-        monkeypatch.setattr(complexes, "_split_degree", counted_split)
-        monkeypatch.setattr(Matrix, "__mul__", counted_product)
+        monkeypatch.setattr(complexes, "split_degree", counted("split", originals[0]))
+        monkeypatch.setattr(complexes, "change_of_basis", counted("change", originals[1]))
+        monkeypatch.setattr(Matrix, "__mul__", counted("product", originals[2]))
         seen = []
         for doc in (narrow, wide):
-            counts.update(split=0, product=0)
+            counts.update(split=0, change=0, product=0)
             args = argparse.Namespace(input="z2_sign_odd.json", fmt="json", arrow="t")
             report, code = cli.run(command, doc, args)
             seen.append((dict(counts), code, report.to_json()))
         assert seen[0] == seen[1]
-        assert seen[0][0]["split"] == 1 and seen[0][0]["product"] > 0
+        assert seen[0][0]["split"] == 0 and seen[0][0]["change"] > 0
 
     @staticmethod
     def z2_document(tmp_path, degrees) -> str:
@@ -1266,12 +1270,14 @@ def units_document(tmp_path, dims: dict[str, dict[str, int]]) -> str:
 
 
 class TestDimensionLimit:
-    """What ``decompose`` allocates is bounded by the document's dimensions.
+    """What a document's dimensions can make the analysis allocate is bounded.
 
-    Each nonzero degree of dimension n gets dense n x n bases, so a document
-    whose dim^2 summed over objects and degrees passes
-    ``schema.COMPLEX_MAX_DIM_SQUARES`` is refused before any fiber is built;
-    told by the refusal, never by letting such a document run.
+    A nonzero degree of dimension n can still cost n x n entries (its
+    matrices, their eliminations, its factors), so a document whose dim^2
+    summed over objects and degrees passes ``schema.COMPLEX_MAX_DIM_SQUARES``
+    is refused before any fiber is built; told by the refusal, never by
+    letting such a document run.  A degree with no differential costs no
+    dense matrix at all.
     """
 
     LIMIT_ERROR = (
