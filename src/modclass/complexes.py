@@ -72,7 +72,7 @@ from functools import cached_property
 from operator import add, sub
 from typing import Mapping
 
-from .linalg import Matrix, Split, change_of_basis, det, replacement, rref, split_degree
+from .linalg import Matrix, Split, _exact, change_of_basis, det, replacement, rref, split_degree
 
 
 class GradedDimensionMismatch(ValueError):
@@ -543,12 +543,8 @@ def invertible_replacement(f: ChainMap) -> ChainMap:
 
 def _scale_parts(sigma_source: Fraction | int, sigma_target: Fraction | int) -> tuple[int, int]:
     """Integers ``(p, q)``, ``q`` nonzero, with ``p / q = sigma_source / sigma_target``."""
-    if isinstance(sigma_source, float) or isinstance(sigma_target, float):
-        raise TypeError("trivialization scales must be exact rationals")
-    if not isinstance(sigma_source, (int, Fraction)):
-        sigma_source = Fraction(sigma_source)
-    if not isinstance(sigma_target, (int, Fraction)):
-        sigma_target = Fraction(sigma_target)
+    sigma_source = _exact(sigma_source, "trivialization scales")
+    sigma_target = _exact(sigma_target, "trivialization scales")
     if not sigma_source or not sigma_target:
         raise ValueError("trivialization scales must be nonzero")
     return (

@@ -18,15 +18,17 @@ potential along a spanning forest of the object graph and checking the
 leftover arrows, which over a single object reduces to checking that
 the cocycle is identically 1 on the isotropy group.
 
-The groupoid laws and functoriality (of a cocycle here, of line, vector
-and homotopy actions in ``reps``) are decided through the isotropy
+The groupoid laws and functoriality (of a cocycle here, of line and
+vector actions in ``reps``, and of a homotopy action's harmonic blocks,
+one cohomology degree at a time) are decided through the isotropy
 model: a connected groupoid is the pair groupoid on its objects twisted
 by its isotropy group (Brandt 1927; Higgins, *Categories and Groupoids*,
 1971).  So associativity follows from one injectivity check per arrow
 and the isotropy group's own multiplication table, and ``phi(gh) =
 phi(g) phi(h)`` on every pair from one check per arrow along a spanning
 tree and that same table.  When a table has no such model, or a check
-fails, the pair and triple scans decide and word every problem.
+fails, the pair and triple scans decide and word every problem.  A
+value in those checks is a scalar or a ``Matrix``, nothing else.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from operator import eq
+from operator import eq, mul
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import ValidationReport
-from .linalg import Matrix, det
+from .linalg import Matrix, _exact, det
 
 _ONE = Fraction(1)  # one shared 1: a Fraction is immutable
 _NO_ROW = object()  # the first arrow before any row: equal to no arrow id
@@ -172,10 +174,7 @@ class Cochain:
     def __post_init__(self):
         coerced = {}
         for key, value in self.values.items():
-            if not isinstance(value, Fraction):
-                if isinstance(value, float):
-                    raise TypeError("cochain values must be exact rationals")
-                value = Fraction(value)
+            value = _exact(value, "cochain values")
             if not value:
                 raise ValueError(f"cochain value at {key!r} is zero")
             coerced[key] = value
@@ -207,9 +206,7 @@ class Cochain:
 
     @classmethod
     def constant(cls, degree: int, keys: Iterable, value=1) -> "Cochain":
-        if isinstance(value, float):
-            raise TypeError("cochain values must be exact rationals")
-        v = Fraction(value)
+        v = _exact(value, "cochain values")
         if v == 0:
             raise ValueError("cochain values must be nonzero")
         return cls(degree, {k: v for k in keys})
@@ -497,13 +494,6 @@ def _is_associative(gpd: FiniteGroupoid, model) -> bool:
     return True
 
 
-def _mul(u, v):
-    # Per-degree tuples multiply degree by degree.
-    if isinstance(u, tuple):
-        return tuple(_mul(x, y) for x, y in zip(u, v, strict=True))
-    return u * v
-
-
 def _mul_parts(u, v):
     # Scalars as (numerator, denominator): the product, not reduced.
     return u[0] * v[0], u[1] * v[1]
@@ -519,61 +509,42 @@ def _product_equals_parts(u, v, w) -> bool:
 
 
 def _product_equals(u, v, w) -> bool:
-    # u v == w with no product built: a Matrix's by linalg, a tuple's degree by degree.
-    if isinstance(u, tuple):
-        return len(u) == len(v) == len(w) and all(map(_product_equals, u, v, w))
-    if isinstance(u, Matrix):
-        return u.product_equals(v, w)
-    return u * v == w
+    # u v == w, a Matrix's by linalg with no product built.
+    return u.product_equals(v, w) if isinstance(u, Matrix) else u * v == w
 
 
 def _determinant(v):
-    # A square Matrix's determinant and 0 for any other, a scalar itself,
-    # entry by entry for a tuple: invertible exactly when nonzero throughout.
-    if isinstance(v, tuple):
-        return tuple(map(_determinant, v))
+    # A square Matrix's determinant and 0 for any other, a scalar itself:
+    # invertible exactly when nonzero.
     if isinstance(v, Matrix):
         return det(v) if v.is_square else 0
     return v
 
 
-def _nonzero(d) -> bool:
-    if isinstance(d, tuple):
-        return all(map(_nonzero, d))
-    return d != 0
-
-
 def _is_unit(v) -> bool:
-    # The identity: 1, an identity matrix, or entry by entry for a tuple.
-    if isinstance(v, tuple):
-        return all(map(_is_unit, v))
-    if isinstance(v, Matrix):
-        return v.is_identity()
-    return v == 1
+    # The identity: 1 or an identity matrix.
+    return v.is_identity() if isinstance(v, Matrix) else v == 1
 
 
 def _shape(v):
-    # A Matrix's (rows, cols), entry by entry for a tuple; None for a scalar.
-    if isinstance(v, tuple):
-        return tuple(map(_shape, v))
+    # A Matrix's (rows, cols); None for a scalar.
     return (v.rows, v.cols) if isinstance(v, Matrix) else None
 
 
 def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
     """True only if ``phi(g) phi(h) == phi(gh)`` on every composable pair.
 
-    ``phi`` maps an arrow to a value with ``*`` and ``==``: a Fraction,
-    a ``Matrix``, or a tuple of them multiplied entry by entry (the
-    per-degree harmonic blocks of a homotopy action).  With the model of
+    ``phi`` maps an arrow to a value with ``*`` and ``==``: a Fraction
+    or a ``Matrix`` (a homotopy action's harmonic blocks are checked one
+    degree at a time, by ``reps.verify_ruth``).  With the model of
     ``_isotropy_model`` (trees ``t_x``, with ``t_b = e_b`` the unit at
     each base ``b``, coordinates ``k`` and isotropy groups ``G_b``), the
     checks are
 
-    (U) every ``phi(e_b)`` is the identity (1, or an identity matrix, in
-        every entry of a tuple), and every loop in ``G_b`` takes a value
-        of its shape;
+    (U) every ``phi(e_b)`` is the identity (1, or an identity matrix),
+        and every loop in ``G_b`` takes a value of its shape;
     (T) every ``phi(t_x)`` off a base is invertible (nonzero, or square
-        with a nonzero determinant, in every entry of a tuple);
+        with a nonzero determinant);
     (A) ``phi(a) phi(t_x) == phi(t_y) phi(k(a))`` for every ``a: x -> y``,
         with no product by ``phi(t_b)``;
     (G) ``phi(p) phi(q) == phi(pq)`` for all ``p, q`` in each ``G_b``,
@@ -598,14 +569,15 @@ def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
 
     Costs one determinant per tree arrow off the bases, one product per
     distinct ``(y, k(a))`` off the bases, one comparison per arrow, and
-    ``(|G_b| - 1)^2`` products per base: over one object, the products of
-    the non-unit loops alone.  (A) builds no product: a matrix's is
-    compared with ``Matrix.product_equals``.  Rational scalars are
-    multiplied and compared as integer numerators and denominators, so no
-    ``Fraction`` is made.  (T) leaves the determinant of each tree arrow
-    off the bases in ``dets``, by arrow, when it is given.  False (no
-    model, a failed check, a missing value or mismatched shapes) decides
-    nothing: the caller then scans the pairs.
+    ``(|G_b| - 1)^2`` comparisons of a product per base: over one object,
+    the products of the non-unit loops alone.  (A) and (G) build no
+    product: a matrix's is compared with ``Matrix.product_equals``.
+    Rational scalars are multiplied and compared as integer numerators
+    and denominators, so no ``Fraction`` is made.  (T) leaves the
+    determinant of each tree arrow off the bases in ``dets``, by arrow,
+    when it is given.  False (no model, a failed check, a missing value
+    or mismatched shapes) decides nothing: the caller then scans the
+    pairs.
     """
     model = _model_of(gpd)
     if model is None:
@@ -625,14 +597,14 @@ def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
                     return False
                 continue
             d = dets[a] = _determinant(value)
-            if not _nonzero(d):
+            if d == 0:
                 return False
             at[x] = value
-        mul, equal, product_equals = _mul, eq, _product_equals
+        times, equal, product_equals = mul, eq, _product_equals
         if all(isinstance(v, Rational) for v in values.values()):
             # scalars as (numerator, denominator), compared by cross-multiplication
             parts = {a: (v.numerator, v.denominator) for a, v in values.items()}
-            phi, mul, equal = parts.__getitem__, _mul_parts, _equal_parts
+            phi, times, equal = parts.__getitem__, _mul_parts, _equal_parts
             product_equals = _product_equals_parts
             at = {x: parts[tree[x]] for x in at}
         moved: dict[tuple[str, str], object] = {}  # phi(t_y) phi(k) by (y, k)
@@ -640,7 +612,7 @@ def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
             key = (t, k[a])
             if key not in moved:
                 value = phi(k[a])
-                moved[key] = mul(at[t], value) if t in at else value
+                moved[key] = times(at[t], value) if t in at else value
             value, target = phi(a), moved[key]
             if not (product_equals(value, at[s], target) if s in at else equal(value, target)):
                 return False
@@ -652,7 +624,7 @@ def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
                     if p == e or q == e:
                         if row_p[q] != (q if p == e else p):
                             return False
-                    elif not equal(mul(phi(p), phi(q)), phi(row_p[q])):
+                    elif not product_equals(phi(p), phi(q), phi(row_p[q])):
                         return False
     except (KeyError, ValueError):
         return False
@@ -677,7 +649,7 @@ def _scan_pairs(gpd: FiniteGroupoid, phi) -> list[tuple[str, str]]:
     return [
         (g, h)
         for g, h in gpd.composable_pairs()
-        if _mul(phi(g), phi(h)) != phi(gpd.compose(g, h))
+        if phi(g) * phi(h) != phi(gpd.compose(g, h))
     ]
 
 

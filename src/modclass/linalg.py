@@ -20,9 +20,8 @@ straight to those integer rows, with one check of a matrix's joined
 text when every entry is well formed.  Every other operation stays in
 integers and makes `Fraction`s only where entries leave the matrix
 (`__getitem__`, `row`, `column`, `to_lists`, `repr`); `to_strings`
-writes the rows straight back to "p/q" strings, `block_equals`
-compares blocks as stored, and `with_blocks` writes blocks over a copy
-of the rows, all over the `lcm` of the denominators.  A product multiplies the stored integer rows
+writes the rows straight back to "p/q" strings, and `block_equals`
+compares blocks as stored.  A product multiplies the stored integer rows
 over the product of the two denominators, so each entry is an integer
 dot product and the result is normalised with one `gcd`;
 `product_equals` compares those dot products with a given matrix by
@@ -148,13 +147,18 @@ def format_rational(value: Fraction | int) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
-def _exact(x) -> Fraction:
+def _exact(x, name: str = "matrix entries") -> Fraction:
+    """``x`` as a Fraction; a float or a string is a TypeError naming ``name``.
+
+    A string is refused, not read: :func:`parse_rational` reads the
+    published pattern, and ``Fraction`` would also take "1e-3" or " 3/4 ".
+    """
     if type(x) is Fraction:
         return x
     if isinstance(x, str):
-        raise TypeError(f"matrix entry {x!r} is a string: read it with parse_rational")
+        raise TypeError(f"{name} must be exact rationals: read the string {x!r} with parse_rational")
     if isinstance(x, float):
-        raise TypeError("matrix entries must be exact rationals")
+        raise TypeError(f"{name} must be exact rationals")
     return Fraction(x)
 
 
@@ -282,23 +286,6 @@ class Matrix:
             col_stop - col_start,
         )
 
-    def with_blocks(self, blocks: list) -> "Matrix":
-        """This matrix with each ``(r0, c0, block)`` of ``blocks``, in order,
-        written over its entries from row ``r0`` and column ``c0``;
-        ValueError when a block does not fit."""
-        d = lcm(self._den, *(b._den for _, _, b in blocks))
-        u = d // self._den
-        num = [[x * u for x in r] for r in self._num]
-        for r0, c0, b in blocks:
-            if not (0 <= r0 <= self.rows - b.rows and 0 <= c0 <= self.cols - b.cols):
-                raise ValueError(
-                    f"a {b.rows}x{b.cols} block at ({r0}, {c0}) is outside {self.rows}x{self.cols}"
-                )
-            v = d // b._den
-            for row, part in zip(num[r0:], b._num):
-                row[c0 : c0 + b.cols] = [x * v for x in part]
-        return Matrix._lowest(num, d, self.cols)
-
     def transpose(self) -> "Matrix":
         num = tuple(zip(*self._num)) or ((),) * self.cols
         return Matrix._from_ints(num, self._den, self.rows)
@@ -386,9 +373,7 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, scalar) -> "Matrix":
-        if isinstance(scalar, float):
-            raise TypeError("matrix scalars must be exact rationals")
-        c = Fraction(scalar)
+        c = _exact(scalar, "matrix scalars")
         p, q = c.numerator, c.denominator
         return Matrix._lowest([[p * x for x in r] for r in self._num], q * self._den, self.cols)
 

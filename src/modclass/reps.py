@@ -8,8 +8,9 @@ A representation up to weak homotopy assigns a chain map of per-object
 complexes to every arrow, unital, with composition respected only up to
 existence of a chain homotopy.  Homotopy questions are answered on the
 per-object boundary/harmonic/lift decompositions: functoriality up to
-homotopy is strict functoriality of the harmonic blocks, decided here
-with no homotopy built, since one need only exist.  The Berezinian of
+homotopy is strict functoriality of the harmonic blocks in every
+degree, the action on each cohomology group, decided here degree by
+degree with no homotopy built, since one need only exist.  The Berezinian of
 the homotopy class of each chain map, read off its harmonic blocks, is
 again a strictly functorial line representation whose class is the
 modular class of the homotopy representation.  Both are read off the
@@ -49,7 +50,7 @@ from .groupoid import (
     _scan_pairs,
     _solve_1,
 )
-from .linalg import Matrix, det
+from .linalg import Matrix, _exact, det
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,7 @@ class Trivialization:
 
     def __init__(self, scales: Mapping[str, Fraction] | None = None):
         scales = scales or {}
-        if any(isinstance(v, float) for v in scales.values()):
-            raise TypeError("trivialization scales must be exact rationals")
-        self.scales = {k: Fraction(v) for k, v in scales.items()}
+        self.scales = {k: _exact(v, "trivialization scales") for k, v in scales.items()}
         for obj, value in self.scales.items():
             if value == 0:
                 raise ValueError(f"trivialization scale at '{obj}' is zero")
@@ -261,8 +260,7 @@ def characteristic_function(
     for a, s, t in r.groupoid.arrows:
         value = r(a)
         if s in scales or t in scales:
-            if isinstance(value, float):
-                raise TypeError("cochain values must be exact rationals")
+            value = _exact(value, "cochain values")
             above, below = scales.get(s, _ONE), scales.get(t, _ONE)
             value = Fraction(
                 value.numerator * above.numerator * below.denominator,
@@ -376,11 +374,16 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     complex, and :func:`verify_complex` runs only to word a refusal; one
     change of basis per arrow and degree gives its chain-map verdict and
     harmonic blocks.  A pair ``(g, h)`` is homotopy functorial exactly
-    when the harmonic blocks satisfy ``H(g) H(h) = H(gh)`` in every
-    degree; that is decided for all pairs at once through the groupoid's
-    isotropy model, and pair by pair only when that check does not pass.
-    Each step walks the fibers' supports, their nonzero degrees: a zero
-    degree has empty blocks and takes part in no law.
+    when the harmonic blocks satisfy ``H^i(g) H^i(h) = H^i(gh)`` in every
+    degree ``i``.  That is decided degree by degree, on the matrices
+    ``{arrow: H^i(arrow)}`` of each degree where some block is nonempty
+    (an arrow whose component lacks the degree acts there by a 0x0
+    matrix): for all pairs at once through the groupoid's isotropy
+    model, and pair by pair only when that check does not pass.  The
+    failing pairs of all degrees are reported together, in
+    ``composable_pairs()`` order.  Each step walks the fibers' supports,
+    their nonzero degrees: a zero degree has empty blocks and takes part
+    in no law.
     """
     report = RuthReport(r)
     gpd = r.groupoid
@@ -427,10 +430,12 @@ def verify_ruth(r: RepUpToWeakHomotopy) -> RuthReport:
     if not report.ok:
         return report
     report.decompositions, report.blocks = decs, blocks
-    # Each arrow joins fibers of one support, so the arrows of a component
-    # have blocks in the same degrees, in order.
-    values = {a: tuple(b.values()) for a, b in blocks.items()}
-    failing = _failing_pairs(gpd, values.__getitem__)
+    empty, failed = Matrix.zeros(0, 0), set()
+    for i in sorted({i for b in blocks.values() for i, m in b.items() if m.rows and m.cols}):
+        # an arrow whose component lacks degree i has an empty block there
+        degree = {a: b.get(i, empty) for a, b in blocks.items()}
+        failed.update(_failing_pairs(gpd, degree.__getitem__))
+    failing = [pair for pair in gpd.composable_pairs() if pair in failed] if failed else []
     for g, h in failing:
         report.add(
             f"no homotopy between the composed actions of ('{g}', '{h}')"

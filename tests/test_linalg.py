@@ -280,36 +280,3 @@ def test_deterministic_outputs():
         assert first == second
         assert repr(first[0]) == repr(second[0])
         assert det_and_inverse(m) == det_and_inverse(m)
-
-
-class TestWithBlocks:
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_writes_each_block_over_the_entries(self, data):
-        m = data.draw(matrices())
-        blocks, expected = [], m.to_lists()
-        for _ in range(data.draw(st.integers(0, 3))):
-            rows, cols = data.draw(st.integers(0, m.rows)), data.draw(st.integers(0, m.cols))
-            b = data.draw(matrices(rows=rows, cols=cols))
-            r0 = data.draw(st.integers(0, m.rows - b.rows))
-            c0 = data.draw(st.integers(0, m.cols - b.cols))
-            blocks.append((r0, c0, b))
-            for i in range(b.rows):
-                expected[r0 + i][c0 : c0 + b.cols] = b.row(i)
-        # equal to the matrix built entry by entry, so in lowest terms too
-        assert m.with_blocks(blocks) == Matrix(expected, cols=m.cols)
-
-    def test_an_overwritten_fraction_leaves_the_denominator(self):
-        m = Matrix([[Fraction(1, 2), 1], [0, 1]])
-        assert m.with_blocks([(0, 0, Matrix([[3]]))]) == Matrix([[3, 1], [0, 1]])
-
-    @pytest.mark.parametrize(
-        "r0, c0, rows, cols",
-        [(-1, 0, 1, 1), (0, -1, 1, 1), (2, 0, 1, 1), (0, 3, 1, 1), (1, 0, 2, 1), (0, 2, 1, 2)],
-    )
-    def test_a_block_that_does_not_fit_is_refused(self, r0, c0, rows, cols):
-        # a fitting block first: the refusal is not only of the first one
-        blocks = [(0, 0, Matrix.identity(1)), (r0, c0, Matrix.zeros(rows, cols))]
-        message = rf"^a {rows}x{cols} block at \({r0}, {c0}\) is outside 2x3$"
-        with pytest.raises(ValueError, match=message):
-            Matrix.zeros(2, 3).with_blocks(blocks)

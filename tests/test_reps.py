@@ -547,7 +547,7 @@ class TestIdentityWork:
 
     @pytest.fixture
     def spied(self, monkeypatch):
-        seen = {"_in_bases": [], "tuple products": 0}
+        seen = {"_in_bases": [], "products": []}
         original = reps_module._in_bases
 
         def spy(t, *args):
@@ -555,14 +555,26 @@ class TestIdentityWork:
             return original(t, *args)
 
         monkeypatch.setattr(reps_module, "_in_bases", spy)
-        mul = groupoid_module._mul
+        checker, checking = groupoid_module._is_functorial, [False]
 
-        def counted(u, v):
-            # the entries of a tuple are multiplied by nested calls
-            seen["tuple products"] += isinstance(u, tuple)
-            return mul(u, v)
+        def checked(*args):
+            checking[0] = True
+            try:
+                return checker(*args)
+            finally:
+                checking[0] = False
 
-        monkeypatch.setattr(groupoid_module, "_mul", counted)
+        def counted(original):
+            # a product the checker builds or compares with a third matrix
+            def call(a, b, *rest):
+                if checking[0]:
+                    seen["products"].append((a, b))
+                return original(a, b, *rest)
+            return call
+
+        monkeypatch.setattr(groupoid_module, "_is_functorial", checked)
+        for name in ("__mul__", "product_equals"):
+            monkeypatch.setattr(Matrix, name, counted(getattr(Matrix, name)))
         return seen
 
     def test_an_identity_unit_is_free(self, spied):
@@ -570,8 +582,11 @@ class TestIdentityWork:
         report = verify_ruth(rep)
         assert report.ok and report.identities == {E}
         assert spied["_in_bases"] == [rep(TAU)]
-        # (A) multiplies nothing over one object; (G) multiplies (tau, tau) alone
-        assert spied["tuple products"] == 1
+        # (A) multiplies nothing over one object; (G) multiplies (tau, tau)
+        # alone, once in each degree with harmonic content
+        tau = report.blocks[TAU]
+        harmonic = [i for i, m in tau.items() if m.rows and m.cols]
+        assert harmonic and spied["products"] == [(tau[i], tau[i]) for i in harmonic]
         dec = report.decompositions["*"]
         assert report.blocks[E] == harmonic_blocks(rep(E), dec, dec)
         sigma = Trivialization({"*": Fraction(3)})

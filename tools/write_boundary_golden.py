@@ -1,22 +1,28 @@
 #!/usr/bin/env python3
-"""Write tests/golden/boundary.jsonl: what the CLI says about each boundary case.
+"""Write tests/golden/boundary.jsonl and laws.jsonl: what the CLI says about each case.
 
     python3 tools/write_boundary_golden.py
 
-The documents are the four shipped fixtures, the four ``tests/data``
-documents and ``MUTATIONS`` seeded mutations of each fixture: one to three
-of its values changed, dropped or repeated, by the edits that
+The boundary documents are the four shipped fixtures, the four
+``tests/data`` documents of schema and groupoid problems and
+``MUTATIONS`` seeded mutations of each fixture: one to three of its
+values changed, dropped or repeated, by the edits that
 ``tests/test_schema_readers.py::mutated_fixture`` makes, drawn from
 ``random.Random(seed)``.  Each document is written as ``doc.json`` in a
 scratch directory and run in-process through ``cli.main`` with all six
 commands, in text and in JSON; ``berezinian`` and ``replace`` run once with
 the document's first arrow that is no unit and once with an unknown id.
+The law documents, the other ``tests/data`` documents, are replayed the
+same way into ``laws.jsonl``: representations that fail functoriality on
+some pairs (a homotopy one in different pairs in different degrees, and
+over two components of different supports) and complexes with ``d o d``
+nonzero, which no boundary case reaches.
 
 Each case is one line: the document's name, the arguments, the exit code,
 the stderr lines other than ``elapsed:`` (``SAME_ERRORS`` when they are
 the previous case's), and the SHA-256 of stdout ("" when it is empty).
-``tests/test_boundary_golden.py`` replays every case and compares, so a
-change that moves any byte the boundary prints fails there.
+``tests/test_boundary_golden.py`` replays every case of both files and
+compares, so a change that moves any byte the boundary prints fails there.
 """
 
 from __future__ import annotations
@@ -39,10 +45,14 @@ if __name__ == "__main__":
 from modclass import cli  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden" / "boundary.jsonl"
+LAWS = ROOT / "tests" / "golden" / "laws.jsonl"
 FIXTURES = ROOT / "src" / "modclass" / "fixtures"
 DATA = ROOT / "tests" / "data"
 FIXTURE_NAMES = ["z2_sign_odd", "pair2", "s3_action", "acyclic_two_term"]
 DATA_NAMES = ["broken_assoc", "duplicate_degree", "malformed", "table_domain"]
+LAW_NAMES = ["line_not_functorial", "vector_not_functorial", "ruth_failing_degrees",
+             "ruth_two_supports", "ruth_unequal_cohomology", "ruth_dd_nonzero",
+             "ruth_dd_not_chain_map"]  # fmt: skip
 MUTATIONS = 12
 COMMANDS = ["validate", "cohomology", "modular-class", "berezinian", "replace", "homotopy-check"]
 UNKNOWN_ARROW = "no-such-arrow"
@@ -129,6 +139,11 @@ def documents() -> list[tuple[str, str]]:
     return docs
 
 
+def law_documents() -> list[tuple[str, str]]:
+    """``(name, text)`` of every law document, in ``laws.jsonl``'s order."""
+    return [(f"data:{n}", (DATA / f"{n}.json").read_text(encoding="utf-8")) for n in LAW_NAMES]
+
+
 def _first_non_unit(text: str) -> str:
     """The first arrow id of the document that no identity entry names."""
     groupoid = json.loads(text).get("groupoid")
@@ -188,12 +203,13 @@ def replay(name: str, text: str, directory: Path) -> list[str]:
 
 
 def main() -> None:
-    lines = []
-    with tempfile.TemporaryDirectory() as scratch:
-        for name, text in documents():
-            lines += replay(name, text, Path(scratch))
-    GOLDEN.write_text("".join(line + "\n" for line in lines), encoding="ascii")
-    print(f"wrote {len(lines)} cases to {GOLDEN.relative_to(ROOT)}")
+    for path, docs in ((GOLDEN, documents()), (LAWS, law_documents())):
+        lines = []
+        with tempfile.TemporaryDirectory() as scratch:
+            for name, text in docs:
+                lines += replay(name, text, Path(scratch))
+        path.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+        print(f"wrote {len(lines)} cases to {path.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":
