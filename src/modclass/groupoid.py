@@ -27,8 +27,11 @@ by its isotropy group (Brandt 1927; Higgins, *Categories and Groupoids*,
 and the isotropy group's own multiplication table, and ``phi(gh) =
 phi(g) phi(h)`` on every pair from one check per arrow along a spanning
 tree and that same table.  When a table has no such model, or a check
-fails, the pair and triple scans decide and word every problem.  A
-value in those checks is a scalar or a ``Matrix``, nothing else.
+fails, the pair and triple scans decide and word every problem.  The
+values of one functoriality check are all rational scalars or all
+``Matrix``es, and its arithmetic is picked once for them; a certificate
+of matrices can hand back every arrow's determinant, read off the
+model.  No other module reads the model.
 """
 
 from __future__ import annotations
@@ -508,38 +511,18 @@ def _product_equals_parts(u, v, w) -> bool:
     return u[0] * v[0] * w[1] == w[0] * u[1] * v[1]
 
 
-def _product_equals(u, v, w) -> bool:
-    # u v == w, a Matrix's by linalg with no product built.
-    return u.product_equals(v, w) if isinstance(u, Matrix) else u * v == w
-
-
-def _determinant(v):
-    # A square Matrix's determinant and 0 for any other, a scalar itself:
-    # invertible exactly when nonzero.
-    if isinstance(v, Matrix):
-        return det(v) if v.is_square else 0
-    return v
-
-
-def _is_unit(v) -> bool:
-    # The identity: 1 or an identity matrix.
-    return v.is_identity() if isinstance(v, Matrix) else v == 1
-
-
-def _shape(v):
-    # A Matrix's (rows, cols); None for a scalar.
-    return (v.rows, v.cols) if isinstance(v, Matrix) else None
-
-
 def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
     """True only if ``phi(g) phi(h) == phi(gh)`` on every composable pair.
 
-    ``phi`` maps an arrow to a value with ``*`` and ``==``: a Fraction
-    or a ``Matrix`` (a homotopy action's harmonic blocks are checked one
-    degree at a time, by ``reps.verify_ruth``).  With the model of
-    ``_isotropy_model`` (trees ``t_x``, with ``t_b = e_b`` the unit at
-    each base ``b``, coordinates ``k`` and isotropy groups ``G_b``), the
-    checks are
+    ``phi`` maps every arrow to a rational scalar, or every arrow to a
+    ``Matrix`` (a homotopy action's harmonic blocks are checked one
+    degree at a time, by ``reps.verify_ruth``); any other mix is not
+    certified.  The values are read once and the arithmetic picked once:
+    scalars are multiplied and compared as integer numerators and
+    denominators, so no ``Fraction`` is made, and matrices through
+    ``Matrix`` itself.  With the model of ``_isotropy_model`` (trees
+    ``t_x``, with ``t_b = e_b`` the unit at each base ``b``, coordinates
+    ``k`` and isotropy groups ``G_b``), the checks are
 
     (U) every ``phi(e_b)`` is the identity (1, or an identity matrix),
         and every loop in ``G_b`` takes a value of its shape;
@@ -567,53 +550,64 @@ def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
     is ``phi(k(gh))``; and ``gh: x -> z``, so (A) for ``gh`` makes the
     whole ``phi(gh)``.
 
+    Given ``dets``, a certificate also writes there every arrow's
+    determinant (a scalar's is itself), in arrow order: by (A), ``det
+    phi(a) = det phi(t_y) det phi(k(a)) / det phi(t_x)``, multiplied out
+    on integer parts into one ``Fraction``.  A loop's determinant 0
+    (the model does not prove that the loops form a group) is no
+    certificate.  Nothing is written unless the answer is True.
+
     Costs one determinant per tree arrow off the bases, one product per
     distinct ``(y, k(a))`` off the bases, one comparison per arrow, and
     ``(|G_b| - 1)^2`` comparisons of a product per base: over one object,
     the products of the non-unit loops alone.  (A) and (G) build no
-    product: a matrix's is compared with ``Matrix.product_equals``.
-    Rational scalars are multiplied and compared as integer numerators
-    and denominators, so no ``Fraction`` is made.  (T) leaves the
-    determinant of each tree arrow off the bases in ``dets``, by arrow,
-    when it is given.  False (no model, a failed check, a missing value
-    or mismatched shapes) decides nothing: the caller then scans the
-    pairs.
+    product: a matrix's is compared with ``Matrix.product_equals``, a
+    scalar's by cross-multiplication.  ``dets`` adds one determinant per
+    isotropy loop.  False (no model, a failed check, a missing value,
+    mixed or mismatched values) decides nothing: the caller then scans
+    the pairs.
     """
     model = _model_of(gpd)
     if model is None:
         return False
     tree, k, isotropy = model
     rows = gpd._rows
-    dets = {} if dets is None else dets
     try:
         values = {a: phi(a) for a in gpd._arrow_ids}
-        phi = values.__getitem__
-        at = {}  # phi(t_x) off the bases
-        for x, a in tree.items():
-            value = phi(a)
-            if x in isotropy:
-                shape = _shape(value)
-                if not _is_unit(value) or any(_shape(phi(p)) != shape for p in isotropy[x]):
+        if all(isinstance(v, Matrix) for v in values.values()):
+            phi = values
+            for b, loops in isotropy.items():
+                e = phi[tree[b]]
+                if not e.is_identity() or any(
+                    (phi[p].rows, phi[p].cols) != (e.rows, e.cols) for p in loops
+                ):
                     return False
-                continue
-            d = dets[a] = _determinant(value)
-            if d == 0:
+
+            def det_parts(a):
+                d = det(values[a])  # a ValueError when not square
+                return d.numerator, d.denominator
+
+            times, equal, product_equals = mul, eq, Matrix.product_equals
+        elif all(isinstance(v, Rational) for v in values.values()):
+            phi = {a: (v.numerator, v.denominator) for a, v in values.items()}
+            if any(phi[tree[b]] != (1, 1) for b in isotropy):
                 return False
-            at[x] = value
-        times, equal, product_equals = mul, eq, _product_equals
-        if all(isinstance(v, Rational) for v in values.values()):
-            # scalars as (numerator, denominator), compared by cross-multiplication
-            parts = {a: (v.numerator, v.denominator) for a, v in values.items()}
-            phi, times, equal = parts.__getitem__, _mul_parts, _equal_parts
-            product_equals = _product_equals_parts
-            at = {x: parts[tree[x]] for x in at}
+            det_parts = phi.__getitem__  # a scalar is its own determinant
+            times, equal, product_equals = _mul_parts, _equal_parts, _product_equals_parts
+        else:
+            return False
+        # (T) on the tree off the bases
+        parts = {a: det_parts(a) for x, a in tree.items() if x not in isotropy}
+        if any(n == 0 for n, _ in parts.values()):
+            return False
+        at = {x: phi[a] for x, a in tree.items() if x not in isotropy}
         moved: dict[tuple[str, str], object] = {}  # phi(t_y) phi(k) by (y, k)
         for a, s, t in gpd.arrows:
             key = (t, k[a])
             if key not in moved:
-                value = phi(k[a])
+                value = phi[k[a]]
                 moved[key] = times(at[t], value) if t in at else value
-            value, target = phi(a), moved[key]
+            value, target = phi[a], moved[key]
             if not (product_equals(value, at[s], target) if s in at else equal(value, target)):
                 return False
         for b, loops in isotropy.items():
@@ -624,8 +618,16 @@ def _is_functorial(gpd: FiniteGroupoid, phi, dets: dict | None = None) -> bool:
                     if p == e or q == e:
                         if row_p[q] != (q if p == e else p):
                             return False
-                    elif not product_equals(phi(p), phi(q), phi(row_p[q])):
+                    elif not product_equals(phi[p], phi[q], phi[row_p[q]]):
                         return False
+        if dets is not None:
+            parts.update((p, det_parts(p)) for loops in isotropy.values() for p in loops)
+            if any(n == 0 for n, _ in parts.values()):
+                return False
+            at = {x: parts[a] for x, a in tree.items()}
+            for a, s, t in gpd.arrows:
+                (y_num, y_den), (k_num, k_den), (x_num, x_den) = at[t], parts[k[a]], at[s]
+                dets[a] = Fraction(y_num * k_num * x_den, y_den * k_den * x_num)
     except (KeyError, ValueError):
         return False
     return True
@@ -793,8 +795,7 @@ def cyclic_groupoid(n: int, obj: str = "*") -> FiniteGroupoid:
 
 def pair_groupoid(objects: Sequence[str]) -> FiniteGroupoid:
     """Exactly one arrow between any two objects."""
-    gpd = connected_groupoid(objects, GroupTable.cyclic(1))
-    return gpd
+    return connected_groupoid(objects, GroupTable.cyclic(1))
 
 
 def action_groupoid(perms: Iterable[tuple[int, ...]], n_points: int) -> FiniteGroupoid:

@@ -16,6 +16,12 @@ again a strictly functorial line representation whose class is the
 modular class of the homotopy representation.  Both are read off the
 one analysis, the report of :func:`verify_ruth`.
 
+Every functoriality question ends in ``groupoid._is_functorial``: a
+line action is handed over as scalars, a vector action and each degree
+of the harmonic blocks as matrices.  A certificate of a vector action
+hands back every arrow's determinant too, so this module never reads
+the groupoid's isotropy model.
+
 A trivialization fixes a nonzero scale per object (of the determinant
 line for vector representations, of the Berezinian line for homotopy
 representations).  Classes never depend on it; concrete cocycles do.
@@ -46,7 +52,6 @@ from .groupoid import (
     FiniteGroupoid,
     _failing_pairs,
     _is_functorial,
-    _model_of,
     _scan_pairs,
     _solve_1,
 )
@@ -55,11 +60,20 @@ from .linalg import Matrix, _exact, det
 
 @dataclass(frozen=True)
 class LineRep:
-    """An invertible scalar per arrow, functorial under composition."""
+    """An invertible scalar per arrow, functorial under composition.
+
+    The action is read through ``_exact``, under the name of the
+    cochain it defines: a float or a string is a TypeError.  A value of
+    None is no action, as for an arrow the mapping lacks.
+    """
 
     kind = "line"
     groupoid: FiniteGroupoid
     action: Mapping[str, Fraction]
+
+    def __post_init__(self):
+        action = {a: _exact(v, "cochain values") for a, v in self.action.items() if v is not None}
+        object.__setattr__(self, "action", action)
 
     def __call__(self, arrow: str) -> Fraction:
         return self.action[arrow]
@@ -157,7 +171,7 @@ class VectorReport(ValidationReport):
     """Validation outcome for a vector representation.
 
     ``dets`` holds the determinant of each square action, in arrow
-    order: read off the isotropy model when functoriality is certified,
+    order: handed back by the functoriality check when it certifies,
     else taken arrow by arrow for the singularity check.  Once the report
     passes (over a lawful groupoid) every action is square, invertible
     and in ``dets``: they are the action on determinant lines.
@@ -172,24 +186,23 @@ def verify_vector_rep(r: VectorRep) -> VectorReport:
     """Shapes, invertibility, unitality, and functoriality.
 
     Functoriality is decided as in :func:`verify_line_rep`.  When every
-    action is square and of its ends' shape, and the isotropy model
-    certifies it, the determinants are read off the model
-    (:func:`_model_dets`); a zero among them, or any other input, takes
-    the arrow-by-arrow check, which alone words shape and singularity
-    problems.  The unit check runs on both paths: the certificate does
-    not prove that units act by the identity.
+    action is square and of its ends' shape, ``groupoid._is_functorial``
+    is asked for the determinants too: a certificate writes every
+    arrow's into ``dets``, with ``det`` taken on the isotropy loops and
+    the tree arrows alone, and a zero loop determinant is no
+    certificate.  Any input it does not certify takes the arrow-by-arrow
+    check, which alone words shape and singularity problems, and then
+    the pair scan.  The unit check runs on both paths: the certificate
+    does not prove that units act by the identity.
     """
     report = VectorReport()
     gpd = r.groupoid
-    action, dims, tree_dets = r.action, r.dims, {}
+    action, dims = r.action, r.dims
     certified = all(
         (m := action.get(a)) is not None and m.rows == m.cols == dims[t] == dims[s]
         for a, s, t in gpd.arrows
-    ) and _is_functorial(gpd, r, tree_dets)
-    dets = _model_dets(r, tree_dets) if certified else None
-    if dets is not None:
-        report.dets = dets
-    else:
+    ) and _is_functorial(gpd, r, report.dets)
+    if not certified:
         for a in gpd.arrow_ids():
             m = action.get(a)
             if m is None:
@@ -216,35 +229,6 @@ def verify_vector_rep(r: VectorRep) -> VectorReport:
     return report
 
 
-def _model_dets(r: VectorRep, tree_dets: Mapping[str, Fraction]) -> dict[str, Fraction] | None:
-    """Every arrow's determinant, in arrow order, from the loops' and the tree's.
-
-    ``r`` is square throughout and certified by :func:`_is_functorial`,
-    which left the determinant of each tree arrow ``t_x`` off the bases
-    in ``tree_dets``.  Its check (A), ``phi(a) phi(t_x) = phi(t_y)
-    phi(k(a))`` for ``a: x -> y``, gives ``det phi(a) = det phi(t_y) det
-    phi(k(a)) / det phi(t_x)``, ``t_b`` being the unit at a base ``b``.
-    So ``det`` runs on the isotropy loops alone, and each arrow's value is
-    multiplied out on integer numerators and denominators into one
-    ``Fraction``.  None when a loop's determinant is 0: the arrow-by-arrow
-    check then words what is singular.
-    """
-    tree, k, isotropy = _model_of(r.groupoid)
-    parts = {a: (d.numerator, d.denominator) for a, d in tree_dets.items()}
-    for loops in isotropy.values():
-        for p in loops:
-            d = det(r(p))
-            if d == 0:
-                return None
-            parts[p] = d.numerator, d.denominator
-    at = {x: parts[a] for x, a in tree.items()}
-    dets = {}
-    for a, s, t in r.groupoid.arrows:
-        (y_num, y_den), (k_num, k_den), (x_num, x_den) = at[t], parts[k[a]], at[s]
-        dets[a] = Fraction(y_num * k_num * x_den, y_den * k_den * x_num)
-    return dets
-
-
 def characteristic_function(
     r: LineRep, sigma: Trivialization | None = None
 ) -> Cochain:
@@ -260,7 +244,6 @@ def characteristic_function(
     for a, s, t in r.groupoid.arrows:
         value = r(a)
         if s in scales or t in scales:
-            value = _exact(value, "cochain values")
             above, below = scales.get(s, _ONE), scales.get(t, _ONE)
             value = Fraction(
                 value.numerator * above.numerator * below.denominator,

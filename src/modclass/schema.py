@@ -108,14 +108,16 @@ class _Collector:
         self.add(f"{where}: expected {kind}")
         return {}
 
-    def matrix(self, raw, where: str) -> Matrix:
+    def matrix(self, raw, where: str) -> Matrix | None:
+        """The matrix ``raw`` writes out, or None and one problem when it is
+        no list of equal rows: such a matrix takes part in no later check."""
         if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
             self.add(f"{where}: expected a list of rows")
-            return Matrix.zeros(0, 0)
+            return None
         widths = {len(r) for r in raw}
         if len(widths) > 1:
             self.add(f"{where}: ragged rows")
-            return Matrix.zeros(0, 0)
+            return None
         m, problems = Matrix._parse(raw, widths.pop() if widths else 0)
         for message in problems:
             self.add(f"{where}: {message}")
@@ -132,7 +134,7 @@ class _Collector:
         ``shape(i)`` has no rows, ``[]`` reads as that shape: JSON has no
         other spelling of a 0xN matrix.  Each rejected key adds one
         problem; so does a key naming a degree an earlier key named (``"1"``
-        and ``"01"``).
+        and ``"01"``).  A matrix :meth:`matrix` cannot read is not kept.
         """
         matrices, named = {}, {}
         for key, rows in raw.items():
@@ -144,7 +146,7 @@ class _Collector:
                 continue
             m = self.matrix(rows, f"{where}, {label} {i}")
             expected = shape(i)
-            if expected is not None and (m.rows, m.cols) != expected:
+            if m is not None and expected is not None and (m.rows, m.cols) != expected:
                 if rows == [] and expected[0] == 0:
                     m = Matrix.zeros(0, expected[1])
                 else:
@@ -159,7 +161,8 @@ class _Collector:
                     f" [{degrees.start}, {degrees.stop - 1}]"
                 )
                 continue
-            matrices[i] = m
+            if m is not None:
+                matrices[i] = m
         return matrices
 
     def first_key(self, named: dict, i: int, key: str, what: str) -> bool:
@@ -395,7 +398,10 @@ def _parse_rep(raw, gpd, fibers, col: _Collector):
     dims: dict[str, int] = {}
     for a in gpd.arrow_ids():
         m = matrices[a]
-        for obj, size in ((gpd.src(a), m.cols), (gpd.tgt(a), m.rows)):
+        if m is None:
+            continue
+        # a square loop's two ends are one check
+        for obj, size in dict.fromkeys(((gpd.src(a), m.cols), (gpd.tgt(a), m.rows))):
             if obj in dims and dims[obj] != size:
                 col.add(
                     f"rep of arrow '{a}': shape implies dimension {size} at"
@@ -416,14 +422,12 @@ def parse_data(data: dict) -> InputDocument:
     if "groupoid" not in data:
         raise SchemaError(["missing 'groupoid' section"])
     gpd = _parse_groupoid(data["groupoid"], col)
-    if col.problems:
-        col.finish()
+    col.finish()
 
     fibers = None
     if "complex" in data:
         fibers = _parse_complexes(data["complex"], gpd, col)
-        if col.problems:
-            col.finish()
+        col.finish()
 
     rep = None
     if "rep" in data:

@@ -22,8 +22,9 @@ unit that acts by the identity; a unit twisted by a homotopy, so not
 the identity, must take the reference's path.  The degree-1 class path
 (the characteristic cocycle, the Berezinian action and the coboundary
 solve) multiplies integer numerators and denominators; the references
-multiply ``Fraction``s arrow by arrow.  The vector check reads each
-arrow's determinant off the isotropy model, and the functoriality check
+multiply ``Fraction``s arrow by arrow.  The vector check takes each
+arrow's determinant from the functoriality check's certificate, which
+reads it off the isotropy model, and the functoriality check
 compares a matrix product without building it; the references take one
 determinant per arrow and build every product.  Outputs must agree
 exactly, order included.
@@ -1214,16 +1215,17 @@ VECTOR_PROBLEMS = (
 
 
 def test_vector_cases_reach_both_paths(monkeypatch):
-    # determinants off the model, with and without a unit problem, and the
-    # per-arrow check on every kind of problem
+    # determinants handed back by the checker, with and without a unit
+    # problem, and the per-arrow check on every kind of problem
     certified = []
-    model_dets = reps_module._model_dets
 
-    def spy(*args):
-        certified.append(args)
-        return model_dets(*args)
+    def spy(gpd, phi, dets=None):
+        verdict = _is_functorial(gpd, phi, dets)
+        if verdict and dets:
+            certified.append(dict(dets))
+        return verdict
 
-    monkeypatch.setattr(reps_module, "_model_dets", spy)
+    monkeypatch.setattr(reps_module, "_is_functorial", spy)
     outcomes = set()
     for seed in range(40):
         rng = random.Random(f"vector determinants {seed}")
@@ -1237,6 +1239,41 @@ def test_vector_cases_reach_both_paths(monkeypatch):
             outcomes.update((bool(certified), kind) for kind in kinds or {"ok"})
     assert {(True, "ok"), (True, "not act by the identity")} <= outcomes
     assert {(False, kind) for kind in VECTOR_PROBLEMS} <= outcomes
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_handed_back_determinants_are_the_actions(seed):
+    # a certificate writes det of every action, in arrow order; a refusal writes none
+    for gpd, lawful, kind, mutation, values, _ in functoriality_cases(seed):
+        if kind != "vector":
+            continue
+        dets = {}
+        if _is_functorial(gpd, values.__getitem__, dets):
+            assert list(dets.items()) == [(a, det(values[a])) for a in gpd.arrow_ids()]
+            assert all(type(d) is Fraction for d in dets.values())
+        else:
+            assert dets == {}
+            assert not (lawful and mutation is None), seed  # the regular rep is certified
+
+
+def test_a_mix_of_scalars_and_matrices_is_not_certified():
+    # one arithmetic serves all the values: a mix decides nothing, even
+    # where every pair multiplies out, and the answer is the pair scan's
+    gpd = disjoint_union(cyclic_groupoid(2), cyclic_groupoid(2))
+    e0, r0, e1, r1 = gpd.arrow_ids()
+    lawful = {e0: Fraction(1), r0: Fraction(-1), e1: Matrix.identity(1), r1: Matrix([[-1]])}
+    swapped = {**lawful, e0: Matrix.identity(1), r0: Matrix([[-1]]), e1: Fraction(1)}
+    for values, failing in ((lawful, []), (swapped, [(r1, r1)])):
+        phi, dets = values.__getitem__, {}
+        assert not _is_functorial(gpd, phi, dets)
+        assert dets == {}
+        assert groupoid_module._failing_pairs(gpd, phi) == groupoid_module._scan_pairs(gpd, phi)
+        assert groupoid_module._failing_pairs(gpd, phi) == failing
+    # the line and cocycle checks take no matrix at all
+    with pytest.raises(TypeError):
+        LineRep(gpd, lawful)
+    with pytest.raises(TypeError):
+        Cochain(1, {(a,): v for a, v in lawful.items()})
 
 
 def idempotent_loop() -> FiniteGroupoid:
@@ -1258,6 +1295,10 @@ def test_a_singular_loop_the_model_certifies_is_still_refused():
     values = {"e": Matrix.identity(2), "p": Matrix([[1, 0], [0, 0]])}
     rep = VectorRep(gpd, {"*": 2}, values)
     assert _is_functorial(gpd, values.__getitem__)
+    # asked for the determinants, it refuses the loop's 0 and writes none
+    dets = {}
+    assert not _is_functorial(gpd, values.__getitem__, dets)
+    assert dets == {}
     report = verify_vector_rep(rep)
     assert report.problems == ["action of arrow 'p' is singular"]
     assert (report.problems, report.dets) == per_arrow_vector_rep(rep)
@@ -1439,11 +1480,11 @@ def test_berezinian_rep_matches_the_per_arrow_fraction_product(seed):
 
 
 def test_a_float_action_is_still_refused():
+    # refused as the rep is built, so before any cocycle is read off it
     gpd = cyclic_groupoid(2)
-    r = LineRep(gpd, {"e:*>*": Fraction(1), "r1:*>*": 0.5})
     for sigma in (None, Trivialization(), Trivialization({"*": Fraction(-3, 7)})):
         with pytest.raises(TypeError, match="exact rationals"):
-            characteristic_function(r, sigma)
+            characteristic_function(LineRep(gpd, {"e:*>*": Fraction(1), "r1:*>*": 0.5}), sigma)
 
 
 @pytest.mark.parametrize("signed", [False, True])

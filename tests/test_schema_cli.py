@@ -339,6 +339,50 @@ class TestExitCodes:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {error}"]
 
+    @staticmethod
+    def as_vector_rep(t):
+        """z2_sign_odd with no complex and ``e`` acting by 1: ``t`` acts by the rows ``t``."""
+        def breakage(d):
+            del d["complex"]
+            d["rep"] = {"e": [["1"]], "t": t}
+        return breakage
+
+    @pytest.mark.parametrize(
+        ("breakage", "error"),
+        [
+            (
+                lambda d: d["rep"]["t"].update({"1": [None]}),
+                "rep of arrow 't', degree 1: expected a list of rows",
+            ),
+            (
+                lambda d: d["complex"]["*"]["differentials"].update({"1": "x"}),
+                "complex of '*', differential 1: expected a list of rows",
+            ),
+            (as_vector_rep([["1"], ["1", "2"]]), "rep of arrow 't': ragged rows"),
+            (
+                as_vector_rep([["1", "0"], ["0", "1"]]),
+                "rep of arrow 't': shape implies dimension 2 at object '*' but 1 was already implied",
+            ),
+            (
+                as_vector_rep([["1", "0"]]),
+                "rep of arrow 't': shape implies dimension 2 at object '*' but 1 was already implied",
+            ),
+        ],
+        ids=["null-row", "string-differential", "ragged-action", "square-loop", "non-square-loop"],
+    )
+    def test_an_unreadable_matrix_or_a_loop_conflict_is_one_error(
+        self, breakage, error, tmp_path, capsys
+    ):
+        # a matrix that is no list of equal rows takes part in no shape or
+        # dimension check, and a loop's one object is checked once
+        data = json.loads((FIXTURES / "z2_sign_odd.json").read_text())
+        breakage(data)
+        path = tmp_path / "unreadable.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {error}"]
+
     @pytest.mark.parametrize(
         ("name", "section", "entry", "error"),
         [
