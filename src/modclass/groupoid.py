@@ -183,6 +183,15 @@ class Cochain:
             coerced[key] = value
         object.__setattr__(self, "values", coerced)
 
+    @classmethod
+    def _from_fractions(cls, degree: int, values: dict) -> "Cochain":
+        """A cochain on ``values``, stored as given: nonzero ``Fraction``s
+        the caller built, which are not read again."""
+        phi = cls.__new__(cls)
+        object.__setattr__(phi, "degree", degree)
+        object.__setattr__(phi, "values", values)
+        return phi
+
     def __call__(self, *args) -> Fraction:
         if self.degree == 0:
             (obj,) = args
@@ -370,7 +379,9 @@ def is_cocycle_1(gpd: FiniteGroupoid, phi: Cochain) -> bool:
 
 
 def _components(gpd: FiniteGroupoid) -> list[list[str]]:
-    # Connected components of the object graph, each listed in object order.
+    # Connected components of the object graph, in order of their first
+    # objects.  Each is listed breadth first over sorted neighbours from
+    # that object, its base: callers rely on ``component[0]`` alone.
     neighbours: dict[str, set[str]] = {x: set() for x in gpd.objects}
     for a, s, t in gpd.arrows:
         neighbours[s].add(t)
@@ -409,9 +420,23 @@ def _isotropy_model(gpd: FiniteGroupoid):
     listed; the entries are counted by the rows' lengths.  What each
     arrow brings to an entry is gathered once, before the pass over the
     table: its ends, ``k(a)``, and the row of ``k(a)`` in its base's
-    multiplication table.  The table is then read row by row: ``g``'s
-    ends and row of ``k(g)`` once per row, and for each entry ``(h,
-    gh)`` of it the ends and ``k`` of ``h`` and of ``gh``.
+    multiplication table.  The table is then read row by row, and an
+    entry ``(h, gh)`` of ``g``'s row is checked by the ends and ``k`` of
+    ``h`` and of ``gh``.
+
+    Most rows are certified without an entry check.  When every key ``h``
+    of ``g``'s row ends at ``src g``, the row's class is ``(tgt g, k(g))``
+    and the ``(src h, k(h))`` list of its keys in row order.  Lemma: a row
+    holding, in order, the composites of a row of its class that passes
+    the entry check passes it too.  Proof: position by position the keys
+    have the same source and ``k`` and the first arrows the same target
+    and ``k``, so each entry asks the same of the same composite.  So the
+    first row of each class is checked entry by entry, and each other row
+    of it is compared with that row as one tuple of composites.  A row
+    whose tuple differs (twin arrows with equal coordinates may still
+    pass) and a row in no class fall through to the entry check.  The
+    keys' one target and ``(src h, k(h))`` list are found once per
+    distinct tuple of keys.
     """
     try:
         tree: dict[str, str] = {}
@@ -419,28 +444,43 @@ def _isotropy_model(gpd: FiniteGroupoid):
         for component in _components(gpd):
             b = component[0]
             base.update((x, b) for x in component)
-            tree[b] = gpd.unit(b)
+            tree[b] = gpd.identity[b]
         for a, s, t in gpd.arrows:
             if s == base[s] and t not in tree:
                 tree[t] = a
-        k = {
-            a: gpd.compose(gpd.compose(gpd.inv(tree[t]), a), tree[s])
-            for a, s, t in gpd.arrows
-        }
+        rows, inverse, src, tgt = gpd._rows, gpd.inverse, gpd._src, gpd._tgt
+        k = {a: rows[rows[inverse[tree[t]]][a]][tree[s]] for a, s, t in gpd.arrows}
         isotropy: dict[str, list[str]] = {b: [] for b in tree if base[b] == b}
         for a, s, t in gpd.arrows:
             b = base[s]
-            if gpd.src(k[a]) != b or gpd.tgt(k[a]) != b:
+            if src[k[a]] != b or tgt[k[a]] != b:
                 return None
             if s == t == b:
                 isotropy[b].append(a)
-        rows = gpd._rows
         if sum(map(len, rows.values())) != _pair_count(gpd):
             return None
         times = {p: {q: rows[p][q] for q in loops} for loops in isotropy.values() for p in loops}
         ends = {a: (s, t, k[a], times[k[a]]) for a, s, t in gpd.arrows}
+        keyed: dict[tuple, tuple] = {}  # a row's keys -> (their one target or None, list id)
+        lists: dict[tuple, int] = {}  # a (src h, k(h)) list -> its id
+        first: dict[tuple, tuple] = {}  # a class -> the composites of its first row
         for g, row in rows.items():
-            s_g, t_g, _, k_g_times = ends[g]
+            s_g, t_g, k_g, k_g_times = ends[g]
+            keys = tuple(row)
+            known = keyed.get(keys)
+            if known is None:
+                targets = {tgt[h] for h in keys}
+                listed = tuple([(src[h], k[h]) for h in keys])
+                known = keyed[keys] = (
+                    targets.pop() if len(targets) == 1 else None,
+                    lists.setdefault(listed, len(lists)),
+                )
+            target, listed_id = known
+            if target == s_g:
+                composites = tuple(row.values())
+                kept = first.setdefault((t_g, k_g, listed_id), composites)
+                if kept is not composites and kept == composites:
+                    continue
             for h, gh in row.items():
                 s_h, t_h, k_h, _ = ends[h]
                 s_gh, t_gh, k_gh, _ = ends[gh]
@@ -712,7 +752,7 @@ def _solve_1(gpd: FiniteGroupoid, phi: Cochain) -> ClassReport:
             obstructions.append((a, Fraction(p, q)))
     if obstructions:
         return ClassReport(phi, False, None, obstructions)
-    return ClassReport(phi, True, Cochain(0, f), [])
+    return ClassReport(phi, True, Cochain._from_fractions(0, f), [])
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,15 @@ class LineRep:
         action = {a: _exact(v, "cochain values") for a, v in self.action.items() if v is not None}
         object.__setattr__(self, "action", action)
 
+    @classmethod
+    def _from_fractions(cls, gpd: FiniteGroupoid, action: dict) -> "LineRep":
+        """A line rep on ``action``, stored as given: ``Fraction``s the
+        caller built, which are not read again."""
+        line = cls.__new__(cls)
+        object.__setattr__(line, "groupoid", gpd)
+        object.__setattr__(line, "action", action)
+        return line
+
     def __call__(self, arrow: str) -> Fraction:
         return self.action[arrow]
 
@@ -237,8 +246,20 @@ def characteristic_function(
     With sections scaled by ``sigma``, the arrow ``g`` contributes
     ``action(g) * sigma(src g) / sigma(tgt g)``.  An arrow with no scale
     at either end keeps its action value; any other is multiplied out on
-    integer numerators and denominators into one ``Fraction``.
+    integer numerators and denominators into one ``Fraction``.  A zero
+    action is a ValueError, as for any cochain.
     """
+    phi = _cocycle(r, sigma)
+    zero = next((key for key, v in phi.values.items() if not v), None)
+    if zero is not None:
+        raise ValueError(f"cochain value at {zero!r} is zero")
+    return phi
+
+
+def _cocycle(r: LineRep, sigma: Trivialization | None) -> Cochain:
+    """:func:`characteristic_function` of a line with no zero action: its
+    values are ``Fraction``s already, so the cochain reads none of them
+    again."""
     scales = sigma.scales if sigma is not None else {}
     values = {}
     for a, s, t in r.groupoid.arrows:
@@ -250,7 +271,7 @@ def characteristic_function(
                 value.denominator * above.denominator * below.numerator,
             )
         values[(a,)] = value
-    return Cochain(1, values)
+    return Cochain._from_fractions(1, values)
 
 
 def strict_as_homotopy(r: VectorRep, degree: int = 0) -> RepUpToWeakHomotopy:
@@ -334,7 +355,7 @@ class RuthReport(ValidationReport):
                 continue
             x, y = gpd.src(a), gpd.tgt(a)
             action[a] = _class_berezinian(blocks, decs[x], decs[y], sigma(x), sigma(y))
-        return LineRep(gpd, action)
+        return LineRep._from_fractions(gpd, action)
 
 
 def _dimension_mismatch(a: str, t: ChainMap) -> str | None:
@@ -444,8 +465,9 @@ def decide_modular_class(
 
     A homotopy rep acts on Berezinian lines with ``sigma`` folded in, a
     vector rep on determinant lines by the check's ``dets``, and a line rep
-    is its own line; the check proved the action functorial, so its cocycle
-    needs no second check.  A failed check raises ValueError with its first
+    is its own line; the check proved the action functorial and nonzero,
+    so its cocycle needs no second check, and its values, ``Fraction``s
+    already, are not read again.  A failed check raises ValueError with its first
     problem, or for a homotopy rep as :meth:`RuthReport.berezinian_rep`
     does: GradedDimensionMismatch for unequal graded dimensions, else
     ValueError with the first problem.
@@ -454,9 +476,11 @@ def decide_modular_class(
         line, sigma = check.berezinian_rep(sigma), None
     elif not check.ok:
         raise ValueError(f"not a {r.kind} representation: {check.problems[0]}")
+    elif isinstance(r, VectorRep):
+        line = LineRep._from_fractions(r.groupoid, dict(check.dets))
     else:
-        line = LineRep(r.groupoid, check.dets) if isinstance(r, VectorRep) else r
-    return line, _solve_1(r.groupoid, characteristic_function(line, sigma))
+        line = r
+    return line, _solve_1(r.groupoid, _cocycle(line, sigma))
 
 
 def modular_class(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import ChainMap, ComplexFiber
-from .groupoid import Cochain, FiniteGroupoid
+from .groupoid import _NO_ROW, Cochain, FiniteGroupoid
 from .linalg import Matrix, format_rational, parse_rational
 from .reps import LineRep, RepUpToWeakHomotopy, Trivialization, VectorRep
 
@@ -201,8 +201,10 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
             continue
         arrows.append(arrow)
     # each id to the arrow's own string: a compose entry whose three members
-    # it finds is stored with these, in one lookup per member, so every later
-    # lookup of the table's entries meets identical strings
+    # it finds is stored with these, so every later lookup of the table's
+    # entries meets identical strings.  An entry whose first member equals
+    # the current row's first arrow, a known id, costs two lookups, of its
+    # other members; any other entry costs one for each of its three.
     arrow_ids = {a: a for a, _, _ in arrows}
     canonical = arrow_ids.get
     object_set = set(objects)
@@ -225,19 +227,24 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
     # the table goes straight into FiniteGroupoid's rows, {g: {h: gh}}
     rows: dict[str, dict[str, str]] = {}
     row, last, interleaved, malformed = None, None, False, 0
+    current = _NO_ROW  # ``last`` while it is a known arrow id
     compose = raw.get("compose", [])
     if not isinstance(compose, list):
         col.add("compose table: expected a list")
         compose = []
     for entry in compose:
-        # a lawful entry goes straight to its row; any other is worded by
-        # the checks below first, and stored if it is a triple of strings
+        # a lawful entry goes straight to its row; any other (no triple, an
+        # unknown or unhashable member) is worded by the checks below
+        # first, and stored if it is a triple of strings
         cg = None
-        if type(entry) is list and len(entry) == 3:
-            g, h, gh = entry
+        if type(entry) is list:
             try:
+                g, h, gh = entry
+                if g == current:
+                    row[arrow_ids[h]] = arrow_ids[gh]
+                    continue
                 cg, ch, cgh = canonical(g), canonical(h), canonical(gh)
-            except TypeError:  # a list or dict member
+            except (ValueError, KeyError, TypeError):
                 pass
         if cg is None or ch is None or cgh is None:
             if not (isinstance(entry, list) and len(entry) == 3 and _strings(entry)):
@@ -253,6 +260,7 @@ def _parse_groupoid(raw, col: _Collector) -> FiniteGroupoid:
             # a new row; or back to an earlier one, and then the rows
             # alone no longer give the table's order
             last, seen = cg, rows.get(cg)
+            current = cg if cg in arrow_ids else _NO_ROW
             if seen is None:
                 row = rows[cg] = {}
             elif seen is not row:
@@ -392,7 +400,7 @@ def _parse_rep(raw, gpd, fibers, col: _Collector):
             a: col.nonzero_rational(raw[a], f"rep of arrow '{a}'")
             for a in gpd.arrow_ids()
         }
-        return LineRep(gpd, action)
+        return LineRep._from_fractions(gpd, action)
 
     matrices = {a: col.matrix(raw[a], f"rep of arrow '{a}'") for a in gpd.arrow_ids()}
     dims: dict[str, int] = {}
@@ -448,7 +456,7 @@ def parse_data(data: dict) -> InputDocument:
             if a not in values:
                 col.add(f"cochain section: arrow '{a}' has no value")
         if not col.problems:
-            cochain = Cochain(1, {(a,): v for a, v in values.items()})
+            cochain = Cochain._from_fractions(1, {(a,): v for a, v in values.items()})
 
     col.finish()
     return InputDocument(gpd, rep, sigma, cochain)

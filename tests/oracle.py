@@ -539,6 +539,31 @@ def scan_validate(gpd: FiniteGroupoid) -> list[str]:
 
 def scan_isotropy_model(gpd: FiniteGroupoid):
     """``(tree, k, isotropy)``, or None, as ``groupoid._isotropy_model`` gives."""
+    coordinates = scan_coordinates(gpd)
+    if coordinates is None:
+        return None
+    _, k, _ = coordinates
+    try:
+        src, tgt, compose = gpd._src, gpd._tgt, gpd.composition
+        if len(compose) != _pair_count(gpd):
+            return None
+        for (g, h), gh in compose.items():
+            if (
+                src[g] != tgt[h]
+                or src[gh] != src[h]
+                or tgt[gh] != tgt[g]
+                or k[gh] != compose[k[g], k[h]]
+            ):
+                return None
+    except KeyError:
+        return None
+    return coordinates
+
+
+def scan_coordinates(gpd: FiniteGroupoid):
+    """The trees, coordinates and isotropy loops of :func:`scan_isotropy_model`,
+    before any check of the table: None when some ``k(a)`` cannot be read
+    or is no loop at its base."""
     try:
         tree: dict[str, str] = {}
         base: dict[str, str] = {}
@@ -560,17 +585,6 @@ def scan_isotropy_model(gpd: FiniteGroupoid):
                 return None
             if s == t == b:
                 isotropy[b].append(a)
-        src, tgt, compose = gpd._src, gpd._tgt, gpd.composition
-        if len(compose) != _pair_count(gpd):
-            return None
-        for (g, h), gh in compose.items():
-            if (
-                src[g] != tgt[h]
-                or src[gh] != src[h]
-                or tgt[gh] != tgt[g]
-                or k[gh] != compose[k[g], k[h]]
-            ):
-                return None
     except KeyError:
         return None
     return tree, k, isotropy

@@ -35,7 +35,7 @@ import pathlib
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -94,6 +94,7 @@ from oracle import (
     scan_coboundary_solve_1,
     scan_composable_pairs,
     scan_compose_table,
+    scan_coordinates,
     scan_isotropy_model,
     scan_validate,
 )
@@ -640,6 +641,143 @@ def test_isotropy_model_matches_the_entry_by_entry_scan(seed):
         assert _isotropy_model(gpd) == scan_isotropy_model(gpd), kind
 
 
+# The model compares most rows with the first row of their class as one
+# tuple; what it gives must not depend on how the table's entries are laid out.
+TABLE_LAYOUTS = ("pairs", "sorted", "rows shuffled", "interleaved")
+
+
+def laid_out(gpd: FiniteGroupoid, rng: random.Random, layout: str) -> FiniteGroupoid:
+    """``gpd`` with its table's entries in ``composable_pairs()`` order (keys
+    that are no pair last), in ``serialize``'s sorted order, by rows in
+    shuffled order with each row's entries shuffled, or interleaved: one
+    entry of each row in turn, the rows shuffled."""
+    entries = list(gpd.composition.items())
+    if layout == "pairs":
+        rank = {pair: i for i, pair in enumerate(gpd.composable_pairs())}
+        entries.sort(key=lambda e: rank.get(e[0], len(rank)))
+    elif layout == "sorted":
+        entries.sort()
+    else:
+        rows = [[((g, h), gh) for h, gh in row.items()] for g, row in gpd._rows.items()]
+        rng.shuffle(rows)
+        if layout == "rows shuffled":
+            for row in rows:
+                rng.shuffle(row)
+            entries = [e for row in rows for e in row]
+        else:
+            entries = [e for turn in zip_longest(*rows) for e in turn if e is not None]
+    return FiniteGroupoid(gpd.objects, gpd.arrows, gpd.identity, gpd.inverse, dict(entries))
+
+
+def layout_cases(seed):
+    """``(kind, layout, table)`` for every law case and table layout."""
+    rng = random.Random(-1 - seed)
+    for kind, gpd in law_cases(seed):
+        for layout in TABLE_LAYOUTS:
+            yield kind, layout, laid_out(gpd, rng, layout)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_isotropy_model_matches_the_scan_in_every_table_layout(seed):
+    for kind, layout, gpd in layout_cases(seed):
+        assert _isotropy_model(gpd) == scan_isotropy_model(gpd), (kind, layout)
+
+
+class ReadRow(dict):
+    """A row of the table that records in ``reads`` each pass over its values or items."""
+
+    def __init__(self, g, row, reads):
+        super().__init__(row)
+        self.g, self.reads = g, reads
+
+    def values(self):
+        self.reads.append((self.g, "values"))
+        return super().values()
+
+    def items(self):
+        self.reads.append((self.g, "items"))
+        return super().items()
+
+
+def entries_pass(gpd: FiniteGroupoid, k: dict, g: str) -> bool:
+    # the model's entry check on g's row, with the coordinates k
+    src, tgt, rows = gpd._src, gpd._tgt, gpd._rows
+    try:
+        return all(
+            src[g] == tgt[h] and src[gh] == src[h] and tgt[gh] == tgt[g]
+            and k[gh] == rows[k[g]][k[h]]
+            for h, gh in dict.items(rows[g])
+        )
+    except KeyError:
+        return False
+
+
+def certificate_outcomes(gpd: FiniteGroupoid) -> set[str]:
+    """What ``_isotropy_model`` does with the rows of ``gpd`` that it reads,
+    seen from which rows it compares as a tuple and which it checks entry
+    by entry; each outcome is checked against the class it implies."""
+    reads = []
+    gpd._rows = {g: ReadRow(g, row, reads) for g, row in gpd._rows.items()}
+    model = _isotropy_model(gpd)
+    if not reads:
+        return set()
+    _, k, _ = scan_coordinates(gpd)
+    src, tgt, rows = gpd._src, gpd._tgt, gpd._rows
+    compared = [g for g, what in reads if what == "values"]
+    checked = {g for g, what in reads if what == "items"}
+    outcomes, first = set(), {}
+    for g in compared:
+        kept = first.setdefault((tgt[g], k[g], tuple((src[h], k[h]) for h in rows[g])), g)
+        if kept == g:
+            assert g in checked  # the first row of its class
+        elif g not in checked:
+            assert list(dict.values(rows[g])) == list(dict.values(rows[kept]))
+            outcomes.add("accepted by its class")
+        elif entries_pass(gpd, k, g):
+            outcomes.add("compared, then passed entry by entry")
+        else:
+            assert model is None and reads[-1] == (g, "items")
+            outcomes.add("compared, then failed entry by entry")
+    for g in checked:
+        if len({tgt[h] for h in rows[g]}) > 1:
+            assert g not in compared
+            outcomes.add("keys with two targets")
+    return outcomes
+
+
+def test_a_row_of_the_same_sources_but_other_coordinates_is_not_in_the_class():
+    # Two rows into z with k = e hold the same composites in order, and
+    # their keys have the same sources in order; but the second row lists
+    # its two loops at x in the other order, with its composites swapped to
+    # match, so the coordinates of its keys differ and it fails the check.
+    gpd = connected_groupoid(["x", "y", "z"], GroupTable.cyclic(2))
+    g, swapped, (h1, h2) = "e:y>z", "e:x>z", ("e:x>x", "r1:x>x")
+    table = {(g, h): gh for h, gh in gpd._rows[g].items()}
+    table[swapped, h2], table[swapped, h1] = gpd.compose(swapped, h1), gpd.compose(swapped, h2)
+    table.update((pair, gh) for pair, gh in gpd.composition.items() if pair not in table)
+    broken = FiniteGroupoid(gpd.objects, gpd.arrows, gpd.identity, gpd.inverse, table)
+    ends = {a: (s, t) for a, s, t in gpd.arrows}
+    assert list(broken._rows)[:2] == [g, swapped]
+    assert list(broken._rows[g].values()) == list(broken._rows[swapped].values())
+    assert [ends[h][0] for h in broken._rows[g]] == [ends[h][0] for h in broken._rows[swapped]]
+    assert scan_isotropy_model(broken) is None
+    assert _isotropy_model(broken) is None
+
+
+def test_table_layouts_reach_every_class_outcome():
+    # the agreement above is only as strong as the rows it sees
+    reached = set()
+    for seed in SEEDS:
+        for _, _, gpd in layout_cases(seed):
+            reached |= certificate_outcomes(gpd)
+    assert reached == {
+        "accepted by its class",
+        "compared, then passed entry by entry",
+        "compared, then failed entry by entry",
+        "keys with two targets",
+    }
+
+
 # Entries spliced into a compose table: each is worded by the full checks.
 SPLICES = [
     "not a list", "short", "long", "None member", "int member", "bool member",
@@ -647,8 +785,10 @@ SPLICES = [
 ]
 
 
-def splice(rng: random.Random, compose: list, kind: str) -> list:
-    g, h, gh = rng.choice(compose)
+def splice(rng: random.Random, compose: list, kind: str, after: list | None = None) -> list:
+    """An entry of ``kind`` made from a random entry of ``compose``, or from
+    ``after``: then a member splice keeps its first member."""
+    g, h, gh = after or rng.choice(compose)
     if kind == "not a list":
         return rng.choice(["e,t", {"g": g, "h": h, "gh": gh}, None, 3])
     if kind == "short":
@@ -662,7 +802,7 @@ def splice(rng: random.Random, compose: list, kind: str) -> list:
         "list member": [g], "dict member": {g: h}, "unknown id": g + "?",
     }[kind]
     entry = [g, h, gh]
-    entry[rng.randrange(3)] = member
+    entry[rng.randrange(3) if after is None else 1 + rng.randrange(2)] = member
     return entry
 
 
@@ -681,9 +821,25 @@ def compose_case(seed: int) -> tuple[dict, list[str]]:
     return data, kinds
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_compose_table_reads_as_the_type_checked_scan(seed):
-    data, _ = compose_case(seed)
+def row_splice_case(seed: int) -> tuple[dict, list[str]]:
+    """A builder table as a document in ``serialize``'s order, each row's
+    entries contiguous, with splices each put right after an entry of
+    their own first arrow: one of ``SPLICES[seed % len(SPLICES)]``, now
+    and then others too, and the kinds spliced."""
+    rng = random.Random(seed)
+    gpd = builder_groupoid(rng)
+    data = json.loads(json.dumps(serialize(InputDocument(gpd, None, None, None))))
+    compose = data["groupoid"]["compose"]
+    lawful = list(compose)
+    kinds = [SPLICES[seed % len(SPLICES)], *rng.sample(SPLICES, rng.choice((0, 1, 2)))]
+    # from the last position back, so each position still holds a lawful entry
+    positions = sorted(rng.sample(range(len(compose)), min(len(kinds), len(compose))), reverse=True)
+    for at, kind in zip(positions, kinds):
+        compose.insert(at + 1, splice(rng, lawful, kind, after=compose[at]))
+    return data, kinds[: len(positions)]
+
+
+def assert_reads_as_the_type_checked_scan(data: dict) -> None:
     raw = data["groupoid"]
     own = {a["id"]: a["id"] for a in raw["arrows"]}
     composition, problems = scan_compose_table(raw["compose"], own)
@@ -702,11 +858,23 @@ def test_compose_table_reads_as_the_type_checked_scan(seed):
         assert schema_module.parse_data(data).groupoid.composition == composition
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compose_table_reads_as_the_type_checked_scan(seed):
+    assert_reads_as_the_type_checked_scan(compose_case(seed)[0])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_row_contiguous_table_reads_as_the_type_checked_scan(seed):
+    # a splice right after an entry of its own row meets the reader's in-row branch
+    assert_reads_as_the_type_checked_scan(row_splice_case(seed)[0])
+
+
 def test_compose_cases_reach_every_splice_and_a_lawful_table():
     # the agreement above is only as strong as the entries it sees
     spliced = [compose_case(seed)[1] for seed in SEEDS]
     assert set().union(*spliced) == set(SPLICES)
     assert [] in spliced
+    assert {row_splice_case(seed)[1][0] for seed in SEEDS} == set(SPLICES)
 
 
 # The table is stored as rows keyed by the first arrow; ``composition``
@@ -1485,6 +1653,40 @@ def test_a_float_action_is_still_refused():
     for sigma in (None, Trivialization(), Trivialization({"*": Fraction(-3, 7)})):
         with pytest.raises(TypeError, match="exact rationals"):
             characteristic_function(LineRep(gpd, {"e:*>*": Fraction(1), "r1:*>*": 0.5}), sigma)
+
+
+def test_a_decision_reads_no_line_or_cocycle_value_again(monkeypatch):
+    # The schema's line actions and cochains, a vector rep's determinant
+    # line, a homotopy rep's Berezinian line, and each decision's cocycle
+    # and witness are Fractions the library made: none goes through _exact
+    # again.
+    reads, decided = [], set()
+
+    def counted(x, name="matrix entries"):
+        if name == "cochain values":
+            reads.append(x)
+        return linalg_module._exact(x, name)
+
+    for module in (groupoid_module, reps_module):
+        monkeypatch.setattr(module, "_exact", counted)
+    for path in DOCUMENTS:
+        try:
+            doc = schema_module.parse(str(path))
+        except schema_module.SchemaError:
+            continue
+        if not validate(doc.groupoid).ok:
+            continue
+        if doc.cochain is not None:
+            decided.add("cochain")
+            assert all(type(v) is Fraction for v in doc.cochain.values.values())
+        if doc.rep is None or not (check := reps_module.verify_rep(doc.rep)).ok:
+            continue
+        line, report = decide_modular_class(doc.rep, check, doc.sigma)
+        decided.add(doc.rep_kind)
+        assert all(type(v) is Fraction for v in line.action.values())
+        assert all(type(v) is Fraction for v in report.cocycle.values.values())
+    assert decided == {"line", "vector", "homotopy", "cochain"}
+    assert reads == []
 
 
 @pytest.mark.parametrize("signed", [False, True])

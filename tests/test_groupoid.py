@@ -64,10 +64,27 @@ class TestValidate:
             assert validate(rand_groupoid(rng)).ok
 
 
+class CountedRow(dict):
+    """A row of the composition table that counts its subscriptions in ``work``."""
+
+    def __init__(self, items, work):
+        super().__init__(items)
+        self.work = work
+
+    def __getitem__(self, key):
+        self.work["lookups"] += 1
+        return super().__getitem__(key)
+
+
+def counted_rows(gpd: FiniteGroupoid, work: dict) -> None:
+    # the table and each of its rows count every subscription
+    gpd._rows = CountedRow({g: CountedRow(row, work) for g, row in gpd._rows.items()}, work)
+
+
 @pytest.fixture
 def validate_work(monkeypatch):
     """``compose`` and ``composable_pairs`` calls, and the scans ``validate`` runs."""
-    work = {"compose": 0, "composable_pairs": 0, "scans": []}
+    work = {"compose": 0, "composable_pairs": 0, "scans": [], "lookups": 0}
     compose, composable_pairs = FiniteGroupoid.compose, FiniteGroupoid.composable_pairs
 
     def counted_compose(self, g, h):
@@ -94,13 +111,16 @@ def validate_work(monkeypatch):
 def test_validate_lookup_counts(validate_work):
     # A lawful table is certified through its isotropy model: no pair or
     # triple scan, and the lookups grow with the arrows and the isotropy
-    # group's table, not with the pairs or the triples.
+    # group's table, not with the pairs or the triples.  Every lookup is a
+    # subscription of the stored rows, and ``compose`` is never called.
     n, m = 4, 6
     gpd = connected_groupoid([f"o{i}" for i in range(n)], GroupTable.symmetric_3())
-    arrows, triples = n * n * m, n**4 * m**3
+    counted_rows(gpd, validate_work)
+    arrows, pairs = n * n * m, n**3 * m**2
     assert validate(gpd).ok
     assert validate_work["scans"] == []
-    assert 0 < validate_work["compose"] <= 6 * arrows + 4 * m**3 < triples
+    assert validate_work["compose"] == 0
+    assert 0 < validate_work["lookups"] <= 12 * arrows + 4 * m**3 < pairs
     assert validate_work["composable_pairs"] <= 2
 
 
